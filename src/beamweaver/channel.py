@@ -13,11 +13,10 @@ Linear powers are in milliwatts throughout; dBm appears only at the edges.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import ray_sum
 from .errors import ConfigError, FormatError
 
 BMCH_MAGIC = b"BMCH"
@@ -128,26 +127,35 @@ def _stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def array_response(geometry: ArrayGeometry, azimuth: float, elevation: float,
+def array_response(geometry: ArrayGeometry, azimuth, elevation,
                    polarization: int = 0) -> np.ndarray:
-    """Unit-norm steering vector for one polarization panel (length n_x*n_y).
+    """Unit-norm steering vectors for one polarization panel.
 
+    Broadcasts over arrays of angles: returns shape (..., n_x*n_y), where
+    ``...`` is the broadcast shape of ``azimuth`` and ``elevation``.
     Element phase: 2*pi*spacing*(n_x*sin(az)*cos(el) + n_y*sin(el)).
     """
     del polarization  # panels are co-located; phase profile is shared
-    nx = np.arange(geometry.n_x)
-    ny = np.arange(geometry.n_y)
-    px = nx * np.sin(azimuth) * np.cos(elevation)
-    py = ny * np.sin(elevation)
-    phase = 2.0 * np.pi * geometry.element_spacing * (px[:, None] + py[None, :])
+    az = np.asarray(azimuth, dtype=np.float64)[..., None, None]
+    el = np.asarray(elevation, dtype=np.float64)[..., None, None]
+    nx = np.arange(geometry.n_x)[:, None]
+    ny = np.arange(geometry.n_y)[None, :]
+    px = nx * np.sin(az) * np.cos(el)
+    py = ny * np.sin(el)
+    phase = 2.0 * np.pi * geometry.element_spacing * (px + py)
     a = np.exp(1j * phase) / np.sqrt(geometry.n_panel)
-    return a.reshape(-1)  # x-major: element index n = n_x * N_Y + n_y
+    # x-major: element index n = n_x * N_Y + n_y
+    return a.reshape(a.shape[:-2] + (geometry.n_panel,))
 
 
-def ue_array_response(n_rx: int, elevation: float, spacing: float = 0.5) -> np.ndarray:
-    """UE vertical ULA response (elevation-steered), unit norm."""
+def ue_array_response(n_rx: int, elevation, spacing: float = 0.5) -> np.ndarray:
+    """UE vertical ULA response (elevation-steered), unit norm.
+
+    Broadcasts over an array of elevations: returns shape (..., n_rx).
+    """
     n = np.arange(n_rx)
-    return np.exp(1j * 2.0 * np.pi * spacing * n * np.sin(elevation)) / np.sqrt(n_rx)
+    el = np.asarray(elevation, dtype=np.float64)[..., None]
+    return np.exp(1j * 2.0 * np.pi * spacing * n * np.sin(el)) / np.sqrt(n_rx)
 
 
 def noise_variance(config: ScenarioConfig) -> float:
@@ -204,9 +212,8 @@ def _synthesize_link(config: ScenarioConfig, seed: int, cell: int, user: int,
     """Channel slab (K, N_R, NT) for one (cell, user) link, complex128."""
     geo = config.geometry
     k_count = config.k_subcarriers
-    slab = np.zeros((k_count, config.n_rx, geo.n_elements), dtype=np.complex128)
     if config.cluster_count == 0 or config.rays_per_cluster == 0:
-        return slab
+        return np.zeros((k_count, config.n_rx, geo.n_elements), dtype=np.complex128)
 
     rng = _stream(seed, _TAG_LINK, cell, user)
     dist, los_az, los_el = _link_geometry(config, cell, pos_xy)
@@ -229,35 +236,35 @@ def _synthesize_link(config: ScenarioConfig, seed: int, cell: int, user: int,
     cl_aoa_az = rng.uniform(-np.pi, np.pi, size=n_cl)
     cl_aoa_el = -cl_el + rng.normal(scale=spread, size=n_cl)
 
+    # per-ray draws, cluster by cluster (this order fixes the RNG stream);
+    # both polarizations' gains are drawn even for a single-polarized array
+    n_pol = 2 if geo.dual_polarized else 1
+    ray_az = np.empty((n_cl, n_ray))
+    ray_el = np.empty((n_cl, n_ray))
+    ray_aoa = np.empty((n_cl, n_ray))
+    gains = np.empty((n_cl, n_ray, 2), dtype=np.complex128)
+    for c in range(n_cl):
+        ray_az[c] = cl_az[c] + rng.normal(scale=spread / 5.0, size=n_ray)
+        ray_el[c] = cl_el[c] + rng.normal(scale=spread / 10.0, size=n_ray)
+        ray_aoa[c] = cl_aoa_el[c] + rng.normal(scale=spread / 5.0, size=n_ray)
+        sigma = np.sqrt(cl_power[c] / (n_pol * n_ray))
+        for p in range(2):
+            gains[c, :, p] = sigma * (rng.normal(size=n_ray)
+                                      + 1j * rng.normal(size=n_ray)) / np.sqrt(2.0)
+
+    # conjugated TX rows (n_cl, n_ray, NT), polarization-major, and RX vectors
+    a_tx = np.conj(array_response(geo, ray_az, ray_el))
+    tx = (gains[:, :, :n_pol, None] * a_tx[:, :, None, :]).reshape(n_cl, n_ray, -1)
+    a_rx = ue_array_response(config.n_rx, ray_aoa)
+    # the subcarrier phasor depends only on the cluster, so sum each cluster's
+    # rays first: H[k] = sum_c phase[k, c] * (A_rx,c^T TX_c)
+    per_cluster = np.swapaxes(a_rx, 1, 2) @ tx  # (n_cl, N_R, NT)
+
     # baseband subcarrier offsets across the sampled grid
     f_k = (np.arange(k_count) - k_count / 2.0) * (config.bandwidth / max(k_count, 1))
-
-    n_rays = n_cl * n_ray
-    phase = np.empty((n_rays, k_count), dtype=np.complex128)
-    a_rx_all = np.empty((n_rays, config.n_rx), dtype=np.complex128)
-    tx_rows = np.empty((n_rays, geo.n_elements), dtype=np.complex128)
-
-    idx = 0
-    for c in range(n_cl):
-        ray_az = cl_az[c] + rng.normal(scale=spread / 5.0, size=n_ray)
-        ray_el = cl_el[c] + rng.normal(scale=spread / 10.0, size=n_ray)
-        ray_aoa = cl_aoa_el[c] + rng.normal(scale=spread / 5.0, size=n_ray)
-        sigma = np.sqrt(cl_power[c] / (2.0 * n_ray)) if geo.dual_polarized \
-            else np.sqrt(cl_power[c] / n_ray)
-        g0 = sigma * (rng.normal(size=n_ray) + 1j * rng.normal(size=n_ray)) / np.sqrt(2.0)
-        g1 = sigma * (rng.normal(size=n_ray) + 1j * rng.normal(size=n_ray)) / np.sqrt(2.0)
-        for j in range(n_ray):
-            a_tx = np.conj(array_response(geo, ray_az[j], ray_el[j]))
-            if geo.dual_polarized:
-                tx_rows[idx] = np.concatenate([g0[j] * a_tx, g1[j] * a_tx])
-            else:
-                tx_rows[idx] = g0[j] * a_tx
-            a_rx_all[idx] = ue_array_response(config.n_rx, ray_aoa[j])
-            phase[idx] = amp * np.exp(-2j * np.pi * f_k * delays[c])
-            idx += 1
-
-    ray_sum(phase, a_rx_all, tx_rows, slab)
-    return slab
+    phase = amp * np.exp(-2j * np.pi * f_k[:, None] * delays)  # (K, n_cl)
+    slab = phase @ per_cluster.reshape(n_cl, -1)
+    return slab.reshape(k_count, config.n_rx, geo.n_elements)
 
 
 def generate_channels(config: ScenarioConfig, seed: int,
@@ -273,8 +280,8 @@ def generate_channels(config: ScenarioConfig, seed: int,
     for c in range(config.c_cells):
         for u in range(n_users):
             slab = _synthesize_link(config, seed, c, u, pos[u])
-            for t in range(config.t_slots):  # block-constant over the period
-                h[c, u, t] = slab.astype(np.complex64)
+            # block-constant over the period: one cast, broadcast across T
+            h[c, u] = slab.astype(np.complex64)
     return ChannelTensor(values=h, scenario_id=f"scene{config.scene_seed}", seed=seed)
 
 
@@ -319,7 +326,3 @@ def import_channels(path) -> ChannelTensor:
     parts = np.frombuffer(payload, dtype="<f4")
     values = (parts[0::2] + 1j * parts[1::2]).astype(np.complex64).reshape(dims)
     return ChannelTensor(values=values)
-
-
-def scenario_with(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    return replace(config, **overrides)

@@ -16,8 +16,6 @@ import numpy as np
 from .channel import ArrayGeometry
 from .errors import ConfigError, ShapeError
 
-_PHASE_TIE_EPS = 0.0  # ties resolved toward the smaller phase via ceil(x - 0.5)
-
 
 @dataclass
 class SsbCodebook:
@@ -42,7 +40,6 @@ class CsirsCodebook:
 
     precoders: np.ndarray  # (N_CB, NT, B_g) complex
     geometry: ArrayGeometry
-    active_subset: list | None = None
 
     def __post_init__(self):
         self.precoders = np.asarray(self.precoders, dtype=np.complex128)

@@ -286,7 +286,7 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
             ssb_cb = cb.SsbCodebook.__new__(cb.SsbCodebook)
             ssb_cb.beams, ssb_cb.geometry = ssb_dt[c].value, None
             cs_cb = cb.CsirsCodebook.__new__(cb.CsirsCodebook)
-            cs_cb.precoders, cs_cb.geometry, cs_cb.active_subset = csirs_dt[c].value, None, None
+            cs_cb.precoders, cs_cb.geometry = csirs_dt[c].value, None
             sel = bm.select_csirs_subset(ssb_cb, cs_cb, report, c, n_csi)
             subset_idx.append(sel.subset_indices)
     else:
@@ -506,29 +506,46 @@ def save_checkpoint(path, tape: Tape, opt: Adam | None = None,
         f.write(struct.pack("<Q", opt.step_count if opt is not None else 0))
 
 
+def _read_exact(f, n: int) -> bytes:
+    """Read exactly ``n`` bytes; a short read means a truncated checkpoint."""
+    data = f.read(n)
+    if len(data) != n:
+        raise FormatError(f"truncated checkpoint: expected {n} more bytes, "
+                          f"found {len(data)}")
+    return data
+
+
+def _unpack(f, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
+
+
 def load_checkpoint(path) -> tuple[Tape, Adam, dict]:
     with open(path, "rb") as f:
         if f.read(4) != _CKPT_MAGIC:
             raise FormatError("not a checkpoint file")
-        version, meta_len = struct.unpack("<II", f.read(8))
+        version, meta_len = _unpack(f, "<II")
         if version != 1:
             raise FormatError(f"unsupported checkpoint version {version}")
-        meta = json.loads(f.read(meta_len).decode())
-        (n_params,) = struct.unpack("<I", f.read(4))
+        try:
+            meta = json.loads(_read_exact(f, meta_len).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"bad checkpoint metadata: {e}") from None
+        (n_params,) = _unpack(f, "<I")
         tape, opt = Tape(), Adam()
         for _ in range(n_params):
-            (nl,) = struct.unpack("<I", f.read(4))
-            name = f.read(nl).decode()
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (nl,) = _unpack(f, "<I")
+            name = _read_exact(f, nl).decode()
+            (ndim,) = _unpack(f, "<I")
+            shape = _unpack(f, f"<{ndim}I")
             count = int(np.prod(shape)) if shape else 1
-            val = np.frombuffer(f.read(16 * count), dtype=np.complex128).reshape(shape)
+            val = np.frombuffer(_read_exact(f, 16 * count),
+                                dtype=np.complex128).reshape(shape)
             tape.parameter(name, val.copy())
-            (has_mom,) = struct.unpack("<B", f.read(1))
+            (has_mom,) = _unpack(f, "<B")
             if has_mom:
-                opt.m[name] = np.frombuffer(f.read(16 * count),
+                opt.m[name] = np.frombuffer(_read_exact(f, 16 * count),
                                             dtype=np.complex128).reshape(shape).copy()
-                opt.v[name] = np.frombuffer(f.read(8 * count),
+                opt.v[name] = np.frombuffer(_read_exact(f, 8 * count),
                                             dtype=np.float64).reshape(shape).copy()
-        (opt.step_count,) = struct.unpack("<Q", f.read(8))
+        (opt.step_count,) = _unpack(f, "<Q")
     return tape, opt, meta

@@ -7,6 +7,7 @@ codebooks over the DFT baseline (RSRP, ESSE, interference), RZF limits,
 scheduler quality, geometry generalization of the neural generator, and CLI
 determinism across worker counts.
 """
+import dataclasses
 import hashlib
 import json
 import time
@@ -299,7 +300,7 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
 
     def scene(nx):
         base = _desk_config()
-        return ch.scenario_with(base, geometry=ch.ArrayGeometry(
+        return dataclasses.replace(base, geometry=ch.ArrayGeometry(
             n_x=nx, n_y=nx, dual_polarized=True))
 
     dims = nbl.NblDims(l_max=16, n_cb=16, n_csi=8, b_g=2,

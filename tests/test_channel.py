@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamweaver import channel as ch
-from beamweaver._kernels import HAVE_COMPILED, ray_sum_compiled, ray_sum_numpy
 from beamweaver.errors import ConfigError, FormatError
 
 
@@ -43,6 +42,26 @@ def test_array_response_unit_norm():
 
 def test_ue_array_response_unit_norm():
     assert abs(np.linalg.norm(ch.ue_array_response(4, 0.3)) - 1.0) < 1e-12
+
+
+def test_array_responses_broadcast_like_stacked_scalar_calls():
+    geo = ch.ArrayGeometry(n_x=3, n_y=2, dual_polarized=True)
+    rng = np.random.default_rng(1)
+    az = rng.uniform(-np.pi, np.pi, size=(4, 5))
+    el = rng.uniform(-1.0, 1.0, size=(4, 5))
+    got = ch.array_response(geo, az, el)
+    want = np.stack([ch.array_response(geo, a, e)
+                     for a, e in zip(az.ravel(), el.ravel())]).reshape(4, 5, 6)
+    assert got.shape == (4, 5, geo.n_panel)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    # a scalar elevation broadcasts against a row of azimuths
+    row = np.stack([ch.array_response(geo, a, el[0, 0]) for a in az[0]])
+    np.testing.assert_allclose(ch.array_response(geo, az[0], el[0, 0]), row,
+                               rtol=0, atol=1e-15)
+    got_ue = ch.ue_array_response(3, el)
+    want_ue = np.stack([ch.ue_array_response(3, e) for e in el.ravel()]).reshape(4, 5, 3)
+    assert got_ue.shape == (4, 5, 3)
+    np.testing.assert_allclose(got_ue, want_ue, rtol=0, atol=1e-15)
 
 
 def test_geometry_validation():
@@ -115,6 +134,109 @@ def test_zero_delay_is_frequency_flat():
     h = ch.generate_channels(cfg, seed=5, n_users=1).values[0, 0, 0]
     for k in range(1, 4):
         np.testing.assert_allclose(h[k], h[0], rtol=1e-5, atol=1e-12)
+
+
+def test_t_slots_repeat_the_single_slot_tensor():
+    one = ch.generate_channels(_tiny_config(t_slots=1), seed=6, n_users=2).values
+    three = ch.generate_channels(_tiny_config(t_slots=3), seed=6, n_users=2).values
+    assert three.shape[2] == 3
+    for t in range(3):
+        assert np.array_equal(three[:, :, t], one[:, :, 0])
+
+
+# Frozen reference: the per-ray synthesis loop and ray accumulation that
+# _synthesize_link replaced. Keep it as written; it is the oracle for the
+# vectorized formulation, which sums rays per cluster before applying the
+# subcarrier phasor and so rounds differently.
+
+def _reference_accumulate_rays(phase, a_rx, tx_row, out):
+    n_rays = phase.shape[0]
+    for r in range(n_rays):
+        c2 = phase[r][:, None] * a_rx[r][None, :]  # (K, N_R)
+        out += c2[:, :, None] * tx_row[r][None, None, :]
+    return out
+
+
+def _reference_synthesize_link(config, seed, cell, user, pos_xy):
+    geo = config.geometry
+    k_count = config.k_subcarriers
+    slab = np.zeros((k_count, config.n_rx, geo.n_elements), dtype=np.complex128)
+    if config.cluster_count == 0 or config.rays_per_cluster == 0:
+        return slab
+
+    rng = ch._stream(seed, ch._TAG_LINK, cell, user)
+    dist, los_az, los_el = ch._link_geometry(config, cell, pos_xy)
+
+    fspl_1m = 20.0 * np.log10(geo.carrier_frequency) - 147.55
+    pl_db = fspl_1m + 10.0 * config.pathloss_exponent * np.log10(max(dist, 1.0))
+    pl_db += rng.normal(scale=config.shadowing_sigma_dB)
+    amp = 10.0 ** ((config.tx_power_dBm - pl_db) / 20.0)
+
+    n_cl, n_ray = config.cluster_count, config.rays_per_cluster
+    spread = np.deg2rad(config.angle_spread_deg)
+
+    delays = np.sort(rng.exponential(config.delay_spread, size=n_cl))
+    cl_power = np.exp(-delays / config.delay_spread)
+    cl_power *= 10.0 ** (rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl) / 10.0)
+    cl_power /= cl_power.sum()
+    cl_az = los_az + rng.laplace(scale=spread, size=n_cl)
+    cl_el = los_el + rng.laplace(scale=spread / 2.0, size=n_cl)
+    rng.uniform(-np.pi, np.pi, size=n_cl)  # cluster AoA azimuths (unused)
+    cl_aoa_el = -cl_el + rng.normal(scale=spread, size=n_cl)
+
+    f_k = (np.arange(k_count) - k_count / 2.0) * (config.bandwidth / max(k_count, 1))
+
+    n_rays = n_cl * n_ray
+    phase = np.empty((n_rays, k_count), dtype=np.complex128)
+    a_rx_all = np.empty((n_rays, config.n_rx), dtype=np.complex128)
+    tx_rows = np.empty((n_rays, geo.n_elements), dtype=np.complex128)
+
+    idx = 0
+    for c in range(n_cl):
+        ray_az = cl_az[c] + rng.normal(scale=spread / 5.0, size=n_ray)
+        ray_el = cl_el[c] + rng.normal(scale=spread / 10.0, size=n_ray)
+        ray_aoa = cl_aoa_el[c] + rng.normal(scale=spread / 5.0, size=n_ray)
+        sigma = np.sqrt(cl_power[c] / (2.0 * n_ray)) if geo.dual_polarized \
+            else np.sqrt(cl_power[c] / n_ray)
+        g0 = sigma * (rng.normal(size=n_ray) + 1j * rng.normal(size=n_ray)) / np.sqrt(2.0)
+        g1 = sigma * (rng.normal(size=n_ray) + 1j * rng.normal(size=n_ray)) / np.sqrt(2.0)
+        for j in range(n_ray):
+            a_tx = np.conj(ch.array_response(geo, ray_az[j], ray_el[j]))
+            if geo.dual_polarized:
+                tx_rows[idx] = np.concatenate([g0[j] * a_tx, g1[j] * a_tx])
+            else:
+                tx_rows[idx] = g0[j] * a_tx
+            a_rx_all[idx] = ch.ue_array_response(config.n_rx, ray_aoa[j])
+            phase[idx] = amp * np.exp(-2j * np.pi * f_k * delays[c])
+            idx += 1
+
+    _reference_accumulate_rays(phase, a_rx_all, tx_rows, slab)
+    return slab
+
+
+_DESK = dict(c_cells=3, k_subcarriers=16, n_rx=2, user_count_range=(4, 8),
+             n_hotspots=3, hotspot_fraction=1.0, hotspot_sigma=5.0,
+             angle_spread_deg=3.0, cluster_count=3)
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    _DESK,
+    {"geometry": ch.ArrayGeometry(dual_polarized=False)},
+    {"n_rx": 1},
+    {"k_subcarriers": 1},
+    {"rays_per_cluster": 1},
+], ids=["default", "desk", "single-pol", "n_rx-1", "k-1", "rays-1"])
+def test_synthesize_link_matches_frozen_per_ray_reference(over):
+    cfg = ch.ScenarioConfig(**over)
+    for seed in (0, 11):
+        pos = ch.user_positions(cfg, seed, 3)
+        for cell in range(cfg.c_cells):
+            for user in range(3):
+                got = ch._synthesize_link(cfg, seed, cell, user, pos[user])
+                want = _reference_synthesize_link(cfg, seed, cell, user, pos[user])
+                assert got.shape == want.shape and got.dtype == np.complex128
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_user_count_respects_range():
@@ -190,27 +312,3 @@ def test_bmch_truncated_payload(tmp_path):
     path.write_bytes(data[:-4])
     with pytest.raises(IOError):
         ch.import_channels(path)
-
-
-# ------------------------------- kernels ---------------------------------
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_kernel_matches_fallback():
-    # NumPy's SIMD complex multiply may fuse multiply-adds, so the two
-    # backends agree to rounding (ulps), not bitwise; each is individually
-    # bitwise reproducible.
-    rng = np.random.default_rng(13)
-    r, k, nr, nt = 20, 6, 4, 16
-    phase = rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))
-    a_rx = rng.standard_normal((r, nr)) + 1j * rng.standard_normal((r, nr))
-    tx = rng.standard_normal((r, nt)) + 1j * rng.standard_normal((r, nt))
-    out_c = np.zeros((k, nr, nt), dtype=np.complex128)
-    out_p = np.zeros((k, nr, nt), dtype=np.complex128)
-    ray_sum_compiled(phase, a_rx, tx, out_c)
-    ray_sum_numpy(phase, a_rx, tx, out_p)
-    np.testing.assert_allclose(out_c, out_p, rtol=1e-12, atol=1e-12)
-    out_c2 = np.zeros_like(out_c)
-    out_p2 = np.zeros_like(out_p)
-    ray_sum_compiled(phase, a_rx, tx, out_c2)
-    ray_sum_numpy(phase, a_rx, tx, out_p2)
-    assert np.array_equal(out_c, out_c2) and np.array_equal(out_p, out_p2)

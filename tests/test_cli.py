@@ -84,6 +84,25 @@ def test_nbl_source_requires_checkpoint(cfg, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("cut", [10, 121, 239])
+def test_truncated_checkpoint_is_a_format_error(cfg, tmp_path, cut):
+    res = _run("train", "--config", cfg, "--seed", 3,
+               "--out", tmp_path / "run", "--codebook", "nbl-direct")
+    assert res.exit_code == 0, res.output
+    data = (tmp_path / "run" / "checkpoint.bmck").read_bytes()
+    assert cut < len(data)
+    cut_path = tmp_path / "cut.bmck"
+    cut_path.write_bytes(data[:cut])
+    doc = _config_doc(checkpoint=str(cut_path))
+    cfg2 = tmp_path / "config2.json"
+    cfg2.write_text(json.dumps(doc))
+    res = _run("evaluate", "--config", cfg2, "--out", tmp_path / "ev",
+               "--codebook", "nbl-direct", "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 # ----------------------------- gen-channels ------------------------------
 
 def test_gen_channels_deterministic(cfg, tmp_path):

@@ -323,6 +323,33 @@ def test_checkpoint_bad_magic(tmp_path):
         nbl.load_checkpoint(path)
 
 
+def test_checkpoint_truncated_anywhere_raises_format_error(tmp_path):
+    rng = np.random.default_rng(7)
+    tape = Tape()
+    tape.parameter("a", rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    opt = nbl.Adam(lr=1e-3)
+    opt.m["a"] = rng.standard_normal((2, 3)) + 0j
+    opt.v["a"] = rng.random((2, 3))
+    path = tmp_path / "ck.bmck"
+    nbl.save_checkpoint(path, tape, opt, {"kind": "direct"})
+    data = path.read_bytes()
+    cut_path = tmp_path / "cut.bmck"
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(FormatError):
+            nbl.load_checkpoint(cut_path)
+
+
+def test_checkpoint_corrupt_metadata_raises_format_error(tmp_path):
+    path = tmp_path / "ck.bmck"
+    nbl.save_checkpoint(path, Tape(), meta={"kind": "direct"})
+    data = bytearray(path.read_bytes())
+    data[12] = 0xFF  # first metadata byte: no longer UTF-8 JSON
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError):
+        nbl.load_checkpoint(path)
+
+
 def test_checkpoint_restores_direct_generator(tmp_path):
     cfg = _config()
     dims = _dims()
