@@ -18,14 +18,14 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
 from .channel import ChannelTensor, _stream
-from .codebook import CsirsCodebook, SsbCodebook
+from .codebook import SsbCodebook
 from .errors import ConfigError, ShapeError
 
 _NOISE_TAG = 7
@@ -98,11 +98,10 @@ def _beam_signals(h_values, beams, scale: float):
     h_values: (U, T, K, N_R, NT) constant; beams: (L, NT) array or DiffTensor.
     """
     bt = ad.as_tensor(beams)
-    h = ad.constant(np.asarray(h_values, dtype=np.complex128))
-    # (U, T, K, N_R, NT) @ (NT, L) -> (U, T, K, N_R, L)
-    prod = ad.matmul(h, ad.swapaxes(bt, 0, 1))
-    out = ad.swapaxes(ad.swapaxes(ad.swapaxes(ad.swapaxes(prod, 4, 3), 3, 2), 2, 1), 1, 0)
-    return ad.scale(out, scale)
+    hv = np.asarray(h_values, dtype=np.complex128)
+    h_cols = ad.constant(hv.reshape(-1, hv.shape[-1]).T)  # (NT, U*T*K*N_R)
+    prod = ad.matmul(bt, h_cols)  # (L, NT) @ (NT, U*T*K*N_R)
+    return ad.scale(ad.reshape(prod, (bt.shape[0],) + hv.shape[:-1]), scale)
 
 
 def ssb_receive(h: ChannelTensor, ssb: list[SsbCodebook], sigma2: float,
@@ -196,26 +195,30 @@ def _apportion(counts: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-def select_csirs_subset(ssb: SsbCodebook, csirs: CsirsCodebook,
+def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
                         report: FeedbackReport, cell: int,
                         n_csi: int) -> CsirsSelection:
     """Pick the N_CSI refinement precoders covering the cell's active beams.
+
+    ssb_beams: the cell's (L, NT) SSB beams; precoders: its (N_CB, NT, B_g)
+    CSI-RS precoder stack.
 
     Per-SSB-beam budgets follow user counts (largest-remainder, each
     reported beam keeps at least one precoder); each beam takes its
     most-correlated free precoders.  A cell with no users falls back to the
     first N_CSI precoders by index.
     """
-    if n_csi > csirs.n_cb:
-        raise ConfigError(f"n_csi={n_csi} exceeds codebook size {csirs.n_cb}")
+    n_cb = precoders.shape[0]
+    if n_csi > n_cb:
+        raise ConfigError(f"n_csi={n_csi} exceeds codebook size {n_cb}")
     counts = report.beam_counts(cell)
     if counts.sum() == 0:
         return CsirsSelection(subset_indices=list(range(n_csi)), fallback=True)
     budgets = _apportion(counts, n_csi)
     # C[i, j] = max over precoder columns of |<f_i, b>|
-    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb.beams), csirs.precoders)).max(axis=2)
+    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb_beams), precoders)).max(axis=2)
     taken: list[int] = []
-    free = np.ones(csirs.n_cb, bool)
+    free = np.ones(n_cb, bool)
     for i in np.nonzero(budgets)[0]:
         order = np.argsort(-corr[i], kind="stable")  # ties -> lowest index
         picked = 0
@@ -243,13 +246,13 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     if len(subsets) != c_cells:
         raise ShapeError("one precoder subset required per cell")
     assoc = np.asarray(assoc, dtype=np.intp)
+    h_rows = hv.reshape(c_cells, -1, n_t)  # (C, U*T*K*N_R, NT)
     g_cells = []
     for c in range(c_cells):
         bc = ad.as_tensor(subsets[c])  # (N_CSI, NT, B_g)
-        hc = ad.constant(hv[c, :, :, :, None])  # (U, T, K, 1, N_R, NT)
-        g_cells.append(ad.swapaxes(ad.swapaxes(ad.swapaxes(
-            ad.matmul(hc, bc), 3, 2), 2, 1), 1, 0))  # (N_CSI, U, T, K, N_R, B_g)
-    n_csi = g_cells[0].shape[0]
+        prod = ad.matmul(ad.constant(h_rows[c]), bc)  # (N_CSI, U*T*K*N_R, B_g)
+        n_csi, _, b_g = prod.shape
+        g_cells.append(ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g)))
     eye = sigma2 * np.eye(n_rx)
     r = ad.constant(np.broadcast_to(eye, (n_csi, n_users, t_slots, k_sub, n_rx, n_rx)).copy())
     for g in g_cells:

@@ -17,7 +17,6 @@ import click
 import jsonschema
 import numpy as np
 
-from . import beam_mgmt as bm
 from . import channel as ch
 from . import codebook as cbk
 from . import metrics as mx
@@ -145,6 +144,42 @@ def settings_from(doc: dict) -> mx.EvalSettings:
         k_ssb=ev.get("k_ssb", 4), t_period=ev.get("t_period", 160))
 
 
+def _reject_n_users(doc: dict, command: str) -> None:
+    if doc.get("scenario", {}).get("n_users") is not None:
+        raise ConfigError(f"scenario.n_users is honoured only by gen-channels; "
+                          f"{command} draws each drop's user count from "
+                          "user_count_range")
+
+
+def _checkpoint_meta(source: str, config, dims) -> dict:
+    """The config a checkpoint of ``source`` is trained for, as stored in it."""
+    return {"mode": source, "cells": config.c_cells,
+            "n_x": config.geometry.n_x, "n_y": config.geometry.n_y,
+            "dual_polarized": config.geometry.dual_polarized,
+            "dims": {"l_max": dims.l_max, "n_cb": dims.n_cb,
+                     "n_csi": dims.n_csi, "b_g": dims.b_g},
+            "b_phase": dims.b_phase}
+
+
+def _check_checkpoint(meta: dict, source: str, config, dims) -> None:
+    """Refuse a checkpoint trained for another config before binding it.
+
+    Neural weights fit any array size, so only a direct checkpoint must
+    match n_x and n_y.  Checkpoints written before b_phase was recorded
+    are not checked for it.
+    """
+    want = _checkpoint_meta(source, config, dims)
+    keys = ["mode", "cells", "dual_polarized", "dims"]
+    if source == "nbl-direct":
+        keys += ["n_x", "n_y"]
+    if "b_phase" in meta:
+        keys.append("b_phase")
+    for key in keys:
+        if meta.get(key) != want[key]:
+            raise ConfigError(f"checkpoint was trained for {key}={meta.get(key)!r}, "
+                              f"config gives {want[key]!r}")
+
+
 def _exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -199,16 +234,9 @@ def _books_from_arrays(ssb_arrays, csirs_arrays, geometry):
 
 def _prior_obsc(config, dims, drop_seed, prior_ssb):
     """Feedback beamspace images from the prior (DFT) codebook for one drop."""
-    geo = config.geometry
-    pair = cbk.make_transform_pair(geo)
     h = np.asarray(ch.generate_channels(config, drop_seed).values, np.complex128)
-    rsrp = np.stack([bm.rsrp_tensor(h[c], prior_ssb[c].beams, config.k_subcarriers,
-                                    geo.n_elements).value.real
-                     for c in range(config.c_cells)])
-    report = bm.aggregate_feedback(rsrp)
-    return [cbk.beamspace_forward(prior_ssb[c].beams, pair, geo,
-                                  report.beam_counts(c), report.beam_rsrp_sums(c)).images
-            for c in range(config.c_cells)]
+    pair = cbk.make_transform_pair(config.geometry)
+    return nbl.feedback_images(h, prior_ssb, config.geometry, pair, None)[0]
 
 
 _EVAL_CTX: dict = {}
@@ -246,6 +274,7 @@ def _init_eval_ctx(ctx):
 def evaluate(config_path, seed, out_dir, source, drops, workers):
     """Monte-Carlo protocol evaluation; writes a per-user metrics CSV."""
     doc = load_config(config_path)
+    _reject_n_users(doc, "evaluate")
     config = scenario_from(doc)
     settings = settings_from(doc)
     dims = dims_from(doc)
@@ -264,6 +293,7 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
             raise ConfigError(f"codebook source {source} requires a 'checkpoint' "
                               "path in the config")
         tape, _, meta = nbl.load_checkpoint(ckpt)
+        _check_checkpoint(meta, source, config, dims)
         if source == "nbl-direct":
             gen = nbl.DirectGenerator.from_tape(tape, config.c_cells,
                                                 config.geometry, dims)
@@ -308,6 +338,7 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, workers,
     """End-to-end codebook training; writes checkpoint + loss CSV."""
     del workers  # training is sequential; flag accepted for CLI symmetry
     doc = load_config(config_path)
+    _reject_n_users(doc, "train")
     config = scenario_from(doc)
     dims = dims_from(doc)
     tr = doc.get("training", {})
@@ -338,12 +369,8 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, workers,
         disaggregated_cells=config.c_cells if disaggregated else None,
         val_fraction=tr.get("val_fraction", 0.1),
         callback=lambda step, loss: loss_rows.append((step, loss)))
-    meta = {"mode": source, "cells": config.c_cells,
-            "n_x": config.geometry.n_x, "n_y": config.geometry.n_y,
-            "dual_polarized": config.geometry.dual_polarized,
-            "dims": {"l_max": dims.l_max, "n_cb": dims.n_cb,
-                     "n_csi": dims.n_csi, "b_g": dims.b_g}}
-    nbl.save_checkpoint(out / "checkpoint.bmck", tape, meta=meta)
+    nbl.save_checkpoint(out / "checkpoint.bmck", tape,
+                        meta=_checkpoint_meta(source, config, dims))
     with open(out / "loss.csv", "w", newline="") as f:
         f.write(f"# schema=bmw-loss-v1\n")
         w = csv.writer(f)

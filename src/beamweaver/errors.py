@@ -17,10 +17,6 @@ class FormatError(ValueError):
     """A binary or text artifact does not match its declared format."""
 
 
-class ProtocolError(ValueError):
-    """A feedback report or selection references an out-of-range entity."""
-
-
 class ConfigError(ValueError):
     """A configuration value is invalid or inconsistent."""
 

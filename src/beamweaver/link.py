@@ -9,7 +9,7 @@ beam-training stage, the data plane is an evaluation-time scoring model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

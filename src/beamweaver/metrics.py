@@ -7,14 +7,12 @@ per-user with the drop-level ESSE repeated, serialized to a versioned CSV.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import beam_mgmt as bm
 from . import channel as ch
-from . import codebook as cb
 from . import link
 from .errors import ConfigError, FormatError
 
@@ -54,8 +52,8 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     reception = bm.ssb_receive(tensor, ssb_books, sigma2, drop_seed)
     rsrp = bm.measure_rsrp(reception)
     report = bm.aggregate_feedback(rsrp)
-    sels = [bm.select_csirs_subset(ssb_books[c], csirs_books[c], report, c,
-                                   settings.n_csi) for c in range(c_cells)]
+    sels = [bm.select_csirs_subset(ssb_books[c].beams, csirs_books[c].precoders,
+                                   report, c, settings.n_csi) for c in range(c_cells)]
     subsets = [csirs_books[c].precoders[sels[c].subset_indices]
                for c in range(c_cells)]
     record = bm.achievable_se(bm.csirs_sinr(hv, subsets, report.b, sigma2))
@@ -64,7 +62,6 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     se_best = se_val[users, record.chosen]
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
     # signal / interference+noise decomposition at the selected resource
-    sinr_mean = record.sinr.value.real.mean(axis=(2, 3))  # (U, N_CSI, S)
     sig_u, in_u = np.zeros(n_users), np.zeros(n_users)
     for u in users:
         i_hat = record.chosen[u]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import beam_mgmt as bm
 from . import codebook as cb
 from .autodiff import DiffTensor, Tape
-from .channel import ArrayGeometry, ScenarioConfig, draw_user_count, generate_channels, _stream
+from .channel import ArrayGeometry, ScenarioConfig, generate_channels, _stream
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 
 _MASK_TAG = 11
@@ -268,27 +268,20 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
     """
     h = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = h.shape
-    geometry_nt = n_t
     if disaggregated_cell is not None:
         ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                   for c, s in enumerate(ssb_dt)]
         csirs_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                     for c, s in enumerate(csirs_dt)]
-    rsrp_parts = [bm.rsrp_tensor(h[c], ssb_dt[c], k_sub, geometry_nt)
+    rsrp_parts = [bm.rsrp_tensor(h[c], ssb_dt[c], k_sub, n_t)
                   for c in range(c_cells)]
     rsrp = ad.concat([ad.reshape(r, (1,) + r.shape) for r in rsrp_parts], axis=0)
     rsrp_val = rsrp.value.real
     if pin is None:
         report = bm.aggregate_feedback(rsrp_val, new_user_mask)
-        subset_idx = []
-        geometry = None  # codebook wrappers only used for correlation math
-        for c in range(c_cells):
-            ssb_cb = cb.SsbCodebook.__new__(cb.SsbCodebook)
-            ssb_cb.beams, ssb_cb.geometry = ssb_dt[c].value, None
-            cs_cb = cb.CsirsCodebook.__new__(cb.CsirsCodebook)
-            cs_cb.precoders, cs_cb.geometry = csirs_dt[c].value, None
-            sel = bm.select_csirs_subset(ssb_cb, cs_cb, report, c, n_csi)
-            subset_idx.append(sel.subset_indices)
+        subset_idx = [bm.select_csirs_subset(ssb_dt[c].value, csirs_dt[c].value,
+                                             report, c, n_csi).subset_indices
+                      for c in range(c_cells)]
     else:
         report, subset_idx = pin.report, pin.subset_indices
     subsets = [ad.take(csirs_dt[c], np.asarray(subset_idx[c]), axis=0)
@@ -371,6 +364,24 @@ class Adam:
             p.value = p.value - self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
+def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
+                    pair: cb.TransformPair, new_user_mask) -> tuple:
+    """Observed feedback beamspace of one drop under the prior SSB codebooks.
+
+    h: (C, U, T, K, N_R, NT).  Noise-free RSRP of every cell's prior beams
+    feeds the association; each cell's image weights its prior beams by the
+    reported user counts and RSRP sums.  Returns (per-cell images, report).
+    """
+    c_cells, _, _, k_sub, _, n_t = h.shape
+    rsrp = np.stack([bm.rsrp_tensor(h[c], prior_ssb[c].beams, k_sub, n_t).value.real
+                     for c in range(c_cells)])
+    report = bm.aggregate_feedback(rsrp, new_user_mask)
+    obsc = [cb.beamspace_forward(prior_ssb[c].beams, pair, geometry,
+                                 report.beam_counts(c), report.beam_rsrp_sums(c)).images
+            for c in range(c_cells)]
+    return obsc, report
+
+
 def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
                   seed: int, sigma2: float, new_user_prob: float = 0.2,
                   n_xo: int | None = None, n_yo: int | None = None) -> list:
@@ -380,8 +391,7 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
     codebook; users flagged new (prob. ``new_user_prob``) are associated but
     contribute nothing to the beamspace statistics.
     """
-    geo = config.geometry
-    pair = cb.make_transform_pair(geo, n_xo, n_yo)
+    pair = cb.make_transform_pair(config.geometry, n_xo, n_yo)
     samples = []
     for i in range(n_samples):
         drop_seed = seed * 1000003 + i
@@ -389,14 +399,7 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
         h = np.asarray(tensor.values, dtype=np.complex128)
         n_users = h.shape[1]
         mask = _stream(drop_seed, _MASK_TAG, 0).random(n_users) < new_user_prob
-        rsrp = np.stack([
-            bm.rsrp_tensor(h[c], prior_ssb[c].beams, config.k_subcarriers,
-                           geo.n_elements).value.real
-            for c in range(config.c_cells)])
-        report = bm.aggregate_feedback(rsrp, mask)
-        obsc = [cb.beamspace_forward(prior_ssb[c].beams, pair, geo,
-                                     report.beam_counts(c), report.beam_rsrp_sums(c)).images
-                for c in range(config.c_cells)]
+        obsc, report = feedback_images(h, prior_ssb, config.geometry, pair, mask)
         targets = compute_targets(h, report.b, sigma2)
         samples.append(TrainingSample(obsc=obsc, h=h, targets=targets,
                                       new_user_mask=mask))

@@ -104,6 +104,30 @@ def test_rsrp_tensor_matches_noiseless_measure():
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
+def _crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# every axis a different size, T > 1 and K > 1, so a reshape that mixes up
+# two axes of the channel or codebook products changes the result
+_C, _U, _T, _K, _NR, _NT, _L, _NCSI, _BG = 4, 5, 2, 8, 6, 9, 10, 7, 3
+
+
+def test_rsrp_tensor_matches_per_element_loop():
+    rng = np.random.default_rng(17)
+    h = _crandn(rng, _U, _T, _K, _NR, _NT)
+    beams = _crandn(rng, _L, _NT)
+    want = np.zeros((_L, _U))
+    for l in range(_L):
+        for u in range(_U):
+            for t in range(_T):
+                for k in range(_K):
+                    want[l, u] += np.sum(np.abs(h[u, t, k] @ beams[l]) ** 2)
+    want /= _K * _NT
+    got = bm.rsrp_tensor(h, beams, k_sub=_K, n_t=_NT).value
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 # ----------------------------- feedback ----------------------------------
 
 def test_aggregate_feedback_picks_max():
@@ -185,7 +209,7 @@ def test_subset_single_beam_takes_most_correlated():
     rsrp = np.zeros((1, 4, 2))
     rsrp[0, 1, :] = 1.0  # both users on beam 1
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=3)
+    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=3)
     corr = np.abs(np.einsum("t,jts->js", np.conj(ssb.beams[1]),
                             csirs.precoders)).max(axis=1)
     want = list(np.argsort(-corr, kind="stable")[:3])
@@ -198,7 +222,7 @@ def test_subset_fallback_when_cell_empty():
     rsrp = np.ones((2, 4, 1))
     rsrp[1, 0, 0] = 2.0  # the only user belongs to cell 1
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=4)
+    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=4)
     assert sel.fallback and sel.subset_indices == [0, 1, 2, 3]
 
 
@@ -208,7 +232,7 @@ def test_subset_no_duplicates_and_exact_size():
     rng = np.random.default_rng(0)
     rsrp = rng.random((1, 8, 12))
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=8)
+    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=8)
     assert len(sel.subset_indices) == 8
     assert len(set(sel.subset_indices)) == 8
 
@@ -218,7 +242,7 @@ def test_subset_rejects_oversized_request():
     ssb, csirs = _books(geo, l_max=4, n_cb=8, b_g=1)
     rep = bm.aggregate_feedback(np.ones((1, 4, 1)))
     with pytest.raises(ConfigError):
-        bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=9)
+        bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=9)
 
 
 # ------------------------------ SINR / SE --------------------------------
@@ -228,6 +252,29 @@ def test_csirs_sinr_scalar_snr():
     subsets = [np.ones((1, 1, 1), dtype=np.complex128)]
     rec = bm.csirs_sinr(h, subsets, assoc=np.array([0]), sigma2=0.5)
     np.testing.assert_allclose(rec.sinr.value.reshape(()), 2.0, rtol=1e-12)
+
+
+def test_csirs_sinr_matches_per_stream_solve():
+    rng = np.random.default_rng(18)
+    h = _crandn(rng, _C, _U, _T, _K, _NR, _NT)
+    subsets = [_crandn(rng, _NCSI, _NT, _BG) for _ in range(_C)]
+    assoc = rng.integers(0, _C, size=_U)
+    sigma2 = 0.7
+    want = np.zeros((_U, _NCSI, _T, _K, _BG))
+    for u in range(_U):
+        for i in range(_NCSI):
+            for t in range(_T):
+                for k in range(_K):
+                    g = [h[c, u, t, k] @ subsets[c][i] for c in range(_C)]
+                    r = sigma2 * np.eye(_NR) + sum(gc @ np.conj(gc.T) for gc in g)
+                    for s in range(_BG):
+                        v = g[assoc[u]][:, s]
+                        r_other = r - np.outer(v, np.conj(v))
+                        want[u, i, t, k, s] = np.real(
+                            np.conj(v) @ np.linalg.solve(r_other, v))
+    got = bm.csirs_sinr(h, subsets, assoc, sigma2).sinr.value
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got.real, want, rtol=1e-10)
 
 
 def _random_sinr_instance(rng, n_rx=4, n_int=3):

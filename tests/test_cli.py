@@ -103,6 +103,72 @@ def test_truncated_checkpoint_is_a_format_error(cfg, tmp_path, cut):
     assert "Traceback" not in res.output
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Checkpoint path per mode, trained with the default test config."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(_config_doc()))
+    out = {}
+    for mode in ("nbl-direct", "nbl-neural"):
+        res = _run("train", "--config", cfg, "--seed", 3,
+                   "--out", root / mode, "--codebook", mode)
+        assert res.exit_code == 0, res.output
+        out[mode] = root / mode / "checkpoint.bmck"
+    return out
+
+
+def _evaluate_checkpoint(tmp_path, ckpt, source, scenario=None, codebook=None):
+    doc = _config_doc(checkpoint=str(ckpt))
+    doc["scenario"].update(scenario or {})
+    doc["codebook"].update(codebook or {})
+    path = tmp_path / "eval_config.json"
+    path.write_text(json.dumps(doc))
+    return _run("evaluate", "--config", path, "--out", tmp_path / "ev",
+                "--codebook", source, "--drops", 1)
+
+
+@pytest.mark.parametrize("trained_as, source, scenario, codebook", [
+    ("nbl-direct", "nbl-direct", {"c_cells": 2}, None),
+    ("nbl-direct", "nbl-direct",
+     {"geometry": {"n_x": 2, "n_y": 4, "dual_polarized": True}}, None),
+    ("nbl-direct", "nbl-direct", None, {"n_cb": 8}),
+    ("nbl-direct", "nbl-direct", None, {"b_phase": 3}),
+    ("nbl-direct", "nbl-neural", None, None),
+    ("nbl-neural", "nbl-neural", {"c_cells": 2}, None),
+    ("nbl-neural", "nbl-neural", None, {"l_max": 4}),
+], ids=["cells", "n_x", "n_cb", "b_phase", "direct-as-neural",
+        "neural-cells", "neural-l_max"])
+def test_checkpoint_for_another_config_is_a_config_error(
+        trained, tmp_path, trained_as, source, scenario, codebook):
+    res = _evaluate_checkpoint(tmp_path, trained[trained_as], source,
+                               scenario, codebook)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "checkpoint was trained for" in res.output
+
+
+def test_neural_checkpoint_evaluates_at_another_array_size(trained, tmp_path):
+    res = _evaluate_checkpoint(
+        tmp_path, trained["nbl-neural"], "nbl-neural",
+        {"geometry": {"n_x": 8, "n_y": 8, "dual_polarized": True}})
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_n_users_is_rejected_outside_gen_channels(tmp_path, command):
+    doc = _config_doc()
+    doc["scenario"]["n_users"] = 3
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run(command, "--config", path, "--out", tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "n_users" in res.output
+    res = _run("gen-channels", "--config", path, "--out", tmp_path / "h.bmch")
+    assert res.exit_code == 0, res.output
+
+
 # ----------------------------- gen-channels ------------------------------
 
 def test_gen_channels_deterministic(cfg, tmp_path):
