@@ -232,9 +232,9 @@ def _books_from_arrays(ssb_arrays, csirs_arrays, geometry):
     return ssb, cs
 
 
-def _prior_obsc(config, dims, drop_seed, prior_ssb):
+def _prior_obsc(config, tensor, prior_ssb):
     """Feedback beamspace images from the prior (DFT) codebook for one drop."""
-    h = np.asarray(ch.generate_channels(config, drop_seed).values, np.complex128)
+    h = np.asarray(tensor.values, np.complex128)
     pair = cbk.make_transform_pair(config.geometry)
     return nbl.feedback_images(h, prior_ssb, config.geometry, pair, None)[0]
 
@@ -245,17 +245,20 @@ _EVAL_CTX: dict = {}
 def _eval_one(drop_seed: int) -> list[dict]:
     ctx = _EVAL_CTX
     config, settings, dims = ctx["config"], ctx["settings"], ctx["dims"]
-    if ctx["source"] == "nbl-neural":
-        gen = nbl.NeuralGenerator.from_tape(
-            ctx["tape"], config.c_cells, dims,
-            n_pol=2 if config.geometry.dual_polarized else 1)
-        obsc = _prior_obsc(config, dims, drop_seed, ctx["prior_ssb"])
-        ssb_dt, cs_dt = gen.generate_for(obsc, config.geometry)
-        books = _books_from_arrays([s.value for s in ssb_dt],
-                                   [c.value for c in cs_dt], config.geometry)
-    else:
+    if ctx["source"] != "nbl-neural":
         books = ctx["books"]
-    return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed)
+        return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed)
+    # the neural codebook depends on the drop: synthesize its channel once
+    tensor = ch.generate_channels(config, drop_seed)
+    gen = nbl.NeuralGenerator.from_tape(
+        ctx["tape"], config.c_cells, dims,
+        n_pol=2 if config.geometry.dual_polarized else 1)
+    obsc = _prior_obsc(config, tensor, ctx["prior_ssb"])
+    ssb_dt, cs_dt = gen.generate_for(obsc, config.geometry)
+    books = _books_from_arrays([s.value for s in ssb_dt],
+                               [c.value for c in cs_dt], config.geometry)
+    return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed,
+                            tensor=tensor)
 
 
 def _init_eval_ctx(ctx):

@@ -134,12 +134,6 @@ def port_dft(b_g: int, oversampling: int = 4) -> np.ndarray:
     return np.exp(2j * np.pi * n * m / (oversampling * b_g)) / np.sqrt(b_g)
 
 
-def _dominant_right_vector(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Leading right-singular vector and singular value of an N_R x B_g matrix."""
-    _, sv, vh = np.linalg.svd(h)
-    return np.conj(vh[0]), float(sv[0])
-
-
 def quantize_pmi(estimate: BeamformedChannelEstimate, l_csi: int = 4,
                  oversampling: int = 4, amp_bits: int | None = 3,
                  phase_bits: int | None = 3) -> tuple[PmiFeedback, np.ndarray]:
@@ -156,67 +150,66 @@ def quantize_pmi(estimate: BeamformedChannelEstimate, l_csi: int = 4,
     if l_csi > b_g * oversampling:
         raise ConfigError("l_csi exceeds the oversampled basis size")
     basis = port_dft(b_g, oversampling)
-    beams = np.zeros((n_users, l_csi), dtype=int)
-    amps = np.zeros((n_users, l_csi))
-    cophases = np.zeros((n_users, l_csi, s_b))
-    gains = np.zeros((n_users, s_b))
-    recon = np.zeros((n_users, s_b, b_g), dtype=np.complex128)
-    for u in range(n_users):
-        if not h[u].any():
-            recon[u, :, 0] = 1.0  # degenerate zero estimate
-            continue
-        vecs = np.zeros((s_b, b_g), dtype=np.complex128)
-        for s in range(s_b):
-            v, g = _dominant_right_vector(h[u, s])
-            vecs[s], gains[u, s] = v, g
-        proj = np.conj(basis.T) @ vecs.T  # (O*B_g, S_B)
-        score = (np.abs(proj) ** 2).sum(axis=1)
-        order = np.argsort(-score, kind="stable")[:l_csi]
-        beams[u] = np.sort(order)
-        sel = proj[beams[u]]  # (L_CSI, S_B)
-        a = np.sqrt((np.abs(sel) ** 2).mean(axis=1))
-        peak = a.max()
-        if peak > 0:
-            a = a / peak
-            if amp_bits is not None:
-                levels = 2 ** amp_bits - 1
-                a = np.round(a * levels) / levels
-            # global phase fixed so the strongest beam co-phase is zero
-            ref = int(np.argmax(a))
-            ph = np.angle(sel * np.conj(sel[ref]))
-            if phase_bits is not None:
-                step = 2.0 * np.pi / (2 ** phase_bits)
-                ph = np.ceil(ph / step - 0.5) * step
-            amps[u], cophases[u] = a, ph
-            for s in range(s_b):
-                w = (a * np.exp(1j * ph[:, s]))[None, :] * basis[:, beams[u]]
-                v = w.sum(axis=1)
-                recon[u, s] = v / np.linalg.norm(v)
-        else:
-            recon[u, :, 0] = 1.0  # degenerate zero estimate
+    nonzero = h.any(axis=(1, 2, 3))
+    # leading right-singular vector and singular value per (user, subband)
+    _, sv, vh = np.linalg.svd(h)
+    vecs = np.conj(vh[:, :, 0])  # (U, S_B, B_g)
+    gains = np.where(nonzero[:, None], sv[:, :, 0], 0.0)
+    proj = np.conj(basis.T) @ np.swapaxes(vecs, 1, 2)  # (U, O*B_g, S_B)
+    score = (np.abs(proj) ** 2).sum(axis=2)
+    order = np.argsort(-score, axis=1, kind="stable")[:, :l_csi]
+    beams = np.where(nonzero[:, None], np.sort(order, axis=1), 0)
+    sel = np.take_along_axis(proj, beams[:, :, None], axis=1)  # (U, L_CSI, S_B)
+    a = np.sqrt((np.abs(sel) ** 2).mean(axis=2))
+    peak = a.max(axis=1)
+    valid = nonzero & (peak > 0)
+    a = a / np.where(valid, peak, 1.0)[:, None]
+    if amp_bits is not None:
+        levels = 2 ** amp_bits - 1
+        a = np.round(a * levels) / levels
+    # global phase fixed so the strongest beam co-phase is zero
+    ref = np.argmax(a, axis=1)
+    ph = np.angle(sel * np.conj(sel[np.arange(n_users), ref])[:, None, :])
+    if phase_bits is not None:
+        step = 2.0 * np.pi / (2 ** phase_bits)
+        ph = np.ceil(ph / step - 0.5) * step
+    amps = np.where(valid[:, None], a, 0.0)
+    cophases = np.where(valid[:, None, None], ph, 0.0)
+    # recon[u, s] = sum_l a[u, l] e^{j ph[u, l, s]} basis[:, beams[u, l]]
+    coef = a[:, None, None, :] * np.exp(1j * np.swapaxes(ph, 1, 2))[:, :, None, :]
+    v = (coef * np.swapaxes(basis[:, beams], 0, 1)[:, None]).sum(axis=3)
+    norms = np.where(valid[:, None, None], np.linalg.norm(v, axis=2, keepdims=True), 1.0)
+    recon = np.where(valid[:, None, None], v / norms, np.eye(b_g)[0])  # zero -> e_0
     fb = PmiFeedback(beams=beams, amplitudes=amps, cophases=cophases, gains=gains)
     return fb, recon
 
 
-def _rzf_blocks(rows: np.ndarray, grams: np.ndarray, sigma2: float,
-                n_ports: int) -> np.ndarray:
-    """Per-user RZF columns from estimated rank-1 rows.
+def _cross_channels(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Effective cross-channels E[..., i, u] = rows[..., i, :] @ B_i^H B_u.
 
-    rows: (U_a, B_g) estimated channel row of each user in its own analog
-    block; grams: (U_a, U_a, B_g, B_g) with grams[i, u] mapping block u's
-    coordinates into user i's row space (analog cross-coupling B_i^H B_u).
-    Returns unit-norm (U_a, B_g) digital columns.
+    rows: (..., U, B_g) estimated channel row of each user in its own analog
+    block; blocks: (U, NT, B_g) analog block B_u of each user.  E[i, u] is
+    user i's channel seen through user u's block: (..., U, U, B_g).
     """
-    n_a, b_g = rows.shape
-    cols = np.zeros((n_a, b_g), dtype=np.complex128)
-    reg = n_a * n_ports * sigma2
-    for u in range(n_a):
-        h_u = np.stack([rows[i] @ grams[i, u] for i in range(n_a)])  # (U_a, B_g)
-        m = np.conj(h_u.T) @ h_u + reg * np.eye(b_g)
-        f = cholesky_inverse(m) @ np.conj(h_u[u])
-        norm = np.linalg.norm(f)
-        cols[u] = f / norm if norm > 0 else 0.0
-    return cols
+    grams = np.einsum("itb,utc->iubc", np.conj(blocks), blocks)  # B_i^H B_u
+    return (rows[..., :, None, None, :] @ grams)[..., 0, :]
+
+
+def _rzf_columns(cross: np.ndarray, sigma2: float, n_ports: int) -> np.ndarray:
+    """Unit-norm RZF digital columns for a batch of schedules.
+
+    cross: (..., U_a, U_a, B_g) effective cross-channels of each schedule.
+    Column u solves (H_u^H H_u + U_a * n_ports * sigma2 * I) f = conj(H_u[u])
+    with H_u = cross[..., :, u, :], then is unit-normalized (a zero solution
+    stays zero).  Returns (..., U_a, B_g).
+    """
+    n_a, b_g = cross.shape[-2:]
+    h = np.swapaxes(cross, -3, -2)  # h[..., u] = H_u, (U_a, B_g)
+    m = np.conj(np.swapaxes(h, -1, -2)) @ h + n_a * n_ports * sigma2 * np.eye(b_g)
+    target = np.conj(np.swapaxes(np.diagonal(cross, axis1=-3, axis2=-2), -1, -2))
+    f = (cholesky_inverse(m) @ target[..., None])[..., 0]
+    norm = np.linalg.norm(f, axis=-1, keepdims=True)
+    return np.where(norm > 0, f / np.where(norm > 0, norm, 1.0), 0.0)
 
 
 def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
@@ -233,21 +226,19 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     """
     users = sorted(int(u) for u in users)
     n_a = len(users)
-    b_g = subset_precoders.shape[2]
+    n_t, b_g = subset_precoders.shape[1:]
     s_b = recon.shape[1]
     if n_a == 0:
-        return PrecoderSet(analog=np.zeros((subset_precoders.shape[1], 0), complex),
+        return PrecoderSet(analog=np.zeros((n_t, 0), complex),
                            digital=np.zeros((s_b, 0, 0), complex), users=[],
                            b_g=b_g, subband_of_k=subband_of_k)
-    blocks = np.stack([subset_precoders[chosen[u]] for u in users])  # (U_a, NT, B_g)
-    analog = np.concatenate(list(blocks), axis=1)
-    grams = np.einsum("itb,jtc->ijbc", np.conj(blocks), blocks)  # B_i^H B_j
+    blocks = subset_precoders[np.asarray(chosen)[users]]  # (U_a, NT, B_g)
+    analog = np.swapaxes(blocks, 0, 1).reshape(n_t, n_a * b_g)
+    rows = np.swapaxes(gains[users, :, None] * np.conj(recon[users]), 0, 1)
+    cols = _rzf_columns(_cross_channels(rows, blocks), sigma2, n_ports)
     digital = np.zeros((s_b, n_a * b_g, n_a), dtype=np.complex128)
-    for s in range(s_b):
-        rows = np.stack([gains[u, s] * np.conj(recon[u, s]) for u in users])
-        cols = _rzf_blocks(rows, grams, sigma2, n_ports)
-        for j in range(n_a):
-            digital[s, j * b_g:(j + 1) * b_g, j] = cols[j]
+    digital[:, np.arange(n_a * b_g), np.repeat(np.arange(n_a), b_g)] = \
+        cols.reshape(s_b, n_a * b_g)
     return PrecoderSet(analog=analog, digital=digital, users=users, b_g=b_g,
                        subband_of_k=subband_of_k)
 
@@ -270,30 +261,43 @@ def _wideband_profile(recon: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, acc / np.where(norms > 0, norms, 1.0), acc)
 
 
+def _sum_se(cross: np.ndarray, sigma2: float, n_ports: int) -> np.ndarray:
+    """Model-based sum SE of a batch of schedules: (..., U_a, U_a, B_g) -> (...)."""
+    n_a = cross.shape[-2]
+    cols = _rzf_columns(cross, sigma2, n_ports)
+    g2 = np.abs(np.einsum("...ivb,...vb->...iv", cross, cols)) ** 2
+    p = 1.0 / n_a  # equal power split across scheduled users
+    sig = p * np.diagonal(g2, axis1=-2, axis2=-1)
+    intf = p * g2.sum(axis=-1) - sig
+    # Residual-leakage floor: RZF nulls are computed from quantized rank-1
+    # PMI, so each co-scheduled stream leaks a fraction of the victim's own
+    # channel power back as interference.  Without this de-rating the model
+    # predicts near-perfect nulling and over-packs correlated users.
+    leak = _PMI_LEAKAGE * (n_a - 1) * sig
+    return np.log2(1.0 + sig / (intf + leak + sigma2)).sum(axis=-1)
+
+
+def _candidate_cross(cand: list[int], recon_wb: np.ndarray, gains_wb: np.ndarray,
+                     chosen: np.ndarray, subset_precoders: np.ndarray) -> np.ndarray:
+    """Cross-channels between candidates from their wideband PMI rows."""
+    cand = list(cand)
+    rows = gains_wb[cand, None] * np.conj(recon_wb[cand])
+    return _cross_channels(rows, subset_precoders[np.asarray(chosen)[cand]])
+
+
+def _sets_se(cross: np.ndarray, sets: list[tuple], sigma2: float,
+             n_ports: int) -> list[float]:
+    """Sum SE of equal-size candidate sets (positions into ``cross``)."""
+    idx = np.array(sets)
+    return _sum_se(cross[idx[:, :, None], idx[:, None, :]], sigma2, n_ports).tolist()
+
+
 def _estimated_sum_se(cand: list[int], recon_wb: np.ndarray, gains_wb: np.ndarray,
                       chosen: np.ndarray, subset_precoders: np.ndarray,
                       sigma2: float, n_ports: int) -> float:
     """Model-based sum SE of a candidate schedule from PMI reconstructions."""
-    n_a = len(cand)
-    b_g = subset_precoders.shape[2]
-    blocks = np.stack([subset_precoders[chosen[u]] for u in cand])
-    grams = np.einsum("itb,jtc->ijbc", np.conj(blocks), blocks)
-    rows = np.stack([gains_wb[u] * np.conj(recon_wb[u]) for u in cand])
-    cols = _rzf_blocks(rows, grams, sigma2, n_ports)
-    p = 1.0 / n_a  # equal power split across scheduled users
-    total = 0.0
-    for i in range(n_a):
-        a = np.array([(rows[i] @ grams[i, v]) @ cols[v] for v in range(n_a)])
-        sig = p * np.abs(a[i]) ** 2
-        intf = p * (np.abs(a) ** 2).sum() - sig
-        # Residual-leakage floor: RZF nulls are computed from quantized
-        # rank-1 PMI, so each co-scheduled stream leaks a fraction of the
-        # victim's own channel power back as interference.  Without this
-        # de-rating the model predicts near-perfect nulling and over-packs
-        # correlated users.
-        leak = _PMI_LEAKAGE * (n_a - 1) * sig
-        total += np.log2(1.0 + sig / (intf + leak + sigma2))
-    return float(total)
+    cross = _candidate_cross(cand, recon_wb, gains_wb, chosen, subset_precoders)
+    return float(_sum_se(cross, sigma2, n_ports))
 
 
 def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
@@ -305,23 +309,33 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     improves and the digital port budget len(schedule) * B_g <= n_ports
     allows), each polished by drop and one-for-one swap moves until no such
     move improves the estimate; the best schedule over all starts wins.
+    The search runs over candidate positions; the trials of one growth step
+    or one swap are scored as a batch, and each set's estimate is memoised
+    for the duration of the call.
     """
     b_g = subset_precoders.shape[2]
-    recon_wb = _wideband_profile(recon)
-    gains_wb = gains.mean(axis=1)
     cand = sorted(int(u) for u in candidates)
     if not cand or b_g > n_ports:
         return []
+    cross = _candidate_cross(cand, _wideband_profile(recon), gains.mean(axis=1),
+                             chosen, subset_precoders)
+    memo: dict[tuple, float] = {}
 
-    def se_of(users):
-        return _estimated_sum_se(sorted(users), recon_wb, gains_wb, chosen,
-                                 subset_precoders, sigma2, n_ports)
+    def se_batch(sets):
+        keys = [tuple(sorted(s)) for s in sets]
+        new = [k for k in dict.fromkeys(keys) if k not in memo]
+        if new:
+            memo.update(zip(new, _sets_se(cross, new, sigma2, n_ports)))
+        return [memo[k] for k in keys]
+
+    def best_trial(base, extra):
+        trial = zip(se_batch([base + [u] for u in extra]), extra)
+        return max(trial, key=lambda t: (t[0], -t[1]))
 
     def grow(schedule, se):
-        remaining = [u for u in cand if u not in schedule]
+        remaining = [u for u in range(len(cand)) if u not in schedule]
         while remaining and (len(schedule) + 1) * b_g <= n_ports:
-            trial = [(se_of(schedule + [u]), u) for u in remaining]
-            se_new, pick = max(trial, key=lambda t: (t[0], -t[1]))
+            se_new, pick = best_trial(schedule, remaining)
             if se_new <= se:
                 break
             se = se_new
@@ -334,17 +348,15 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
         while improved:
             improved = False
             for out in sorted(schedule):
-                if len(schedule) > 1 and se_of([u for u in schedule if u != out]) > se:
-                    schedule = [u for u in schedule if u != out]
-                    se = se_of(schedule)
+                rest = [u for u in schedule if u != out]
+                if len(schedule) > 1 and (se_rest := se_batch([rest])[0]) > se:
+                    schedule, se = rest, se_rest
                     improved = True
                     break
-                rest = [u for u in schedule if u != out]
-                others = [u for u in cand if u not in schedule]
+                others = [u for u in range(len(cand)) if u not in schedule]
                 if not others:
                     continue
-                trial = [(se_of(rest + [u]), u) for u in others]
-                se_new, pick = max(trial, key=lambda t: (t[0], -t[1]))
+                se_new, pick = best_trial(rest, others)
                 if se_new > se:
                     schedule, se = rest + [pick], se_new
                     improved = True
@@ -352,12 +364,11 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
         return schedule, se
 
     best_se, best_sched = 0.0, []
-    for first in cand:
-        schedule, se = grow([first], se_of([first]))
-        schedule, se = polish(schedule, se)
+    for first, se_first in enumerate(se_batch([[u] for u in range(len(cand))])):
+        schedule, se = polish(*grow([first], se_first))
         if se > best_se:
             best_se, best_sched = se, schedule
-    return sorted(best_sched)
+    return [cand[i] for i in sorted(best_sched)]
 
 
 def schedule_users_exhaustive(recon, gains, chosen, subset_precoders, candidates,
@@ -366,18 +377,17 @@ def schedule_users_exhaustive(recon, gains, chosen, subset_precoders, candidates
     from itertools import combinations
 
     b_g = subset_precoders.shape[2]
-    recon_wb = _wideband_profile(recon)
-    gains_wb = gains.mean(axis=1)
-    best, best_set = 0.0, []
     cand = sorted(int(u) for u in candidates)
+    cross = _candidate_cross(cand, _wideband_profile(recon), gains.mean(axis=1),
+                             chosen, subset_precoders)
+    best, best_set = 0.0, []
     for r in range(1, len(cand) + 1):
         if r * b_g > n_ports:
             break
-        for combo in combinations(cand, r):
-            se = _estimated_sum_se(list(combo), recon_wb, gains_wb, chosen,
-                                   subset_precoders, sigma2, n_ports)
+        combos = list(combinations(range(len(cand)), r))
+        for se, combo in zip(_sets_se(cross, combos, sigma2, n_ports), combos):
             if se > best:
-                best, best_set = se, list(combo)
+                best, best_set = se, [cand[i] for i in combo]
     return best_set
 
 

@@ -43,10 +43,16 @@ def _to_dbm(p: np.ndarray) -> np.ndarray:
 
 
 def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
-                  ssb_books: list, csirs_books: list, drop_seed: int) -> list[dict]:
-    """Run the full protocol for one drop; returns per-user metric rows."""
+                  ssb_books: list, csirs_books: list, drop_seed: int,
+                  tensor: ch.ChannelTensor | None = None) -> list[dict]:
+    """Run the full protocol for one drop; returns per-user metric rows.
+
+    ``tensor`` is the drop's channel, ``generate_channels(config, drop_seed)``,
+    when the caller already synthesized it.
+    """
     sigma2 = ch.noise_variance(config)
-    tensor = ch.generate_channels(config, drop_seed)
+    if tensor is None:
+        tensor = ch.generate_channels(config, drop_seed)
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
     reception = bm.ssb_receive(tensor, ssb_books, sigma2, drop_seed)
@@ -62,21 +68,15 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     se_best = se_val[users, record.chosen]
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
     # signal / interference+noise decomposition at the selected resource
-    sig_u, in_u = np.zeros(n_users), np.zeros(n_users)
-    for u in users:
-        i_hat = record.chosen[u]
-        v = hv[report.b[u], u] @ subsets[report.b[u]][i_hat]  # (T, K, N_R, B_g)
-        sig_u[u] = float((np.abs(v) ** 2).sum(axis=(-1, -2)).mean())
-        snr_eq = np.exp2(se_best[u]) - 1.0
-        in_u[u] = sig_u[u] / snr_eq if snr_eq > 0 else np.inf
+    v = hv[report.b, users] @ np.stack(subsets)[report.b, record.chosen][:, None, None]
+    sig_u = (np.abs(v) ** 2).sum(axis=(-1, -2)).mean(axis=(1, 2))  # v: (U, T, K, N_R, B_g)
+    snr_eq = np.exp2(se_best) - 1.0
+    in_u = np.where(snr_eq > 0, sig_u / np.where(snr_eq > 0, snr_eq, 1.0), np.inf)
     # data plane: pilots -> PMI -> scheduling -> RZF -> ESSE
     pilot_rng = ch._stream(drop_seed, _PILOT_TAG, 0)
     sets = []
     for c in range(c_cells):
-        y = np.empty((n_users, k_sub, config.n_rx, settings.b_g), dtype=np.complex128)
-        for u in users:
-            for k in range(k_sub):
-                y[u, k] = hv[c, u, 0, k] @ subsets[c][record.chosen[u]]
+        y = hv[c, :, 0] @ subsets[c][record.chosen][:, None]  # (U, K, N_R, B_g)
         noise = np.sqrt(sigma2 / 2.0) * (pilot_rng.standard_normal(y.shape)
                                          + 1j * pilot_rng.standard_normal(y.shape))
         est = link.estimate_channel(y + noise, np.eye(settings.b_g), sigma2,

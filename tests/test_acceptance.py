@@ -191,9 +191,12 @@ def desk():
               for c in cs_dt]
     seeds = [9001 * 1000003 + i for i in range(_DESK_DROPS)]
 
-    gains = []
+    settings = mx.EvalSettings(l_max=dims.l_max, n_csi=dims.n_csi,
+                               n_cb=dims.n_cb, b_g=dims.b_g)
+    gains, ratios, in_pairs = [], [], []
     for s in seeds:
-        h = np.asarray(ch.generate_channels(cfg, s).values, np.complex128)
+        tensor = ch.generate_channels(cfg, s)
+        h = np.asarray(tensor.values, np.complex128)
 
         def best_rsrp(books):
             r = np.stack([bm.rsrp_tensor(h[c], books[c].beams,
@@ -203,29 +206,27 @@ def desk():
             return r.max(axis=(0, 1))
 
         gains.append(10.0 * np.log10(best_rsrp(nbl_ssb) / best_rsrp(prior)))
-    gains = np.concatenate(gains)
-
-    settings = mx.EvalSettings(l_max=dims.l_max, n_csi=dims.n_csi,
-                               n_cb=dims.n_cb, b_g=dims.b_g)
-    ratios, in_pairs = [], []
-    for s in seeds:
-        rows_dft = mx.evaluate_drop(cfg, settings, prior, dft_cs, s)
-        rows_nbl = mx.evaluate_drop(cfg, settings, nbl_ssb, nbl_cs, s)
+        rows_dft = mx.evaluate_drop(cfg, settings, prior, dft_cs, s, tensor=tensor)
+        rows_nbl = mx.evaluate_drop(cfg, settings, nbl_ssb, nbl_cs, s,
+                                    tensor=tensor)
         if rows_dft[0]["esse"] > 0:
             ratios.append(rows_nbl[0]["esse"] / rows_dft[0]["esse"])
         for a, b in zip(rows_dft, rows_nbl):
             if np.isfinite(a["int_noise_power"]) and np.isfinite(b["int_noise_power"]):
                 in_pairs.append((a["int_noise_power"], b["int_noise_power"]))
+    gains = np.concatenate(gains)
     return {"gains": gains, "ratios": np.array(ratios),
             "in_pairs": np.array(in_pairs)}
 
 
+@pytest.mark.slow
 def test_c5_rsrp_gain_over_dft(desk):
     gains = desk["gains"]
     assert np.median(gains) >= 3.0
     assert np.mean(gains < 0.0) <= 0.05
 
 
+@pytest.mark.slow
 def test_c6_esse_improvement_over_dft(desk):
     ratios = desk["ratios"]
     assert len(ratios) >= 0.95 * _DESK_DROPS
@@ -233,6 +234,7 @@ def test_c6_esse_improvement_over_dft(desk):
     assert np.mean(ratios >= 1.0) >= 0.80
 
 
+@pytest.mark.slow
 def test_c7_interference_noise_nonincrease(desk):
     pairs = desk["in_pairs"]
     diff = pairs[:, 1] - pairs[:, 0]  # learned minus DFT, per user
@@ -250,14 +252,16 @@ def test_c8_rzf_zero_forcing_and_matched_filter_limits():
     b_g = 4
     for _ in range(20):
         rows = rng.standard_normal((2, b_g)) + 1j * rng.standard_normal((2, b_g))
-        grams = np.broadcast_to(np.eye(b_g), (2, 2, b_g, b_g)).copy()
-        cols = link._rzf_blocks(rows, grams, sigma2=1e-12, n_ports=8)
+        blocks = np.broadcast_to(np.eye(b_g), (2, b_g, b_g))  # B_i^H B_u = I
+        cols = link._rzf_columns(link._cross_channels(rows, blocks),
+                                 sigma2=1e-12, n_ports=8)
         for i in range(2):
             for v in range(2):
                 if i != v:
                     leak = abs(rows[i] @ cols[v]) / abs(rows[i] @ cols[i])
                     assert 20.0 * np.log10(leak) < -40.0
-        cols = link._rzf_blocks(rows, grams, sigma2=1e9, n_ports=8)
+        cols = link._rzf_columns(link._cross_channels(rows, blocks),
+                                 sigma2=1e9, n_ports=8)
         for i in range(2):
             mf = np.conj(rows[i]) / np.linalg.norm(rows[i])
             assert abs(np.vdot(mf, cols[i])) > 0.999
@@ -295,6 +299,7 @@ def test_c9_greedy_within_5pct_of_exhaustive():
 
 # ============== criterion 10: neural geometry generalization =============
 
+@pytest.mark.slow
 def test_c10_neural_trained_4x4_beats_dft_at_8x8():
     t0 = time.time()
 
@@ -325,14 +330,17 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
     ratios = []
     for i in range(60):
         seed = 321 * 1000003 + i
-        obsc = cli._prior_obsc(eval_cfg, dims, seed, prior8)
+        tensor = ch.generate_channels(eval_cfg, seed)
+        obsc = cli._prior_obsc(eval_cfg, tensor, prior8)
         ssb_dt, cs_dt = gen.generate_for(obsc, eval_cfg.geometry)
         nbl_ssb = [cb.SsbCodebook(beams=s.value, geometry=eval_cfg.geometry)
                    for s in ssb_dt]
         nbl_cs = [cb.CsirsCodebook(precoders=c.value, geometry=eval_cfg.geometry)
                   for c in cs_dt]
-        rows_dft = mx.evaluate_drop(eval_cfg, settings, prior8, dft_cs8, seed)
-        rows_nbl = mx.evaluate_drop(eval_cfg, settings, nbl_ssb, nbl_cs, seed)
+        rows_dft = mx.evaluate_drop(eval_cfg, settings, prior8, dft_cs8, seed,
+                                    tensor=tensor)
+        rows_nbl = mx.evaluate_drop(eval_cfg, settings, nbl_ssb, nbl_cs, seed,
+                                    tensor=tensor)
         if rows_dft[0]["esse"] > 0:
             ratios.append(rows_nbl[0]["esse"] / rows_dft[0]["esse"])
     assert np.median(ratios) > 1.0

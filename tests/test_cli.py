@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from beamweaver import channel as ch
 from beamweaver import cli
 from beamweaver import metrics as mx
 from beamweaver.errors import ConfigError, DivergenceError, FormatError
@@ -155,6 +156,24 @@ def test_neural_checkpoint_evaluates_at_another_array_size(trained, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_neural_evaluate_synthesizes_each_drop_once(trained, tmp_path,
+                                                    monkeypatch):
+    seeds = []
+    generate = ch.generate_channels
+
+    def counting(config, seed, *args, **kwargs):
+        seeds.append(seed)
+        return generate(config, seed, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "generate_channels", counting)
+    path = tmp_path / "eval_config.json"
+    path.write_text(json.dumps(_config_doc(checkpoint=str(trained["nbl-neural"]))))
+    res = _run("evaluate", "--config", path, "--seed", 0, "--out", tmp_path / "ev",
+               "--codebook", "nbl-neural", "--drops", 3)
+    assert res.exit_code == 0, res.output
+    assert seeds == [0, 1, 2]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "train"])
 def test_n_users_is_rejected_outside_gen_channels(tmp_path, command):
     doc = _config_doc()
@@ -233,6 +252,19 @@ def test_train_evaluate_compare_pipeline(cfg, tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["drops"] == 2
     assert "rsrp_delta_db" in summary and "esse" in summary
+
+
+def test_train_disaggregated_writes_outputs(tmp_path):
+    doc = _config_doc()
+    doc["scenario"]["c_cells"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run("train", "--config", path, "--seed", 3, "--out", tmp_path / "run",
+               "--disaggregated")
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "run" / "checkpoint.bmck").exists()
+    loss_text = (tmp_path / "run" / "loss.csv").read_text()
+    assert loss_text.startswith("# schema=bmw-loss-v1\nstep,loss\n")
 
 
 def test_compare_mismatched_files(cfg, tmp_path):

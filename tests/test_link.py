@@ -1,8 +1,14 @@
 """Data plane: estimation, PMI, RZF precoding, scheduling, ESSE."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from beamweaver import channel as ch
+from beamweaver import cli
 from beamweaver import link
+from beamweaver import metrics as mx
+from beamweaver.autodiff import cholesky_inverse
 from beamweaver.errors import ConfigError
 
 
@@ -149,8 +155,9 @@ def test_rzf_zero_forcing_limit():
     rng = np.random.default_rng(7)
     b_g = 4
     rows = rng.standard_normal((2, b_g)) + 1j * rng.standard_normal((2, b_g))
-    grams = np.broadcast_to(np.eye(b_g), (2, 2, b_g, b_g)).copy()
-    cols = link._rzf_blocks(rows, grams, sigma2=1e-12, n_ports=8)
+    blocks = np.broadcast_to(np.eye(b_g), (2, b_g, b_g))  # B_i^H B_u = I
+    cols = link._rzf_columns(link._cross_channels(rows, blocks),
+                             sigma2=1e-12, n_ports=8)
     for i in range(2):
         for v in range(2):
             if i != v:
@@ -162,8 +169,9 @@ def test_rzf_matched_filter_limit():
     rng = np.random.default_rng(8)
     b_g = 4
     rows = rng.standard_normal((2, b_g)) + 1j * rng.standard_normal((2, b_g))
-    grams = np.broadcast_to(np.eye(b_g), (2, 2, b_g, b_g)).copy()
-    cols = link._rzf_blocks(rows, grams, sigma2=1e9, n_ports=8)
+    blocks = np.broadcast_to(np.eye(b_g), (2, b_g, b_g))  # B_i^H B_u = I
+    cols = link._rzf_columns(link._cross_channels(rows, blocks),
+                             sigma2=1e9, n_ports=8)
     for i in range(2):
         mf = np.conj(rows[i]) / np.linalg.norm(rows[i])
         cos = abs(np.vdot(mf, cols[i]))
@@ -210,6 +218,17 @@ def test_schedule_never_below_best_singleton():
             link._estimated_sum_se([u], recon_wb, gains_wb, chosen, subset,
                                    0.2, link.DIGITAL_PORTS) for u in cand)
         assert se_sched >= best_single - 1e-12
+
+
+def test_schedule_ties_go_to_the_lower_user():
+    # users 1 and 2 are exact clones on resource 0 and user 0 sits on the
+    # orthogonal resource 1, so {0, 1} and {0, 2} score exactly alike
+    subset = np.zeros((2, 4, 2), dtype=np.complex128)
+    subset[0, :2], subset[1, 2:] = np.eye(2), np.eye(2)
+    recon = np.array([[[1.0, 0.0]], [[0.6, 0.8j]], [[0.6, 0.8j]]])
+    gains, chosen = np.ones((3, 1)), np.array([1, 0, 0])
+    sched = link.schedule_users(recon, gains, chosen, subset, [0, 1, 2], 0.1)
+    assert sched == [0, 1]
 
 
 def test_greedy_close_to_exhaustive_small():
@@ -311,3 +330,299 @@ def test_allocation_fractions_sum_to_one():
     h, sets = _transmission(rng, c_cells=2)
     rep = link.transmit_and_score(h, sets, 0.05)
     assert rep.allocation.sum() == pytest.approx(1.0)
+
+
+# ------------- frozen per-user references of the batched data plane -------------
+# The loops below are the data plane as it was before it was batched: PMI
+# quantization one (user, subband) SVD at a time, RZF one cholesky_inverse
+# per user, and a scheduler that rebuilds the Gram tensor for every trial set.
+
+def _reference_quantize_pmi(estimate, l_csi=4, oversampling=4, amp_bits=3,
+                            phase_bits=3):
+    h = estimate.h_est
+    n_users, s_b, n_rx, b_g = h.shape
+    basis = link.port_dft(b_g, oversampling)
+    beams = np.zeros((n_users, l_csi), dtype=int)
+    amps = np.zeros((n_users, l_csi))
+    cophases = np.zeros((n_users, l_csi, s_b))
+    gains = np.zeros((n_users, s_b))
+    recon = np.zeros((n_users, s_b, b_g), dtype=np.complex128)
+    for u in range(n_users):
+        if not h[u].any():
+            recon[u, :, 0] = 1.0
+            continue
+        vecs = np.zeros((s_b, b_g), dtype=np.complex128)
+        for s in range(s_b):
+            _, sv, vh = np.linalg.svd(h[u, s])
+            vecs[s], gains[u, s] = np.conj(vh[0]), float(sv[0])
+        proj = np.conj(basis.T) @ vecs.T
+        score = (np.abs(proj) ** 2).sum(axis=1)
+        order = np.argsort(-score, kind="stable")[:l_csi]
+        beams[u] = np.sort(order)
+        sel = proj[beams[u]]
+        a = np.sqrt((np.abs(sel) ** 2).mean(axis=1))
+        peak = a.max()
+        if peak > 0:
+            a = a / peak
+            if amp_bits is not None:
+                levels = 2 ** amp_bits - 1
+                a = np.round(a * levels) / levels
+            ref = int(np.argmax(a))
+            ph = np.angle(sel * np.conj(sel[ref]))
+            if phase_bits is not None:
+                step = 2.0 * np.pi / (2 ** phase_bits)
+                ph = np.ceil(ph / step - 0.5) * step
+            amps[u], cophases[u] = a, ph
+            for s in range(s_b):
+                w = (a * np.exp(1j * ph[:, s]))[None, :] * basis[:, beams[u]]
+                v = w.sum(axis=1)
+                recon[u, s] = v / np.linalg.norm(v)
+        else:
+            recon[u, :, 0] = 1.0
+    return link.PmiFeedback(beams=beams, amplitudes=amps, cophases=cophases,
+                            gains=gains), recon
+
+
+def _reference_rzf_blocks(rows, grams, sigma2, n_ports):
+    n_a, b_g = rows.shape
+    cols = np.zeros((n_a, b_g), dtype=np.complex128)
+    reg = n_a * n_ports * sigma2
+    for u in range(n_a):
+        h_u = np.stack([rows[i] @ grams[i, u] for i in range(n_a)])
+        m = np.conj(h_u.T) @ h_u + reg * np.eye(b_g)
+        f = cholesky_inverse(m) @ np.conj(h_u[u])
+        norm = np.linalg.norm(f)
+        cols[u] = f / norm if norm > 0 else 0.0
+    return cols
+
+
+def _reference_estimated_sum_se(cand, recon_wb, gains_wb, chosen,
+                                subset_precoders, sigma2, n_ports):
+    n_a = len(cand)
+    blocks = np.stack([subset_precoders[chosen[u]] for u in cand])
+    grams = np.einsum("itb,jtc->ijbc", np.conj(blocks), blocks)
+    rows = np.stack([gains_wb[u] * np.conj(recon_wb[u]) for u in cand])
+    cols = _reference_rzf_blocks(rows, grams, sigma2, n_ports)
+    p = 1.0 / n_a
+    total = 0.0
+    for i in range(n_a):
+        a = np.array([(rows[i] @ grams[i, v]) @ cols[v] for v in range(n_a)])
+        sig = p * np.abs(a[i]) ** 2
+        intf = p * (np.abs(a) ** 2).sum() - sig
+        leak = link._PMI_LEAKAGE * (n_a - 1) * sig
+        total += np.log2(1.0 + sig / (intf + leak + sigma2))
+    return float(total)
+
+
+def _reference_schedule_users(recon, gains, chosen, subset_precoders, candidates,
+                              sigma2, n_ports=link.DIGITAL_PORTS):
+    b_g = subset_precoders.shape[2]
+    recon_wb = link._wideband_profile(recon)
+    gains_wb = gains.mean(axis=1)
+    cand = sorted(int(u) for u in candidates)
+    if not cand or b_g > n_ports:
+        return []
+
+    def se_of(users):
+        return _reference_estimated_sum_se(sorted(users), recon_wb, gains_wb,
+                                           chosen, subset_precoders, sigma2,
+                                           n_ports)
+
+    def grow(schedule, se):
+        remaining = [u for u in cand if u not in schedule]
+        while remaining and (len(schedule) + 1) * b_g <= n_ports:
+            trial = [(se_of(schedule + [u]), u) for u in remaining]
+            se_new, pick = max(trial, key=lambda t: (t[0], -t[1]))
+            if se_new <= se:
+                break
+            se = se_new
+            schedule.append(pick)
+            remaining.remove(pick)
+        return schedule, se
+
+    def polish(schedule, se):
+        improved = True
+        while improved:
+            improved = False
+            for out in sorted(schedule):
+                if len(schedule) > 1 and se_of([u for u in schedule if u != out]) > se:
+                    schedule = [u for u in schedule if u != out]
+                    se = se_of(schedule)
+                    improved = True
+                    break
+                rest = [u for u in schedule if u != out]
+                others = [u for u in cand if u not in schedule]
+                if not others:
+                    continue
+                trial = [(se_of(rest + [u]), u) for u in others]
+                se_new, pick = max(trial, key=lambda t: (t[0], -t[1]))
+                if se_new > se:
+                    schedule, se = rest + [pick], se_new
+                    improved = True
+                    break
+        return schedule, se
+
+    best_se, best_sched = 0.0, []
+    for first in cand:
+        schedule, se = grow([first], se_of([first]))
+        schedule, se = polish(schedule, se)
+        if se > best_se:
+            best_se, best_sched = se, schedule
+    return sorted(best_sched)
+
+
+def _reference_schedule_users_exhaustive(recon, gains, chosen, subset_precoders,
+                                         candidates, sigma2, n_ports):
+    b_g = subset_precoders.shape[2]
+    recon_wb = link._wideband_profile(recon)
+    gains_wb = gains.mean(axis=1)
+    best, best_set = 0.0, []
+    cand = sorted(int(u) for u in candidates)
+    for r in range(1, len(cand) + 1):
+        if r * b_g > n_ports:
+            break
+        for combo in combinations(cand, r):
+            se = _reference_estimated_sum_se(list(combo), recon_wb, gains_wb,
+                                             chosen, subset_precoders, sigma2,
+                                             n_ports)
+            if se > best:
+                best, best_set = se, list(combo)
+    return best_set
+
+
+def _random_instance(rng):
+    """Scheduler input spanning U 1-12, B_g 1/2/4, sigma2 1e-6..1e2 and a
+    binding port budget half the time; 1-3 resources, so users share them,
+    and half the time an exact clone of one user, so trial sets tie."""
+    n_users = int(rng.integers(1, 13))
+    b_g = int(rng.choice([1, 2, 4]))
+    subset, recon, gains, chosen = _one_cell_setup(
+        rng, n_users, b_g=b_g, n_csi=int(rng.integers(1, 4)), s_b=3)
+    if n_users > 1 and rng.random() < 0.5:
+        i, j = rng.choice(n_users, size=2, replace=False)
+        recon[j], gains[j], chosen[j] = recon[i], gains[i], chosen[i]
+    sigma2 = float(10.0 ** rng.uniform(-6.0, 2.0))
+    n_ports = (b_g * int(rng.integers(1, n_users + 1)) if rng.random() < 0.5
+               else link.DIGITAL_PORTS)
+    cand = sorted(rng.choice(n_users, size=int(rng.integers(1, n_users + 1)),
+                             replace=False).tolist())
+    return recon, gains, chosen, subset, cand, sigma2, n_ports
+
+
+@pytest.fixture(scope="module")
+def default_drop_inputs():
+    """Data-plane inputs captured from 20 seeded default-config drops."""
+    config = ch.ScenarioConfig()
+    dims = cli.dims_from({})
+    ssb, csirs = cli._build_dft_books(config, dims)
+    pmi_calls, schedule_calls = [], []
+    quantize, schedule = link.quantize_pmi, link.schedule_users
+
+    def capture_pmi(estimate, **kw):
+        pmi_calls.append((estimate, kw))
+        return quantize(estimate, **kw)
+
+    def capture_schedule(*args):
+        schedule_calls.append(args)
+        return schedule(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link, "quantize_pmi", capture_pmi)
+        mp.setattr(link, "schedule_users", capture_schedule)
+        for i in range(20):
+            mx.evaluate_drop(config, cli.settings_from({}), ssb, csirs,
+                             7 * 1000003 + i)
+    return pmi_calls, schedule_calls
+
+
+def _assert_pmi_matches_reference(estimate, **kw):
+    fb, recon = link.quantize_pmi(estimate, **kw)
+    want_fb, want_recon = _reference_quantize_pmi(estimate, **kw)
+    np.testing.assert_array_equal(fb.beams, want_fb.beams)
+    np.testing.assert_array_equal(fb.amplitudes, want_fb.amplitudes)
+    np.testing.assert_array_equal(fb.cophases, want_fb.cophases)
+    np.testing.assert_allclose(fb.gains, want_fb.gains, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(recon, want_recon, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bits", [(3, 3), (2, 4), (None, None)])
+def test_quantize_pmi_matches_frozen_per_user_loop(bits):
+    rng = np.random.default_rng(20)
+    for n_users, s_b, n_rx, b_g, l_csi in [(5, 4, 2, 4, 4), (3, 8, 4, 2, 3),
+                                           (4, 1, 1, 1, 2), (6, 3, 3, 4, 8)]:
+        h = _rand_channels(rng, n_users, s_b, n_rx, b_g)
+        h[1] = 0.0  # an all-zero estimate takes the degenerate rule
+        est = link.BeamformedChannelEstimate(
+            h_est=h, noise_var=np.zeros((n_users, s_b)),
+            subband_of_k=link.subband_map(s_b, s_b))
+        _assert_pmi_matches_reference(est, l_csi=l_csi, amp_bits=bits[0],
+                                      phase_bits=bits[1])
+
+
+def test_quantize_pmi_matches_frozen_loop_on_default_drops(default_drop_inputs):
+    for estimate, kw in default_drop_inputs[0]:
+        _assert_pmi_matches_reference(estimate, **kw)
+
+
+def test_estimated_sum_se_matches_frozen_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        recon, gains, chosen, subset, cand, sigma2, n_ports = _random_instance(rng)
+        recon_wb, gains_wb = link._wideband_profile(recon), gains.mean(axis=1)
+        for r in range(1, len(cand) + 1):
+            users = sorted(rng.choice(cand, size=r, replace=False).tolist())
+            got = link._estimated_sum_se(users, recon_wb, gains_wb, chosen,
+                                         subset, sigma2, n_ports)
+            want = _reference_estimated_sum_se(users, recon_wb, gains_wb, chosen,
+                                               subset, sigma2, n_ports)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_schedulers_match_frozen_reference_on_random_instances():
+    rng = np.random.default_rng(22)
+    for _ in range(150):
+        args = _random_instance(rng)
+        assert link.schedule_users(*args) == _reference_schedule_users(*args)
+        n_ports, n_cand, b_g = args[6], len(args[4]), args[3].shape[2]
+        if n_cand <= 8 or n_ports <= 3 * b_g:  # keep the subset count small
+            assert (link.schedule_users_exhaustive(*args)
+                    == _reference_schedule_users_exhaustive(*args))
+
+
+def test_schedule_matches_frozen_reference_on_default_drops(default_drop_inputs):
+    calls = default_drop_inputs[1]
+    assert len(calls) >= 40
+    for args in calls:
+        assert link.schedule_users(*args) == _reference_schedule_users(*args)
+
+
+def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
+                                  n_ports):
+    ps = link.build_precoders(recon, gains, chosen, subset, users, sigma2,
+                              link.subband_map(recon.shape[1], recon.shape[1]),
+                              n_ports)
+    users, b_g = ps.users, ps.b_g
+    blocks = np.stack([subset[chosen[u]] for u in users])
+    np.testing.assert_array_equal(ps.analog, np.concatenate(list(blocks), axis=1))
+    grams = np.einsum("itb,jtc->ijbc", np.conj(blocks), blocks)
+    for s in range(recon.shape[1]):
+        rows = np.stack([gains[u, s] * np.conj(recon[u, s]) for u in users])
+        want = np.zeros((len(users) * b_g, len(users)), dtype=np.complex128)
+        for j, col in enumerate(_reference_rzf_blocks(rows, grams, sigma2, n_ports)):
+            want[j * b_g:(j + 1) * b_g, j] = col
+        np.testing.assert_allclose(ps.digital[s], want, rtol=1e-12, atol=0)
+
+
+def test_rzf_columns_match_frozen_per_user_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        recon, gains, chosen, subset, cand, sigma2, n_ports = _random_instance(rng)
+        _assert_rzf_matches_reference(recon, gains, chosen, subset, cand, sigma2,
+                                      n_ports)
+
+
+def test_rzf_columns_match_frozen_loop_on_default_drops(default_drop_inputs):
+    for recon, gains, chosen, subset, cand, sigma2 in default_drop_inputs[1]:
+        users = link.schedule_users(recon, gains, chosen, subset, cand, sigma2)
+        _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
+                                      link.DIGITAL_PORTS)

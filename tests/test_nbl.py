@@ -276,6 +276,29 @@ def test_train_reduces_loss_on_toy_drop():
     assert np.mean(curve[-5:]) < 0.9 * np.mean(curve[:5])
 
 
+def test_disaggregated_step_updates_only_its_cell():
+    cfg = _config(c_cells=3)
+    dims = _dims()
+    data, sigma2 = _dataset(cfg, dims, n_samples=4)
+    tape = Tape()
+    gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
+    before = {k: p.value.copy() for k, p in tape.parameters.items()}
+    changed = []
+
+    def record(step, loss):
+        now = {k: p.value.copy() for k, p in tape.parameters.items()}
+        changed.append({k for k in now if not np.array_equal(now[k], before[k])})
+        before.update(now)
+
+    nbl.train(data, gen.generate, tape, sigma2, dims.n_csi, epochs=2, lr=1e-3,
+              batch_size=2, seed=3, ssb_weight=0.3, disaggregated_cells=3,
+              val_fraction=0.0, callback=record)
+    assert len(changed) == 4
+    for step, names in enumerate(changed):
+        cell = step % 3
+        assert names and names <= {f"ssb{cell}", f"csirs{cell}"}, (step, names)
+
+
 def test_train_raises_on_nonfinite_loss():
     cfg = _config()
     dims = _dims()
