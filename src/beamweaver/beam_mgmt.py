@@ -132,16 +132,11 @@ def ssb_receive(h: ChannelTensor, ssb: list[SsbCodebook], sigma2: float,
     return SsbReception(signal=signal, interference=interference, noise=noise)
 
 
-def measure_rsrp(reception: SsbReception, t_idx=None, k_idx=None) -> np.ndarray:
+def measure_rsrp(reception: SsbReception) -> np.ndarray:
     """RSRP[c, i, u]: summed desired-plus-noise power after MRC combining."""
     sig = reception.signal
-    noi = reception.noise
-    if t_idx is not None:
-        sig, noi = sig[:, :, :, t_idx], noi[:, :, :, t_idx]
-    if k_idx is not None:
-        sig, noi = sig[:, :, :, :, k_idx], noi[:, :, :, :, k_idx]
     ns2 = np.sum(np.abs(sig) ** 2, axis=-1)
-    cross = np.abs(np.sum(np.conj(sig) * (sig + noi), axis=-1)) ** 2
+    cross = np.abs(np.sum(np.conj(sig) * (sig + reception.noise), axis=-1)) ** 2
     combined = np.where(ns2 > 0, cross / np.where(ns2 > 0, ns2, 1.0), 0.0)
     return combined.sum(axis=(-1, -2))
 
@@ -232,13 +227,29 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     return CsirsSelection(subset_indices=taken)
 
 
+def lmmse_q(g_cells, v, sigma2: float) -> DiffTensor:
+    """LMMSE quadratic form q_s = v_s^H R^-1 v_s of every desired stream.
+
+    g_cells: per-cell products G_c, (..., N_R, B_c) arrays or DiffTensors;
+    v: the desired streams, (..., N_R, S), with the same leading axes.
+    R = sigma2 I + sum_c G_c G_c^H, so v is counted in R and the per-stream
+    SINR is q / (1 - q).  Returns (..., S).
+    """
+    v = ad.as_tensor(v)
+    r = ad.constant(sigma2 * np.eye(v.shape[-2]))
+    for g in g_cells:
+        r = ad.add(r, ad.matmul(g, ad.hermitian_transpose(g)))
+    rinv_v = ad.matmul(ad.hermitian_inverse(r), v)
+    return ad.sum_axis(ad.real(ad.mul(ad.conj(v), rinv_v)), axis=-2)
+
+
 def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
                assoc: np.ndarray, sigma2: float) -> SinrRecord:
     """LMMSE per-stream SINR for every user and CSI-RS resource.
 
     subsets: per cell, the ordered (N_CSI, NT, B_g) stack of transmitted
     precoders (array or DiffTensor).  assoc: per-user serving cell.
-    R = sum_c (H_c B_c,i)(.)^H + sigma2 I;  q = v^H R^-1 v;  SINR = q/(1-q).
+    G_c = H_c B_c,i;  v = G_assoc;  SINR = q/(1-q) with q from ``lmmse_q``.
     """
     hv = h.values if isinstance(h, ChannelTensor) else h
     hv = np.asarray(hv, dtype=np.complex128)
@@ -247,22 +258,18 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
         raise ShapeError("one precoder subset required per cell")
     assoc = np.asarray(assoc, dtype=np.intp)
     h_rows = hv.reshape(c_cells, -1, n_t)  # (C, U*T*K*N_R, NT)
-    g_cells = []
+    g_cells, v = [], None
     for c in range(c_cells):
         bc = ad.as_tensor(subsets[c])  # (N_CSI, NT, B_g)
         prod = ad.matmul(ad.constant(h_rows[c]), bc)  # (N_CSI, U*T*K*N_R, B_g)
         n_csi, _, b_g = prod.shape
-        g_cells.append(ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g)))
-    eye = sigma2 * np.eye(n_rx)
-    r = ad.constant(np.broadcast_to(eye, (n_csi, n_users, t_slots, k_sub, n_rx, n_rx)).copy())
-    for g in g_cells:
-        r = ad.add(r, ad.matmul(g, ad.hermitian_transpose(g)))
-    stacked = ad.concat([ad.reshape(g, (1,) + g.shape) for g in g_cells], axis=0)
-    v = ad.select_cells(ad.swapaxes(stacked, 1, 2), assoc)  # (U, N_CSI, T, K, N_R, B_g)
-    r = ad.swapaxes(r, 0, 1)
-    rinv = ad.hermitian_inverse(r)
-    q = ad.sum_axis(ad.real(ad.mul(ad.conj(v), ad.matmul(rinv, v))), axis=-2)
-    sinr = ad.div(q, ad.sub(1.0, q))  # (U, N_CSI, T, K, B_g)
+        g = ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g))
+        g_cells.append(g)
+        # the serving cell's product, kept per user by a 0/1 mask
+        served = ad.scale(g, (assoc == c).astype(float)[:, None, None, None, None])
+        v = served if v is None else ad.add(v, served)
+    q = lmmse_q(g_cells, v, sigma2)  # (N_CSI, U, T, K, B_g)
+    sinr = ad.swapaxes(ad.div(q, ad.sub(1.0, q)), 0, 1)  # (U, N_CSI, T, K, B_g)
     return SinrRecord(sinr=sinr)
 
 

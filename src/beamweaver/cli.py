@@ -106,16 +106,19 @@ CONFIG_SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would re-check the schema itself on every call
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config schema violation: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return doc
 
 
@@ -333,13 +336,10 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
 @click.option("--epochs", default=None, type=int)
 @click.option("--lr", default=None, type=float)
 @click.option("--drops", default=None, type=int, help="training sample count")
-@click.option("--workers", default=1, type=int)
 @click.option("--disaggregated", is_flag=True, default=False)
 @_exit_codes
-def train(config_path, seed, out_dir, source, epochs, lr, drops, workers,
-          disaggregated):
+def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
     """End-to-end codebook training; writes checkpoint + loss CSV."""
-    del workers  # training is sequential; flag accepted for CLI symmetry
     doc = load_config(config_path)
     _reject_n_users(doc, "train")
     config = scenario_from(doc)

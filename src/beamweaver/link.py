@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import cholesky_inverse
+from .beam_mgmt import lmmse_q
 from .channel import ChannelTensor
 from .errors import ConfigError, ShapeError
 
@@ -57,11 +58,6 @@ class EsseReport:
     esse: float
     per_user_rate: dict  # user index -> bits/s/Hz (overhead-scaled)
     allocation: np.ndarray  # per-cell fraction of scheduled users
-    signal_power: dict  # user -> mean desired power (linear)
-    int_noise_power: dict  # user -> implied interference+noise power
-    data_fraction: float
-    t_bm: tuple = ()
-    k_bm: tuple = ()
 
 
 def subband_map(k_subcarriers: int, s_b: int) -> np.ndarray:
@@ -98,18 +94,10 @@ def estimate_channel(y: np.ndarray, s_tr: np.ndarray, sigma2: float,
     for s in range(s_b):
         ks = np.nonzero(sb_of_k == s)[0]
         n_re = len(ks)
-        sub = h_ls[:, ks]  # (U, n_re, N_R, B_g)
-        acc = sub[:, 0].copy()
-        aligned = [sub[:, 0]]
-        for i in range(1, n_re):
-            z = np.einsum("urb,urb->u", np.conj(acc), sub[:, i])
-            mag = np.abs(z)
-            phase = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0)
-            aligned.append(np.conj(phase)[:, None, None] * sub[:, i])
-            acc += aligned[-1]
+        acc, aligned = _phase_aligned_sum(h_ls[:, ks])  # (U, N_R, B_g), (U, n_re, N_R, B_g)
         h_avg = acc / n_re  # (U, N_R, B_g)
         if n_re > 1:
-            resid = np.stack(aligned, axis=1) - h_avg[:, None]
+            resid = aligned - h_avg[:, None]
             s2_hat = (np.abs(resid) ** 2).mean(axis=(1, 2, 3)) * n_re / (n_re - 1)
         else:
             s2_hat = np.full(n_users, float(sigma2))
@@ -243,20 +231,32 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
                        subband_of_k=subband_of_k)
 
 
+def _phase_aligned_sum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of x[:, i] over axis 1, each term phase-aligned to the sum so far.
+
+    A propagation-delay phase ramp rotates x from term to term; a plain sum
+    then self-cancels.  Each term is rotated by the conjugate phase of its
+    inner product with the running sum (a zero inner product leaves it as
+    is) before it is added.  Returns (sum, aligned terms stacked on axis 1).
+    """
+    flat = x.reshape(x.shape[0], x.shape[1], -1)  # (U, N, D)
+    acc = flat[:, 0].copy()
+    aligned = [flat[:, 0]]
+    for i in range(1, flat.shape[1]):
+        z = np.einsum("ud,ud->u", np.conj(acc), flat[:, i])
+        mag = np.abs(z)
+        phase = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0)
+        aligned.append(np.conj(phase)[:, None] * flat[:, i])
+        acc += aligned[-1]
+    return acc.reshape(x[:, 0].shape), np.stack(aligned, axis=1).reshape(x.shape)
+
+
 def _wideband_profile(recon: np.ndarray) -> np.ndarray:
     """Coherent wideband average of per-subband PMI directions: (U, B_g).
 
-    A propagation-delay phase ramp rotates the reconstruction from subband to
-    subband; a plain mean over subbands then self-cancels.  Align each
-    subband's direction to the running average by the phase of their inner
-    product before accumulating, and normalize the result.
+    The subbands' directions are summed phase-aligned, then normalized.
     """
-    n_users, s_b, _ = recon.shape
-    acc = recon[:, 0].copy()
-    for s in range(1, s_b):
-        z = np.einsum("ub,ub->u", np.conj(acc), recon[:, s])
-        phase = np.where(np.abs(z) > 0, z / np.where(np.abs(z) > 0, np.abs(z), 1.0), 1.0)
-        acc += np.conj(phase)[:, None] * recon[:, s]
+    acc = _phase_aligned_sum(recon)[0]
     norms = np.linalg.norm(acc, axis=1, keepdims=True)
     return np.where(norms > 0, acc / np.where(norms > 0, norms, 1.0), acc)
 
@@ -399,61 +399,41 @@ def data_fraction(l_max: int, n_csi: int, k_ssb: int, k_subcarriers: int,
 
 
 def transmit_and_score(h: ChannelTensor | np.ndarray, sets: list[PrecoderSet],
-                       sigma2: float, t_bm=(), k_bm=(),
-                       alpha: float = 1.0) -> EsseReport:
+                       sigma2: float, alpha: float = 1.0) -> EsseReport:
     """Score the data transmission: per-user LMMSE SINR and ESSE.
 
     Per-user effective transmit column: analog @ digital block, scaled by
     1/sqrt(U_a * K * NT) (equal power split, broadcast-equivalent total
-    power).  REs with t in t_bm or k in k_bm are beam-management overhead
-    and excluded; ``alpha`` additionally scales for overhead not modeled on
-    the (T, K) grid.
+    power).  Every scheduled user is scored at every RE in one batch; the
+    per-user rate is the mean over REs, scaled by the data fraction
+    ``alpha`` (see ``data_fraction``).
     """
     hv = h.values if isinstance(h, ChannelTensor) else h
     hv = np.asarray(hv, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
     if len(sets) != c_cells:
         raise ShapeError("one precoder set per cell required")
-    t_bm, k_bm = set(t_bm), set(k_bm)
-    data_res = [(t, k) for t in range(t_slots) for k in range(k_sub)
-                if t not in t_bm and k not in k_bm]
-    # effective per-cell transmit matrices per subcarrier: (C, K, NT, U_a_c)
-    eff = []
-    for ps in sets:
-        if len(ps.users) == 0:
-            eff.append(np.zeros((k_sub, n_t, 0), dtype=np.complex128))
-            continue
-        scale = 1.0 / np.sqrt(len(ps.users) * k_sub * n_t)
-        w = np.stack([ps.analog @ ps.digital[ps.subband_of_k[k]] * scale
-                      for k in range(k_sub)])
-        eff.append(w)
-    per_user_rate: dict[int, float] = {}
-    sig_power: dict[int, float] = {}
-    in_power: dict[int, float] = {}
-    total = 0.0
+    users = np.array([u for ps in sets for u in ps.users], dtype=np.intp)
+    g_cells = []
+    v = np.zeros((len(users), t_slots, k_sub, n_rx, 1), dtype=np.complex128)
+    start = 0
     for c, ps in enumerate(sets):
-        for j, u in enumerate(ps.users):
-            rates, sigs = [], []
-            for (t, k) in data_res:
-                r = sigma2 * np.eye(n_rx, dtype=np.complex128)
-                for c2 in range(c_cells):
-                    g = hv[c2, u, t, k] @ eff[c2][k]
-                    r += g @ np.conj(g.T)
-                v = hv[c, u, t, k] @ eff[c][k][:, j]
-                q = float(np.real(np.conj(v) @ cholesky_inverse(r) @ v))
-                q = min(q, 1.0 - 1e-15)
-                rates.append(np.log2(1.0 + q / (1.0 - q)))
-                sigs.append(float(np.sum(np.abs(v) ** 2)))
-            mean_rate = float(np.mean(rates)) if rates else 0.0
-            frac = len(data_res) / (t_slots * k_sub)
-            per_user_rate[u] = alpha * frac * mean_rate
-            sig_power[u] = float(np.mean(sigs)) if sigs else 0.0
-            eff_snr = np.exp2(mean_rate) - 1.0
-            in_power[u] = sig_power[u] / eff_snr if eff_snr > 0 else np.inf
-            total += per_user_rate[u]
+        n_a = len(ps.users)
+        if n_a == 0:
+            continue
+        # (K, NT, U_a) transmit matrices, then G = H W for every scored user
+        scale = 1.0 / np.sqrt(n_a * k_sub * n_t)
+        w = ps.analog @ ps.digital[ps.subband_of_k] * scale
+        g = hv[c, users] @ w  # (U_s, T, K, N_R, U_a)
+        g_cells.append(g)
+        own = np.arange(n_a)
+        v[start + own, ..., 0] = g[start + own, ..., own]  # each user's own column
+        start += n_a
+    q = np.minimum(lmmse_q(g_cells, v, sigma2).value.real[..., 0], 1.0 - 1e-15)
+    rate = np.log2(1.0 + q / (1.0 - q)).reshape(len(users), t_slots * k_sub)
+    rates = alpha * rate.mean(axis=1)
     counts = np.array([len(ps.users) for ps in sets], dtype=float)
     alloc = counts / counts.sum() if counts.sum() > 0 else counts
-    return EsseReport(esse=total, per_user_rate=per_user_rate, allocation=alloc,
-                      signal_power=sig_power, int_noise_power=in_power,
-                      data_fraction=alpha * (len(data_res) / (t_slots * k_sub)),
-                      t_bm=tuple(sorted(t_bm)), k_bm=tuple(sorted(k_bm)))
+    return EsseReport(esse=float(rates.sum()),
+                      per_user_rate=dict(zip(users.tolist(), rates.tolist())),
+                      allocation=alloc)

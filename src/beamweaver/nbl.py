@@ -70,13 +70,9 @@ class ForwardResult:
 def compute_targets(h: np.ndarray, assoc: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-user SVD spectral efficiency averaged over the resource grid."""
     h = np.asarray(h, dtype=np.complex128)
-    c_cells, n_users, t_slots, k_sub = h.shape[:4]
-    out = np.zeros(n_users)
-    for u in range(n_users):
-        hu = h[assoc[u], u]  # (T, K, N_R, NT)
-        sv = np.linalg.svd(hu, compute_uv=False)
-        out[u] = np.log2(1.0 + sv ** 2 / sigma2).sum(axis=-1).mean()
-    return out
+    n_users = h.shape[1]
+    sv = np.linalg.svd(h[assoc, np.arange(n_users)], compute_uv=False)  # (U, T, K, r)
+    return np.log2(1.0 + sv ** 2 / sigma2).sum(axis=-1).mean(axis=(1, 2))
 
 
 def _inverse_project(params: DiffTensor, pair: cb.TransformPair,

@@ -2,6 +2,7 @@
 import hashlib
 import json
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
@@ -65,6 +66,22 @@ def test_schema_violation(tmp_path):
     path.write_text(json.dumps({"scenario": {"mystery_knob": 1}}))
     res = _run("gen-channels", "--config", path, "--out", tmp_path / "o.bmch")
     assert res.exit_code == 2
+
+
+def test_config_schema_is_a_valid_schema():
+    # load_config builds its validator once and leaves this check to the tests
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_schema_violation_message_matches_jsonschema_validate(tmp_path):
+    doc = {"scenario": {"c_cells": 0, "mystery_knob": 1}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, cli.CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        cli.load_config(path)
+    assert str(got.value) == f"config schema violation: {want.value.message}"
 
 
 def test_missing_config_file(tmp_path):

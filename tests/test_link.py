@@ -270,7 +270,8 @@ def test_data_fraction():
 def test_esse_zero_when_everything_is_overhead():
     rng = np.random.default_rng(14)
     h, sets = _transmission(rng)
-    rep = link.transmit_and_score(h, sets, 0.05, t_bm=(0,))
+    alpha = link.data_fraction(1000, 1000, 16, 16, 160)  # no data left
+    rep = link.transmit_and_score(h, sets, 0.05, alpha=alpha)
     assert rep.esse == 0.0
 
 
@@ -322,7 +323,12 @@ def test_single_user_per_cell_noise_floor():
     ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2,
                               subband_of_k=link.subband_map(4, 2))
     rep = link.transmit_and_score(h, [ps], sigma2)
-    assert rep.int_noise_power[0] >= sigma2 * (1.0 - 1e-9)
+    k_sub, n_t = 4, 8
+    sig = np.mean([np.sum(np.abs(h[0, 0, 0, k] @ ps.analog
+                                 @ ps.digital[ps.subband_of_k[k]]) ** 2)
+                   for k in range(k_sub)]) / (k_sub * n_t)
+    implied_in = sig / (np.exp2(rep.per_user_rate[0]) - 1.0)
+    assert implied_in >= sigma2 * (1.0 - 1e-9)
 
 
 def test_allocation_fractions_sum_to_one():
@@ -626,3 +632,103 @@ def test_rzf_columns_match_frozen_loop_on_default_drops(default_drop_inputs):
         users = link.schedule_users(recon, gains, chosen, subset, cand, sigma2)
         _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
                                       link.DIGITAL_PORTS)
+
+
+# ------------- frozen per-RE reference of the batched ESSE scoring -------------
+# transmit_and_score as it was before it was batched: one LMMSE solve per
+# (user, t, k), with R summed cell by cell.
+
+def _reference_transmit_and_score(h, sets, sigma2, alpha=1.0):
+    c_cells, n_users, t_slots, k_sub, n_rx, n_t = h.shape
+    eff = []
+    for ps in sets:
+        if len(ps.users) == 0:
+            eff.append(np.zeros((k_sub, n_t, 0), dtype=np.complex128))
+            continue
+        scale = 1.0 / np.sqrt(len(ps.users) * k_sub * n_t)
+        eff.append(np.stack([ps.analog @ ps.digital[ps.subband_of_k[k]] * scale
+                             for k in range(k_sub)]))
+    per_user_rate, total = {}, 0.0
+    for c, ps in enumerate(sets):
+        for j, u in enumerate(ps.users):
+            rates = []
+            for t in range(t_slots):
+                for k in range(k_sub):
+                    r = sigma2 * np.eye(n_rx, dtype=np.complex128)
+                    for c2 in range(c_cells):
+                        g = h[c2, u, t, k] @ eff[c2][k]
+                        r += g @ np.conj(g.T)
+                    v = h[c, u, t, k] @ eff[c][k][:, j]
+                    q = float(np.real(np.conj(v) @ cholesky_inverse(r) @ v))
+                    q = min(q, 1.0 - 1e-15)
+                    rates.append(np.log2(1.0 + q / (1.0 - q)))
+            per_user_rate[u] = alpha * float(np.mean(rates))
+            total += per_user_rate[u]
+    counts = np.array([len(ps.users) for ps in sets], dtype=float)
+    alloc = counts / counts.sum() if counts.sum() > 0 else counts
+    return total, per_user_rate, alloc
+
+
+def _assert_esse_matches_reference(h, sets, sigma2, alpha=1.0):
+    rep = link.transmit_and_score(h, sets, sigma2, alpha=alpha)
+    esse, rates, alloc = _reference_transmit_and_score(h, sets, sigma2, alpha)
+    assert list(rep.per_user_rate) == list(rates)
+    np.testing.assert_allclose(list(rep.per_user_rate.values()),
+                               list(rates.values()), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.esse, esse, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.allocation, alloc, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n_rx,t_slots", [(1, 1), (3, 2), (2, 2)])
+def test_esse_matches_frozen_per_re_loop(n_rx, t_slots):
+    # ragged schedules (3, 1, 0 and 2 users), an empty cell, K=6 over 3
+    # subbands, and interference from every non-empty cell
+    rng = np.random.default_rng(30 + n_rx)
+    n_users, n_t, b_g, k_sub, s_b, sigma2 = 7, 8, 2, 6, 3, 0.05
+    h = (rng.standard_normal((4, n_users, t_slots, k_sub, n_rx, n_t))
+         + 1j * rng.standard_normal((4, n_users, t_slots, k_sub, n_rx, n_t)))
+    sets = []
+    for users in ([0, 2, 5], [4], [], [1, 6]):
+        subset, recon, gains, chosen = _one_cell_setup(rng, n_users, n_t=n_t,
+                                                       b_g=b_g, s_b=s_b)
+        sets.append(link.build_precoders(recon, gains, chosen, subset, users,
+                                         sigma2, link.subband_map(k_sub, s_b)))
+    _assert_esse_matches_reference(h, sets, sigma2, alpha=0.875)
+    # nobody scheduled anywhere
+    rep = link.transmit_and_score(h[2:3], sets[2:3], sigma2)
+    assert rep.esse == 0.0 and rep.per_user_rate == {}
+
+
+def test_esse_caps_q_below_one_at_high_snr():
+    # one user, N_R = 1, no interference: q = |v|^2 / (sigma2 + |v|^2)
+    # rounds to 1, and the cap keeps the rate finite
+    rng = np.random.default_rng(33)
+    h, _ = _transmission(rng, n_users=1, n_rx=1)
+    subset, recon, gains, chosen = _one_cell_setup(rng, 1)
+    ps = link.build_precoders(recon, gains, chosen, subset, [0], 0.05,
+                              subband_of_k=link.subband_map(4, 2))
+    rep = link.transmit_and_score(h, [ps], 1e-30)
+    assert rep.per_user_rate[0] == pytest.approx(np.log2(1e15), rel=1e-3)
+    _assert_esse_matches_reference(h, [ps], 1e-30)
+
+
+def test_esse_matches_frozen_loop_on_default_drops():
+    config = ch.ScenarioConfig()
+    dims = cli.dims_from({})
+    ssb, csirs = cli._build_dft_books(config, dims)
+    calls = []
+    score = link.transmit_and_score
+
+    def capture(h, sets, sigma2, alpha=1.0):
+        calls.append((h, sets, sigma2, alpha))
+        return score(h, sets, sigma2, alpha=alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(link, "transmit_and_score", capture)
+        for i in range(3):
+            mx.evaluate_drop(config, cli.settings_from({}), ssb, csirs,
+                             11 * 1000003 + i)
+    assert len(calls) == 3
+    for h, sets, sigma2, alpha in calls:
+        assert sum(len(ps.users) for ps in sets) > 1  # scored under interference
+        _assert_esse_matches_reference(h, sets, sigma2, alpha)
