@@ -478,6 +478,56 @@ def hermitian_inverse(m) -> DiffTensor:
     return out
 
 
+def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
+    """Per-stream output SINR of the LMMSE receive filter (real-valued).
+
+    x: (..., N_R, M), every transmitted column x_k at the receiver; own:
+    (..., S) constant integer index of each desired stream's column in x
+    (broadcast against the leading axes).  With R = sigma2 I + X X^H and
+    W = R^-1 V, V = x[..., own],
+
+        SINR_s = |v_s^H w_s|^2 / (sigma2 |w_s|^2 + sum_{k != own_s} |x_k^H w_s|^2).
+
+    Every term is non-negative, so nothing cancels and the form stays
+    accurate at any SNR.  w_s maximizes this Rayleigh quotient, so the
+    backward holds W fixed (envelope theorem) and needs no solve:
+    dX = W (conj(Z) o coef)^T with Z = X^H W, coef = 2 g/den on the own
+    column and -2 g SINR/den elsewhere.  A zero desired column scores 0.
+    """
+    x = as_tensor(x)
+    xv = x.value
+    if xv.ndim < 2:
+        raise ShapeError("lmmse_sinr requires x with ndim >= 2")
+    own = np.asarray(own, dtype=np.intp)[..., None, :]  # (..., 1, S)
+    own = own.reshape((1,) * (xv.ndim - own.ndim) + own.shape)
+    is_own = np.arange(xv.shape[-1])[:, None] == own  # (..., M, S)
+    xh = np.conj(np.swapaxes(xv, -1, -2))
+    r = xv @ xh
+    r += sigma2 * np.eye(xv.shape[-2])
+    try:
+        w = np.linalg.solve(r, np.take_along_axis(xv, own, axis=-1))
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrixError("LMMSE covariance is singular") from e
+    z = xh @ w  # z[..., k, s] = x_k^H w_s
+    p = z.real ** 2 + z.imag ** 2
+    num = np.take_along_axis(p, own, axis=-2)[..., 0, :]
+    den = (sigma2 * (w.real ** 2 + w.imag ** 2).sum(axis=-2)
+           + np.where(is_own, 0.0, p).sum(axis=-2))
+    den = np.where(den > 0, den, 1.0)
+    sinr = num / den
+    out = DiffTensor(sinr, parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            a = (2.0 * np.real(g) / den)[..., None, :]
+            coef = np.where(is_own, a, -a * sinr[..., None, :])
+            dx = w @ np.swapaxes(np.conj(z) * coef, -1, -2)
+            x.accumulate(_unbroadcast(dx, x.shape))
+
+    out._backward = backward
+    return out
+
+
 # ------------------------------ convolution ------------------------------
 
 def _im2col(x, kh, kw, stride, pad):

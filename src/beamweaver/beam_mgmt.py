@@ -227,29 +227,15 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     return CsirsSelection(subset_indices=taken)
 
 
-def lmmse_q(g_cells, v, sigma2: float) -> DiffTensor:
-    """LMMSE quadratic form q_s = v_s^H R^-1 v_s of every desired stream.
-
-    g_cells: per-cell products G_c, (..., N_R, B_c) arrays or DiffTensors;
-    v: the desired streams, (..., N_R, S), with the same leading axes.
-    R = sigma2 I + sum_c G_c G_c^H, so v is counted in R and the per-stream
-    SINR is q / (1 - q).  Returns (..., S).
-    """
-    v = ad.as_tensor(v)
-    r = ad.constant(sigma2 * np.eye(v.shape[-2]))
-    for g in g_cells:
-        r = ad.add(r, ad.matmul(g, ad.hermitian_transpose(g)))
-    rinv_v = ad.matmul(ad.hermitian_inverse(r), v)
-    return ad.sum_axis(ad.real(ad.mul(ad.conj(v), rinv_v)), axis=-2)
-
-
 def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
                assoc: np.ndarray, sigma2: float) -> SinrRecord:
     """LMMSE per-stream SINR for every user and CSI-RS resource.
 
     subsets: per cell, the ordered (N_CSI, NT, B_g) stack of transmitted
     precoders (array or DiffTensor).  assoc: per-user serving cell.
-    G_c = H_c B_c,i;  v = G_assoc;  SINR = q/(1-q) with q from ``lmmse_q``.
+    G_c = H_c B_c,i; every cell's B_g columns reach each user, and the
+    serving cell's columns are its desired streams.  The SINR is the LMMSE
+    filter's output SINR from ``autodiff.lmmse_sinr``, accurate at any SNR.
     """
     hv = h.values if isinstance(h, ChannelTensor) else h
     hv = np.asarray(hv, dtype=np.complex128)
@@ -258,19 +244,16 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
         raise ShapeError("one precoder subset required per cell")
     assoc = np.asarray(assoc, dtype=np.intp)
     h_rows = hv.reshape(c_cells, -1, n_t)  # (C, U*T*K*N_R, NT)
-    g_cells, v = [], None
+    g_cells = []
     for c in range(c_cells):
         bc = ad.as_tensor(subsets[c])  # (N_CSI, NT, B_g)
         prod = ad.matmul(ad.constant(h_rows[c]), bc)  # (N_CSI, U*T*K*N_R, B_g)
         n_csi, _, b_g = prod.shape
-        g = ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g))
-        g_cells.append(g)
-        # the serving cell's product, kept per user by a 0/1 mask
-        served = ad.scale(g, (assoc == c).astype(float)[:, None, None, None, None])
-        v = served if v is None else ad.add(v, served)
-    q = lmmse_q(g_cells, v, sigma2)  # (N_CSI, U, T, K, B_g)
-    sinr = ad.swapaxes(ad.div(q, ad.sub(1.0, q)), 0, 1)  # (U, N_CSI, T, K, B_g)
-    return SinrRecord(sinr=sinr)
+        g_cells.append(ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g)))
+    x = ad.concat(g_cells, axis=-1)  # (N_CSI, U, T, K, N_R, C*B_g)
+    own = (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]  # (U, 1, 1, B_g)
+    sinr = ad.lmmse_sinr(x, own, sigma2)  # (N_CSI, U, T, K, B_g)
+    return SinrRecord(sinr=ad.swapaxes(sinr, 0, 1))  # (U, N_CSI, T, K, B_g)
 
 
 def achievable_se(record: SinrRecord) -> SinrRecord:

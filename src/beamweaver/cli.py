@@ -1,8 +1,9 @@
 """Command-line interface: channel generation, training, evaluation, compare.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-divergence.  Every command is deterministic for a fixed (config, seed),
-independent of the worker count.
+divergence or failure (a singular matrix or a value outside an op's domain).
+Every command is deterministic for a fixed (config, seed), independent of the
+worker count.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from . import codebook as cbk
 from . import metrics as mx
 from . import nbl
 from .autodiff import Tape
-from .errors import ConfigError, DivergenceError, FormatError
+from .errors import (ConfigError, DivergenceError, DomainError, FormatError,
+                     SingularMatrixError)
 
 _GEOMETRY_SCHEMA = {
     "type": "object",
@@ -196,6 +198,9 @@ def _exit_codes(fn):
             sys.exit(3)
         except DivergenceError as e:
             click.echo(f"numerical divergence: {e}", err=True)
+            sys.exit(4)
+        except (SingularMatrixError, DomainError) as e:
+            click.echo(f"numerical failure: {e}", err=True)
             sys.exit(4)
     return wrapper
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import cholesky_inverse
-from .beam_mgmt import lmmse_q
+from .autodiff import cholesky_inverse, lmmse_sinr
 from .channel import ChannelTensor
 from .errors import ConfigError, ShapeError
 
@@ -404,9 +403,11 @@ def transmit_and_score(h: ChannelTensor | np.ndarray, sets: list[PrecoderSet],
 
     Per-user effective transmit column: analog @ digital block, scaled by
     1/sqrt(U_a * K * NT) (equal power split, broadcast-equivalent total
-    power).  Every scheduled user is scored at every RE in one batch; the
-    per-user rate is the mean over REs, scaled by the data fraction
-    ``alpha`` (see ``data_fraction``).
+    power).  Every scheduled user is scored at every RE in one batch by
+    ``autodiff.lmmse_sinr``, with every cell's scheduled columns as
+    interference; the per-RE rate is log2(1 + SINR), finite and accurate at
+    any SNR.  The per-user rate is the mean over REs, scaled by the data
+    fraction ``alpha`` (see ``data_fraction``).
     """
     hv = h.values if isinstance(h, ChannelTensor) else h
     hv = np.asarray(hv, dtype=np.complex128)
@@ -414,8 +415,8 @@ def transmit_and_score(h: ChannelTensor | np.ndarray, sets: list[PrecoderSet],
     if len(sets) != c_cells:
         raise ShapeError("one precoder set per cell required")
     users = np.array([u for ps in sets for u in ps.users], dtype=np.intp)
-    g_cells = []
-    v = np.zeros((len(users), t_slots, k_sub, n_rx, 1), dtype=np.complex128)
+    # column j of x is scored user j's own stream; every column reaches everyone
+    x = np.empty((len(users), t_slots, k_sub, n_rx, len(users)), dtype=np.complex128)
     start = 0
     for c, ps in enumerate(sets):
         n_a = len(ps.users)
@@ -424,13 +425,11 @@ def transmit_and_score(h: ChannelTensor | np.ndarray, sets: list[PrecoderSet],
         # (K, NT, U_a) transmit matrices, then G = H W for every scored user
         scale = 1.0 / np.sqrt(n_a * k_sub * n_t)
         w = ps.analog @ ps.digital[ps.subband_of_k] * scale
-        g = hv[c, users] @ w  # (U_s, T, K, N_R, U_a)
-        g_cells.append(g)
-        own = np.arange(n_a)
-        v[start + own, ..., 0] = g[start + own, ..., own]  # each user's own column
+        x[..., start:start + n_a] = hv[c, users] @ w  # (U_s, T, K, N_R, U_a)
         start += n_a
-    q = np.minimum(lmmse_q(g_cells, v, sigma2).value.real[..., 0], 1.0 - 1e-15)
-    rate = np.log2(1.0 + q / (1.0 - q)).reshape(len(users), t_slots * k_sub)
+    own = np.arange(len(users))[:, None, None, None]
+    sinr = lmmse_sinr(x, own, sigma2).value.real[..., 0]
+    rate = np.log2(1.0 + sinr).reshape(len(users), t_slots * k_sub)
     rates = alpha * rate.mean(axis=1)
     counts = np.array([len(ps.users) for ps in sets], dtype=float)
     alloc = counts / counts.sum() if counts.sum() > 0 else counts

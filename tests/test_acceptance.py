@@ -38,7 +38,7 @@ FULL = (-1.01, 1.01)
     "add", "sub", "mul", "div", "scale", "matmul", "conj", "abs2", "real",
     "log2_1p", "relu", "reshape", "swapaxes", "hermitian_transpose",
     "sum_axis", "mean_axis", "concat", "take", "select_cells", "unit_modulus",
-    "hermitian_inverse", "conv2d", "conv2d_transpose", "crop2d",
+    "hermitian_inverse", "lmmse_sinr", "conv2d", "conv2d_transpose", "crop2d",
 ])
 def test_c1_every_op_matches_finite_differences(op_name):
     test_autodiff.test_fd_every_op(op_name)

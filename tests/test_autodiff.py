@@ -1,4 +1,7 @@
 """Autodiff engine: values, analytic gradients, finite-difference oracle."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,30 @@ def test_tape_replay_bitwise_deterministic():
     assert np.array_equal(l1, l2) and np.array_equal(g1, g2)
 
 
+def test_lmmse_sinr_zero_stream_scores_zero():
+    # an all-zero RZF column reaches the receiver as a zero desired stream
+    rng = np.random.default_rng(12)
+    x = random_complex(rng, (2, 3))
+    x[:, 1] = 0.0
+    tape = Tape()
+    p = tape.parameter("x", x)
+    out = ad.lmmse_sinr(p, np.array([1, 0]), 0.5)
+    assert out.value[0] == 0.0 and out.value[1] > 0.0
+    ad.backward(ad.sum_axis(out, axis=0))
+    assert np.all(np.isfinite(p.grad)) and not p.grad[:, 1].any()  # quadratic at 0
+
+
+def test_benchmark_per_layer_ops_exist():
+    # perfbench reports a per-layer op missing from the package as null,
+    # which makes the benchmark's output malformed
+    doc = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    ops = {m["name"].split(".")[1] for m in doc["per_layer"]
+           if m["name"].startswith("autodiff.")}
+    assert ops
+    for op in sorted(ops):
+        assert callable(getattr(ad, op, None)), f"BENCHMARK.json names autodiff.{op}"
+
+
 # ---------------------- finite-difference oracle -------------------------
 
 def test_fd_matmul_spec_example():
@@ -175,7 +202,7 @@ def test_fd_matmul_spec_example():
     "add", "sub", "mul", "div", "scale", "matmul", "conj", "abs2", "real",
     "log2_1p", "relu", "reshape", "swapaxes", "hermitian_transpose",
     "sum_axis", "mean_axis", "concat", "take", "select_cells", "unit_modulus",
-    "hermitian_inverse", "conv2d", "conv2d_transpose", "crop2d",
+    "hermitian_inverse", "lmmse_sinr", "conv2d", "conv2d_transpose", "crop2d",
 ])
 def test_fd_every_op(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
@@ -233,6 +260,11 @@ def test_fd_every_op(op_name):
                        ad.constant(2.0 * np.eye(4)))
             return _scalar_loss(ad.hermitian_inverse(m))
         vals = [a]
+    elif op_name == "lmmse_sinr":
+        # 2 REs, N_R = 2, 4 columns; streams 1 and 3 on the first RE, 0 and 2
+        # on the second
+        own = np.array([[1, 3], [0, 2]])
+        fn, vals = (lambda x: _scalar_loss(ad.lmmse_sinr(x, own, 0.4))), [a.reshape(2, 2, 4)]
     elif op_name == "conv2d":
         x = random_complex(rng, (1, 2, 5, 5))
         w = random_complex(rng, (3, 2, 3, 3))

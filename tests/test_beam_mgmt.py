@@ -8,6 +8,8 @@ from beamweaver import codebook as cb
 from beamweaver.channel import ArrayGeometry, ChannelTensor
 from beamweaver.errors import ConfigError, ShapeError
 
+from conftest import analytic_gradients, assert_grads_match
+
 
 def _scalar_geometry():
     return ArrayGeometry(n_x=1, n_y=1, dual_polarized=False)
@@ -275,6 +277,52 @@ def test_csirs_sinr_matches_per_stream_solve():
     got = bm.csirs_sinr(h, subsets, assoc, sigma2).sinr.value
     assert got.shape == want.shape
     np.testing.assert_allclose(got.real, want, rtol=1e-10)
+
+
+def _one_interferer_sinr(v, u, sigma2):
+    """Closed form v^H (sigma2 I + u u^H)^-1 v, free of cancellation."""
+    v_perp = v - u * (np.vdot(u, v) / np.vdot(u, u))
+    nv, nu, nvp = (float(np.vdot(a, a).real) for a in (v, u, v_perp))
+    return (sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu))
+
+
+def test_csirs_sinr_accurate_from_low_to_high_snr():
+    # cell 0 serves the user along v, cell 1 interferes along u (N_R = 2)
+    v, u = np.array([1.0 + 0.5j, -0.3 + 0.2j]), np.array([0.4 - 0.1j, 0.9 + 0.7j])
+    h = np.zeros((2, 1, 1, 1, 2, 1), dtype=np.complex128)
+    h[0, 0, 0, 0, :, 0], h[1, 0, 0, 0, :, 0] = v, u
+    sub = np.ones((1, 1, 1), dtype=np.complex128)
+    for sigma2 in 10.0 ** np.arange(2, -13, -1):
+        got = bm.csirs_sinr(h, [sub, sub], np.array([0]), sigma2).sinr.value
+        np.testing.assert_allclose(got.real.reshape(()), _one_interferer_sinr(v, u, sigma2),
+                                   rtol=1e-12, err_msg=f"sigma2={sigma2}")
+        assert got.imag.reshape(()) == 0.0
+
+
+@pytest.mark.parametrize("disaggregated", [False, True])
+@pytest.mark.parametrize("n_rx", [1, 2, 3])
+def test_csirs_sinr_gradients_match_finite_differences(n_rx, disaggregated):
+    # two cells serving users 0 and 1, 2; in disaggregated mode cell 1 is
+    # held fixed by stop_gradient, as nbl.forward_model does
+    rng = np.random.default_rng(50 + n_rx)
+    h = _crandn(rng, 2, 3, 1, 2, n_rx, 4)
+    subsets = [_crandn(rng, 2, 4, 2) for _ in range(2)]
+    weights = ad.constant(rng.uniform(0.5, 1.5, size=(3, 2, 1, 2, 2)))
+    assoc = np.array([0, 1, 1])
+
+    def loss(b0, b1):
+        if disaggregated:
+            b1 = ad.stop_gradient(b1)
+        s = ad.real(ad.mul(bm.csirs_sinr(h, [b0, b1], assoc, 0.3).sinr, weights))
+        while s.value.ndim:
+            s = ad.sum_axis(s, axis=0)
+        return s
+
+    if disaggregated:
+        assert_grads_match(lambda b0: loss(b0, ad.constant(subsets[1])), subsets[:1])
+        assert not analytic_gradients(loss, subsets)[1].any()
+    else:
+        assert_grads_match(loss, subsets)
 
 
 def _random_sinr_instance(rng, n_rx=4, n_int=3):

@@ -9,7 +9,8 @@ from click.testing import CliRunner
 from beamweaver import channel as ch
 from beamweaver import cli
 from beamweaver import metrics as mx
-from beamweaver.errors import ConfigError, DivergenceError, FormatError
+from beamweaver.errors import (ConfigError, DivergenceError, DomainError, FormatError,
+                               SingularMatrixError)
 
 
 def _config_doc(**extra):
@@ -45,13 +46,36 @@ def _run(*args):
 
 def test_exit_code_mapping():
     for exc, code in ((ConfigError("x"), 2), (FormatError("x"), 2),
-                      (OSError("x"), 3), (DivergenceError("x"), 4)):
+                      (OSError("x"), 3), (DivergenceError("x"), 4),
+                      (SingularMatrixError("x"), 4), (DomainError("x"), 4)):
         @cli._exit_codes
         def boom(e=exc):
             raise e
         with pytest.raises(SystemExit) as ex:
             boom()
         assert ex.value.code == code
+
+
+@pytest.mark.parametrize("scene", ["small", "default"])
+@pytest.mark.parametrize("key,value", [
+    ("tx_power_dBm", 400), ("noise_figure_dB", -300),
+    ("subcarrier_spacing", 1e-9), ("carrier_frequency", 1e-9),
+])
+def test_extreme_link_budget_exits_cleanly(tmp_path, scene, key, value):
+    # SNRs far beyond any real link: the run either scores the drop or stops
+    # with exit 4 and a one-line message, never a traceback
+    doc = _config_doc() if scene == "small" else {"scenario": {"geometry": {}}}
+    target = doc["scenario"]["geometry"] if key == "carrier_frequency" else doc["scenario"]
+    target[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run("evaluate", "--config", path, "--out", tmp_path / "ev", "--drops", 1)
+    assert res.exit_code in (0, 4), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+    if res.exit_code == 4:
+        assert res.output.startswith("numerical failure: ")
+        assert res.output.count("\n") == 1
 
 
 def test_invalid_json_config(tmp_path):

@@ -699,17 +699,41 @@ def test_esse_matches_frozen_per_re_loop(n_rx, t_slots):
     assert rep.esse == 0.0 and rep.per_user_rate == {}
 
 
-def test_esse_caps_q_below_one_at_high_snr():
-    # one user, N_R = 1, no interference: q = |v|^2 / (sigma2 + |v|^2)
-    # rounds to 1, and the cap keeps the rate finite
+def test_esse_exact_at_high_snr():
+    # one user, N_R = 1, no interference: the per-RE rate is
+    # log2(1 + |v|^2 / sigma2) even where q = |v|^2 / (sigma2 + |v|^2)
+    # rounds to 1
     rng = np.random.default_rng(33)
     h, _ = _transmission(rng, n_users=1, n_rx=1)
     subset, recon, gains, chosen = _one_cell_setup(rng, 1)
     ps = link.build_precoders(recon, gains, chosen, subset, [0], 0.05,
                               subband_of_k=link.subband_map(4, 2))
-    rep = link.transmit_and_score(h, [ps], 1e-30)
-    assert rep.per_user_rate[0] == pytest.approx(np.log2(1e15), rel=1e-3)
-    _assert_esse_matches_reference(h, [ps], 1e-30)
+    sigma2, k_sub, n_t = 1e-30, 4, 8
+    rates = [np.log2(1.0 + np.abs(h[0, 0, 0, k] @ ps.analog
+                                  @ ps.digital[ps.subband_of_k[k]])[0, 0] ** 2
+                     / (k_sub * n_t) / sigma2) for k in range(k_sub)]
+    rep = link.transmit_and_score(h, [ps], sigma2)
+    np.testing.assert_allclose(rep.per_user_rate[0], np.mean(rates), rtol=1e-13)
+
+
+def test_esse_accurate_from_low_to_high_snr():
+    # cell 0 serves user 0 along v, cell 1 serves user 1 and reaches user 0
+    # along u; closed form v^H (sigma2 I + u u^H)^-1 v without cancellation
+    v, u = np.array([1.0 + 0.5j, -0.3 + 0.2j]), np.array([0.4 - 0.1j, 0.9 + 0.7j])
+    v_perp = v - u * (np.vdot(u, v) / np.vdot(u, u))
+    nv, nu, nvp = (float(np.vdot(a, a).real) for a in (v, u, v_perp))
+    # one port, one RE, NT = 2: each cell's transmit column is e_0 / sqrt(2)
+    h = np.zeros((2, 2, 1, 1, 2, 2), dtype=np.complex128)
+    h[0, 0, 0, 0, :, 0], h[1, 0, 0, 0, :, 0] = np.sqrt(2.0) * v, np.sqrt(2.0) * u
+    h[1, 1, 0, 0, :, 0] = np.sqrt(2.0) * u
+    sets = [link.PrecoderSet(analog=np.eye(2)[:, :1], digital=np.ones((1, 1, 1)),
+                             users=[u_], b_g=1, subband_of_k=np.zeros(1, int))
+            for u_ in (0, 1)]
+    for sigma2 in 10.0 ** np.arange(2, -13, -1):
+        want = (sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu))
+        rep = link.transmit_and_score(h, sets, sigma2)
+        np.testing.assert_allclose(rep.per_user_rate[0], np.log2(1.0 + want),
+                                   rtol=1e-13, err_msg=f"sigma2={sigma2}")
 
 
 def test_esse_matches_frozen_loop_on_default_drops():
