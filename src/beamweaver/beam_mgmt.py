@@ -190,9 +190,27 @@ def _apportion(counts: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
+def _beam_precoder_correlation(ssb_beams: np.ndarray, precoders: np.ndarray,
+                               memo: dict | None) -> np.ndarray:
+    """C[i, j] = max over precoder columns of |<f_i, b>|, memoised in ``memo``.
+
+    ``memo`` maps the ids of the two arrays to (ssb_beams, precoders, C).
+    Holding the arrays keeps their ids from being reused while the memo
+    lives.  The einsum stays: a GEMM rounds the near-exact ties of DFT
+    correlations the other way and so changes which precoders are picked.
+    """
+    key = (id(ssb_beams), id(precoders))
+    if memo is not None and key in memo:
+        return memo[key][2]
+    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb_beams), precoders)).max(axis=2)
+    if memo is not None:
+        memo[key] = (ssb_beams, precoders, corr)
+    return corr
+
+
 def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
                         report: FeedbackReport, cell: int,
-                        n_csi: int) -> CsirsSelection:
+                        n_csi: int, memo: dict | None = None) -> CsirsSelection:
     """Pick the N_CSI refinement precoders covering the cell's active beams.
 
     ssb_beams: the cell's (L, NT) SSB beams; precoders: its (N_CB, NT, B_g)
@@ -202,6 +220,11 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     reported beam keeps at least one precoder); each beam takes its
     most-correlated free precoders.  A cell with no users falls back to the
     first N_CSI precoders by index.
+
+    ``memo``, a dict the caller creates and drops, shares the beam-precoder
+    correlation between calls on the same two array objects (the drops of
+    one training step that use the same codebooks).  The arrays must not be
+    edited in place while it lives.
     """
     n_cb = precoders.shape[0]
     if n_csi > n_cb:
@@ -210,8 +233,7 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     if counts.sum() == 0:
         return CsirsSelection(subset_indices=list(range(n_csi)), fallback=True)
     budgets = _apportion(counts, n_csi)
-    # C[i, j] = max over precoder columns of |<f_i, b>|
-    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb_beams), precoders)).max(axis=2)
+    corr = _beam_precoder_correlation(ssb_beams, precoders, memo)
     taken: list[int] = []
     free = np.ones(n_cb, bool)
     for i in np.nonzero(budgets)[0]:

@@ -185,6 +185,13 @@ def _check_checkpoint(meta: dict, source: str, config, dims) -> None:
                               f"config gives {want[key]!r}")
 
 
+def _check_option(name: str, value, minimum) -> None:
+    """Refuse a command-line value outside the range the schema gives its key."""
+    if value is not None and not (np.isfinite(value) and value >= minimum):
+        raise ConfigError(f"{name} must be a finite number >= {minimum}, "
+                          f"got {value!r}")
+
+
 def _exit_codes(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -284,6 +291,8 @@ def _init_eval_ctx(ctx):
 @_exit_codes
 def evaluate(config_path, seed, out_dir, source, drops, workers):
     """Monte-Carlo protocol evaluation; writes a per-user metrics CSV."""
+    _check_option("--drops", drops, 1)
+    _check_option("--workers", workers, 1)
     doc = load_config(config_path)
     _reject_n_users(doc, "evaluate")
     config = scenario_from(doc)
@@ -344,7 +353,10 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
 @click.option("--disaggregated", is_flag=True, default=False)
 @_exit_codes
 def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
-    """End-to-end codebook training; writes checkpoint + loss CSV."""
+    """End-to-end codebook training; writes checkpoint, loss and validation CSVs."""
+    _check_option("--epochs", epochs, 1)
+    _check_option("--lr", lr, 0)
+    _check_option("--drops", drops, 1)
     doc = load_config(config_path)
     _reject_n_users(doc, "train")
     config = scenario_from(doc)
@@ -368,7 +380,7 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
         generate = lambda obsc: gen.generate_for(obsc, config.geometry)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    loss_rows = []
+    loss_rows, val_rows = [], []
     curve = nbl.train(
         dataset, generate, tape, sigma2, dims.n_csi, epochs=epochs, lr=lr,
         batch_size=tr.get("batch_size", 4), seed=seed,
@@ -376,7 +388,8 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
         balance_weight=tr.get("balance_weight", 0.0),
         disaggregated_cells=config.c_cells if disaggregated else None,
         val_fraction=tr.get("val_fraction", 0.1),
-        callback=lambda step, loss: loss_rows.append((step, loss)))
+        callback=lambda step, loss: loss_rows.append((step, loss)),
+        val_callback=lambda *row: val_rows.append(row))
     nbl.save_checkpoint(out / "checkpoint.bmck", tape,
                         meta=_checkpoint_meta(source, config, dims))
     with open(out / "loss.csv", "w", newline="") as f:
@@ -385,6 +398,12 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
         w.writerow(["step", "loss"])
         for step, loss in loss_rows:
             w.writerow([step, repr(loss)])
+    with open(out / "validation.csv", "w", newline="") as f:
+        f.write("# schema=bmw-validation-v1\n")
+        w = csv.writer(f)
+        w.writerow(["epoch", "val_loss", "best_epoch"])
+        for epoch, val_loss, best_epoch in val_rows:
+            w.writerow([epoch, repr(val_loss), "" if best_epoch is None else best_epoch])
     click.echo(f"trained {len(curve)} steps; final loss {curve[-1]:.6g}")
 
 

@@ -108,7 +108,13 @@ def _csirs_columns(csirs: cb.CsirsCodebook) -> np.ndarray:
 
 
 class DirectGenerator:
-    """Free beamspace parameters per cell, initialized at the DFT baseline."""
+    """Free beamspace parameters per cell, initialized at the DFT baseline.
+
+    ``generate`` returns the same codebook DiffTensors until a parameter's
+    value array is replaced (as ``Adam.step``, the best-validation restore
+    and ``load_checkpoint`` do), so the drops of one training step share one
+    codebook graph.  Parameter arrays must be replaced, never edited in place.
+    """
 
     def __init__(self, tape: Tape, cells: int, geometry: ArrayGeometry,
                  dims: NblDims, init_ssb=None, init_csirs=None):
@@ -116,6 +122,7 @@ class DirectGenerator:
         self.geometry = geometry
         self.dims = dims
         self.pair = cb.make_transform_pair(geometry)
+        self._books = None  # (parameter value arrays, (ssb, csirs))
         if init_ssb is None:
             init_ssb = [cb.build_dft_ssb(geometry, dims.l_max,
                                          dims.elevation_window)] * cells
@@ -139,9 +146,15 @@ class DirectGenerator:
         gen.pair = cb.make_transform_pair(geometry)
         gen.ssb_params = [tape.parameters[f"ssb{c}"] for c in range(cells)]
         gen.csirs_params = [tape.parameters[f"csirs{c}"] for c in range(cells)]
+        gen._books = None
         return gen
 
     def generate(self, obsc=None):
+        values = [p.value for p in self.ssb_params + self.csirs_params]
+        if self._books is not None and all(
+                a is b for a, b in zip(self._books[0], values)):
+            ssb, csirs = self._books[1]
+            return list(ssb), list(csirs)
         ssb, csirs = [], []
         n_t = self.geometry.n_elements
         for c in range(self.cells):
@@ -151,7 +164,8 @@ class DirectGenerator:
                                     self.geometry, self.dims.b_phase)
             stack = ad.reshape(cols, (self.dims.n_cb, self.dims.b_g, n_t))
             csirs.append(ad.swapaxes(stack, 1, 2))  # (N_CB, NT, B_g)
-        return ssb, csirs
+        self._books = (values, (ssb, csirs))
+        return list(ssb), list(csirs)
 
 
 class NeuralGenerator:
@@ -161,7 +175,8 @@ class NeuralGenerator:
     convolutions; complex images ride as interleaved (re, im) real channel
     pairs.  The output is a delta added to the DFT baseline beamspace of
     whatever geometry is being evaluated, so weights trained on one array
-    size transfer to another.
+    size transfer to another.  That baseline and the geometry's transform
+    pair are computed once per geometry.
     """
 
     def __init__(self, tape: Tape, cells: int, dims: NblDims, n_pol: int = 2,
@@ -169,6 +184,7 @@ class NeuralGenerator:
         self.cells = cells
         self.dims = dims
         self.n_pol = n_pol
+        self._baselines = {}  # ArrayGeometry -> (pair, ssb, csirs interiors)
         self.cin = cells * dims.l_max * n_pol * 2
         self.cout = cells * (dims.l_max + dims.n_cb * dims.b_g) * n_pol * 2
         h1, h2 = hidden
@@ -194,6 +210,7 @@ class NeuralGenerator:
         """Bind to parameters already present on a tape (checkpoint load)."""
         gen = cls.__new__(cls)
         gen.cells, gen.dims, gen.n_pol = cells, dims, n_pol
+        gen._baselines = {}
         gen.cin = cells * dims.l_max * n_pol * 2
         gen.cout = cells * (dims.l_max + dims.n_cb * dims.b_g) * n_pol * 2
         p = tape.parameters
@@ -209,13 +226,27 @@ class NeuralGenerator:
         h = ad.relu(ad.add(ad.conv2d_transpose(h, self.t1, stride=2, pad=1), self.c1))
         return ad.add(ad.conv2d_transpose(h, self.t2, stride=2, pad=1), self.c2)
 
+    def _baseline(self, geometry: ArrayGeometry):
+        """Transform pair and DFT baseline interiors (SSB, CSI-RS) of a geometry."""
+        entry = self._baselines.get(geometry)
+        if entry is None:
+            dims = self.dims
+            pair = cb.make_transform_pair(geometry)
+            ssb = cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window)
+            csirs = cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
+                                       elevation_window=dims.elevation_window)
+            entry = self._baselines[geometry] = (
+                pair, _interiors(ssb.beams, pair, geometry),
+                _interiors(_csirs_columns(csirs), pair, geometry))
+        return entry
+
     def generate_for(self, obsc: list, geometry: ArrayGeometry):
         """Emit per-cell codebooks for the geometry the obsc was built on."""
         dims = self.dims
         n_pol = 2 if geometry.dual_polarized else 1
         if n_pol != self.n_pol:
             raise ConfigError("generator polarization does not match geometry")
-        pair = cb.make_transform_pair(geometry)
+        pair, base_ssb, base_csirs = self._baseline(geometry)
         hh, ww = obsc[0].shape[-2:]
         stacked = np.concatenate([np.asarray(o) for o in obsc], axis=0)
         if stacked.shape[0] * 2 != self.cin:
@@ -229,13 +260,6 @@ class NeuralGenerator:
         delta = ad.add(re, ad.scale(im, 1j))  # (1, cout/2, H, W)
         delta = ad.reshape(delta, (self.cout // 2, hh, ww))
         delta = ad.crop2d(delta, pair.n_xo, pair.n_yo)
-        # DFT baseline interiors at the evaluation geometry
-        base_ssb = _interiors(cb.build_dft_ssb(geometry, dims.l_max,
-                                               dims.elevation_window).beams, pair, geometry)
-        base_csirs = _interiors(
-            _csirs_columns(cb.build_dft_csirs(
-                geometry, dims.n_cb, dims.b_g,
-                elevation_window=dims.elevation_window)), pair, geometry)
         per_cell = dims.l_max + dims.n_cb * dims.b_g
         ssb, csirs = [], []
         for c in range(self.cells):
@@ -254,16 +278,21 @@ class NeuralGenerator:
 def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
                   n_csi: int, pin: SelectionPin | None = None,
                   new_user_mask=None,
-                  disaggregated_cell: int | None = None) -> ForwardResult:
+                  disaggregated_cell: int | None = None,
+                  memo: dict | None = None) -> ForwardResult:
     """Differentiable SSB -> feedback -> CSI-RS -> achievable-SE rollout.
 
     Discrete selections (association, subsets, resource choice) are either
     recomputed from current values or replayed from ``pin``; they carry no
     gradient.  In disaggregated mode all other cells' codewords are treated
-    as fixed interference sources.
+    as fixed interference sources.  ``memo`` is passed to
+    ``beam_mgmt.select_csirs_subset``, so rollouts that share it and the
+    codebook tensors compute each cell's beam-precoder correlation once.
     """
     h = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = h.shape
+    # the codebook arrays themselves, before stop_gradient copies them
+    books = [(s.value, cs.value) for s, cs in zip(ssb_dt, csirs_dt)]
     if disaggregated_cell is not None:
         ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                   for c, s in enumerate(ssb_dt)]
@@ -275,8 +304,8 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
     rsrp_val = rsrp.value.real
     if pin is None:
         report = bm.aggregate_feedback(rsrp_val, new_user_mask)
-        subset_idx = [bm.select_csirs_subset(ssb_dt[c].value, csirs_dt[c].value,
-                                             report, c, n_csi).subset_indices
+        subset_idx = [bm.select_csirs_subset(*books[c], report, c, n_csi,
+                                             memo).subset_indices
                       for c in range(c_cells)]
     else:
         report, subset_idx = pin.report, pin.subset_indices
@@ -403,11 +432,11 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
 
 
 def _total_loss(sample: TrainingSample, generate, sigma2, n_csi, ssb_weight,
-                disaggregated_cell=None, balance_weight=0.0):
+                disaggregated_cell=None, balance_weight=0.0, memo=None):
     ssb_dt, csirs_dt = generate(sample.obsc)
     fw = forward_model(sample.h, ssb_dt, csirs_dt, sigma2, n_csi,
                        new_user_mask=sample.new_user_mask,
-                       disaggregated_cell=disaggregated_cell)
+                       disaggregated_cell=disaggregated_cell, memo=memo)
     loss = e2e_loss(sample.targets, fw.pred)
     if ssb_weight:
         loss = ad.add(loss, ad.scale(ssb_alignment_loss(fw.best_rsrp, sigma2),
@@ -418,17 +447,50 @@ def _total_loss(sample: TrainingSample, generate, sigma2, n_csi, ssb_weight,
     return loss, fw
 
 
+def _batch_backward(batch: list, generate, sigma2, n_csi, ssb_weight, cell,
+                    balance_weight, step: int) -> float:
+    """One graph for a minibatch: every drop's loss, one backward of their mean.
+
+    Returns the mean loss, checked for finiteness before the backward.  The
+    batch's graphs are released on return, before the next step builds its own.
+    """
+    memo = {}
+    losses = [_total_loss(s, generate, sigma2, n_csi, ssb_weight, cell,
+                          balance_weight, memo)[0] for s in batch]
+    batch_loss = 0.0
+    for loss in losses:
+        batch_loss += float(loss.value.real) / len(batch)
+    if not np.isfinite(batch_loss):
+        raise DivergenceError(f"non-finite loss at step {step}")
+    total = ad.scale(losses[0], 1.0 / len(batch))
+    for loss in losses[1:]:
+        total = ad.add(total, ad.scale(loss, 1.0 / len(batch)))
+    ad.backward(total)
+    return batch_loss
+
+
 def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
           epochs: int, lr: float = 1e-4, batch_size: int = 4, seed: int = 0,
           ssb_weight: float = 0.0, balance_weight: float = 0.0,
           disaggregated_cells: int | None = None,
-          val_fraction: float = 0.1, callback=None) -> list:
+          val_fraction: float = 0.1, callback=None,
+          val_callback=None) -> list:
     """Mini-batch Adam loop; retains the best-validation parameters.
 
     ``generate`` maps an obsc list to (ssb, csirs) DiffTensor lists using
-    parameters registered on ``tape``.  Returns the per-step training loss
-    curve.  Deterministic for fixed seed regardless of worker count (the
-    gradient reduction is ordered by sample index).
+    parameters registered on ``tape``.  Each optimizer step builds one
+    autodiff graph: the batch's losses, each scaled by 1/batch, are summed
+    and backpropagated once, so codebook tensors ``generate`` returns for
+    several drops (``DirectGenerator``) and their beam-precoder correlation
+    are computed and differentiated once per step.  A disaggregated step
+    trains cell ``step % disaggregated_cells`` only.  Deterministic for a
+    fixed seed.
+
+    ``callback(step, loss)`` runs after each step.  ``val_callback(epoch,
+    val_loss, best_epoch)`` runs after each epoch's validation pass;
+    ``best_epoch`` is the epoch whose parameters are kept so far, and its
+    last value is the epoch restored at the end.  Returns the per-step
+    training loss curve.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -438,23 +500,17 @@ def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
         trainset, val = dataset, []
     opt = Adam(lr=lr)
     curve = []
-    best_val, best_params = np.inf, None
+    best_val, best_params, best_epoch = np.inf, None, None
     step = 0
     for epoch in range(epochs):
         order = np.random.default_rng(seed * 7919 + epoch).permutation(len(trainset))
         for start in range(0, len(order), batch_size):
             batch = order[start:start + batch_size]
+            cell = (step % disaggregated_cells) if disaggregated_cells else None
             tape.zero_grad()
-            batch_loss = 0.0
-            for j in batch:
-                cell = (step % disaggregated_cells) if disaggregated_cells else None
-                loss, _ = _total_loss(trainset[j], generate, sigma2, n_csi,
-                                      ssb_weight, cell, balance_weight)
-                scaled = ad.scale(loss, 1.0 / len(batch))
-                ad.backward(scaled)
-                batch_loss += float(loss.value.real) / len(batch)
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(f"non-finite loss at step {step}")
+            batch_loss = _batch_backward([trainset[j] for j in batch], generate,
+                                         sigma2, n_csi, ssb_weight, cell,
+                                         balance_weight, step)
             opt.step(tape)
             curve.append(batch_loss)
             if callback is not None:
@@ -462,13 +518,16 @@ def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
             step += 1
         if val:
             vl = 0.0
+            memo = {}
             for s in val:
                 loss, _ = _total_loss(s, generate, sigma2, n_csi, ssb_weight,
-                                      balance_weight=balance_weight)
+                                      balance_weight=balance_weight, memo=memo)
                 vl += float(loss.value.real) / len(val)
             if vl < best_val:
-                best_val = vl
+                best_val, best_epoch = vl, epoch
                 best_params = {k: p.value.copy() for k, p in tape.parameters.items()}
+            if val_callback is not None:
+                val_callback(epoch, vl, best_epoch)
     if best_params is not None:
         for k, p in tape.parameters.items():
             p.value = best_params[k]

@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -76,6 +77,23 @@ def test_extreme_link_budget_exits_cleanly(tmp_path, scene, key, value):
     if res.exit_code == 4:
         assert res.output.startswith("numerical failure: ")
         assert res.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("train", "--epochs", 0), ("train", "--epochs", -2), ("train", "--lr", -1),
+    ("train", "--lr", "nan"), ("train", "--lr", "inf"), ("train", "--drops", 0),
+    ("evaluate", "--drops", 0), ("evaluate", "--drops", -1),
+    ("evaluate", "--workers", 0), ("evaluate", "--workers", -1),
+])
+def test_option_outside_its_schema_range_is_a_config_error(cfg, tmp_path, command,
+                                                           option, value):
+    # the same ranges as the schema's keys: counts >= 1, lr finite and >= 0
+    res = _run(command, "--config", cfg, "--out", tmp_path / "out", option, value)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"config error: {option} must be")
+    assert res.output.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_json_config(tmp_path):
@@ -293,6 +311,22 @@ def test_train_evaluate_compare_pipeline(cfg, tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["drops"] == 2
     assert "rsrp_delta_db" in summary and "esse" in summary
+
+
+def test_train_writes_validation_csv(tmp_path):
+    doc = _config_doc()
+    doc["training"].update(samples=4, epochs=3, val_fraction=0.5)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run("train", "--config", path, "--seed", 3, "--out", tmp_path / "run")
+    assert res.exit_code == 0, res.output
+    lines = (tmp_path / "run" / "validation.csv").read_text().splitlines()
+    assert lines[:2] == ["# schema=bmw-validation-v1", "epoch,val_loss,best_epoch"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows] == [0, 1, 2]
+    losses = [float(r[1]) for r in rows]
+    assert all(np.isfinite(losses))
+    assert int(rows[-1][2]) == int(np.argmin(losses))
 
 
 def test_train_disaggregated_writes_outputs(tmp_path):

@@ -187,6 +187,49 @@ def test_neural_with_zero_head_matches_direct_dft():
     np.testing.assert_allclose(l_net.value, l_dir.value, rtol=1e-12)
 
 
+def test_direct_generator_reuses_codebooks_until_a_parameter_is_rebound():
+    cfg = _config(c_cells=2)
+    dims = _dims()
+    tape = Tape()
+    gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
+    ssb, csirs = gen.generate()
+    again = gen.generate([np.zeros(1)])  # direct codebooks ignore obsc
+    assert all(a is b for a, b in zip(ssb + csirs, again[0] + again[1]))
+    rng = np.random.default_rng(3)
+    for name, p in tape.parameters.items():
+        p.value = p.value + 0.1 * (rng.standard_normal(p.value.shape)
+                                   + 1j * rng.standard_normal(p.value.shape))
+        new_ssb, new_csirs = gen.generate()
+        assert not any(a is b for a, b in zip(ssb + csirs, new_ssb + new_csirs)), name
+        fresh = nbl.DirectGenerator.from_tape(tape, cfg.c_cells, cfg.geometry,
+                                              dims).generate()
+        for got, want in zip(new_ssb + new_csirs, fresh[0] + fresh[1]):
+            np.testing.assert_array_equal(got.value, want.value)
+        ssb, csirs = new_ssb, new_csirs
+
+
+def test_neural_generator_at_a_second_geometry_matches_a_fresh_one():
+    dims = _dims()
+    geo8 = ch.ArrayGeometry(n_x=8, n_y=8, dual_polarized=True)
+
+    def obsc_for(geo, seed):
+        pair = cb.make_transform_pair(geo)
+        rng = np.random.default_rng(seed)
+        shape = (dims.l_max * 2, pair.n_xo + 1, pair.n_yo + 1)
+        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+
+    used = nbl.NeuralGenerator(Tape(), 1, dims, n_pol=2)
+    used.generate_for(obsc_for(_geo(), 0), _geo())
+    for geo, seed in ((geo8, 1), (_geo(), 2), (geo8, 3)):
+        got = used.generate_for(obsc_for(geo, seed), geo)
+        fresh_tape = Tape()
+        nbl.NeuralGenerator(fresh_tape, 1, dims, n_pol=2)
+        fresh = nbl.NeuralGenerator.from_tape(fresh_tape, 1, dims, n_pol=2)
+        want = fresh.generate_for(obsc_for(geo, seed), geo)
+        for a, b in zip(got[0] + got[1], want[0] + want[1]):
+            np.testing.assert_array_equal(a.value, b.value)
+
+
 def test_neural_generator_rejects_polarization_mismatch():
     dims = _dims()
     net = nbl.NeuralGenerator(Tape(), 1, dims, n_pol=2)
@@ -195,6 +238,27 @@ def test_neural_generator_rejects_polarization_mismatch():
     obsc = [np.zeros((dims.l_max, pair.n_xo + 1, pair.n_yo + 1), complex)]
     with pytest.raises(Exception):
         net.generate_for(obsc, geo)
+
+
+def test_shared_correlation_memo_keeps_subsets_and_computes_once_per_cell():
+    cfg = _config(c_cells=3, user_count_range=(4, 6))
+    dims = _dims(n_cb=8, n_csi=4)
+    data, sigma2 = _dataset(cfg, dims, n_samples=4)
+    gen = nbl.DirectGenerator(Tape(), cfg.c_cells, cfg.geometry, dims)
+    rng = np.random.default_rng(4)
+    for perturb in (0.0, 0.3):  # DFT ties, then a generic codebook
+        for p in gen.ssb_params + gen.csirs_params:
+            p.value = p.value + perturb * (rng.standard_normal(p.value.shape)
+                                           + 1j * rng.standard_normal(p.value.shape))
+        ssb, csirs = gen.generate()
+        memo = {}
+        for s in data:
+            kw = dict(new_user_mask=s.new_user_mask)
+            shared = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi,
+                                       memo=memo, **kw)
+            alone = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi, **kw)
+            assert shared.pin.subset_indices == alone.pin.subset_indices
+        assert len(memo) == cfg.c_cells
 
 
 # -------------------------------- dataset --------------------------------
@@ -274,6 +338,105 @@ def test_train_reduces_loss_on_toy_drop():
     curve = nbl.train(data, gen.generate, tape, sigma2, dims.n_csi,
                       epochs=60, lr=5e-3, seed=4, ssb_weight=0.0)
     assert np.mean(curve[-5:]) < 0.9 * np.mean(curve[:5])
+
+
+def _per_sample_step_gradients(dataset, generate, tape, sigma2, n_csi,
+                               batch_size, seed, ssb_weight=0.0,
+                               balance_weight=0.0, disaggregated_cells=None):
+    """Reference: the training step as it was before one graph per step.
+
+    Codebooks are generated and backpropagated once per drop.  One epoch at
+    learning rate 0 and no validation; returns each step's tape gradients.
+    """
+    grads = []
+    order = np.random.default_rng(seed * 7919).permutation(len(dataset))
+    for step, start in enumerate(range(0, len(order), batch_size)):
+        batch = order[start:start + batch_size]
+        tape.zero_grad()
+        for j in batch:
+            cell = (step % disaggregated_cells) if disaggregated_cells else None
+            loss, _ = nbl._total_loss(dataset[j], generate, sigma2, n_csi,
+                                      ssb_weight, cell, balance_weight)
+            ad.backward(ad.scale(loss, 1.0 / len(batch)))
+        grads.append({k: g.copy() for k, g in tape.gradients().items()})
+    return grads
+
+
+@pytest.mark.parametrize("mode, cells, n_samples, batch_size, kw", [
+    ("direct", 1, 4, 4, dict(ssb_weight=0.3)),
+    ("neural", 2, 4, 4, dict(ssb_weight=0.3)),
+    ("direct", 3, 4, 2, dict(ssb_weight=0.3, disaggregated_cells=3)),
+    ("direct", 2, 4, 4, dict(balance_weight=0.5)),
+    ("direct", 2, 5, 2, dict(ssb_weight=0.3)),
+], ids=["direct", "neural", "disaggregated", "balance", "short-last-batch"])
+def test_one_graph_step_matches_per_sample_backward(mode, cells, n_samples,
+                                                    batch_size, kw):
+    cfg = _config(c_cells=cells)
+    dims = _dims()
+    data, sigma2 = _dataset(cfg, dims, n_samples=n_samples)
+
+    def fresh():
+        tape = Tape()
+        if mode == "direct":
+            gen = nbl.DirectGenerator(tape, cells, cfg.geometry, dims)
+            # the reference regenerates the codebooks for every drop
+            regenerate = lambda o: nbl.DirectGenerator.from_tape(
+                tape, cells, cfg.geometry, dims).generate(o)
+            return tape, gen.generate, regenerate
+        gen = nbl.NeuralGenerator(tape, cells, dims, n_pol=2)
+        generate = lambda o: gen.generate_for(o, cfg.geometry)
+        return tape, generate, generate
+
+    tape, _, regenerate = fresh()
+    want = _per_sample_step_gradients(data, regenerate, tape, sigma2, dims.n_csi,
+                                      batch_size, seed=3, **kw)
+    tape, generate, _ = fresh()
+    got = []
+    nbl.train(data, generate, tape, sigma2, dims.n_csi, epochs=1, lr=0.0,
+              batch_size=batch_size, seed=3, val_fraction=0.0,
+              callback=lambda step, loss: got.append(
+                  {k: g.copy() for k, g in tape.gradients().items()}), **kw)
+    assert len(got) == len(want) == -(-n_samples // batch_size)
+    for g_step, w_step in zip(got, want):
+        for name, w in w_step.items():
+            np.testing.assert_allclose(g_step[name], w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w).max(), err_msg=name)
+
+
+def test_validation_callback_reports_epochs_and_changes_no_output():
+    cfg = _config()
+    dims = _dims(n_cb=8, n_csi=8)
+    data, sigma2 = _dataset(cfg, dims, n_samples=6)
+    runs = []
+    for hook in (False, True):
+        tape = Tape()
+        gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
+        rows = []
+        curve = nbl.train(data, gen.generate, tape, sigma2, dims.n_csi,
+                          epochs=5, lr=1.0, batch_size=2, seed=2,
+                          val_fraction=0.5,
+                          val_callback=(lambda *r: rows.append(r)) if hook else None)
+        runs.append((curve, {k: p.value.copy() for k, p in tape.parameters.items()},
+                     rows))
+    (curve0, params0, _), (curve1, params1, rows) = runs
+    assert curve0 == curve1
+    for k in params0:
+        np.testing.assert_array_equal(params0[k], params1[k])
+    assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
+    losses = [r[1] for r in rows]
+    best = int(np.argmin(losses))
+    assert rows[-1][2] == best < 4  # a large step overshoots after the best
+    assert all(r[2] == int(np.argmin(losses[:r[0] + 1])) for r in rows)
+    # the restored parameters are the best epoch's: validating them again
+    # reproduces its loss
+    tape = Tape()
+    for k, v in params1.items():
+        tape.parameter(k, v)
+    gen = nbl.DirectGenerator.from_tape(tape, cfg.c_cells, cfg.geometry, dims)
+    val = data[:3]
+    again = sum(float(nbl._total_loss(s, gen.generate, sigma2, dims.n_csi,
+                                      0.0)[0].value.real) / len(val) for s in val)
+    assert again == pytest.approx(losses[best], rel=1e-12)
 
 
 def test_disaggregated_step_updates_only_its_cell():
