@@ -51,34 +51,6 @@ class DiffTensor:
     def __repr__(self):
         return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def as_tensor(x) -> DiffTensor:
     if isinstance(x, DiffTensor):
@@ -331,10 +303,6 @@ def swapaxes(t, ax1, ax2) -> DiffTensor:
     return out
 
 
-def hermitian_transpose(t) -> DiffTensor:
-    return conj(swapaxes(t, -1, -2))
-
-
 def sum_axis(t, axis, keepdims=False) -> DiffTensor:
     t = as_tensor(t)
     out = DiffTensor(t.value.sum(axis=axis, keepdims=keepdims), parents=(t,))
@@ -451,22 +419,17 @@ def straight_through(t, projected_value) -> DiffTensor:
     return out
 
 
-def cholesky_inverse(m_value: np.ndarray) -> np.ndarray:
-    """Inverse of a (stack of) Hermitian PD matrices via Cholesky."""
-    try:
-        low = np.linalg.cholesky(m_value)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError("matrix is not Hermitian positive definite") from e
-    linv = np.linalg.inv(low)
-    return np.conj(np.swapaxes(linv, -1, -2)) @ linv
-
-
 def hermitian_inverse(m) -> DiffTensor:
     """Inverse of a Hermitian positive definite matrix (or stack thereof)."""
     m = as_tensor(m)
     if m.value.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError("hermitian_inverse requires square matrices")
-    y = cholesky_inverse(m.value)
+    try:
+        low = np.linalg.cholesky(m.value)
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrixError("matrix is not Hermitian positive definite") from e
+    linv = np.linalg.inv(low)
+    y = np.conj(np.swapaxes(linv, -1, -2)) @ linv
     out = DiffTensor(y, parents=(m,))
 
     def backward(g):
@@ -478,13 +441,46 @@ def hermitian_inverse(m) -> DiffTensor:
     return out
 
 
+def _own_columns(own, ndim: int) -> np.ndarray:
+    """Stream column indices (..., S) as a (..., 1, S) array of ``ndim`` axes."""
+    own = np.asarray(own, dtype=np.intp)[..., None, :]
+    return own.reshape((1,) * (ndim - own.ndim) + own.shape)
+
+
+def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Filter W = (lam I_N + X X^H)^-1 X[..., own] and Z = X^H W, for lam > 0.
+
+    x: (..., N, M); own: (..., S) integer column of each stream, broadcast
+    against the leading axes.  For M >= N: one N x N solve.  For M < N: the
+    push-through form W = X A, A = (lam I_M + X^H X)^-1 E_own, and
+    Z = E_own - lam A, exact as lam -> 0 whenever X has full column rank.
+    Returns W (..., N, S) and Z (..., M, S).
+    """
+    n, m = x.shape[-2:]
+    own = _own_columns(own, x.ndim)
+    xh = np.conj(np.swapaxes(x, -1, -2))
+    try:
+        if m >= n:
+            r = x @ xh
+            r += lam * np.eye(n)
+            w = np.linalg.solve(r, np.take_along_axis(x, own, axis=-1))
+            return w, xh @ w
+        g = xh @ x
+        g += lam * np.eye(m)
+        e_own = (np.arange(m)[:, None] == own).astype(np.complex128)
+        a = np.linalg.solve(g, e_own)
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrixError("LMMSE covariance is singular") from e
+    return x @ a, e_own - lam * a
+
+
 def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     """Per-stream output SINR of the LMMSE receive filter (real-valued).
 
     x: (..., N_R, M), every transmitted column x_k at the receiver; own:
     (..., S) constant integer index of each desired stream's column in x
-    (broadcast against the leading axes).  With R = sigma2 I + X X^H and
-    W = R^-1 V, V = x[..., own],
+    (broadcast against the leading axes).  With W = R^-1 V from
+    ``lmmse_filter``, R = sigma2 I + X X^H and V = x[..., own],
 
         SINR_s = |v_s^H w_s|^2 / (sigma2 |w_s|^2 + sum_{k != own_s} |x_k^H w_s|^2).
 
@@ -498,23 +494,16 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     xv = x.value
     if xv.ndim < 2:
         raise ShapeError("lmmse_sinr requires x with ndim >= 2")
-    own = np.asarray(own, dtype=np.intp)[..., None, :]  # (..., 1, S)
-    own = own.reshape((1,) * (xv.ndim - own.ndim) + own.shape)
+    w, z = lmmse_filter(xv, own, sigma2)  # z[..., k, s] = x_k^H w_s
+    own = _own_columns(own, xv.ndim)
     is_own = np.arange(xv.shape[-1])[:, None] == own  # (..., M, S)
-    xh = np.conj(np.swapaxes(xv, -1, -2))
-    r = xv @ xh
-    r += sigma2 * np.eye(xv.shape[-2])
-    try:
-        w = np.linalg.solve(r, np.take_along_axis(xv, own, axis=-1))
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError("LMMSE covariance is singular") from e
-    z = xh @ w  # z[..., k, s] = x_k^H w_s
     p = z.real ** 2 + z.imag ** 2
     num = np.take_along_axis(p, own, axis=-2)[..., 0, :]
     den = (sigma2 * (w.real ** 2 + w.imag ** 2).sum(axis=-2)
            + np.where(is_own, 0.0, p).sum(axis=-2))
-    den = np.where(den > 0, den, 1.0)
-    sinr = num / den
+    live = den > 0  # den is 0 only for a zero filter column: a zero desired column
+    den = np.where(live, den, 1.0)
+    sinr = np.where(live, num, 0.0) / den
     out = DiffTensor(sinr, parents=(x,))
 
     def backward(g):

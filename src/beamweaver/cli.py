@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -112,10 +113,19 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number or NaN/Infinity literal, refused unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
@@ -143,10 +153,9 @@ def settings_from(doc: dict) -> mx.EvalSettings:
     cb = doc.get("codebook", {})
     ev = doc.get("evaluation", {})
     return mx.EvalSettings(
-        l_max=cb.get("l_max", 16), n_csi=cb.get("n_csi", 16),
-        n_cb=cb.get("n_cb", 32), b_g=cb.get("b_g", 4),
-        l_csi=cb.get("l_csi", 4), s_b=ev.get("s_b", 8),
-        k_ssb=ev.get("k_ssb", 4), t_period=ev.get("t_period", 160))
+        n_csi=cb.get("n_csi", 16), l_csi=cb.get("l_csi", 4),
+        s_b=ev.get("s_b", 8), k_ssb=ev.get("k_ssb", 4),
+        t_period=ev.get("t_period", 160))
 
 
 def _reject_n_users(doc: dict, command: str) -> None:
@@ -183,6 +192,19 @@ def _check_checkpoint(meta: dict, source: str, config, dims) -> None:
         if meta.get(key) != want[key]:
             raise ConfigError(f"checkpoint was trained for {key}={meta.get(key)!r}, "
                               f"config gives {want[key]!r}")
+
+
+def _check_codebook_file(ssb, csirs, config, dims) -> None:
+    """Refuse a codebook file built for another array or codebook sizing."""
+    have, want = ssb.geometry, config.geometry
+    for key, got, value in [
+            ("n_x", have.n_x, want.n_x), ("n_y", have.n_y, want.n_y),
+            ("dual_polarized", have.dual_polarized, want.dual_polarized),
+            ("l_max", ssb.l_max, dims.l_max), ("n_cb", csirs.n_cb, dims.n_cb),
+            ("b_g", csirs.b_g, dims.b_g)]:
+        if got != value:
+            raise ConfigError(f"codebook file is built for {key}={got!r}, "
+                              f"config gives {value!r}")
 
 
 def _check_option(name: str, value, minimum) -> None:
@@ -233,12 +255,11 @@ def gen_channels(config_path, seed, out_path):
 
 
 def _build_dft_books(config, dims):
-    ssb = [cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
-           for _ in range(config.c_cells)]
-    cs = [cbk.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
-                              elevation_window=dims.elevation_window)
-          for _ in range(config.c_cells)]
-    return ssb, cs
+    """DFT SSB and CSI-RS codebooks, each built once and shared by all cells."""
+    ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
+    cs = cbk.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
+                             elevation_window=dims.elevation_window)
+    return [ssb] * config.c_cells, [cs] * config.c_cells
 
 
 def _books_from_arrays(ssb_arrays, csirs_arrays, geometry):
@@ -259,17 +280,14 @@ _EVAL_CTX: dict = {}
 
 def _eval_one(drop_seed: int) -> list[dict]:
     ctx = _EVAL_CTX
-    config, settings, dims = ctx["config"], ctx["settings"], ctx["dims"]
+    config, settings = ctx["config"], ctx["settings"]
     if ctx["source"] != "nbl-neural":
         books = ctx["books"]
         return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed)
     # the neural codebook depends on the drop: synthesize its channel once
     tensor = ch.generate_channels(config, drop_seed)
-    gen = nbl.NeuralGenerator.from_tape(
-        ctx["tape"], config.c_cells, dims,
-        n_pol=2 if config.geometry.dual_polarized else 1)
     obsc = _prior_obsc(config, tensor, ctx["prior_ssb"])
-    ssb_dt, cs_dt = gen.generate_for(obsc, config.geometry)
+    ssb_dt, cs_dt = ctx["gen"].generate_for(obsc, config.geometry)
     books = _books_from_arrays([s.value for s in ssb_dt],
                                [c.value for c in cs_dt], config.geometry)
     return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed,
@@ -300,12 +318,13 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     dims = dims_from(doc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = {"config": config, "settings": settings, "dims": dims,
-           "source": source, "books": None, "tape": None, "prior_ssb": None}
+    ctx = {"config": config, "settings": settings, "source": source,
+           "books": None, "gen": None, "prior_ssb": None}
     if source == "dft":
         ctx["books"] = _build_dft_books(config, dims)
     elif source.startswith("file:"):
         ssb, cs = cbk.load_codebooks(source[5:])
+        _check_codebook_file(ssb, cs, config, dims)
         ctx["books"] = ([ssb] * config.c_cells, [cs] * config.c_cells)
     elif source in ("nbl-direct", "nbl-neural"):
         ckpt = doc.get("checkpoint")
@@ -322,7 +341,9 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
                                               [c.value for c in cs_dt],
                                               config.geometry)
         else:
-            ctx["tape"] = tape
+            ctx["gen"] = nbl.NeuralGenerator.from_tape(
+                tape, config.c_cells, dims,
+                n_pol=2 if config.geometry.dual_polarized else 1)
             ctx["prior_ssb"] = _build_dft_books(config, dims)[0]
     else:
         raise ConfigError(f"unknown codebook source {source!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import cholesky_inverse, lmmse_sinr
+from .autodiff import lmmse_filter, lmmse_sinr
 from .channel import ChannelTensor
 from .errors import ConfigError, ShapeError
 
@@ -186,15 +186,14 @@ def _rzf_columns(cross: np.ndarray, sigma2: float, n_ports: int) -> np.ndarray:
     """Unit-norm RZF digital columns for a batch of schedules.
 
     cross: (..., U_a, U_a, B_g) effective cross-channels of each schedule.
-    Column u solves (H_u^H H_u + U_a * n_ports * sigma2 * I) f = conj(H_u[u])
-    with H_u = cross[..., :, u, :], then is unit-normalized (a zero solution
-    stays zero).  Returns (..., U_a, B_g).
+    Column u is (H_u^H H_u + U_a * n_ports * sigma2 * I)^-1 H_u^H e_u with
+    H_u = cross[..., :, u, :]: the ``lmmse_filter`` of X = H_u^H for own
+    column u, exact down to the zero-forcing limit.  It is then
+    unit-normalized (a zero solution stays zero).  Returns (..., U_a, B_g).
     """
-    n_a, b_g = cross.shape[-2:]
-    h = np.swapaxes(cross, -3, -2)  # h[..., u] = H_u, (U_a, B_g)
-    m = np.conj(np.swapaxes(h, -1, -2)) @ h + n_a * n_ports * sigma2 * np.eye(b_g)
-    target = np.conj(np.swapaxes(np.diagonal(cross, axis1=-3, axis2=-2), -1, -2))
-    f = (cholesky_inverse(m) @ target[..., None])[..., 0]
+    n_a = cross.shape[-2]
+    x = np.conj(np.moveaxis(cross, -3, -1))  # x[..., u, :, i] = conj(H_u[i])
+    f = lmmse_filter(x, np.arange(n_a)[:, None], n_a * n_ports * sigma2)[0][..., 0]
     norm = np.linalg.norm(f, axis=-1, keepdims=True)
     return np.where(norm > 0, f / np.where(norm > 0, norm, 1.0), 0.0)
 

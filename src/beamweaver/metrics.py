@@ -25,12 +25,9 @@ _PILOT_TAG = 13
 
 @dataclass
 class EvalSettings:
-    """Codebook sizing and overhead knobs for one evaluation run."""
+    """CSI-RS, PMI and overhead knobs; codebook sizes come from the codebooks."""
 
-    l_max: int = 16
     n_csi: int = 16
-    n_cb: int = 32
-    b_g: int = 4
     l_csi: int = 4
     s_b: int = 8
     k_ssb: int = 4
@@ -79,7 +76,7 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
         y = hv[c, :, 0] @ subsets[c][record.chosen][:, None]  # (U, K, N_R, B_g)
         noise = np.sqrt(sigma2 / 2.0) * (pilot_rng.standard_normal(y.shape)
                                          + 1j * pilot_rng.standard_normal(y.shape))
-        est = link.estimate_channel(y + noise, np.eye(settings.b_g), sigma2,
+        est = link.estimate_channel(y + noise, np.eye(csirs_books[c].b_g), sigma2,
                                     settings.s_b)
         fb, recon = link.quantize_pmi(est, l_csi=settings.l_csi)
         cand = list(report.users_of_cell(c))
@@ -88,7 +85,7 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
         sets.append(link.build_precoders(recon, fb.gains, record.chosen,
                                          subsets[c], sched, sigma2,
                                          est.subband_of_k))
-    alpha = link.data_fraction(settings.l_max, settings.n_csi, settings.k_ssb,
+    alpha = link.data_fraction(ssb_books[0].l_max, settings.n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)
     rows = []

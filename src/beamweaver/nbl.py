@@ -141,12 +141,9 @@ class DirectGenerator:
     def from_tape(cls, tape: Tape, cells: int, geometry: ArrayGeometry,
                   dims: NblDims) -> "DirectGenerator":
         """Bind to parameters already present on a tape (checkpoint load)."""
-        gen = cls.__new__(cls)
-        gen.cells, gen.geometry, gen.dims = cells, geometry, dims
-        gen.pair = cb.make_transform_pair(geometry)
+        gen = cls(Tape(), cells, geometry, dims)  # DFT start, rebound below
         gen.ssb_params = [tape.parameters[f"ssb{c}"] for c in range(cells)]
         gen.csirs_params = [tape.parameters[f"csirs{c}"] for c in range(cells)]
-        gen._books = None
         return gen
 
     def generate(self, obsc=None):
@@ -208,11 +205,7 @@ class NeuralGenerator:
     def from_tape(cls, tape: Tape, cells: int, dims: NblDims,
                   n_pol: int = 2) -> "NeuralGenerator":
         """Bind to parameters already present on a tape (checkpoint load)."""
-        gen = cls.__new__(cls)
-        gen.cells, gen.dims, gen.n_pol = cells, dims, n_pol
-        gen._baselines = {}
-        gen.cin = cells * dims.l_max * n_pol * 2
-        gen.cout = cells * (dims.l_max + dims.n_cb * dims.b_g) * n_pol * 2
+        gen = cls(Tape(), cells, dims, n_pol)  # fresh weights, rebound below
         p = tape.parameters
         gen.w1, gen.b1 = p["conv1_w"], p["conv1_b"]
         gen.w2, gen.b2 = p["conv2_w"], p["conv2_b"]
@@ -253,13 +246,12 @@ class NeuralGenerator:
             raise ShapeError("observation channel count does not match weights")
         x = np.empty((1, self.cin, hh, ww))
         x[0, 0::2], x[0, 1::2] = stacked.real, stacked.imag
-        out = self._network(ad.constant(x))
-        out = ad.crop2d(out, hh, ww)
+        # crop first, so the re/im split and the delta copy only the interior
+        out = ad.crop2d(self._network(ad.constant(x)), pair.n_xo, pair.n_yo)
         re = ad.take(out, np.arange(0, self.cout, 2), axis=1)
         im = ad.take(out, np.arange(1, self.cout, 2), axis=1)
-        delta = ad.add(re, ad.scale(im, 1j))  # (1, cout/2, H, W)
-        delta = ad.reshape(delta, (self.cout // 2, hh, ww))
-        delta = ad.crop2d(delta, pair.n_xo, pair.n_yo)
+        delta = ad.add(re, ad.scale(im, 1j))  # (1, cout/2, n_xo, n_yo)
+        delta = ad.reshape(delta, (self.cout // 2, pair.n_xo, pair.n_yo))
         per_cell = dims.l_max + dims.n_cb * dims.b_g
         ssb, csirs = [], []
         for c in range(self.cells):

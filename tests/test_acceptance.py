@@ -36,7 +36,7 @@ FULL = (-1.01, 1.01)
 
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "div", "scale", "matmul", "conj", "abs2", "real",
-    "log2_1p", "relu", "reshape", "swapaxes", "hermitian_transpose",
+    "log2_1p", "relu", "reshape", "swapaxes",
     "sum_axis", "mean_axis", "concat", "take", "select_cells", "unit_modulus",
     "hermitian_inverse", "lmmse_sinr", "conv2d", "conv2d_transpose", "crop2d",
 ])
@@ -85,17 +85,24 @@ def test_c1_end_to_end_loss_matches_finite_differences():
 # ==================== criterion 2: LMMSE SINR identity ===================
 
 def test_c2_sinr_identity_1000_instances():
+    # autodiff.lmmse_sinr against the explicit per-stream inverse
+    # v^H (sigma2 I + B B^H)^-1 v and the identity q / (1 - q) with
+    # q = v^H R^-1 v; 0 to n + 2 interferers, so both lmmse_filter branches
+    # (M < N and M >= N) are covered
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 6))
+        k = int(rng.integers(0, n + 3))  # interferer count
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b = rng.standard_normal((n, n + 2)) + 1j * rng.standard_normal((n, n + 2))
-        r = np.outer(v, np.conj(v)) + b @ np.conj(b.T) + 0.1 * np.eye(n)
-        q = float(np.real(np.conj(v) @ np.linalg.inv(r) @ v))
-        lhs = q / (1.0 - q)
-        rhs = float(np.real(np.conj(v) @ np.linalg.inv(r - np.outer(v, np.conj(v))) @ v))
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        s = int(rng.integers(0, k + 1))  # the desired stream's column
+        x = np.insert(b, s, v, axis=1)
+        got = float(ad.lmmse_sinr(x, np.array([s]), 0.1).value.real[0])
+        r_in = b @ np.conj(b.T) + 0.1 * np.eye(n)
+        rhs = float(np.real(np.conj(v) @ np.linalg.inv(r_in) @ v))
+        q = float(np.real(np.conj(v) @ np.linalg.inv(r_in + np.outer(v, np.conj(v))) @ v))
+        worst = max(worst, abs(got - rhs) / rhs, abs(q / (1.0 - q) - rhs) / rhs)
     assert worst < 1e-8
 
 
@@ -191,8 +198,7 @@ def desk():
               for c in cs_dt]
     seeds = [9001 * 1000003 + i for i in range(_DESK_DROPS)]
 
-    settings = mx.EvalSettings(l_max=dims.l_max, n_csi=dims.n_csi,
-                               n_cb=dims.n_cb, b_g=dims.b_g)
+    settings = mx.EvalSettings(n_csi=dims.n_csi)
     gains, ratios, in_pairs = [], [], []
     for s in seeds:
         tensor = ch.generate_channels(cfg, s)
@@ -325,8 +331,7 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
               for _ in range(3)]
     dft_cs8 = [cb.build_dft_csirs(eval_cfg.geometry, dims.n_cb, dims.b_g,
                                   elevation_window=FULL) for _ in range(3)]
-    settings = mx.EvalSettings(l_max=dims.l_max, n_csi=dims.n_csi,
-                               n_cb=dims.n_cb, b_g=dims.b_g)
+    settings = mx.EvalSettings(n_csi=dims.n_csi)
     ratios = []
     for i in range(60):
         seed = 321 * 1000003 + i

@@ -20,22 +20,19 @@ def _config():
 
 
 def _settings():
-    return mx.EvalSettings(l_max=8, n_csi=4, n_cb=4, b_g=2, l_csi=2, s_b=2,
-                           k_ssb=2, t_period=160)
+    return mx.EvalSettings(n_csi=4, l_csi=2, s_b=2, k_ssb=2, t_period=160)
 
 
-def _books(config, settings):
-    ssb = [cb.build_dft_ssb(config.geometry, settings.l_max, FULL)
-           for _ in range(config.c_cells)]
-    cs = [cb.build_dft_csirs(config.geometry, settings.n_cb, settings.b_g,
-                             elevation_window=FULL)
+def _books(config):
+    ssb = [cb.build_dft_ssb(config.geometry, 8, FULL) for _ in range(config.c_cells)]
+    cs = [cb.build_dft_csirs(config.geometry, 4, 2, elevation_window=FULL)
           for _ in range(config.c_cells)]
     return ssb, cs
 
 
 def _rows(drop_seed=7):
     config, settings = _config(), _settings()
-    ssb, cs = _books(config, settings)
+    ssb, cs = _books(config)
     return mx.evaluate_drop(config, settings, ssb, cs, drop_seed)
 
 
