@@ -1,18 +1,17 @@
 """Beam-management protocol core.
 
-SSB sweep reception, RSRP measurement, network feedback aggregation,
+SSB sweep RSRP (measured and differentiable), network feedback aggregation,
 CSI-RS subset selection, LMMSE combining / SINR, and achievable spectral
 efficiency.  The SINR/SE chain is built on DiffTensors so the same code
 serves both plain evaluation (read ``.value``) and end-to-end codebook
 training.
 
 Conventions:
-  * All cells sweep beam index i on the same time-frequency occasion, so
-    the i-th beams of other cells interfere.
+  * All cells sweep beam index i on the same time-frequency occasion.
+    Cell-specific DMRS sequences decorrelate the other cells' beams, so the
+    UE, combining with maximum-ratio weights against the desired cell's
+    effective channel, measures RSRP as desired power plus combined noise.
   * The broadcast beam is power-normalized by 1/sqrt(K * NT).
-  * The UE combines with maximum-ratio weights against the desired cell's
-    effective channel; cell-specific DMRS sequences decorrelate other-cell
-    transmissions, so measured RSRP is desired power plus combined noise.
   * Interfering CSI-RS precoders pair up by resource index: at resource i
     every cell transmits the i-th entry of its own ordered subset.
 """
@@ -25,27 +24,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffTensor
 from .channel import ChannelTensor, _stream
-from .codebook import SsbCodebook
 from .errors import ConfigError, ShapeError
 
 _NOISE_TAG = 7
-
-
-@dataclass
-class SsbReception:
-    """Per candidate serving cell: desired signal, interference, noise.
-
-    All arrays have shape (C, L, U, T, K, N_R): axis 0 is the candidate
-    serving cell, axis 1 the swept beam index.
-    """
-
-    signal: np.ndarray
-    interference: np.ndarray
-    noise: np.ndarray
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.signal + self.interference + self.noise
 
 
 @dataclass
@@ -92,63 +73,51 @@ class SinrRecord:
     chosen: np.ndarray | None = None  # (U,) resource index i-hat
 
 
-def _beam_signals(h_values, beams, scale: float):
-    """Effective per-beam receive vectors: (L, U, T, K, N_R).
+def _beam_signals(h, beams) -> DiffTensor:
+    """Per-beam receive vectors of every cell's sweep: (C, L, U, T, K, N_R).
 
-    h_values: (U, T, K, N_R, NT) constant; beams: (L, NT) array or DiffTensor.
+    h: (C, U, T, K, N_R, NT) channel; beams: per cell an (L, NT) array or
+    DiffTensor.  One (C, L, NT) @ (C, NT, U*T*K*N_R) product, scaled by the
+    broadcast normalization 1/sqrt(K * NT).
     """
-    bt = ad.as_tensor(beams)
-    hv = np.asarray(h_values, dtype=np.complex128)
-    h_cols = ad.constant(hv.reshape(-1, hv.shape[-1]).T)  # (NT, U*T*K*N_R)
-    prod = ad.matmul(bt, h_cols)  # (L, NT) @ (NT, U*T*K*N_R)
-    return ad.scale(ad.reshape(prod, (bt.shape[0],) + hv.shape[:-1]), scale)
+    hv = h.values if isinstance(h, ChannelTensor) else h
+    hv = np.asarray(hv, dtype=np.complex128)
+    c_cells, _, _, k_sub, _, n_t = hv.shape
+    if len(beams) != c_cells:
+        raise ShapeError(f"{len(beams)} SSB codebooks for {c_cells} cells")
+    l_max = beams[0].shape[0]
+    if any(b.shape != (l_max, n_t) for b in beams):
+        raise ShapeError("SSB codebook does not match channel geometry")
+    stacked = ad.concat([ad.reshape(b, (1, l_max, n_t)) for b in beams], axis=0)
+    h_cols = ad.constant(np.swapaxes(hv.reshape(c_cells, -1, n_t), 1, 2))
+    prod = ad.matmul(stacked, h_cols)  # (C, L, U*T*K*N_R)
+    return ad.scale(ad.reshape(prod, (c_cells, l_max) + hv.shape[1:-1]),
+                    1.0 / np.sqrt(k_sub * n_t))
 
 
-def ssb_receive(h: ChannelTensor, ssb: list[SsbCodebook], sigma2: float,
-                seed: int) -> SsbReception:
-    """Received SSB sweep for every candidate serving cell.
+def measure_rsrp(h, beams, sigma2: float, seed: int) -> np.ndarray:
+    """Measured RSRP[c, i, u]: desired-plus-noise power after MRC combining.
 
-    y_c = (1/sqrt(K*NT)) H_c f_c s  +  sum_{c'!=c} H_c' f_c' s'  +  n
-    with unit-power DMRS and complex noise variance sigma2.
+    h: (C, U, T, K, N_R, NT); beams: per cell its (L, NT) SSB beams.  The
+    drop's receiver noise, complex variance sigma2, is drawn from ``seed``.
     """
-    hv = np.asarray(h.values, dtype=np.complex128)
-    c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
-    if len(ssb) != c_cells:
-        raise ShapeError(f"{len(ssb)} SSB codebooks for {c_cells} cells")
-    l_max = ssb[0].l_max
-    scale = 1.0 / np.sqrt(k_sub * n_t)
-    per_cell = np.empty((c_cells, l_max, n_users, t_slots, k_sub, n_rx),
-                        dtype=np.complex128)
-    for c in range(c_cells):
-        if ssb[c].beams.shape != (l_max, n_t):
-            raise ShapeError("SSB codebook does not match channel geometry")
-        per_cell[c] = _beam_signals(hv[c], ssb[c].beams, 1.0).value
-    signal = scale * per_cell
-    total = per_cell.sum(axis=0)
-    interference = total[None] - per_cell  # other cells, unscaled as transmitted
+    sig = _beam_signals(h, beams).value
     rng = _stream(seed, _NOISE_TAG, 0)
     noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape))
-    return SsbReception(signal=signal, interference=interference, noise=noise)
-
-
-def measure_rsrp(reception: SsbReception) -> np.ndarray:
-    """RSRP[c, i, u]: summed desired-plus-noise power after MRC combining."""
-    sig = reception.signal
+        rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape))
     ns2 = np.sum(np.abs(sig) ** 2, axis=-1)
-    cross = np.abs(np.sum(np.conj(sig) * (sig + reception.noise), axis=-1)) ** 2
+    cross = np.abs(np.sum(np.conj(sig) * (sig + noise), axis=-1)) ** 2
     combined = np.where(ns2 > 0, cross / np.where(ns2 > 0, ns2, 1.0), 0.0)
     return combined.sum(axis=(-1, -2))
 
 
-def rsrp_tensor(h_values, beams, k_sub: int, n_t: int) -> DiffTensor:
-    """Differentiable noise-free RSRP (L, U) for one cell's beams.
+def rsrp_tensor(h, beams) -> DiffTensor:
+    """Differentiable noise-free RSRP (C, L, U) of every cell's beams.
 
-    h_values: (U, T, K, N_R, NT); beams: (L, NT) DiffTensor or array.
-    Equals the noiseless measure_rsrp of the same cell.
+    h: (C, U, T, K, N_R, NT); beams: per cell an (L, NT) DiffTensor or
+    array.  Equals measure_rsrp at sigma2 = 0.
     """
-    sig = _beam_signals(h_values, beams, 1.0 / np.sqrt(k_sub * n_t))
-    power = ad.sum_axis(ad.abs2(sig), axis=-1)  # (L, U, T, K)
+    power = ad.sum_axis(ad.abs2(_beam_signals(h, beams)), axis=-1)  # (C, L, U, T, K)
     return ad.sum_axis(ad.sum_axis(power, axis=-1), axis=-1)
 
 

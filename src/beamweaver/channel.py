@@ -127,15 +127,14 @@ def _stream(seed: int, tag: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def array_response(geometry: ArrayGeometry, azimuth, elevation,
-                   polarization: int = 0) -> np.ndarray:
-    """Unit-norm steering vectors for one polarization panel.
+def array_response(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
+    """Unit-norm steering vectors of one polarization panel.
 
+    Panels are co-located, so both polarizations share this phase profile.
     Broadcasts over arrays of angles: returns shape (..., n_x*n_y), where
     ``...`` is the broadcast shape of ``azimuth`` and ``elevation``.
     Element phase: 2*pi*spacing*(n_x*sin(az)*cos(el) + n_y*sin(el)).
     """
-    del polarization  # panels are co-located; phase profile is shared
     az = np.asarray(azimuth, dtype=np.float64)[..., None, None]
     el = np.asarray(elevation, dtype=np.float64)[..., None, None]
     nx = np.arange(geometry.n_x)[:, None]

@@ -1,7 +1,8 @@
 """Command-line interface: channel generation, training, evaluation, compare.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-divergence or failure (a singular matrix or a value outside an op's domain).
+Exit codes: 0 success, 2 configuration or format error (an input whose
+array shapes do not fit among them), 3 I/O error, 4 numerical divergence or
+failure (a singular matrix or a value outside an op's domain).
 Every command is deterministic for a fixed (config, seed), independent of the
 worker count.
 """
@@ -25,7 +26,7 @@ from . import metrics as mx
 from . import nbl
 from .autodiff import Tape
 from .errors import (ConfigError, DivergenceError, DomainError, FormatError,
-                     SingularMatrixError)
+                     ShapeError, SingularMatrixError)
 
 _GEOMETRY_SCHEMA = {
     "type": "object",
@@ -219,7 +220,7 @@ def _exit_codes(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, FormatError) as e:
+        except (ConfigError, FormatError, ShapeError) as e:
             click.echo(f"config error: {e}", err=True)
             sys.exit(2)
         except OSError as e:

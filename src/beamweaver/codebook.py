@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ArrayGeometry
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 
 @dataclass
@@ -75,20 +75,6 @@ class TransformPair:
     @property
     def n_yo(self) -> int:
         return self.u_y.shape[1]
-
-
-@dataclass
-class BeamspaceImage:
-    """Per-beam azimuth x elevation images with embedded feedback scalars.
-
-    images has shape (n_beams * n_pol, N_XO + 1, N_YO + 1).  The interior
-    block [:N_XO, :N_YO] is the beamspace; cell [N_XO, 0] holds the user
-    count of the beam, cell [0, N_YO] the summed RSRP; remaining padding is
-    zero.
-    """
-
-    images: np.ndarray
-    n_pol: int = 1
 
 
 def transform_matrix(n_antenna: int, n_grid: int) -> np.ndarray:
@@ -172,17 +158,14 @@ def build_dft_csirs(geometry: ArrayGeometry, n_cb: int, b_g: int,
     return CsirsCodebook(precoders=precoders, geometry=geometry)
 
 
-def project_analog(beams: np.ndarray, b_phase: int | None, n_elements: int | None = None
-                   ) -> np.ndarray:
+def project_analog(beams: np.ndarray, b_phase: int | None) -> np.ndarray:
     """Constant-modulus projection onto the b_phase-bit phase grid.
 
     b_phase=None means ideal phase shifters: phases kept, magnitudes
     equalized.  Zero entries take phase 0 before quantization.
     """
     beams = np.asarray(beams, dtype=np.complex128)
-    if n_elements is None:
-        n_elements = beams.shape[-1]
-    mag = 1.0 / np.sqrt(n_elements)
+    mag = 1.0 / np.sqrt(beams.shape[-1])
     phase = np.where(beams == 0, 0.0, np.angle(beams))
     if b_phase is not None:
         if b_phase < 1:
@@ -192,61 +175,44 @@ def project_analog(beams: np.ndarray, b_phase: int | None, n_elements: int | Non
     return mag * np.exp(1j * phase)
 
 
-def mat_beam(beam: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Split a beam vector into per-polarization N_X x N_Y matrices (x-major)."""
-    n_pol = 2 if geometry.dual_polarized else 1
-    return beam.reshape(n_pol, geometry.n_x, geometry.n_y)
-
-
 def beamspace_forward(beams: np.ndarray, pair: TransformPair, geometry: ArrayGeometry,
                       beam_counts: np.ndarray | None = None,
-                      beam_rsrp: np.ndarray | None = None) -> BeamspaceImage:
+                      beam_rsrp: np.ndarray | None = None) -> np.ndarray:
     """Beamspace images plus the padded feedback row/column.
 
-    beam_counts[i] / beam_rsrp[i] are the number of users that selected beam
-    i and their summed RSRP; both default to zero (no feedback embedded).
+    Returns (n_beams * n_pol, N_XO + 1, N_YO + 1), image i * n_pol + p
+    holding polarization p of beam i.  The interior [:N_XO, :N_YO] is the
+    beamspace U_x^H mat(f) U_y; cell [N_XO, 0] holds beam_counts[i], the
+    number of users that selected the beam, and cell [0, N_YO] beam_rsrp[i],
+    their summed RSRP.  Both default to zero (no feedback embedded); the
+    rest of the padding is zero.
     """
-    beams = np.asarray(beams, dtype=np.complex128)
-    n_beams = beams.shape[0]
     n_pol = 2 if geometry.dual_polarized else 1
-    counts = np.zeros(n_beams) if beam_counts is None else np.asarray(beam_counts, float)
-    rsrp = np.zeros(n_beams) if beam_rsrp is None else np.asarray(beam_rsrp, float)
-    images = np.zeros((n_beams * n_pol, pair.n_xo + 1, pair.n_yo + 1), dtype=np.complex128)
-    uxh = np.conj(pair.u_x.T)
-    for i in range(n_beams):
-        mats = mat_beam(beams[i], geometry)
-        for p in range(n_pol):
-            img = images[i * n_pol + p]
-            img[:pair.n_xo, :pair.n_yo] = uxh @ mats[p] @ pair.u_y
-            img[pair.n_xo, 0] = counts[i]
-            img[0, pair.n_yo] = rsrp[i]
-    return BeamspaceImage(images=images, n_pol=n_pol)
+    panels = np.asarray(beams, dtype=np.complex128).reshape(-1, geometry.n_x, geometry.n_y)
+    images = np.zeros((panels.shape[0], pair.n_xo + 1, pair.n_yo + 1), dtype=np.complex128)
+    images[:, :pair.n_xo, :pair.n_yo] = np.conj(pair.u_x.T) @ panels @ pair.u_y
+    if beam_counts is not None:
+        images[:, pair.n_xo, 0] = np.repeat(np.asarray(beam_counts, float), n_pol)
+    if beam_rsrp is not None:
+        images[:, 0, pair.n_yo] = np.repeat(np.asarray(beam_rsrp, float), n_pol)
+    return images
 
 
-def beamspace_inverse(image: BeamspaceImage | np.ndarray, pair: TransformPair,
+def beamspace_inverse(interiors: np.ndarray, pair: TransformPair,
                       geometry: ArrayGeometry) -> np.ndarray:
-    """Map beamspace interiors back to beam vectors (pre-projection).
+    """Beam vectors (pre-projection) of beamspace interiors.
 
-    Accepts a BeamspaceImage (padding discarded) or a raw interior array of
-    shape (n_beams * n_pol, N_XO, N_YO).
+    interiors: (n_beams * n_pol, N_XO, N_YO).  Each panel maps back as
+    mat(f) = (U_x^H)^+ I (U_y)^+.
     """
-    if isinstance(image, BeamspaceImage):
-        interiors = image.images[:, :pair.n_xo, :pair.n_yo]
-    else:
-        interiors = np.asarray(image, dtype=np.complex128)
+    interiors = np.asarray(interiors, dtype=np.complex128)
     if interiors.shape[-2:] != (pair.n_xo, pair.n_yo):
         raise ShapeError(f"interior shape {interiors.shape} does not match grid")
     n_pol = 2 if geometry.dual_polarized else 1
     if interiors.shape[0] % n_pol:
         raise ShapeError("image count not divisible by polarization count")
-    n_beams = interiors.shape[0] // n_pol
-    # f_mat = (U_x^H)^+  I  (U_y)^+
-    left = np.conj(pair.u_x_pinv.T)
-    beams = np.empty((n_beams, geometry.n_elements), dtype=np.complex128)
-    for i in range(n_beams):
-        panels = [left @ interiors[i * n_pol + p] @ pair.u_y_pinv for p in range(n_pol)]
-        beams[i] = np.concatenate([m.reshape(-1) for m in panels])
-    return beams
+    panels = np.conj(pair.u_x_pinv.T) @ interiors @ pair.u_y_pinv  # (n_img, N_X, N_Y)
+    return panels.reshape(-1, geometry.n_elements)
 
 
 # ----------------------------- file format -------------------------------
@@ -279,12 +245,28 @@ def save_codebooks(path, ssb: SsbCodebook, csirs: CsirsCodebook) -> None:
 
 
 def load_codebooks(path) -> tuple[SsbCodebook, CsirsCodebook]:
+    """Read a ``save_codebooks`` file.
+
+    Raises FormatError for a file that is not a well-formed document (not
+    JSON, a missing or unknown key, beams that are not finite [re, im] pairs
+    or do not fit the geometry) and ConfigError for another format tag.
+    """
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"codebook file is not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise FormatError("codebook file does not hold a JSON object")
     if doc.get("format") != "beamweaver-codebook-v1":
         raise ConfigError("unrecognized codebook file format")
-    geo = ArrayGeometry(**doc["geometry"])
-    ssb = SsbCodebook(beams=_pairs_to_beams(doc["ssb"]), geometry=geo)
-    precoders = np.stack([_pairs_to_beams(p) for p in doc["csirs"]])
-    csirs = CsirsCodebook(precoders=precoders, geometry=geo)
+    try:
+        geo = ArrayGeometry(**doc["geometry"])
+        ssb = SsbCodebook(beams=_pairs_to_beams(doc["ssb"]), geometry=geo)
+        precoders = np.stack([_pairs_to_beams(p) for p in doc["csirs"]])
+        csirs = CsirsCodebook(precoders=precoders, geometry=geo)
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed codebook file: {e!r}") from None
+    if not (np.isfinite(ssb.beams).all() and np.isfinite(csirs.precoders).all()):
+        raise FormatError("codebook file holds a non-finite beam entry")
     return ssb, csirs

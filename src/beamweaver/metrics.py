@@ -7,6 +7,7 @@ per-user with the drop-level ESSE repeated, serialized to a versioned CSV.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,7 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
         tensor = ch.generate_channels(config, drop_seed)
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
-    reception = bm.ssb_receive(tensor, ssb_books, sigma2, drop_seed)
-    rsrp = bm.measure_rsrp(reception)
+    rsrp = bm.measure_rsrp(hv, [b.beams for b in ssb_books], sigma2, drop_seed)
     report = bm.aggregate_feedback(rsrp)
     sels = [bm.select_csirs_subset(ssb_books[c].beams, csirs_books[c].precoders,
                                    report, c, settings.n_csi) for c in range(c_cells)]
@@ -127,6 +127,14 @@ def read_metrics(path) -> list[dict]:
         return out
 
 
+def _first_esse(rows: list[dict]) -> dict:
+    """Drop -> the ESSE of its first row (the value every row repeats)."""
+    out = {}
+    for r in rows:
+        out.setdefault(r["drop"], r["esse"])
+    return out
+
+
 def compare_metrics(rows_a: list[dict], rows_b: list[dict]) -> dict:
     """Paired deltas of B over A: per-user RSRP, per-drop ESSE, allocations."""
     key = lambda r: (r["drop"], r["user"])
@@ -137,8 +145,9 @@ def compare_metrics(rows_a: list[dict], rows_b: list[dict]) -> dict:
     keys = sorted(a_map)
     rsrp_delta = np.array([b_map[k]["rsrp_dbm"] - a_map[k]["rsrp_dbm"] for k in keys])
     drops = sorted({k[0] for k in keys})
-    esse_a = np.array([next(r["esse"] for r in rows_a if r["drop"] == d) for d in drops])
-    esse_b = np.array([next(r["esse"] for r in rows_b if r["drop"] == d) for d in drops])
+    first_a, first_b = _first_esse(rows_a), _first_esse(rows_b)
+    esse_a = np.array([first_a[d] for d in drops])
+    esse_b = np.array([first_b[d] for d in drops])
     esse_delta = esse_b - esse_a
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(esse_a > 0, esse_b / np.where(esse_a > 0, esse_a, 1.0), np.nan)
@@ -148,9 +157,8 @@ def compare_metrics(rows_a: list[dict], rows_b: list[dict]) -> dict:
     fin = np.isfinite(in_a) & np.isfinite(in_b)
 
     def alloc(rows):
-        cells = sorted({r["cell"] for r in rows})
-        counts = np.array([sum(r["cell"] == c for r in rows) for c in cells], float)
-        return {str(c): float(n / counts.sum()) for c, n in zip(cells, counts)}
+        counts = Counter(r["cell"] for r in rows)
+        return {str(c): counts[c] / len(rows) for c in sorted(counts)}
 
     return {
         "pairs": len(keys),

@@ -61,10 +61,8 @@ class SelectionPin:
 class ForwardResult:
     pred: DiffTensor  # (U,) predicted achievable SE
     best_rsrp: DiffTensor  # (U,) RSRP of the serving beam (differentiable)
-    rsrp: np.ndarray  # (C, L, U) values
     pin: SelectionPin
-    record: bm.SinrRecord
-    rsrp_dt: DiffTensor = None  # (C, L, U) differentiable RSRP
+    rsrp_dt: DiffTensor  # (C, L, U) differentiable RSRP
 
 
 def compute_targets(h: np.ndarray, assoc: np.ndarray, sigma2: float) -> np.ndarray:
@@ -98,8 +96,7 @@ def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
 def _interiors(beams: np.ndarray, pair: cb.TransformPair,
                geometry: ArrayGeometry) -> np.ndarray:
     """(n_beams*n_pol, N_XO, N_YO) beamspace interiors of fixed beams."""
-    img = cb.beamspace_forward(beams, pair, geometry)
-    return img.images[:, :pair.n_xo, :pair.n_yo]
+    return cb.beamspace_forward(beams, pair, geometry)[:, :pair.n_xo, :pair.n_yo]
 
 
 def _csirs_columns(csirs: cb.CsirsCodebook) -> np.ndarray:
@@ -177,14 +174,14 @@ class NeuralGenerator:
     """
 
     def __init__(self, tape: Tape, cells: int, dims: NblDims, n_pol: int = 2,
-                 hidden=(16, 32), seed: int = 0):
+                 seed: int = 0):
         self.cells = cells
         self.dims = dims
         self.n_pol = n_pol
         self._baselines = {}  # ArrayGeometry -> (pair, ssb, csirs interiors)
         self.cin = cells * dims.l_max * n_pol * 2
         self.cout = cells * (dims.l_max + dims.n_cb * dims.b_g) * n_pol * 2
-        h1, h2 = hidden
+        h1, h2 = 16, 32  # encoder widths
         rng = np.random.default_rng(seed)
 
         def init(name, shape, scl):
@@ -282,7 +279,7 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
     codebook tensors compute each cell's beam-precoder correlation once.
     """
     h = np.asarray(h, dtype=np.complex128)
-    c_cells, n_users, t_slots, k_sub, n_rx, n_t = h.shape
+    c_cells, n_users = h.shape[:2]
     # the codebook arrays themselves, before stop_gradient copies them
     books = [(s.value, cs.value) for s, cs in zip(ssb_dt, csirs_dt)]
     if disaggregated_cell is not None:
@@ -290,12 +287,9 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
                   for c, s in enumerate(ssb_dt)]
         csirs_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                     for c, s in enumerate(csirs_dt)]
-    rsrp_parts = [bm.rsrp_tensor(h[c], ssb_dt[c], k_sub, n_t)
-                  for c in range(c_cells)]
-    rsrp = ad.concat([ad.reshape(r, (1,) + r.shape) for r in rsrp_parts], axis=0)
-    rsrp_val = rsrp.value.real
+    rsrp = bm.rsrp_tensor(h, ssb_dt)  # (C, L, U)
     if pin is None:
-        report = bm.aggregate_feedback(rsrp_val, new_user_mask)
+        report = bm.aggregate_feedback(rsrp.value.real, new_user_mask)
         subset_idx = [bm.select_csirs_subset(*books[c], report, c, n_csi,
                                              memo).subset_indices
                       for c in range(c_cells)]
@@ -303,16 +297,13 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
         report, subset_idx = pin.report, pin.subset_indices
     subsets = [ad.take(csirs_dt[c], np.asarray(subset_idx[c]), axis=0)
                for c in range(c_cells)]
-    record = bm.csirs_sinr(h, subsets, report.b, sigma2)
-    record = bm.achievable_se(record)
+    record = bm.achievable_se(bm.csirs_sinr(h, subsets, report.b, sigma2))
     chosen = record.chosen if pin is None else pin.chosen
-    record.chosen = chosen
     pred = ad.select_cells(ad.swapaxes(record.se, 0, 1), chosen)  # (U,)
     flat = ad.reshape(rsrp, (c_cells * report.l_max, n_users))
     best = ad.select_cells(flat, report.b * report.l_max + report.m)
     new_pin = SelectionPin(report=report, subset_indices=subset_idx, chosen=chosen)
-    return ForwardResult(pred=pred, best_rsrp=best, rsrp=rsrp_val,
-                         pin=new_pin, record=record, rsrp_dt=rsrp)
+    return ForwardResult(pred=pred, best_rsrp=best, pin=new_pin, rsrp_dt=rsrp)
 
 
 def e2e_loss(targets: np.ndarray, pred: DiffTensor) -> DiffTensor:
@@ -389,26 +380,23 @@ def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
     feeds the association; each cell's image weights its prior beams by the
     reported user counts and RSRP sums.  Returns (per-cell images, report).
     """
-    c_cells, _, _, k_sub, _, n_t = h.shape
-    rsrp = np.stack([bm.rsrp_tensor(h[c], prior_ssb[c].beams, k_sub, n_t).value.real
-                     for c in range(c_cells)])
+    rsrp = bm.rsrp_tensor(h, [s.beams for s in prior_ssb]).value.real
     report = bm.aggregate_feedback(rsrp, new_user_mask)
-    obsc = [cb.beamspace_forward(prior_ssb[c].beams, pair, geometry,
-                                 report.beam_counts(c), report.beam_rsrp_sums(c)).images
-            for c in range(c_cells)]
+    obsc = [cb.beamspace_forward(s.beams, pair, geometry, report.beam_counts(c),
+                                 report.beam_rsrp_sums(c))
+            for c, s in enumerate(prior_ssb)]
     return obsc, report
 
 
 def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
-                  seed: int, sigma2: float, new_user_prob: float = 0.2,
-                  n_xo: int | None = None, n_yo: int | None = None) -> list:
+                  seed: int, sigma2: float, new_user_prob: float = 0.2) -> list:
     """Monte-Carlo triplets (feedback beamspace, channels, SE targets).
 
     Association and the observed beamspace come from the PRIOR period's SSB
     codebook; users flagged new (prob. ``new_user_prob``) are associated but
     contribute nothing to the beamspace statistics.
     """
-    pair = cb.make_transform_pair(config.geometry, n_xo, n_yo)
+    pair = cb.make_transform_pair(config.geometry)
     samples = []
     for i in range(n_samples):
         drop_seed = seed * 1000003 + i

@@ -5,105 +5,14 @@ import pytest
 from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
 from beamweaver import codebook as cb
-from beamweaver.channel import ArrayGeometry, ChannelTensor
+from beamweaver.channel import ArrayGeometry, ChannelTensor, _stream
 from beamweaver.errors import ConfigError, ShapeError
 
 from conftest import analytic_gradients, assert_grads_match
 
 
-def _scalar_geometry():
-    return ArrayGeometry(n_x=1, n_y=1, dual_polarized=False)
-
-
 def _tensor(values):
     return ChannelTensor(values=np.asarray(values, dtype=np.complex64))
-
-
-# ------------------------------ SSB receive ------------------------------
-
-def test_ssb_receive_trivial_unity():
-    h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
-    ssb = [cb.SsbCodebook(beams=np.ones((1, 1)), geometry=_scalar_geometry())]
-    rec = bm.ssb_receive(h, ssb, sigma2=0.0, seed=0)
-    np.testing.assert_allclose(rec.y.reshape(()), 1.0)
-
-
-def test_ssb_receive_zero_channel():
-    h = _tensor(np.zeros((1, 1, 1, 1, 1, 1)))
-    ssb = [cb.SsbCodebook(beams=np.ones((1, 1)), geometry=_scalar_geometry())]
-    rec = bm.ssb_receive(h, ssb, sigma2=0.0, seed=0)
-    assert not rec.y.any()
-
-
-def test_ssb_interference_in_interferer_column_space():
-    # two cells, NT=1, N_R=2: interference seen from cell 0 must lie along
-    # the other cell's channel column
-    h = np.zeros((2, 1, 1, 1, 2, 1), dtype=np.complex128)
-    h[0, ..., 0] = [1.0, 0.0]
-    h[1, ..., 0] = [0.0, 1.0]
-    ssb = [cb.SsbCodebook(beams=np.ones((1, 1)), geometry=_scalar_geometry())
-           for _ in range(2)]
-    rec = bm.ssb_receive(_tensor(h), ssb, sigma2=0.0, seed=0)
-    intf = rec.interference[0, 0, 0, 0, 0]  # (N_R,) as seen from cell 0
-    col = h[1, 0, 0, 0, :, 0]
-    resid = intf - col * (np.conj(col) @ intf) / (np.conj(col) @ col)
-    assert np.linalg.norm(resid) < 1e-10
-
-
-def test_ssb_receive_codebook_count_mismatch():
-    h = _tensor(np.ones((2, 1, 1, 1, 1, 1)))
-    ssb = [cb.SsbCodebook(beams=np.ones((1, 1)), geometry=_scalar_geometry())]
-    with pytest.raises(ShapeError):
-        bm.ssb_receive(h, ssb, sigma2=0.0, seed=0)
-
-
-# -------------------------------- RSRP -----------------------------------
-
-def test_measure_rsrp_unity():
-    h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
-    ssb = [cb.SsbCodebook(beams=np.ones((1, 1)), geometry=_scalar_geometry())]
-    rec = bm.ssb_receive(h, ssb, sigma2=0.0, seed=0)
-    np.testing.assert_allclose(bm.measure_rsrp(rec), [[[1.0]]])
-
-
-def test_rsrp_quadruples_with_double_gain():
-    h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
-    geo = _scalar_geometry()
-    one = [cb.SsbCodebook(beams=np.ones((1, 1)), geometry=geo)]
-    two = [cb.SsbCodebook(beams=2.0 * np.ones((1, 1)), geometry=geo)]
-    r1 = bm.measure_rsrp(bm.ssb_receive(h, one, 0.0, 0))
-    r2 = bm.measure_rsrp(bm.ssb_receive(h, two, 0.0, 0))
-    np.testing.assert_allclose(r2, 4.0 * r1)
-
-
-def test_matched_beam_maximizes_rsrp():
-    rng = np.random.default_rng(5)
-    geo = ArrayGeometry(n_x=2, n_y=2, dual_polarized=False)
-    hrow = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    h = _tensor(hrow.reshape(1, 1, 1, 1, 1, 4))
-    matched = np.conj(hrow) / np.linalg.norm(hrow)
-    best = bm.measure_rsrp(bm.ssb_receive(
-        h, [cb.SsbCodebook(beams=matched[None], geometry=geo)], 0.0, 0))[0, 0, 0]
-    for _ in range(50):
-        f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        f /= np.linalg.norm(f)
-        r = bm.measure_rsrp(bm.ssb_receive(
-            h, [cb.SsbCodebook(beams=f[None], geometry=geo)], 0.0, 0))[0, 0, 0]
-        assert r <= best + 1e-9
-
-
-def test_rsrp_tensor_matches_noiseless_measure():
-    rng = np.random.default_rng(6)
-    h = (rng.standard_normal((1, 3, 1, 2, 2, 4))
-         + 1j * rng.standard_normal((1, 3, 1, 2, 2, 4)))
-    geo = ArrayGeometry(n_x=2, n_y=2, dual_polarized=False)
-    beams = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    book = [cb.SsbCodebook(beams=beams, geometry=geo)]
-    rec = bm.ssb_receive(_tensor(h), book, sigma2=0.0, seed=0)
-    want = bm.measure_rsrp(rec)[0]  # (L, U)
-    got = bm.rsrp_tensor(np.asarray(_tensor(h).values[0], np.complex128),
-                         beams, k_sub=2, n_t=4).value.real
-    np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def _crandn(rng, *shape):
@@ -115,19 +24,135 @@ def _crandn(rng, *shape):
 _C, _U, _T, _K, _NR, _NT, _L, _NCSI, _BG = 4, 5, 2, 8, 6, 9, 10, 7, 3
 
 
+# ------------------------------ SSB receive ------------------------------
+
+def test_ssb_receive_trivial_unity():
+    h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
+    sig = bm._beam_signals(h, [np.ones((1, 1))]).value
+    np.testing.assert_allclose(sig.reshape(()), 1.0)
+
+
+def test_ssb_receive_zero_channel():
+    # MRC against a zero channel combines nothing, noise included
+    h = _tensor(np.zeros((1, 1, 1, 1, 1, 1)))
+    assert not bm._beam_signals(h, [np.ones((1, 1))]).value.any()
+    assert not bm.measure_rsrp(h, [np.ones((1, 1))], sigma2=1.0, seed=0).any()
+
+
+# both SSB measurements check the codebooks against the channel
+_SSB_MEASURES = [lambda h, beams: bm.measure_rsrp(h, beams, sigma2=0.0, seed=0),
+                 bm.rsrp_tensor]
+
+
+def test_ssb_receive_codebook_count_mismatch():
+    h = _tensor(np.ones((2, 1, 1, 1, 1, 1)))
+    for measure in _SSB_MEASURES:
+        with pytest.raises(ShapeError):
+            measure(h, [np.ones((1, 1))])
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2)], ids=["nt", "l_max"])
+def test_ssb_beam_shape_mismatch(shape):
+    # the second cell's beams have the wrong element count or beam count
+    h = _tensor(np.ones((2, 1, 1, 1, 1, 2)))
+    for measure in _SSB_MEASURES:
+        with pytest.raises(ShapeError):
+            measure(h, [np.ones((1, 2)), np.ones(shape)])
+
+
+def _frozen_ssb_rsrp(h, books, sigma2, seed):
+    """The per-cell SSB sweep plus MRC measurement as first written: one
+    (L, NT) @ (NT, U*T*K*N_R) product per cell, then the drop's noise."""
+    c_cells, n_users, t_slots, k_sub, n_rx, n_t = h.shape
+    l_max = books[0].shape[0]
+    per_cell = np.empty((c_cells, l_max, n_users, t_slots, k_sub, n_rx),
+                        dtype=np.complex128)
+    for c in range(c_cells):
+        prod = books[c] @ h[c].reshape(-1, n_t).T
+        per_cell[c] = prod.reshape((l_max,) + h.shape[1:-1])
+    signal = (1.0 / np.sqrt(k_sub * n_t)) * per_cell
+    rng = _stream(seed, bm._NOISE_TAG, 0)
+    noise = np.sqrt(sigma2 / 2.0) * (
+        rng.standard_normal(signal.shape) + 1j * rng.standard_normal(signal.shape))
+    ns2 = np.sum(np.abs(signal) ** 2, axis=-1)
+    cross = np.abs(np.sum(np.conj(signal) * (signal + noise), axis=-1)) ** 2
+    combined = np.where(ns2 > 0, cross / np.where(ns2 > 0, ns2, 1.0), 0.0)
+    return combined.sum(axis=(-1, -2))
+
+
+def test_noisy_measure_rsrp_matches_frozen_per_cell_sweep():
+    rng = np.random.default_rng(23)
+    h = _crandn(rng, _C, _U, _T, _K, _NR, _NT)
+    books = [_crandn(rng, _L, _NT) for _ in range(_C)]
+    clean = bm.measure_rsrp(h, books, sigma2=0.0, seed=0)
+    sigma2 = 0.5 * float(clean.mean()) / (_T * _K)
+    got = bm.measure_rsrp(h, books, sigma2, seed=31)
+    want = _frozen_ssb_rsrp(h, books, sigma2, seed=31)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert np.abs(got - clean).min() > 1e-6 * clean.max()  # noise was drawn
+
+
+def test_measured_rsrp_ignores_other_cells_beams():
+    # cell-specific DMRS decorrelate the other cells' sweeps
+    rng = np.random.default_rng(24)
+    h = _crandn(rng, 2, 3, 1, 2, 2, 4)
+    books = [_crandn(rng, 3, 4) for _ in range(2)]
+    a = bm.measure_rsrp(h, books, sigma2=0.2, seed=5)
+    b = bm.measure_rsrp(h, [books[0], 2.0 * books[1]], sigma2=0.2, seed=5)
+    np.testing.assert_array_equal(a[0], b[0])
+
+
+# -------------------------------- RSRP -----------------------------------
+
+def test_measure_rsrp_unity():
+    h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
+    np.testing.assert_allclose(bm.measure_rsrp(h, [np.ones((1, 1))], 0.0, 0),
+                               [[[1.0]]])
+
+
+def test_rsrp_quadruples_with_double_gain():
+    h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
+    r1 = bm.measure_rsrp(h, [np.ones((1, 1))], 0.0, 0)
+    r2 = bm.measure_rsrp(h, [2.0 * np.ones((1, 1))], 0.0, 0)
+    np.testing.assert_allclose(r2, 4.0 * r1)
+
+
+def test_matched_beam_maximizes_rsrp():
+    rng = np.random.default_rng(5)
+    hrow = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    h = _tensor(hrow.reshape(1, 1, 1, 1, 1, 4))
+    matched = np.conj(hrow) / np.linalg.norm(hrow)
+    best = bm.measure_rsrp(h, [matched[None]], 0.0, 0)[0, 0, 0]
+    for _ in range(50):
+        f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        f /= np.linalg.norm(f)
+        r = bm.measure_rsrp(h, [f[None]], 0.0, 0)[0, 0, 0]
+        assert r <= best + 1e-9
+
+
+def test_rsrp_tensor_matches_noiseless_measure():
+    rng = np.random.default_rng(6)
+    h = _crandn(rng, 2, 3, 1, 2, 2, 4)
+    books = [_crandn(rng, 2, 4) for _ in range(2)]
+    want = bm.measure_rsrp(_tensor(h), books, sigma2=0.0, seed=0)  # (C, L, U)
+    got = bm.rsrp_tensor(_tensor(h), books).value.real
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 def test_rsrp_tensor_matches_per_element_loop():
     rng = np.random.default_rng(17)
-    h = _crandn(rng, _U, _T, _K, _NR, _NT)
-    beams = _crandn(rng, _L, _NT)
-    want = np.zeros((_L, _U))
-    for l in range(_L):
-        for u in range(_U):
-            for t in range(_T):
-                for k in range(_K):
-                    want[l, u] += np.sum(np.abs(h[u, t, k] @ beams[l]) ** 2)
+    h = _crandn(rng, _C, _U, _T, _K, _NR, _NT)
+    books = [_crandn(rng, _L, _NT) for _ in range(_C)]
+    want = np.zeros((_C, _L, _U))
+    for c in range(_C):
+        for l in range(_L):
+            for u in range(_U):
+                for t in range(_T):
+                    for k in range(_K):
+                        want[c, l, u] += np.sum(np.abs(h[c, u, t, k] @ books[c][l]) ** 2)
     want /= _K * _NT
-    got = bm.rsrp_tensor(h, beams, k_sub=_K, n_t=_NT).value
-    np.testing.assert_allclose(got, want, rtol=1e-10)
+    got = bm.rsrp_tensor(h, books).value
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 # ----------------------------- feedback ----------------------------------

@@ -11,8 +11,10 @@ from beamweaver import channel as ch
 from beamweaver import cli
 from beamweaver import codebook as cbk
 from beamweaver import metrics as mx
+from beamweaver import nbl
+from beamweaver.autodiff import Tape
 from beamweaver.errors import (ConfigError, DivergenceError, DomainError, FormatError,
-                               SingularMatrixError)
+                               ShapeError, SingularMatrixError)
 
 
 def _config_doc(**extra):
@@ -48,7 +50,7 @@ def _run(*args):
 
 def test_exit_code_mapping():
     for exc, code in ((ConfigError("x"), 2), (FormatError("x"), 2),
-                      (OSError("x"), 3), (DivergenceError("x"), 4),
+                      (ShapeError("x"), 2), (OSError("x"), 3), (DivergenceError("x"), 4),
                       (SingularMatrixError("x"), 4), (DomainError("x"), 4)):
         @cli._exit_codes
         def boom(e=exc):
@@ -178,6 +180,74 @@ def test_codebook_file_for_another_config_is_a_config_error(cfg, tmp_path, sizin
     key = next(iter(sizing))
     assert res.output.startswith(f"config error: codebook file is built for {key}=")
     assert res.output.count("\n") == 1
+
+
+def _malformed(doc):
+    """A valid codebook document for the test config, edited by ``doc``."""
+    def build(path):
+        _codebook_file(path)
+        if callable(doc):
+            path.write_text(json.dumps(doc(json.loads(path.read_text()))))
+        else:
+            path.write_text(doc)
+    return build
+
+
+def _unknown_geometry_key(doc):
+    doc["geometry"]["n_z"] = 2
+    return doc
+
+
+def _short_beams(doc):
+    doc["ssb"] = [row[:-1] for row in doc["ssb"]]
+    return doc
+
+
+def _nan_in_csirs(doc):
+    doc["csirs"][0][0][0] = [float("nan"), 0.0]
+    return doc
+
+
+@pytest.mark.parametrize("build", [
+    _malformed('{"format": "beamweaver-codebook-v1", "ssb": []}'),
+    _malformed(_unknown_geometry_key),
+    _malformed("[1, 2, 3]"),
+    _malformed(lambda doc: {**doc, "ssb": "x"}),
+    _malformed("not json at all"),
+    _malformed(_short_beams),
+    _malformed(_nan_in_csirs),
+], ids=["no-geometry", "unknown-geometry-key", "top-level-list", "ssb-string",
+        "not-json", "beams-off-geometry", "nan-entry"])
+def test_malformed_codebook_file_is_a_format_error(cfg, tmp_path, build):
+    book = tmp_path / "book.json"
+    build(book)
+    with pytest.raises(FormatError):
+        cbk.load_codebooks(book)
+    res = _run("evaluate", "--config", cfg, "--out", tmp_path / "ev",
+               "--codebook", f"file:{book}", "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: ")
+    assert "Traceback" not in res.output
+
+
+def test_checkpoint_with_a_misshapen_parameter_is_a_config_error(tmp_path):
+    # the metadata fits the config, but ssb0 lost a beamspace row
+    doc = _config_doc()
+    config, dims = cli.scenario_from(doc), cli.dims_from(doc)
+    tape = Tape()
+    nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims)
+    tape.parameters["ssb0"].value = tape.parameters["ssb0"].value[:, :3, :]
+    ckpt = tmp_path / "cropped.bmck"
+    nbl.save_checkpoint(ckpt, tape,
+                        meta=cli._checkpoint_meta("nbl-direct", config, dims))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    res = _run("evaluate", "--config", path, "--out", tmp_path / "ev",
+               "--codebook", "nbl-direct", "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: inner dimensions mismatch")
 
 
 def test_missing_config_file(tmp_path):

@@ -105,9 +105,9 @@ def test_csirs_infeasible_size():
 # ---------------------------- analog projection --------------------------
 
 def test_project_analog_tie_toward_smaller_phase():
-    beams = np.array([[0.3 * np.exp(1j * np.pi / 3)]])
-    out = cb.project_analog(beams, b_phase=1, n_elements=16)
-    np.testing.assert_allclose(out, [[0.25]], atol=1e-12)  # phase snaps to 0
+    beams = np.full((1, 16), 0.3 * np.exp(1j * np.pi / 3))
+    out = cb.project_analog(beams, b_phase=1)
+    np.testing.assert_allclose(out, np.full((1, 16), 0.25), atol=1e-12)  # phase snaps to 0
 
 
 def test_project_analog_infinite_bits():
@@ -143,8 +143,7 @@ def test_dft_beams_map_to_one_hot():
     geo = _geo(4, 4)
     pair = cb.make_transform_pair(geo)
     book = cb.build_dft_ssb(geo, l_max=8, elevation_window=FULL)
-    img = cb.beamspace_forward(book.beams, pair, geo)
-    interiors = img.images[:, :4, :4]
+    interiors = cb.beamspace_forward(book.beams, pair, geo)[:, :4, :4]
     for interior in interiors:
         mags = np.sort(np.abs(interior).reshape(-1))
         assert mags[-1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
@@ -157,9 +156,9 @@ def test_beamspace_padding_layout():
     beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL).beams
     img = cb.beamspace_forward(beams, pair, geo, beam_counts=[3, 0],
                                beam_rsrp=[1.5, 0.0])
-    assert img.images[0][2, 0] == 3.0 and img.images[0][0, 2] == 1.5
-    assert img.images[0][2, 1] == 0.0 and img.images[0][2, 2] == 0.0
-    assert img.images[1][2, 0] == 0.0 and img.images[1][0, 2] == 0.0
+    assert img[0][2, 0] == 3.0 and img[0][0, 2] == 1.5
+    assert img[0][2, 1] == 0.0 and img[0][2, 2] == 0.0
+    assert img[1][2, 0] == 0.0 and img[1][0, 2] == 0.0
 
 
 def test_beamspace_zero_users_padding_zero():
@@ -167,7 +166,7 @@ def test_beamspace_zero_users_padding_zero():
     pair = cb.make_transform_pair(geo)
     beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL).beams
     img = cb.beamspace_forward(beams, pair, geo)
-    assert not img.images[:, 2, :].any() and not img.images[:, :, 2].any()
+    assert not img[:, 2, :].any() and not img[:, :, 2].any()
 
 
 def test_beamspace_rsrp_scaling_linearity():
@@ -176,8 +175,8 @@ def test_beamspace_rsrp_scaling_linearity():
     beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL).beams
     a = cb.beamspace_forward(beams, pair, geo, beam_counts=[1, 1], beam_rsrp=[2.0, 3.0])
     b = cb.beamspace_forward(beams, pair, geo, beam_counts=[1, 1], beam_rsrp=[4.0, 6.0])
-    np.testing.assert_allclose(b.images[:, 0, 2], 2.0 * a.images[:, 0, 2])
-    np.testing.assert_allclose(b.images[:, :2, :2], a.images[:, :2, :2])
+    np.testing.assert_allclose(b[:, 0, 2], 2.0 * a[:, 0, 2])
+    np.testing.assert_allclose(b[:, :2, :2], a[:, :2, :2])
 
 
 def test_beamspace_forward_linearity():
@@ -186,10 +185,52 @@ def test_beamspace_forward_linearity():
     rng = np.random.default_rng(7)
     f = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     g = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    lhs = cb.beamspace_forward(2.0 * f + 3.0j * g, pair, geo).images[:, :3, :2]
-    rhs = (2.0 * cb.beamspace_forward(f, pair, geo).images[:, :3, :2]
-           + 3.0j * cb.beamspace_forward(g, pair, geo).images[:, :3, :2])
+    lhs = cb.beamspace_forward(2.0 * f + 3.0j * g, pair, geo)[:, :3, :2]
+    rhs = (2.0 * cb.beamspace_forward(f, pair, geo)[:, :3, :2]
+           + 3.0j * cb.beamspace_forward(g, pair, geo)[:, :3, :2])
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def _frozen_beamspace_forward(beams, pair, geometry, counts, rsrp):
+    """The per-beam, per-polarization image loop as first written."""
+    n_pol = 2 if geometry.dual_polarized else 1
+    images = np.zeros((len(beams) * n_pol, pair.n_xo + 1, pair.n_yo + 1),
+                      dtype=np.complex128)
+    uxh = np.conj(pair.u_x.T)
+    for i in range(len(beams)):
+        mats = beams[i].reshape(n_pol, geometry.n_x, geometry.n_y)
+        for p in range(n_pol):
+            img = images[i * n_pol + p]
+            img[:pair.n_xo, :pair.n_yo] = uxh @ mats[p] @ pair.u_y
+            img[pair.n_xo, 0] = counts[i]
+            img[0, pair.n_yo] = rsrp[i]
+    return images
+
+
+def _frozen_beamspace_inverse(interiors, pair, geometry):
+    n_pol = 2 if geometry.dual_polarized else 1
+    left = np.conj(pair.u_x_pinv.T)
+    beams = []
+    for i in range(len(interiors) // n_pol):
+        panels = [left @ interiors[i * n_pol + p] @ pair.u_y_pinv for p in range(n_pol)]
+        beams.append(np.concatenate([m.reshape(-1) for m in panels]))
+    return np.array(beams)
+
+
+def test_beamspace_maps_match_frozen_per_beam_loops():
+    # dual-pol, non-square oversampled grid, feedback in the padding
+    geo = _geo(4, 2, dual=True)
+    pair = cb.make_transform_pair(geo, n_xo=8, n_yo=3)
+    rng = np.random.default_rng(11)
+    beams = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+    counts, rsrp = rng.integers(0, 4, 5), rng.random(5)
+    got = cb.beamspace_forward(beams, pair, geo, counts, rsrp)
+    want = _frozen_beamspace_forward(beams, pair, geo, counts, rsrp)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    interiors = got[:, :8, :3]
+    np.testing.assert_allclose(cb.beamspace_inverse(interiors, pair, geo),
+                               _frozen_beamspace_inverse(interiors, pair, geo),
+                               rtol=1e-13, atol=0)
 
 
 def test_round_trip_critical_sampling():
@@ -198,7 +239,7 @@ def test_round_trip_critical_sampling():
     rng = np.random.default_rng(3)
     beams = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
     img = cb.beamspace_forward(beams, pair, geo)
-    back = cb.beamspace_inverse(img, pair, geo)
+    back = cb.beamspace_inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-9
 
 
@@ -208,7 +249,7 @@ def test_round_trip_oversampled_grid_beams():
     beams = np.stack([cb._grid_beam(pair.u_x, pair.u_y, kx, ky, geo)
                       for kx, ky in [(0, 0), (3, 1), (7, 3)]])
     img = cb.beamspace_forward(beams, pair, geo)
-    back = cb.beamspace_inverse(img, pair, geo)
+    back = cb.beamspace_inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-8
 
 
