@@ -107,7 +107,10 @@ def measure_rsrp(h, beams, sigma2: float, seed: int) -> np.ndarray:
         rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape))
     ns2 = np.sum(np.abs(sig) ** 2, axis=-1)
     cross = np.abs(np.sum(np.conj(sig) * (sig + noise), axis=-1)) ** 2
-    combined = np.where(ns2 > 0, cross / np.where(ns2 > 0, ns2, 1.0), 0.0)
+    # only an exactly zero signal scores 0; a non-finite one stays non-finite
+    # so that aggregate_feedback rejects it
+    zero = ns2 == 0
+    combined = np.where(zero, 0.0, cross / np.where(zero, 1.0, ns2))
     return combined.sum(axis=(-1, -2))
 
 
@@ -192,8 +195,8 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
 
     ``memo``, a dict the caller creates and drops, shares the beam-precoder
     correlation between calls on the same two array objects (the drops of
-    one training step that use the same codebooks).  The arrays must not be
-    edited in place while it lives.
+    one training step, or the cells of one evaluation drop, that use the
+    same codebooks).  The arrays must not be edited in place while it lives.
     """
     n_cb = precoders.shape[0]
     if n_csi > n_cb:
@@ -234,14 +237,15 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     if len(subsets) != c_cells:
         raise ShapeError("one precoder subset required per cell")
     assoc = np.asarray(assoc, dtype=np.intp)
-    h_rows = hv.reshape(c_cells, -1, n_t)  # (C, U*T*K*N_R, NT)
-    g_cells = []
-    for c in range(c_cells):
-        bc = ad.as_tensor(subsets[c])  # (N_CSI, NT, B_g)
-        prod = ad.matmul(ad.constant(h_rows[c]), bc)  # (N_CSI, U*T*K*N_R, B_g)
-        n_csi, _, b_g = prod.shape
-        g_cells.append(ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g)))
-    x = ad.concat(g_cells, axis=-1)  # (N_CSI, U, T, K, N_R, C*B_g)
+    n_csi, _, b_g = subsets[0].shape
+    # every cell's subset as one (C, NT, N_CSI*B_g) stack, so one GEMM forms
+    # all received signals; then one swap to (N_CSI, U, T, K, N_R, C*B_g)
+    stacked = ad.concat([ad.reshape(s, (1, n_csi, n_t, b_g)) for s in subsets], axis=0)
+    cols = ad.reshape(ad.swapaxes(stacked, 1, 2), (c_cells, n_t, n_csi * b_g))
+    prod = ad.matmul(ad.constant(hv.reshape(c_cells, -1, n_t)), cols)
+    g = ad.reshape(prod, (c_cells, n_users, t_slots, k_sub, n_rx, n_csi, b_g))
+    x = ad.reshape(ad.swapaxes(g, 0, 5), (n_csi, n_users, t_slots, k_sub, n_rx,
+                                          c_cells * b_g))
     own = (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]  # (U, 1, 1, B_g)
     sinr = ad.lmmse_sinr(x, own, sigma2)  # (N_CSI, U, T, K, B_g)
     return SinrRecord(sinr=ad.swapaxes(sinr, 0, 1))  # (U, N_CSI, T, K, B_g)

@@ -133,17 +133,16 @@ def array_response(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     Panels are co-located, so both polarizations share this phase profile.
     Broadcasts over arrays of angles: returns shape (..., n_x*n_y), where
     ``...`` is the broadcast shape of ``azimuth`` and ``elevation``.
-    Element phase: 2*pi*spacing*(n_x*sin(az)*cos(el) + n_y*sin(el)).
+    Element phase: 2*pi*spacing*(n_x*sin(az)*cos(el) + n_y*sin(el)), so the
+    response is the outer product of an n_x and an n_y phase vector.
     """
-    az = np.asarray(azimuth, dtype=np.float64)[..., None, None]
-    el = np.asarray(elevation, dtype=np.float64)[..., None, None]
-    nx = np.arange(geometry.n_x)[:, None]
-    ny = np.arange(geometry.n_y)[None, :]
-    px = nx * np.sin(az) * np.cos(el)
-    py = ny * np.sin(el)
-    phase = 2.0 * np.pi * geometry.element_spacing * (px + py)
-    a = np.exp(1j * phase) / np.sqrt(geometry.n_panel)
+    az = np.asarray(azimuth, dtype=np.float64)[..., None]
+    el = np.asarray(elevation, dtype=np.float64)[..., None]
+    k = 2.0 * np.pi * geometry.element_spacing
+    ax = np.exp(1j * k * np.arange(geometry.n_x) * (np.sin(az) * np.cos(el)))
+    ay = np.exp(1j * k * np.arange(geometry.n_y) * np.sin(el)) / np.sqrt(geometry.n_panel)
     # x-major: element index n = n_x * N_Y + n_y
+    a = ax[..., :, None] * ay[..., None, :]
     return a.reshape(a.shape[:-2] + (geometry.n_panel,))
 
 
@@ -190,97 +189,119 @@ def draw_user_count(config: ScenarioConfig, seed: int) -> int:
 
 
 def _link_geometry(config: ScenarioConfig, cell: int, pos_xy: np.ndarray):
-    """Distance, azimuth and elevation of a user seen from a cell.
+    """Distance, azimuth and elevation of users seen from a cell.
 
+    pos_xy: (..., 2) user positions; returns three arrays of shape (...).
     Azimuth is measured in the cell's local frame with boresight pointing at
     the scene center (the origin).
     """
     cx, cy = config.cell_positions[cell]
-    dx, dy = pos_xy[0] - cx, pos_xy[1] - cy
+    dx, dy = pos_xy[..., 0] - cx, pos_xy[..., 1] - cy
     dz = config.ue_height - config.cell_height
-    dist = float(np.sqrt(dx * dx + dy * dy + dz * dz))
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     boresight = np.arctan2(-cy, -cx) if (cx, cy) != (0.0, 0.0) else 0.0
-    az = float(np.arctan2(dy, dx) - boresight)
-    az = float(np.arctan2(np.sin(az), np.cos(az)))  # wrap to [-pi, pi]
-    el = float(np.arcsin(dz / max(dist, 1e-9)))
+    az = np.arctan2(dy, dx) - boresight
+    az = np.arctan2(np.sin(az), np.cos(az))  # wrap to [-pi, pi]
+    el = np.arcsin(dz / np.maximum(dist, 1e-9))
     return dist, az, el
 
 
-def _synthesize_link(config: ScenarioConfig, seed: int, cell: int, user: int,
-                     pos_xy: np.ndarray) -> np.ndarray:
-    """Channel slab (K, N_R, NT) for one (cell, user) link, complex128."""
-    geo = config.geometry
-    k_count = config.k_subcarriers
-    if config.cluster_count == 0 or config.rays_per_cluster == 0:
-        return np.zeros((k_count, config.n_rx, geo.n_elements), dtype=np.complex128)
+def _link_draws(config: ScenarioConfig, seed: int, cell: int, n_users: int):
+    """Every random draw of one cell's links, each link from its own stream.
 
-    rng = _stream(seed, _TAG_LINK, cell, user)
-    dist, los_az, los_el = _link_geometry(config, cell, pos_xy)
+    Per link, in stream order: the shadowing, then per cluster its delay,
+    shadowing, TX azimuth and elevation offsets, an unused AoA azimuth and
+    its RX elevation offset, then per cluster the 7 * n_ray standard normals
+    of its rays: TX azimuth, TX elevation and RX elevation offsets, then the
+    real and imaginary gain parts of each polarization.  Both polarizations'
+    gains are drawn even for a single-polarized array.  Returns the
+    shadowing (U,), the cluster draws (U, 5, n_cl) without the AoA azimuth,
+    and the ray normals (U, n_cl, 7, n_ray).
+    """
+    n_cl, n_ray = config.cluster_count, config.rays_per_cluster
+    spread = np.deg2rad(config.angle_spread_deg)
+    shadow = np.empty(n_users)
+    clusters = np.empty((n_users, 5, n_cl))
+    rays = np.empty((n_users, n_cl, 7, n_ray))
+    for u in range(n_users):
+        rng = _stream(seed, _TAG_LINK, cell, u)
+        shadow[u] = rng.normal(scale=config.shadowing_sigma_dB)
+        clusters[u, 0] = rng.exponential(config.delay_spread, size=n_cl)
+        clusters[u, 1] = rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl)
+        clusters[u, 2] = rng.laplace(scale=spread, size=n_cl)
+        clusters[u, 3] = rng.laplace(scale=spread / 2.0, size=n_cl)
+        rng.uniform(-np.pi, np.pi, size=n_cl)
+        clusters[u, 4] = rng.normal(scale=spread, size=n_cl)
+        rng.standard_normal(out=rays[u])
+    return shadow, clusters, rays
+
+
+def _synthesize_cell(config: ScenarioConfig, seed: int, cell: int,
+                     pos: np.ndarray) -> np.ndarray:
+    """Channel slabs (U, K, N_R, NT) of one cell's links, complex128."""
+    geo = config.geometry
+    n_users, k_count = len(pos), config.k_subcarriers
+    n_cl, n_ray = config.cluster_count, config.rays_per_cluster
+    n_pol = 2 if geo.dual_polarized else 1
+    spread = np.deg2rad(config.angle_spread_deg)
+    shadow, clusters, rays = _link_draws(config, seed, cell, n_users)
+    dist, los_az, los_el = _link_geometry(config, cell, pos)
 
     # log-distance pathloss, free-space intercept at 1 m, plus shadowing
     fspl_1m = 20.0 * np.log10(geo.carrier_frequency) - 147.55
-    pl_db = fspl_1m + 10.0 * config.pathloss_exponent * np.log10(max(dist, 1.0))
-    pl_db += rng.normal(scale=config.shadowing_sigma_dB)
-    amp = 10.0 ** ((config.tx_power_dBm - pl_db) / 20.0)
+    pl_db = fspl_1m + 10.0 * config.pathloss_exponent * np.log10(np.maximum(dist, 1.0))
+    pl_db += shadow
+    amp = 10.0 ** ((config.tx_power_dBm - pl_db) / 20.0)  # (U,)
 
-    n_cl, n_ray = config.cluster_count, config.rays_per_cluster
-    spread = np.deg2rad(config.angle_spread_deg)
-
-    delays = np.sort(rng.exponential(config.delay_spread, size=n_cl))
+    delays = np.sort(clusters[:, 0], axis=-1)  # (U, n_cl)
     cl_power = np.exp(-delays / config.delay_spread)
-    cl_power *= 10.0 ** (rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl) / 10.0)
-    cl_power /= cl_power.sum()
-    cl_az = los_az + rng.laplace(scale=spread, size=n_cl)
-    cl_el = los_el + rng.laplace(scale=spread / 2.0, size=n_cl)
-    cl_aoa_az = rng.uniform(-np.pi, np.pi, size=n_cl)
-    cl_aoa_el = -cl_el + rng.normal(scale=spread, size=n_cl)
+    cl_power *= 10.0 ** (clusters[:, 1] / 10.0)
+    cl_power /= cl_power.sum(axis=-1, keepdims=True)
+    cl_az = los_az[:, None] + clusters[:, 2]
+    cl_el = los_el[:, None] + clusters[:, 3]
+    cl_aoa_el = -cl_el + clusters[:, 4]
 
-    # per-ray draws, cluster by cluster (this order fixes the RNG stream);
-    # both polarizations' gains are drawn even for a single-polarized array
-    n_pol = 2 if geo.dual_polarized else 1
-    ray_az = np.empty((n_cl, n_ray))
-    ray_el = np.empty((n_cl, n_ray))
-    ray_aoa = np.empty((n_cl, n_ray))
-    gains = np.empty((n_cl, n_ray, 2), dtype=np.complex128)
-    for c in range(n_cl):
-        ray_az[c] = cl_az[c] + rng.normal(scale=spread / 5.0, size=n_ray)
-        ray_el[c] = cl_el[c] + rng.normal(scale=spread / 10.0, size=n_ray)
-        ray_aoa[c] = cl_aoa_el[c] + rng.normal(scale=spread / 5.0, size=n_ray)
-        sigma = np.sqrt(cl_power[c] / (n_pol * n_ray))
-        for p in range(2):
-            gains[c, :, p] = sigma * (rng.normal(size=n_ray)
-                                      + 1j * rng.normal(size=n_ray)) / np.sqrt(2.0)
+    # per-ray angles (U, n_cl, n_ray) and gains (U, n_cl, n_pol, n_ray)
+    ray_az = cl_az[..., None] + spread / 5.0 * rays[:, :, 0]
+    ray_el = cl_el[..., None] + spread / 10.0 * rays[:, :, 1]
+    ray_aoa = cl_aoa_el[..., None] + spread / 5.0 * rays[:, :, 2]
+    sigma = np.sqrt(cl_power / (n_pol * n_ray))[..., None, None]
+    gains = sigma * (rays[:, :, 3:3 + 2 * n_pol:2]
+                     + 1j * rays[:, :, 4:4 + 2 * n_pol:2]) / np.sqrt(2.0)
 
-    # conjugated TX rows (n_cl, n_ray, NT), polarization-major, and RX vectors
-    a_tx = np.conj(array_response(geo, ray_az, ray_el))
-    tx = (gains[:, :, :n_pol, None] * a_tx[:, :, None, :]).reshape(n_cl, n_ray, -1)
-    a_rx = ue_array_response(config.n_rx, ray_aoa)
     # the subcarrier phasor depends only on the cluster, so sum each cluster's
-    # rays first: H[k] = sum_c phase[k, c] * (A_rx,c^T TX_c)
-    per_cluster = np.swapaxes(a_rx, 1, 2) @ tx  # (n_cl, N_R, NT)
+    # rays first: per polarization, (gain-weighted RX vectors)^T @ conj(TX)
+    a_rx = ue_array_response(config.n_rx, ray_aoa)  # (U, n_cl, n_ray, N_R)
+    weights = gains[:, :, None, :, :] * np.swapaxes(a_rx, -1, -2)[:, :, :, None, :]
+    a_tx = np.conj(array_response(geo, ray_az, ray_el))  # (U, n_cl, n_ray, n_panel)
+    per_cluster = (weights @ a_tx[:, :, None]).reshape(
+        n_users, n_cl, config.n_rx * geo.n_elements)
 
     # baseband subcarrier offsets across the sampled grid
     f_k = (np.arange(k_count) - k_count / 2.0) * (config.bandwidth / max(k_count, 1))
-    phase = amp * np.exp(-2j * np.pi * f_k[:, None] * delays)  # (K, n_cl)
-    slab = phase @ per_cluster.reshape(n_cl, -1)
-    return slab.reshape(k_count, config.n_rx, geo.n_elements)
+    phase = amp[:, None, None] * np.exp(-2j * np.pi * f_k[:, None] * delays[:, None, :])
+    slab = phase @ per_cluster  # (U, K, N_R * NT), polarization-major TX
+    return slab.reshape(n_users, k_count, config.n_rx, geo.n_elements)
 
 
 def generate_channels(config: ScenarioConfig, seed: int,
                       n_users: int | None = None) -> ChannelTensor:
-    """Synthesize the full (C, U, T, K, N_R, NT) channel tensor."""
+    """Synthesize the full (C, U, T, K, N_R, NT) channel tensor.
+
+    Links draw from their own streams; the arithmetic runs one cell at a time
+    over all of that cell's links, which bounds the working set to one cell.
+    """
     if n_users is None:
         n_users = draw_user_count(config, seed)
     pos = user_positions(config, seed, n_users)
     geo = config.geometry
     shape = (config.c_cells, n_users, config.t_slots, config.k_subcarriers,
              config.n_rx, geo.n_elements)
-    h = np.empty(shape, dtype=np.complex64)
-    for c in range(config.c_cells):
-        for u in range(n_users):
-            slab = _synthesize_link(config, seed, c, u, pos[u])
+    h = np.zeros(shape, dtype=np.complex64)
+    if config.cluster_count and config.rays_per_cluster:
+        for c in range(config.c_cells):
             # block-constant over the period: one cast, broadcast across T
-            h[c, u] = slab.astype(np.complex64)
+            h[c] = _synthesize_cell(config, seed, c, pos)[:, None]
     return ChannelTensor(values=h, scenario_id=f"scene{config.scene_seed}", seed=seed)
 
 

@@ -55,8 +55,10 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
     rsrp = bm.measure_rsrp(hv, [b.beams for b in ssb_books], sigma2, drop_seed)
     report = bm.aggregate_feedback(rsrp)
+    memo = {}  # cells that share codebook arrays share their correlation
     sels = [bm.select_csirs_subset(ssb_books[c].beams, csirs_books[c].precoders,
-                                   report, c, settings.n_csi) for c in range(c_cells)]
+                                   report, c, settings.n_csi, memo)
+            for c in range(c_cells)]
     subsets = [csirs_books[c].precoders[sels[c].subset_indices]
                for c in range(c_cells)]
     record = bm.achievable_se(bm.csirs_sinr(hv, subsets, report.b, sigma2))

@@ -586,4 +586,8 @@ def load_checkpoint(path) -> tuple[Tape, Adam, dict]:
                 opt.v[name] = np.frombuffer(_read_exact(f, 8 * count),
                                             dtype=np.float64).reshape(shape).copy()
         (opt.step_count,) = _unpack(f, "<Q")
+    arrays = [p.value for p in tape.parameters.values()]
+    arrays += list(opt.m.values()) + list(opt.v.values())
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FormatError("checkpoint holds a non-finite parameter or moment")
     return tape, opt, meta

@@ -110,6 +110,19 @@ def test_measure_rsrp_unity():
                                [[[1.0]]])
 
 
+def test_nonfinite_beam_reaches_the_feedback_check():
+    # a NaN beam entry measures a NaN RSRP, not 0, so feedback refuses it
+    rng = np.random.default_rng(9)
+    h = _crandn(rng, 2, 3, 1, 2, 2, 4)
+    books = [_crandn(rng, 3, 4) for _ in range(2)]
+    books[1][0, 2] = np.nan
+    rsrp = bm.measure_rsrp(h, books, sigma2=0.1, seed=4)
+    assert np.isnan(rsrp[1, 0]).all()
+    assert np.isfinite(rsrp[0]).all() and np.isfinite(rsrp[1, 1:]).all()
+    with pytest.raises(ConfigError):
+        bm.aggregate_feedback(rsrp)
+
+
 def test_rsrp_quadruples_with_double_gain():
     h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
     r1 = bm.measure_rsrp(h, [np.ones((1, 1))], 0.0, 0)
@@ -348,6 +361,64 @@ def test_csirs_sinr_gradients_match_finite_differences(n_rx, disaggregated):
         assert not analytic_gradients(loss, subsets)[1].any()
     else:
         assert_grads_match(loss, subsets)
+
+
+# Frozen reference: the per-cell CSI-RS product, N_CSI thin GEMMs per cell
+# joined by a concat, that the one all-cell GEMM replaced.
+
+def _frozen_per_cell_csirs_sinr(h, subsets, assoc, sigma2):
+    hv = np.asarray(h, dtype=np.complex128)
+    c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
+    assoc = np.asarray(assoc, dtype=np.intp)
+    h_rows = hv.reshape(c_cells, -1, n_t)  # (C, U*T*K*N_R, NT)
+    g_cells = []
+    for c in range(c_cells):
+        bc = ad.as_tensor(subsets[c])  # (N_CSI, NT, B_g)
+        prod = ad.matmul(ad.constant(h_rows[c]), bc)  # (N_CSI, U*T*K*N_R, B_g)
+        n_csi, _, b_g = prod.shape
+        g_cells.append(ad.reshape(prod, (n_csi, n_users, t_slots, k_sub, n_rx, b_g)))
+    x = ad.concat(g_cells, axis=-1)  # (N_CSI, U, T, K, N_R, C*B_g)
+    own = (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]
+    return ad.swapaxes(ad.lmmse_sinr(x, own, sigma2), 0, 1)
+
+
+@pytest.mark.parametrize("c_cells,b_g", [(_C, _BG), (1, _BG), (3, 1), (1, 1)])
+def test_csirs_sinr_matches_frozen_per_cell_product(c_cells, b_g):
+    rng = np.random.default_rng(60 + 10 * c_cells + b_g)
+    n_rx = 2 * b_g  # keeps N_R <= C * B_g, the solve the CSI-RS stage uses
+    h = _crandn(rng, c_cells, _U, _T, _K, n_rx, _NT)
+    subsets = [_crandn(rng, _NCSI, _NT, b_g) for _ in range(c_cells)]
+    assoc = rng.integers(0, c_cells, size=_U)
+    weights = rng.uniform(0.5, 1.5, size=(_U, _NCSI, _T, _K, b_g))
+    frozen = c_cells - 1  # held fixed by stop_gradient, as a disaggregated step does
+
+    def run(sinr_fn):
+        tape = ad.Tape()
+        params = [tape.parameter(f"b{c}", v) for c, v in enumerate(subsets)]
+        used = [ad.stop_gradient(p) if c == frozen and c_cells > 1 else p
+                for c, p in enumerate(params)]
+        sinr = sinr_fn(h, used, assoc, 0.3)
+        s = ad.mul(sinr, ad.constant(weights))
+        while s.value.ndim:
+            s = ad.sum_axis(s, axis=0)
+        ad.backward(ad.real(s))
+        return sinr.value, [p.grad for p in params]
+
+    got, got_grads = run(lambda *a: bm.csirs_sinr(*a).sinr)
+    want, want_grads = run(_frozen_per_cell_csirs_sinr)
+    assert got.shape == (_U, _NCSI, _T, _K, b_g)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for c, (g, w) in enumerate(zip(got_grads, want_grads)):
+        if c == frozen and c_cells > 1:
+            assert g is None and w is None
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * np.abs(w).max())
+
+
+def test_csirs_sinr_subset_count_mismatch():
+    h = np.ones((2, 1, 1, 1, 1, 2), dtype=np.complex128)
+    with pytest.raises(ShapeError):
+        bm.csirs_sinr(h, [np.ones((1, 2, 1))], assoc=np.array([0]), sigma2=1.0)
 
 
 def _random_sinr_instance(rng, n_rx=4, n_int=3):

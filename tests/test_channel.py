@@ -1,5 +1,6 @@
 """Channel synthesis, array responses, noise figures, BMCH dump I/O."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,11 @@ def test_zero_clusters_gives_zero_tensor():
     assert not h.any()
 
 
+def test_zero_users_gives_empty_tensor():
+    h = ch.generate_channels(_tiny_config(c_cells=2), seed=1, n_users=0).values
+    assert h.shape == (2, 0, 1, 2, 2, 4)
+
+
 def test_same_seed_bitwise_identical():
     cfg = _tiny_config()
     a = ch.generate_channels(cfg, seed=42).values
@@ -144,10 +150,10 @@ def test_t_slots_repeat_the_single_slot_tensor():
         assert np.array_equal(three[:, :, t], one[:, :, 0])
 
 
-# Frozen reference: the per-ray synthesis loop and ray accumulation that
-# _synthesize_link replaced. Keep it as written; it is the oracle for the
-# vectorized formulation, which sums rays per cluster before applying the
-# subcarrier phasor and so rounds differently.
+# Frozen reference: the per-ray synthesis loop and ray accumulation that the
+# vectorized per-link synthesis replaced. Keep it as written; it is the oracle
+# for the batched per-cell formulation, which sums rays per cluster before
+# applying the subcarrier phasor and so rounds differently.
 
 def _reference_accumulate_rays(phase, a_rx, tx_row, out):
     n_rays = phase.shape[0]
@@ -226,17 +232,108 @@ _DESK = dict(c_cells=3, k_subcarriers=16, n_rx=2, user_count_range=(4, 8),
     {"n_rx": 1},
     {"k_subcarriers": 1},
     {"rays_per_cluster": 1},
-], ids=["default", "desk", "single-pol", "n_rx-1", "k-1", "rays-1"])
+    {"angle_spread_deg": 0.0},
+], ids=["default", "desk", "single-pol", "n_rx-1", "k-1", "rays-1", "spread-0"])
 def test_synthesize_link_matches_frozen_per_ray_reference(over):
     cfg = ch.ScenarioConfig(**over)
     for seed in (0, 11):
         pos = ch.user_positions(cfg, seed, 3)
         for cell in range(cfg.c_cells):
+            got = ch._synthesize_cell(cfg, seed, cell, pos)
+            assert got.dtype == np.complex128
             for user in range(3):
-                got = ch._synthesize_link(cfg, seed, cell, user, pos[user])
                 want = _reference_synthesize_link(cfg, seed, cell, user, pos[user])
-                assert got.shape == want.shape and got.dtype == np.complex128
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                assert got[user].shape == want.shape
+                np.testing.assert_allclose(got[user], want, rtol=1e-12, atol=0)
+    # the stored tensor is that slab cast once and repeated over T
+    tensor = ch.generate_channels(cfg, 0, n_users=3).values
+    slabs = np.stack([ch._synthesize_cell(cfg, 0, c, ch.user_positions(cfg, 0, 3))
+                      for c in range(cfg.c_cells)])
+    assert np.array_equal(tensor[:, :, 0], slabs.astype(np.complex64))
+
+
+# Frozen reference: one link's draws as the per-link synthesis made them, one
+# sequential rng.normal(scale=...) call per quantity and cluster.  The batched
+# synthesis draws each cluster's ray normals as one block and scales them
+# itself; the two must agree bit for bit.
+
+def _reference_link_draws(config, seed, cell, user):
+    rng = ch._stream(seed, ch._TAG_LINK, cell, user)
+    n_cl, n_ray = config.cluster_count, config.rays_per_cluster
+    spread = np.deg2rad(config.angle_spread_deg)
+    shadow = rng.normal(scale=config.shadowing_sigma_dB)
+    delays = np.sort(rng.exponential(config.delay_spread, size=n_cl))
+    cl_shadow = rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl)
+    cl_az = rng.laplace(scale=spread, size=n_cl)
+    cl_el = rng.laplace(scale=spread / 2.0, size=n_cl)
+    rng.uniform(-np.pi, np.pi, size=n_cl)
+    cl_aoa_el = rng.normal(scale=spread, size=n_cl)
+    rays = np.empty((n_cl, 7, n_ray))
+    for c in range(n_cl):
+        rays[c, 0] = rng.normal(scale=spread / 5.0, size=n_ray)
+        rays[c, 1] = rng.normal(scale=spread / 10.0, size=n_ray)
+        rays[c, 2] = rng.normal(scale=spread / 5.0, size=n_ray)
+        for p in range(2):
+            rays[c, 3 + 2 * p] = rng.normal(size=n_ray)
+            rays[c, 4 + 2 * p] = rng.normal(size=n_ray)
+    return shadow, np.stack([delays, cl_shadow, cl_az, cl_el, cl_aoa_el]), rays
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    {"rays_per_cluster": 1},
+    {"geometry": ch.ArrayGeometry(dual_polarized=False)},
+], ids=["default", "rays-1", "single-pol"])
+def test_block_draws_match_frozen_sequential_draws(over):
+    cfg = ch.ScenarioConfig(**over)
+    spread = np.deg2rad(cfg.angle_spread_deg)
+    scales = np.array([spread / 5.0, spread / 10.0, spread / 5.0, 1, 1, 1, 1])
+    for seed in (0, 11):
+        for cell in range(cfg.c_cells):
+            shadow, clusters, rays = ch._link_draws(cfg, seed, cell, 4)
+            for user in range(4):
+                w_shadow, w_clusters, w_rays = _reference_link_draws(cfg, seed, cell, user)
+                assert _bits(shadow[user]) == _bits(w_shadow)
+                got_clusters = clusters[user].copy()
+                got_clusters[0] = np.sort(got_clusters[0])
+                assert _bits(got_clusters) == _bits(w_clusters)
+                # scaled as the synthesis scales them; +0.0 folds -0.0 into 0.0
+                scaled = scales[:, None] * rays[user]
+                assert _bits(scaled + 0.0) == _bits(w_rays + 0.0)
+
+
+@pytest.mark.parametrize("over", [{"cluster_count": 0}, {"rays_per_cluster": 0}],
+                         ids=["clusters-0", "rays-0"])
+def test_zero_path_draws_nothing(over, monkeypatch):
+    # the per-link synthesis returned zeros before opening a link stream
+    tags = []
+    stream = ch._stream
+
+    def spy(seed, tag, *ids):
+        tags.append(tag)
+        return stream(seed, tag, *ids)
+
+    monkeypatch.setattr(ch, "_stream", spy)
+    h = ch.generate_channels(ch.ScenarioConfig(**over), seed=3, n_users=4).values
+    assert h.shape[:2] == (3, 4) and not h.any()
+    assert ch._TAG_LINK not in tags
+
+
+def test_generate_channels_peak_memory_is_bounded():
+    # the working set is one cell's links, not the whole drop's
+    cfg = ch.ScenarioConfig()
+    ch.generate_channels(cfg, seed=5, n_users=2)
+    tracemalloc.start()
+    try:
+        tensor = ch.generate_channels(cfg, seed=5, n_users=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * tensor.values.nbytes
 
 
 def test_user_count_respects_range():

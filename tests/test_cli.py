@@ -250,6 +250,26 @@ def test_checkpoint_with_a_misshapen_parameter_is_a_config_error(tmp_path):
     assert res.output.startswith("config error: inner dimensions mismatch")
 
 
+def test_checkpoint_with_a_nan_parameter_is_a_format_error(tmp_path):
+    # the metadata and shapes fit the config, but one ssb0 entry is NaN
+    doc = _config_doc()
+    config, dims = cli.scenario_from(doc), cli.dims_from(doc)
+    tape = Tape()
+    nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims)
+    tape.parameters["ssb0"].value[0, 0, 0] = np.nan
+    ckpt = tmp_path / "nan.bmck"
+    nbl.save_checkpoint(ckpt, tape,
+                        meta=cli._checkpoint_meta("nbl-direct", config, dims))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    res = _run("evaluate", "--config", path, "--out", tmp_path / "ev",
+               "--codebook", "nbl-direct", "--drops", 3)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: checkpoint holds a non-finite")
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
 def test_missing_config_file(tmp_path):
     res = _run("gen-channels", "--config", tmp_path / "absent.json",
                "--out", tmp_path / "o.bmch")

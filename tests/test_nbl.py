@@ -536,6 +536,22 @@ def test_checkpoint_corrupt_metadata_raises_format_error(tmp_path):
         nbl.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("where", ["parameter", "first-moment", "second-moment"])
+def test_checkpoint_with_a_nonfinite_entry_raises_format_error(tmp_path, where):
+    tape = Tape()
+    tape.parameter("a", np.ones((2, 3), dtype=np.complex128))
+    opt = nbl.Adam(lr=1e-3)
+    opt.m["a"] = np.zeros((2, 3), dtype=np.complex128)
+    opt.v["a"] = np.zeros((2, 3))
+    target = {"parameter": tape.parameters["a"].value, "first-moment": opt.m["a"],
+              "second-moment": opt.v["a"]}[where]
+    target[1, 2] = np.nan if where != "second-moment" else np.inf
+    path = tmp_path / "ck.bmck"
+    nbl.save_checkpoint(path, tape, opt, {"kind": "direct"})
+    with pytest.raises(FormatError):
+        nbl.load_checkpoint(path)
+
+
 def test_checkpoint_restores_direct_generator(tmp_path):
     cfg = _config()
     dims = _dims()
