@@ -26,7 +26,6 @@ class BeamformedChannelEstimate:
     """Per (user, subband) estimated N_R x B_g beamformed channel."""
 
     h_est: np.ndarray  # (U, S_B, N_R, B_g)
-    noise_var: np.ndarray  # (U, S_B) residual-based noise estimate
     subband_of_k: np.ndarray  # (K,) subband index per subcarrier
 
 
@@ -38,7 +37,6 @@ class PmiFeedback:
     amplitudes: np.ndarray  # (U, L_CSI) quantized, max-normalized
     cophases: np.ndarray  # (U, L_CSI, S_B) quantized phases [rad]
     gains: np.ndarray  # (U, S_B) dominant singular value of the estimate
-    rank: int = 1
 
 
 @dataclass
@@ -48,7 +46,6 @@ class PrecoderSet:
     analog: np.ndarray  # (NT, U_a * B_g)
     digital: np.ndarray  # (S_B, U_a * B_g, U_a) block-diagonal, unit columns
     users: list[int]  # scheduled user indices, ascending
-    b_g: int
     subband_of_k: np.ndarray
 
 
@@ -66,30 +63,25 @@ def subband_map(k_subcarriers: int, s_b: int) -> np.ndarray:
     return np.minimum((np.arange(k_subcarriers) * s_b) // k_subcarriers, s_b - 1)
 
 
-def estimate_channel(y: np.ndarray, s_tr: np.ndarray, sigma2: float,
+def estimate_channel(y: np.ndarray, sigma2: float,
                      s_b: int) -> BeamformedChannelEstimate:
     """LS per-RE estimate, subband averaging, then MMSE shrinkage.
 
-    y: (U, K, N_R, B_g) received pilot blocks; s_tr: (B_g, B_g) pilot matrix
-    (orthonormal columns).  Before averaging, each RE's LS estimate is
+    y: (U, K, N_R, B_g) received pilot blocks, one per user from its serving
+    cell.  The B_g port pilots are orthonormal (an identity pilot matrix), so
+    each RE's LS estimate is its received block.  Before averaging, it is
     phase-aligned to the running subband average (a propagation-delay ramp
     rotates the channel from subcarrier to subcarrier; a plain mean would
     self-cancel).  Shrinkage factor rho/(rho+1) uses a per-subband sample SNR
     rho taken from the aligned residual power when more than one RE is
     averaged, else from the supplied sigma2.
     """
-    y = np.asarray(y, dtype=np.complex128)
-    s_tr = np.asarray(s_tr, dtype=np.complex128)
-    if y.ndim != 4:
-        raise ShapeError(f"pilot tensor must be 4-D, got {y.shape}")
-    n_users, k_sub, n_rx, b_g = y.shape
-    if np.linalg.matrix_rank(s_tr) < b_g:
-        raise ConfigError("pilot matrix is rank deficient")
+    h_ls = np.asarray(y, dtype=np.complex128)  # per-RE least squares
+    if h_ls.ndim != 4:
+        raise ShapeError(f"pilot tensor must be 4-D, got {h_ls.shape}")
+    n_users, k_sub, n_rx, b_g = h_ls.shape
     sb_of_k = subband_map(k_sub, s_b)
-    s_pinv = np.linalg.pinv(s_tr)
-    h_ls = y @ s_pinv  # per-RE least squares
     h_est = np.zeros((n_users, s_b, n_rx, b_g), dtype=np.complex128)
-    noise_var = np.zeros((n_users, s_b))
     for s in range(s_b):
         ks = np.nonzero(sb_of_k == s)[0]
         n_re = len(ks)
@@ -109,9 +101,7 @@ def estimate_channel(y: np.ndarray, s_tr: np.ndarray, sigma2: float,
         finite = np.where(np.isinf(rho), 0.0, rho)
         shrink = np.where(np.isinf(rho), 1.0, finite / (finite + 1.0))
         h_est[:, s] = shrink[:, None, None] * h_avg
-        noise_var[:, s] = est_noise
-    return BeamformedChannelEstimate(h_est=h_est, noise_var=noise_var,
-                                     subband_of_k=sb_of_k)
+    return BeamformedChannelEstimate(h_est=h_est, subband_of_k=sb_of_k)
 
 
 def port_dft(b_g: int, oversampling: int = 4) -> np.ndarray:
@@ -217,7 +207,7 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     if n_a == 0:
         return PrecoderSet(analog=np.zeros((n_t, 0), complex),
                            digital=np.zeros((s_b, 0, 0), complex), users=[],
-                           b_g=b_g, subband_of_k=subband_of_k)
+                           subband_of_k=subband_of_k)
     blocks = subset_precoders[np.asarray(chosen)[users]]  # (U_a, NT, B_g)
     analog = np.swapaxes(blocks, 0, 1).reshape(n_t, n_a * b_g)
     rows = np.swapaxes(gains[users, :, None] * np.conj(recon[users]), 0, 1)
@@ -225,7 +215,7 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     digital = np.zeros((s_b, n_a * b_g, n_a), dtype=np.complex128)
     digital[:, np.arange(n_a * b_g), np.repeat(np.arange(n_a), b_g)] = \
         cols.reshape(s_b, n_a * b_g)
-    return PrecoderSet(analog=analog, digital=digital, users=users, b_g=b_g,
+    return PrecoderSet(analog=analog, digital=digital, users=users,
                        subband_of_k=subband_of_k)
 
 
@@ -367,26 +357,6 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
         if se > best_se:
             best_se, best_sched = se, schedule
     return [cand[i] for i in sorted(best_sched)]
-
-
-def schedule_users_exhaustive(recon, gains, chosen, subset_precoders, candidates,
-                              sigma2, n_ports: int = DIGITAL_PORTS) -> list[int]:
-    """Test oracle: best subset by estimated sum SE (exponential search)."""
-    from itertools import combinations
-
-    b_g = subset_precoders.shape[2]
-    cand = sorted(int(u) for u in candidates)
-    cross = _candidate_cross(cand, _wideband_profile(recon), gains.mean(axis=1),
-                             chosen, subset_precoders)
-    best, best_set = 0.0, []
-    for r in range(1, len(cand) + 1):
-        if r * b_g > n_ports:
-            break
-        combos = list(combinations(range(len(cand)), r))
-        for se, combo in zip(_sets_se(cross, combos, sigma2, n_ports), combos):
-            if se > best:
-                best, best_set = se, [cand[i] for i in combo]
-    return best_set
 
 
 def data_fraction(l_max: int, n_csi: int, k_ssb: int, k_subcarriers: int,

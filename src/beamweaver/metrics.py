@@ -1,7 +1,9 @@
 """Monte-Carlo evaluation pipeline and metric aggregation.
 
 One "drop" = one user placement: SSB sweep -> feedback -> CSI-RS subsets ->
-per-user SINR/SE -> PMI feedback -> RZF precoding -> ESSE.  Rows are
+per-user SINR/SE -> data plane -> ESSE.  The data plane runs per user at its
+serving cell (CSI-RS pilots, channel estimate, PMI feedback; one batched pass
+over all users), then per cell (scheduling, RZF precoding).  Rows are
 per-user with the drop-level ESSE repeated, serialized to a versioned CSV.
 """
 from __future__ import annotations
@@ -21,6 +23,8 @@ CSV_SCHEMA = "bmw-metrics-v1"
 _FIELDS = ["drop", "user", "cell", "beam", "rsrp_dbm", "se", "eff_sinr_db",
            "sig_power", "int_noise_power", "scheduled", "data_rate", "esse",
            "alloc_cell"]
+_INT_FIELDS = ("drop", "user", "cell", "beam", "scheduled")
+_ZERO_SINR = {"int_noise_power": np.inf, "eff_sinr_db": -np.inf}
 _PILOT_TAG = 13
 
 
@@ -71,16 +75,18 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     sig_u = (np.abs(v) ** 2).sum(axis=(-1, -2)).mean(axis=(1, 2))  # v: (U, T, K, N_R, B_g)
     snr_eq = np.exp2(se_best) - 1.0
     in_u = np.where(snr_eq > 0, sig_u / np.where(snr_eq > 0, snr_eq, 1.0), np.inf)
-    # data plane: pilots -> PMI -> scheduling -> RZF -> ESSE
-    pilot_rng = ch._stream(drop_seed, _PILOT_TAG, 0)
+    # data plane, per user at its serving cell: the CSI-RS pilot block on the
+    # chosen resource (the first slot of v) -> LS/MMSE estimate -> PMI; then
+    # per cell: scheduling over its own users -> RZF -> ESSE over all cells.
+    # One (C, 2, ...) noise block keeps the order of C per-cell re/im draws.
+    y = v[:, 0]  # (U, K, N_R, B_g)
+    draws = ch._stream(drop_seed, _PILOT_TAG, 0).standard_normal(
+        (c_cells, 2) + y.shape)[report.b, :, users]  # (U, 2, K, N_R, B_g)
+    noise = np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+    est = link.estimate_channel(y + noise, sigma2, settings.s_b)
+    fb, recon = link.quantize_pmi(est, l_csi=settings.l_csi)
     sets = []
     for c in range(c_cells):
-        y = hv[c, :, 0] @ subsets[c][record.chosen][:, None]  # (U, K, N_R, B_g)
-        noise = np.sqrt(sigma2 / 2.0) * (pilot_rng.standard_normal(y.shape)
-                                         + 1j * pilot_rng.standard_normal(y.shape))
-        est = link.estimate_channel(y + noise, np.eye(csirs_books[c].b_g), sigma2,
-                                    settings.s_b)
-        fb, recon = link.quantize_pmi(est, l_csi=settings.l_csi)
         cand = list(report.users_of_cell(c))
         sched = link.schedule_users(recon, fb.gains, record.chosen, subsets[c],
                                     cand, sigma2) if cand else []
@@ -115,18 +121,37 @@ def write_metrics(path, rows: list[dict]) -> None:
             w.writerow(row)
 
 
+def _parse_row(row: dict, line: int) -> dict:
+    """Typed values of one row; FormatError for what the writer cannot write."""
+    if None in row or None in row.values():
+        raise FormatError(f"metrics line {line}: expected {len(_FIELDS)} fields")
+    try:
+        out = {k: (int if k in _INT_FIELDS else float)(row[k]) for k in _FIELDS}
+    except ValueError as e:
+        raise FormatError(f"metrics line {line}: {e}") from None
+    zero_sinr = np.exp2(out["se"]) == 1.0  # the writer's only non-finite case
+    for k, v in out.items():
+        if isinstance(v, float) and not (np.isfinite(v) or
+                                         (zero_sinr and v == _ZERO_SINR.get(k))):
+            raise FormatError(f"metrics line {line}: {k} = {v}")
+    return out
+
+
 def read_metrics(path) -> list[dict]:
-    with open(path) as f:
-        first = f.readline().strip()
-        if first != f"# schema={CSV_SCHEMA}":
-            raise FormatError(f"unexpected metrics schema line: {first!r}")
-        out = []
-        for row in csv.DictReader(f):
-            parsed = {k: (int(row[k]) if k in ("drop", "user", "cell", "beam",
-                                               "scheduled")
-                          else float(row[k])) for k in _FIELDS}
-            out.append(parsed)
-        return out
+    """Rows of a metrics CSV.  Every value is finite, except int_noise_power =
+    inf and eff_sinr_db = -inf where 2^SE - 1 rounds to 0; any other layout,
+    encoding or value is a FormatError."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            first = f.readline().strip()
+            if first != f"# schema={CSV_SCHEMA}":
+                raise FormatError(f"unexpected metrics schema line: {first!r}")
+            reader = csv.DictReader(f)
+            if reader.fieldnames != _FIELDS:
+                raise FormatError(f"unexpected metrics header: {reader.fieldnames}")
+            return [_parse_row(row, reader.line_num + 1) for row in reader]  # +1: schema line
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"unreadable metrics file: {e}") from None
 
 
 def _first_esse(rows: list[dict]) -> dict:
@@ -145,6 +170,8 @@ def compare_metrics(rows_a: list[dict], rows_b: list[dict]) -> dict:
     if set(a_map) != set(b_map):
         raise ConfigError("metric files cover different (drop, user) sets")
     keys = sorted(a_map)
+    if not keys:
+        raise FormatError("metric files hold no rows")
     rsrp_delta = np.array([b_map[k]["rsrp_dbm"] - a_map[k]["rsrp_dbm"] for k in keys])
     drops = sorted({k[0] for k in keys})
     first_a, first_b = _first_esse(rows_a), _first_esse(rows_b)

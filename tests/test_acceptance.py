@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import test_autodiff
+import test_link
 from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
 from beamweaver import channel as ch
@@ -295,8 +296,8 @@ def test_c9_greedy_within_5pct_of_exhaustive():
         recon_wb = link._wideband_profile(recon)
         gains_wb = gains.mean(axis=1)
         greedy = link.schedule_users(recon, gains, chosen, subset, cand, sigma2)
-        best = link.schedule_users_exhaustive(recon, gains, chosen, subset,
-                                              cand, sigma2)
+        best = test_link._reference_schedule_users_exhaustive(
+            recon, gains, chosen, subset, cand, sigma2, link.DIGITAL_PORTS)
         se_g = link._estimated_sum_se(greedy, recon_wb, gains_wb, chosen,
                                       subset, sigma2, link.DIGITAL_PORTS)
         se_b = link._estimated_sum_se(best, recon_wb, gains_wb, chosen,

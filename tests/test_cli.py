@@ -486,6 +486,69 @@ def test_train_disaggregated_writes_outputs(tmp_path):
     assert loss_text.startswith("# schema=bmw-loss-v1\nstep,loss\n")
 
 
+def _metrics_text(lines, header=",".join(mx._FIELDS)):
+    return "\n".join([f"# schema={mx.CSV_SCHEMA}", header, *lines]) + "\n"
+
+
+# two users as the writer leaves them; user 1 has SE 0, so its
+# int_noise_power is inf and its eff_sinr_db -inf
+_ROW = dict(drop=5, user=0, cell=0, beam=3, rsrp_dbm=-81.5, se=2.0,
+            eff_sinr_db=4.77, sig_power=1e-9, int_noise_power=3e-10,
+            scheduled=1, data_rate=1.5, esse=1.5, alloc_cell=1.0)
+_IDLE = dict(_ROW, user=1, se=0.0, eff_sinr_db=-np.inf, int_noise_power=np.inf,
+             scheduled=0, data_rate=0.0)
+
+
+def _line(row, **change):
+    return ",".join(str(v) for v in dict(row, **change).values())
+
+
+def test_compare_accepts_the_writers_infinities(tmp_path):
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text(_metrics_text([_line(_ROW), _line(_IDLE)]))
+    res = _run("compare", tmp_path / "a.csv", tmp_path / "b.csv",
+               "--out", tmp_path / "s.json")
+    assert res.exit_code == 0, res.output
+    assert "NaN" not in (tmp_path / "s.json").read_text()
+
+
+_MALFORMED = {
+    "truncated-row": _metrics_text([_line(_ROW), _line(_IDLE).rsplit(",", 3)[0]]),
+    "extra-field": _metrics_text([_line(_ROW) + ",7", _line(_IDLE)]),
+    "renamed-header": _metrics_text(
+        [_line(_ROW), _line(_IDLE)],
+        header=",".join(mx._FIELDS).replace("rsrp_dbm", "rsrp")),
+    "non-numeric-user": _metrics_text([_line(_ROW, user="x"), _line(_IDLE)]),
+    "non-utf8": _metrics_text([_line(_ROW)]).encode() + b"\xff\xfe\n",
+    "header-only": _metrics_text([]),
+    "nan-rsrp": _metrics_text([_line(_ROW, rsrp_dbm="nan"), _line(_IDLE)]),
+    "inf-rsrp": _metrics_text([_line(_ROW, rsrp_dbm="inf"), _line(_IDLE)]),
+    "inf-at-positive-se": _metrics_text(
+        [_line(_ROW, int_noise_power="inf"), _line(_IDLE)]),
+    "neg-inf-at-positive-se": _metrics_text(
+        [_line(_ROW, eff_sinr_db="-inf"), _line(_IDLE)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_compare_rejects_a_malformed_metrics_file(tmp_path, case):
+    # every fault of a metrics file is a format error (exit 2), not a
+    # traceback and not a summary with NaN in it
+    content = _MALFORMED[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    # two header-only files pair up, with nothing left to compare
+    good = bad if case == "header-only" else tmp_path / "good.csv"
+    if good != bad:
+        good.write_text(_metrics_text([_line(_ROW), _line(_IDLE)]))
+    for a, b in ((good, bad), (bad, good)):
+        res = _run("compare", a, b, "--out", tmp_path / "s.json")
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("config error: ")
+        assert not (tmp_path / "s.json").exists()
+
+
 def test_compare_mismatched_files(cfg, tmp_path):
     for seed, name in ((1, "x"), (9, "y")):
         res = _run("evaluate", "--config", cfg, "--seed", seed,

@@ -28,14 +28,14 @@ def test_estimate_noise_free_is_exact():
     rng = np.random.default_rng(0)
     h = _rand_channels(rng, 2, 8, 4, 4)
     h[:, 1::2] = h[:, 0::2]  # frequency-flat within each 2-RE subband
-    est = link.estimate_channel(h, np.eye(4), sigma2=1.0, s_b=4)
+    est = link.estimate_channel(h, sigma2=1.0, s_b=4)
     np.testing.assert_allclose(est.h_est, h[:, ::2], atol=1e-10)
 
 
 def test_estimate_shrinks_to_zero_in_heavy_noise():
     rng = np.random.default_rng(1)
     h = _rand_channels(rng, 2, 4, 2, 2, scale=1e-6)
-    est = link.estimate_channel(h, np.eye(2), sigma2=1e9, s_b=4)  # one RE per subband
+    est = link.estimate_channel(h, sigma2=1e9, s_b=4)  # one RE per subband
     np.testing.assert_allclose(est.h_est, 0.0, atol=1e-12)
 
 
@@ -50,17 +50,10 @@ def test_estimate_mse_decreases_with_averaging():
             y = np.broadcast_to(true[:, None], (1, k_sub, 2, 2)).copy()
             y += np.sqrt(sigma2 / 2) * (rng.standard_normal(y.shape)
                                         + 1j * rng.standard_normal(y.shape))
-            est = link.estimate_channel(y, np.eye(2), sigma2, s_b=1)
+            est = link.estimate_channel(y, sigma2, s_b=1)
             se += np.abs(est.h_est[:, 0] - true).sum() ** 2
         errs.append(se)
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_estimate_rejects_rank_deficient_pilots():
-    rng = np.random.default_rng(3)
-    y = _rand_channels(rng, 1, 2, 2, 2)
-    with pytest.raises(ConfigError):
-        link.estimate_channel(y, np.ones((2, 2)), 1.0, s_b=2)
 
 
 # ------------------------------- PMI -------------------------------------
@@ -71,7 +64,7 @@ def test_pmi_recovers_basis_column():
     v = basis[:, 5]
     h = np.zeros((1, s_b, 2, b_g), dtype=np.complex128)
     h[0, :, 0] = np.conj(v)  # rank-1 channel whose right vector is v
-    est = link.BeamformedChannelEstimate(h_est=h, noise_var=np.zeros((1, s_b)),
+    est = link.BeamformedChannelEstimate(h_est=h,
                                          subband_of_k=link.subband_map(4, s_b))
     fb, recon = link.quantize_pmi(est, l_csi=4)
     for s in range(s_b):
@@ -86,7 +79,7 @@ def test_pmi_complete_basis_unquantized_is_exact():
     vec /= np.linalg.norm(vec)
     h = np.zeros((1, s_b, 3, b_g), dtype=np.complex128)
     h[0, :, 0] = np.conj(vec)
-    est = link.BeamformedChannelEstimate(h_est=h, noise_var=np.zeros((1, s_b)),
+    est = link.BeamformedChannelEstimate(h_est=h,
                                          subband_of_k=link.subband_map(4, s_b))
     fb, recon = link.quantize_pmi(est, l_csi=b_g, oversampling=1,
                                   amp_bits=None, phase_bits=None)
@@ -97,7 +90,7 @@ def test_pmi_complete_basis_unquantized_is_exact():
 def test_pmi_zero_estimate_degenerate_rule():
     est = link.BeamformedChannelEstimate(
         h_est=np.zeros((1, 2, 2, 4), dtype=np.complex128),
-        noise_var=np.zeros((1, 2)), subband_of_k=link.subband_map(4, 2))
+        subband_of_k=link.subband_map(4, 2))
     fb, recon = link.quantize_pmi(est)
     np.testing.assert_allclose(recon[0, :, 0], 1.0)
     np.testing.assert_allclose(recon[0, :, 1:], 0.0)
@@ -133,11 +126,12 @@ def test_digital_blocks_unit_norm_and_block_diagonal():
     subset, recon, gains, chosen = _one_cell_setup(rng, n_users=3)
     ps = link.build_precoders(recon, gains, chosen, subset, [0, 1, 2], 0.1,
                               subband_of_k=link.subband_map(4, 2))
+    b_g = subset.shape[2]
     for s in range(ps.digital.shape[0]):
         for j in range(3):
             col = ps.digital[s, :, j]
-            block = col[j * ps.b_g:(j + 1) * ps.b_g]
-            off = np.delete(col, slice(j * ps.b_g, (j + 1) * ps.b_g))
+            block = col[j * b_g:(j + 1) * b_g]
+            off = np.delete(col, slice(j * b_g, (j + 1) * b_g))
             assert abs(np.linalg.norm(block) - 1.0) < 1e-12
             assert not off.any()  # exactly zero off-block
 
@@ -237,7 +231,8 @@ def test_greedy_close_to_exhaustive_small():
     recon_wb = link._wideband_profile(recon)
     gains_wb = gains.mean(axis=1)
     greedy = link.schedule_users(recon, gains, chosen, subset, cand, 0.2)
-    best = link.schedule_users_exhaustive(recon, gains, chosen, subset, cand, 0.2)
+    best = _reference_schedule_users_exhaustive(recon, gains, chosen, subset, cand,
+                                                0.2, link.DIGITAL_PORTS)
     se_g = link._estimated_sum_se(greedy, recon_wb, gains_wb, chosen, subset,
                                   0.2, link.DIGITAL_PORTS)
     se_b = link._estimated_sum_se(best, recon_wb, gains_wb, chosen, subset,
@@ -518,7 +513,11 @@ def _random_instance(rng):
 
 @pytest.fixture(scope="module")
 def default_drop_inputs():
-    """Data-plane inputs captured from 20 seeded default-config drops."""
+    """Data-plane inputs captured from 20 seeded default-config drops.
+
+    One PMI call per drop, over every user's serving-cell estimate; one
+    schedule call per cell that serves a user.
+    """
     config = ch.ScenarioConfig()
     dims = cli.dims_from({})
     ssb, csirs = cli._build_dft_books(config, dims)
@@ -560,8 +559,7 @@ def test_quantize_pmi_matches_frozen_per_user_loop(bits):
         h = _rand_channels(rng, n_users, s_b, n_rx, b_g)
         h[1] = 0.0  # an all-zero estimate takes the degenerate rule
         est = link.BeamformedChannelEstimate(
-            h_est=h, noise_var=np.zeros((n_users, s_b)),
-            subband_of_k=link.subband_map(s_b, s_b))
+            h_est=h, subband_of_k=link.subband_map(s_b, s_b))
         _assert_pmi_matches_reference(est, l_csi=l_csi, amp_bits=bits[0],
                                       phase_bits=bits[1])
 
@@ -590,10 +588,6 @@ def test_schedulers_match_frozen_reference_on_random_instances():
     for _ in range(150):
         args = _random_instance(rng)
         assert link.schedule_users(*args) == _reference_schedule_users(*args)
-        n_ports, n_cand, b_g = args[6], len(args[4]), args[3].shape[2]
-        if n_cand <= 8 or n_ports <= 3 * b_g:  # keep the subset count small
-            assert (link.schedule_users_exhaustive(*args)
-                    == _reference_schedule_users_exhaustive(*args))
 
 
 def test_schedule_matches_frozen_reference_on_default_drops(default_drop_inputs):
@@ -608,7 +602,7 @@ def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
     ps = link.build_precoders(recon, gains, chosen, subset, users, sigma2,
                               link.subband_map(recon.shape[1], recon.shape[1]),
                               n_ports)
-    users, b_g = ps.users, ps.b_g
+    users, b_g = ps.users, subset.shape[2]
     blocks = np.stack([subset[chosen[u]] for u in users])
     np.testing.assert_array_equal(ps.analog, np.concatenate(list(blocks), axis=1))
     grams = np.einsum("itb,jtc->ijbc", np.conj(blocks), blocks)
@@ -730,7 +724,7 @@ def test_esse_accurate_from_low_to_high_snr():
     h[0, 0, 0, 0, :, 0], h[1, 0, 0, 0, :, 0] = np.sqrt(2.0) * v, np.sqrt(2.0) * u
     h[1, 1, 0, 0, :, 0] = np.sqrt(2.0) * u
     sets = [link.PrecoderSet(analog=np.eye(2)[:, :1], digital=np.ones((1, 1, 1)),
-                             users=[u_], b_g=1, subband_of_k=np.zeros(1, int))
+                             users=[u_], subband_of_k=np.zeros(1, int))
             for u_ in (0, 1)]
     for sigma2 in 10.0 ** np.arange(2, -13, -1):
         want = (sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu))
@@ -756,7 +750,7 @@ def test_esse_exact_with_fewer_streams_than_receive_antennas(streams):
     if streams == 2:
         h[1, :, 0, 0, :, 0] = np.sqrt(2.0) * u
     sets = [link.PrecoderSet(analog=np.eye(2)[:, :1], digital=np.ones((1, 1, 1)),
-                             users=[c], b_g=1, subband_of_k=np.zeros(1, int))
+                             users=[c], subband_of_k=np.zeros(1, int))
             for c in range(streams)]
     for sigma2 in 10.0 ** np.arange(2, -31, -1):
         want = ([(sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu)), nu / sigma2]
