@@ -340,7 +340,8 @@ def concat(tensors, axis=0) -> DiffTensor:
 
 
 def take(t, indices, axis=0) -> DiffTensor:
-    """Gather along one axis with constant integer indices."""
+    """Gather along one axis with constant integer indices; a scalar index
+    takes one slab and drops the axis."""
     t = as_tensor(t)
     indices = np.asarray(indices, dtype=np.intp)
     out = DiffTensor(np.take(t.value, indices, axis=axis), parents=(t,))
@@ -349,7 +350,7 @@ def take(t, indices, axis=0) -> DiffTensor:
         if t.requires_grad:
             acc = np.zeros_like(t.value)
             moved = np.moveaxis(acc, axis, 0)
-            np.add.at(moved, indices, np.moveaxis(g, axis, 0))
+            np.add.at(moved, indices, np.moveaxis(g, axis, 0) if indices.ndim else g)
             t.accumulate(acc)
 
     out._backward = backward
@@ -542,13 +543,13 @@ def _conv2d_value(x, w, stride, pad):
     return np.einsum("bcklhw,ockl->bohw", windows, w, optimize=True)
 
 
-def _conv2d_dx(g, w, x_shape, stride, pad):
-    # scatter each output gradient back through its window
+def _scatter_windows(g, w, x_shape, stride, pad):
+    # scatter each output position back through its window, weighted by w
     b, c, h, w_in = x_shape
     kh, kw = w.shape[-2:]
     acc = np.zeros((b, c, h + 2 * pad, w_in + 2 * pad), dtype=np.complex128)
     ho, wo = g.shape[-2:]
-    contrib = np.einsum("bohw,ockl->bcklhw", g, np.conj(w), optimize=True)
+    contrib = np.einsum("bohw,ockl->bcklhw", g, w, optimize=True)
     for i in range(kh):
         for j in range(kw):
             acc[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += contrib[:, :, i, j]
@@ -557,9 +558,11 @@ def _conv2d_dx(g, w, x_shape, stride, pad):
     return acc
 
 
-def _conv2d_dw(g, x, kh, kw, stride, pad):
+def _window_products(g, x, kh, kw, stride, pad):
+    # sum over batch and positions of g[b, o, h, w] * window[b, c, k, l, h, w];
+    # no conjugate of the window view is ever formed, which would copy it
     windows, _, _ = _im2col(x, kh, kw, stride, pad)
-    return np.einsum("bohw,bcklhw->ockl", g, np.conj(windows), optimize=True)
+    return np.einsum("bohw,bcklhw->ockl", g, windows, optimize=True)
 
 
 def conv2d(x, w, stride=1, pad=1) -> DiffTensor:
@@ -574,9 +577,11 @@ def conv2d(x, w, stride=1, pad=1) -> DiffTensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(_conv2d_dx(g, w.value, x.shape, stride, pad))
+            x.accumulate(_scatter_windows(g, np.conj(w.value), x.shape, stride, pad))
         if w.requires_grad:
-            w.accumulate(_conv2d_dw(g, x.value, kh, kw, stride, pad))
+            # g * conj(windows) = conj(conj(g) * windows): conjugate the small factor
+            w.accumulate(np.conj(_window_products(np.conj(g), x.value, kh, kw,
+                                                  stride, pad)))
 
     out._backward = backward
     return out
@@ -597,16 +602,15 @@ def conv2d_transpose(x, w, stride=1, pad=1) -> DiffTensor:
     kh, kw = w.shape[-2:]
     ho = (x.shape[2] - 1) * stride - 2 * pad + kh
     wo = (x.shape[3] - 1) * stride - 2 * pad + kw
-    # forward of transpose == backward-dx of conv; _conv2d_dx conjugates its
-    # weights, so pre-conjugate to get a plain linear scatter.
-    out_v = _conv2d_dx(x.value, np.conj(w.value), (b, w.shape[1], ho, wo), stride, pad)
+    # forward of transpose == backward-dx of conv, without its conjugation
+    out_v = _scatter_windows(x.value, w.value, (b, w.shape[1], ho, wo), stride, pad)
     out = DiffTensor(out_v, parents=(x, w))
 
     def backward(g):
         if x.requires_grad:
             x.accumulate(_conv2d_value(g, np.conj(w.value), stride, pad))
         if w.requires_grad:
-            w.accumulate(np.conj(_conv2d_dw(x.value, g, kh, kw, stride, pad)))
+            w.accumulate(_window_products(np.conj(x.value), g, kh, kw, stride, pad))
 
     out._backward = backward
     return out

@@ -139,8 +139,10 @@ def _parse_row(row: dict, line: int) -> dict:
 
 def read_metrics(path) -> list[dict]:
     """Rows of a metrics CSV.  Every value is finite, except int_noise_power =
-    inf and eff_sinr_db = -inf where 2^SE - 1 rounds to 0; any other layout,
-    encoding or value is a FormatError."""
+    inf and eff_sinr_db = -inf where 2^SE - 1 rounds to 0, and no (drop,
+    user) pair repeats; any other layout, encoding or value is a
+    FormatError."""
+    rows, seen = [], set()
     try:
         with open(path, encoding="utf-8", newline="") as f:
             first = f.readline().strip()
@@ -149,9 +151,18 @@ def read_metrics(path) -> list[dict]:
             reader = csv.DictReader(f)
             if reader.fieldnames != _FIELDS:
                 raise FormatError(f"unexpected metrics header: {reader.fieldnames}")
-            return [_parse_row(row, reader.line_num + 1) for row in reader]  # +1: schema line
+            for row in reader:
+                line = reader.line_num + 1  # +1: schema line
+                out = _parse_row(row, line)
+                key = (out["drop"], out["user"])
+                if key in seen:
+                    raise FormatError(f"metrics line {line}: repeats drop "
+                                      f"{key[0]}, user {key[1]}")
+                seen.add(key)
+                rows.append(out)
     except (UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"unreadable metrics file: {e}") from None
+    return rows
 
 
 def _first_esse(rows: list[dict]) -> dict:

@@ -75,15 +75,20 @@ def compute_targets(h: np.ndarray, assoc: np.ndarray, sigma2: float) -> np.ndarr
 
 def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
                      geometry: ArrayGeometry, b_phase) -> DiffTensor:
-    """Beamspace interiors -> constant-modulus beams, straight-through."""
+    """Beamspace interiors -> constant-modulus beams, straight-through.
+
+    params: (..., n_img, N_XO, N_YO); returns (..., n_img / n_pol, NT) over
+    the same leading axes.
+    """
     n_pol = 2 if geometry.dual_polarized else 1
-    n_img = params.shape[0]
+    n_img = params.shape[-3]
     if n_img % n_pol:
         raise ShapeError("image count not divisible by polarization count")
     left = ad.constant(np.conj(pair.u_x_pinv.T))
     right = ad.constant(pair.u_y_pinv)
-    mats = ad.matmul(ad.matmul(left, params), right)  # (n_img, N_X, N_Y)
-    raw = ad.reshape(mats, (n_img // n_pol, n_pol * geometry.n_x * geometry.n_y))
+    mats = ad.matmul(ad.matmul(left, params), right)  # (..., n_img, N_X, N_Y)
+    raw = ad.reshape(mats, params.shape[:-3] + (
+        n_img // n_pol, n_pol * geometry.n_x * geometry.n_y))
     # magnitude equalization is smooth, so it gets the exact gradient; only
     # the phase-grid snap needs the straight-through surrogate
     equalized = ad.unit_modulus(raw, 1.0 / np.sqrt(geometry.n_elements))
@@ -107,10 +112,8 @@ def _csirs_columns(csirs: cb.CsirsCodebook) -> np.ndarray:
 class DirectGenerator:
     """Free beamspace parameters per cell, initialized at the DFT baseline.
 
-    ``generate`` returns the same codebook DiffTensors until a parameter's
-    value array is replaced (as ``Adam.step``, the best-validation restore
-    and ``load_checkpoint`` do), so the drops of one training step share one
-    codebook graph.  Parameter arrays must be replaced, never edited in place.
+    The codebooks do not depend on the feedback images, so every drop
+    shares them.
     """
 
     def __init__(self, tape: Tape, cells: int, geometry: ArrayGeometry,
@@ -119,7 +122,6 @@ class DirectGenerator:
         self.geometry = geometry
         self.dims = dims
         self.pair = cb.make_transform_pair(geometry)
-        self._books = None  # (parameter value arrays, (ssb, csirs))
         if init_ssb is None:
             init_ssb = [cb.build_dft_ssb(geometry, dims.l_max,
                                          dims.elevation_window)] * cells
@@ -144,11 +146,8 @@ class DirectGenerator:
         return gen
 
     def generate(self, obsc=None):
-        values = [p.value for p in self.ssb_params + self.csirs_params]
-        if self._books is not None and all(
-                a is b for a, b in zip(self._books[0], values)):
-            ssb, csirs = self._books[1]
-            return list(ssb), list(csirs)
+        """Per-cell (L, NT) SSB and (N_CB, NT, B_g) CSI-RS codebooks; ``obsc``
+        is ignored."""
         ssb, csirs = [], []
         n_t = self.geometry.n_elements
         for c in range(self.cells):
@@ -158,8 +157,7 @@ class DirectGenerator:
                                     self.geometry, self.dims.b_phase)
             stack = ad.reshape(cols, (self.dims.n_cb, self.dims.b_g, n_t))
             csirs.append(ad.swapaxes(stack, 1, 2))  # (N_CB, NT, B_g)
-        self._books = (values, (ssb, csirs))
-        return list(ssb), list(csirs)
+        return ssb, csirs
 
 
 class NeuralGenerator:
@@ -231,36 +229,44 @@ class NeuralGenerator:
         return entry
 
     def generate_for(self, obsc: list, geometry: ArrayGeometry):
-        """Emit per-cell codebooks for the geometry the obsc was built on."""
+        """Emit per-cell codebooks for the geometry the obsc was built on.
+
+        ``obsc`` holds each cell's feedback images, (L*n_pol, H, W) for one
+        drop or (B, L*n_pol, H, W) for B drops.  The network runs once on
+        all of them.  Returns per-cell SSB and CSI-RS codebooks with the
+        input's leading axes: (L, NT) and (N_CB, NT, B_g) for one drop,
+        (B, L, NT) and (B, N_CB, NT, B_g) for B drops.
+        """
         dims = self.dims
         n_pol = 2 if geometry.dual_polarized else 1
         if n_pol != self.n_pol:
             raise ConfigError("generator polarization does not match geometry")
         pair, base_ssb, base_csirs = self._baseline(geometry)
-        hh, ww = obsc[0].shape[-2:]
-        stacked = np.concatenate([np.asarray(o) for o in obsc], axis=0)
-        if stacked.shape[0] * 2 != self.cin:
+        stacked = np.concatenate([np.asarray(o) for o in obsc], axis=-3)
+        lead, (n_in, hh, ww) = stacked.shape[:-3], stacked.shape[-3:]
+        if n_in * 2 != self.cin:
             raise ShapeError("observation channel count does not match weights")
-        x = np.empty((1, self.cin, hh, ww))
-        x[0, 0::2], x[0, 1::2] = stacked.real, stacked.imag
+        stacked = stacked.reshape((-1, n_in, hh, ww))
+        x = np.empty((stacked.shape[0], self.cin, hh, ww))
+        x[:, 0::2], x[:, 1::2] = stacked.real, stacked.imag
         # crop first, so the re/im split and the delta copy only the interior
         out = ad.crop2d(self._network(ad.constant(x)), pair.n_xo, pair.n_yo)
         re = ad.take(out, np.arange(0, self.cout, 2), axis=1)
         im = ad.take(out, np.arange(1, self.cout, 2), axis=1)
-        delta = ad.add(re, ad.scale(im, 1j))  # (1, cout/2, n_xo, n_yo)
-        delta = ad.reshape(delta, (self.cout // 2, pair.n_xo, pair.n_yo))
+        delta = ad.add(re, ad.scale(im, 1j))  # (B, cout/2, n_xo, n_yo)
+        delta = ad.reshape(delta, lead + (self.cout // 2, pair.n_xo, pair.n_yo))
         per_cell = dims.l_max + dims.n_cb * dims.b_g
         ssb, csirs = [], []
         for c in range(self.cells):
             start = c * per_cell * n_pol
             idx_ssb = np.arange(start, start + dims.l_max * n_pol)
             idx_cs = np.arange(start + dims.l_max * n_pol, start + per_cell * n_pol)
-            p_ssb = ad.add(ad.take(delta, idx_ssb, axis=0), ad.constant(base_ssb))
-            p_cs = ad.add(ad.take(delta, idx_cs, axis=0), ad.constant(base_csirs))
+            p_ssb = ad.add(ad.take(delta, idx_ssb, axis=-3), ad.constant(base_ssb))
+            p_cs = ad.add(ad.take(delta, idx_cs, axis=-3), ad.constant(base_csirs))
             ssb.append(_inverse_project(p_ssb, pair, geometry, dims.b_phase))
             cols = _inverse_project(p_cs, pair, geometry, dims.b_phase)
-            stack = ad.reshape(cols, (dims.n_cb, dims.b_g, geometry.n_elements))
-            csirs.append(ad.swapaxes(stack, 1, 2))
+            stack = ad.reshape(cols, lead + (dims.n_cb, dims.b_g, geometry.n_elements))
+            csirs.append(ad.swapaxes(stack, -1, -2))
         return ssb, csirs
 
 
@@ -411,9 +417,10 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
     return samples
 
 
-def _total_loss(sample: TrainingSample, generate, sigma2, n_csi, ssb_weight,
-                disaggregated_cell=None, balance_weight=0.0, memo=None):
-    ssb_dt, csirs_dt = generate(sample.obsc)
+def _drop_loss(sample: TrainingSample, ssb_dt, csirs_dt, sigma2, n_csi,
+               ssb_weight, disaggregated_cell=None, balance_weight=0.0,
+               memo=None):
+    """One drop's training loss under the given per-cell codebooks."""
     fw = forward_model(sample.h, ssb_dt, csirs_dt, sigma2, n_csi,
                        new_user_mask=sample.new_user_mask,
                        disaggregated_cell=disaggregated_cell, memo=memo)
@@ -427,16 +434,43 @@ def _total_loss(sample: TrainingSample, generate, sigma2, n_csi, ssb_weight,
     return loss, fw
 
 
+def _total_loss(sample: TrainingSample, generate, sigma2, n_csi, ssb_weight,
+                disaggregated_cell=None, balance_weight=0.0):
+    """One drop's loss, with codebooks generated from its own images alone."""
+    ssb_dt, csirs_dt = generate(sample.obsc)
+    return _drop_loss(sample, ssb_dt, csirs_dt, sigma2, n_csi, ssb_weight,
+                      disaggregated_cell, balance_weight)
+
+
+def _batch_losses(batch: list, generate, sigma2, n_csi, ssb_weight,
+                  cell=None, balance_weight=0.0):
+    """Yield each drop's loss, from one ``generate`` call on the batch's images.
+
+    Batched codebooks (a leading drop axis) give each drop its slice; shared
+    ones pass to every drop as they are.  The drops share one subset memo.
+    Losses are built one at a time, so a caller that keeps only their values
+    holds one drop's graph at a time.
+    """
+    ssb, csirs = generate([np.stack(images)
+                           for images in zip(*(s.obsc for s in batch))])
+    batched = ssb[0].value.ndim == 3  # (B, L, NT), not a shared (L, NT)
+    memo = {}
+    for i, sample in enumerate(batch):
+        ssb_i = [ad.take(t, i) for t in ssb] if batched else ssb
+        csirs_i = [ad.take(t, i) for t in csirs] if batched else csirs
+        yield _drop_loss(sample, ssb_i, csirs_i, sigma2, n_csi, ssb_weight,
+                         cell, balance_weight, memo)[0]
+
+
 def _batch_backward(batch: list, generate, sigma2, n_csi, ssb_weight, cell,
                     balance_weight, step: int) -> float:
     """One graph for a minibatch: every drop's loss, one backward of their mean.
 
     Returns the mean loss, checked for finiteness before the backward.  The
-    batch's graphs are released on return, before the next step builds its own.
+    batch's graph is released on return, before the next step builds its own.
     """
-    memo = {}
-    losses = [_total_loss(s, generate, sigma2, n_csi, ssb_weight, cell,
-                          balance_weight, memo)[0] for s in batch]
+    losses = list(_batch_losses(batch, generate, sigma2, n_csi, ssb_weight,
+                                cell, balance_weight))
     batch_loss = 0.0
     for loss in losses:
         batch_loss += float(loss.value.real) / len(batch)
@@ -457,14 +491,17 @@ def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
           val_callback=None) -> list:
     """Mini-batch Adam loop; retains the best-validation parameters.
 
-    ``generate`` maps an obsc list to (ssb, csirs) DiffTensor lists using
-    parameters registered on ``tape``.  Each optimizer step builds one
-    autodiff graph: the batch's losses, each scaled by 1/batch, are summed
-    and backpropagated once, so codebook tensors ``generate`` returns for
-    several drops (``DirectGenerator``) and their beam-precoder correlation
-    are computed and differentiated once per step.  A disaggregated step
-    trains cell ``step % disaggregated_cells`` only.  Deterministic for a
-    fixed seed.
+    ``generate`` takes a list of each cell's feedback images with a leading
+    drop axis, (B, L*n_pol, H, W), and returns (ssb, csirs) lists of per-cell
+    DiffTensors built from parameters registered on ``tape``: per drop,
+    (B, L, NT) and (B, N_CB, NT, B_g), or shared by all drops, (L, NT) and
+    (N_CB, NT, B_g).  It is called once per optimizer step and once per
+    validation chunk of ``batch_size`` drops.  Each step builds one autodiff
+    graph: the batch's losses, each scaled by 1/batch, are summed and
+    backpropagated once, so the generator runs and is differentiated once
+    per step, and shared codebooks' beam-precoder correlations are computed
+    once per step.  A disaggregated step trains cell
+    ``step % disaggregated_cells`` only.  Deterministic for a fixed seed.
 
     ``callback(step, loss)`` runs after each step.  ``val_callback(epoch,
     val_loss, best_epoch)`` runs after each epoch's validation pass;
@@ -498,11 +535,12 @@ def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
             step += 1
         if val:
             vl = 0.0
-            memo = {}
-            for s in val:
-                loss, _ = _total_loss(s, generate, sigma2, n_csi, ssb_weight,
-                                      balance_weight=balance_weight, memo=memo)
-                vl += float(loss.value.real) / len(val)
+            for start in range(0, len(val), batch_size):
+                for loss in _batch_losses(val[start:start + batch_size], generate,
+                                          sigma2, n_csi, ssb_weight,
+                                          balance_weight=balance_weight):
+                    vl += float(loss.value.real) / len(val)
+                    del loss  # release the drop's graph before the next
             if vl < best_val:
                 best_val, best_epoch = vl, epoch
                 best_params = {k: p.value.copy() for k, p in tape.parameters.items()}

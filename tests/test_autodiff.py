@@ -208,8 +208,8 @@ def test_fd_matmul_spec_example():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "div", "scale", "matmul", "conj", "abs2", "real",
     "log2_1p", "relu", "reshape", "swapaxes",
-    "sum_axis", "mean_axis", "concat", "take", "select_cells", "unit_modulus",
-    "hermitian_inverse", "lmmse_sinr", "conv2d", "conv2d_transpose", "crop2d",
+    "sum_axis", "mean_axis", "concat", "take", "take-scalar", "select_cells",
+    "unit_modulus", "hermitian_inverse", "lmmse_sinr", "conv2d", "conv2d_transpose", "crop2d",
 ])
 def test_fd_every_op(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
@@ -252,6 +252,9 @@ def test_fd_every_op(op_name):
     elif op_name == "take":
         fn, vals = (lambda x: _scalar_loss(ad.take(ad.mul(x, x), np.array([0, 2, 0]),
                                                    axis=0))), [a]
+    elif op_name == "take-scalar":  # one slab, its axis dropped
+        fn, vals = (lambda x: _scalar_loss(ad.add(
+            ad.take(ad.mul(x, x), 2), ad.take(ad.mul(x, x), 1, axis=1)))), [a]
     elif op_name == "select_cells":
         fn, vals = (lambda x: _scalar_loss(ad.select_cells(ad.mul(x, x),
                                                            np.array([1, 0, 3, 2])))), [a]
@@ -284,6 +287,53 @@ def test_fd_every_op(op_name):
     else:  # pragma: no cover
         raise AssertionError(op_name)
     assert_grads_match(fn, vals)
+
+
+def _frozen_conv2d_dx(g, w, x_shape, stride, pad):
+    b, c, h, w_in = x_shape
+    kh, kw = w.shape[-2:]
+    acc = np.zeros((b, c, h + 2 * pad, w_in + 2 * pad), dtype=np.complex128)
+    ho, wo = g.shape[-2:]
+    contrib = np.einsum("bohw,ockl->bcklhw", g, np.conj(w), optimize=True)
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += contrib[:, :, i, j]
+    if pad:
+        acc = acc[:, :, pad:-pad, pad:-pad]
+    return acc
+
+
+def _frozen_conv2d_dw(g, x, kh, kw, stride, pad):
+    windows, _, _ = ad._im2col(x, kh, kw, stride, pad)
+    return np.einsum("bohw,bcklhw->ockl", g, np.conj(windows), optimize=True)
+
+
+def test_conv_kernels_match_frozen_conjugated_window_kernels():
+    # the kernels before conjugation moved off the window tensors
+    rng = np.random.default_rng(12)
+    x = random_complex(rng, (3, 4, 5, 5))
+    w = random_complex(rng, (6, 4, 3, 3))
+    g = random_complex(rng, (3, 6, 3, 3))
+    out = ad.conv2d(ad.DiffTensor(x, requires_grad=True),
+                    ad.DiffTensor(w, requires_grad=True), stride=2, pad=1)
+    xt, wt = out._parents
+    out._backward(g)
+    np.testing.assert_allclose(xt.grad, _frozen_conv2d_dx(g, w, x.shape, 2, 1), rtol=1e-13)
+    np.testing.assert_allclose(wt.grad, _frozen_conv2d_dw(g, x, 3, 3, 2, 1), rtol=1e-13)
+
+    xs = random_complex(rng, (3, 6, 3, 3))
+    ws = random_complex(rng, (6, 4, 3, 3))
+    gs = random_complex(rng, (3, 4, 5, 5))
+    out = ad.conv2d_transpose(ad.DiffTensor(xs, requires_grad=True),
+                              ad.DiffTensor(ws, requires_grad=True), stride=2, pad=1)
+    np.testing.assert_allclose(
+        out.value, _frozen_conv2d_dx(xs, np.conj(ws), (3, 4, 5, 5), 2, 1), rtol=1e-13)
+    xt, wt = out._parents
+    out._backward(gs)
+    np.testing.assert_allclose(
+        xt.grad, ad._conv2d_value(gs, np.conj(ws), 2, 1), rtol=1e-13)
+    np.testing.assert_allclose(
+        wt.grad, np.conj(_frozen_conv2d_dw(xs, gs, 3, 3, 2, 1)), rtol=1e-13)
 
 
 def test_fd_real_trace_of_inverse():

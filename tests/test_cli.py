@@ -527,6 +527,9 @@ _MALFORMED = {
         [_line(_ROW, int_noise_power="inf"), _line(_IDLE)]),
     "neg-inf-at-positive-se": _metrics_text(
         [_line(_ROW, eff_sinr_db="-inf"), _line(_IDLE)]),
+    # a repeated (drop, user) row must not silently replace the first copy
+    "repeated-row": _metrics_text(
+        [_line(_ROW), _line(_ROW, rsrp_dbm=-10.0), _line(_IDLE)]),
 }
 
 

@@ -187,36 +187,101 @@ def test_neural_with_zero_head_matches_direct_dft():
     np.testing.assert_allclose(l_net.value, l_dir.value, rtol=1e-12)
 
 
-def test_direct_generator_reuses_codebooks_until_a_parameter_is_rebound():
+def _random_obsc(geo, dims, cells, seed):
+    pair = cb.make_transform_pair(geo)
+    rng = np.random.default_rng(seed)
+    shape = (dims.l_max * 2, pair.n_xo + 1, pair.n_yo + 1)
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(cells)]
+
+
+def _books_loss(books, weights):
+    """A real scalar that depends on every entry of every codebook tensor."""
+    terms = [ad.sum_axis(ad.reshape(ad.real(ad.mul(t, ad.constant(w))), (-1,)), 0)
+             for t, w in zip(books, weights)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return total
+
+
+@pytest.mark.parametrize("b_phase", [None, 2])
+def test_neural_generate_for_on_a_stacked_batch_matches_per_drop_calls(b_phase):
+    cells, n_drops = 2, 3
+    geo, dims = _geo(), _dims(b_phase=b_phase)
+    tape = Tape()
+    gen = nbl.NeuralGenerator(tape, cells, dims, n_pol=2, seed=1)
+    drops = [_random_obsc(geo, dims, cells, seed) for seed in range(n_drops)]
+    ssb, csirs = gen.generate_for([np.stack(im) for im in zip(*drops)], geo)
+    n_t = geo.n_elements
+    assert [t.shape for t in ssb] == [(n_drops, dims.l_max, n_t)] * cells
+    assert [t.shape for t in csirs] == [(n_drops, dims.n_cb, n_t, dims.b_g)] * cells
+    rng = np.random.default_rng(7)
+    weights = [rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
+               for t in ssb + csirs]
+    ad.backward(_books_loss(ssb + csirs, weights))
+    got = {k: g.copy() for k, g in tape.gradients().items()}
+    tape.zero_grad()
+    for i, obsc in enumerate(drops):
+        one_ssb, one_csirs = gen.generate_for(obsc, geo)
+        # a one-drop input keeps the unbatched shapes
+        assert [t.shape for t in one_ssb] == [(dims.l_max, n_t)] * cells
+        assert [t.shape for t in one_csirs] == [(dims.n_cb, n_t, dims.b_g)] * cells
+        for batched, one in zip(ssb + csirs, one_ssb + one_csirs):
+            np.testing.assert_allclose(batched.value[i], one.value, rtol=1e-12,
+                                       atol=1e-12)
+        ad.backward(_books_loss(one_ssb + one_csirs, [w[i] for w in weights]))
+    for name, want in tape.gradients().items():
+        assert np.abs(want).max() > 0, name
+        np.testing.assert_allclose(got[name], want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+    # a leading drop axis of length 1 is kept
+    ssb1, csirs1 = gen.generate_for([o[None] for o in drops[0]], geo)
+    assert ssb1[0].shape == (1, dims.l_max, n_t)
+    assert csirs1[0].shape == (1, dims.n_cb, n_t, dims.b_g)
+
+
+def _counting(fn, calls):
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
+
+def test_train_generates_once_per_step_and_per_validation_chunk():
     cfg = _config(c_cells=2)
     dims = _dims()
+    data, sigma2 = _dataset(cfg, dims, n_samples=8)
     tape = Tape()
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
-    ssb, csirs = gen.generate()
-    again = gen.generate([np.zeros(1)])  # direct codebooks ignore obsc
-    assert all(a is b for a, b in zip(ssb + csirs, again[0] + again[1]))
-    rng = np.random.default_rng(3)
-    for name, p in tape.parameters.items():
-        p.value = p.value + 0.1 * (rng.standard_normal(p.value.shape)
-                                   + 1j * rng.standard_normal(p.value.shape))
-        new_ssb, new_csirs = gen.generate()
-        assert not any(a is b for a, b in zip(ssb + csirs, new_ssb + new_csirs)), name
-        fresh = nbl.DirectGenerator.from_tape(tape, cfg.c_cells, cfg.geometry,
-                                              dims).generate()
-        for got, want in zip(new_ssb + new_csirs, fresh[0] + fresh[1]):
-            np.testing.assert_array_equal(got.value, want.value)
-        ssb, csirs = new_ssb, new_csirs
+    calls = []
+    nbl.train(data, _counting(gen.generate, calls), tape, sigma2, dims.n_csi,
+              epochs=2, lr=1e-3, batch_size=2, seed=3, val_fraction=3 / 8)
+    # per epoch: 5 training drops in steps of 2, 2, 1; 3 validation drops in
+    # chunks of 2, 1; each call gets every cell's images with a drop axis
+    leading = [[o.shape[0] for o in obsc] for (obsc,) in calls]
+    assert leading == [[2, 2], [2, 2], [1, 1], [2, 2], [1, 1]] * 2
+
+
+def test_neural_network_runs_once_per_step_and_per_validation_chunk():
+    cfg = _config(c_cells=2)
+    dims = _dims()
+    data, sigma2 = _dataset(cfg, dims, n_samples=5)
+    tape = Tape()
+    gen = nbl.NeuralGenerator(tape, cfg.c_cells, dims, n_pol=2)
+    calls = []
+    gen._network = _counting(gen._network, calls)
+    nbl.train(data, lambda o: gen.generate_for(o, cfg.geometry), tape, sigma2,
+              dims.n_csi, epochs=1, lr=1e-3, batch_size=2, seed=3,
+              val_fraction=0.4)
+    # steps of 2 and 1 training drops, then one validation chunk of 2
+    assert [x.shape[0] for (x,) in calls] == [2, 1, 2]
 
 
 def test_neural_generator_at_a_second_geometry_matches_a_fresh_one():
     dims = _dims()
     geo8 = ch.ArrayGeometry(n_x=8, n_y=8, dual_polarized=True)
-
-    def obsc_for(geo, seed):
-        pair = cb.make_transform_pair(geo)
-        rng = np.random.default_rng(seed)
-        shape = (dims.l_max * 2, pair.n_xo + 1, pair.n_yo + 1)
-        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)]
+    obsc_for = lambda geo, seed: _random_obsc(geo, dims, 1, seed)
 
     used = nbl.NeuralGenerator(Tape(), 1, dims, n_pol=2)
     used.generate_for(obsc_for(_geo(), 0), _geo())
@@ -368,7 +433,10 @@ def _per_sample_step_gradients(dataset, generate, tape, sigma2, n_csi,
     ("direct", 3, 4, 2, dict(ssb_weight=0.3, disaggregated_cells=3)),
     ("direct", 2, 4, 4, dict(balance_weight=0.5)),
     ("direct", 2, 5, 2, dict(ssb_weight=0.3)),
-], ids=["direct", "neural", "disaggregated", "balance", "short-last-batch"])
+    ("neural", 2, 5, 2, dict(ssb_weight=0.3)),
+    ("neural", 2, 4, 2, dict(ssb_weight=0.3, disaggregated_cells=2)),
+], ids=["direct", "neural", "disaggregated", "balance", "short-last-batch",
+        "neural-short-last-batch", "neural-disaggregated"])
 def test_one_graph_step_matches_per_sample_backward(mode, cells, n_samples,
                                                     batch_size, kw):
     cfg = _config(c_cells=cells)
