@@ -192,12 +192,21 @@ def matmul(a, b) -> DiffTensor:
     out = DiffTensor(a.value @ b.value, parents=(a, b))
 
     def backward(g):
-        # dA = g @ B^H, dB = A^H @ g  (conjugate-Wirtinger)
+        # dA = g @ B^H, dB = A^H @ g  (conjugate-Wirtinger).  Each conjugates
+        # the smaller of g and the other factor: dA = conj(conj(g) @ B^T) and
+        # dB = (g^H @ A)^H never copy a large constant factor such as a channel.
         if a.requires_grad:
-            ga = g @ np.conj(np.swapaxes(b.value, -1, -2))
+            if b.value.size <= g.size:
+                ga = g @ np.conj(np.swapaxes(b.value, -1, -2))
+            else:
+                ga = np.conj(np.conj(g) @ np.swapaxes(b.value, -1, -2))
             a.accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.conj(np.swapaxes(a.value, -1, -2)) @ g
+            if a.value.size <= g.size:
+                gb = np.conj(np.swapaxes(a.value, -1, -2)) @ g
+            else:
+                gb = np.conj(np.swapaxes(np.swapaxes(np.conj(g), -1, -2) @ a.value,
+                                         -1, -2))
             b.accumulate(_unbroadcast(gb, b.shape))
 
     out._backward = backward

@@ -2,9 +2,16 @@
 
 SSB sweep RSRP (measured and differentiable), network feedback aggregation,
 CSI-RS subset selection, LMMSE combining / SINR, and achievable spectral
-efficiency.  The SINR/SE chain is built on DiffTensors so the same code
-serves both plain evaluation (read ``.value``) and end-to-end codebook
-training.
+efficiency.
+
+Two kinds of stage.  The full sweeps -- ``rsrp_tensor`` over every cell's
+L beams and ``csirs_sinr`` over all N_CSI resources -- take plain arrays
+and decide: association, subsets and each user's resource, in evaluation
+and in training alike.  Training then differentiates only what its loss
+reads, on DiffTensor codebooks: ``beam_rsrp`` at one beam per (cell, user)
+and ``resource_sinr`` at each user's chosen resource, with
+``gather_per_user`` picking those entries.  Both kinds build their SINR
+with ``autodiff.lmmse_sinr`` and their SE with ``stream_se``.
 
 Conventions:
   * All cells sweep beam index i on the same time-frequency occasion.
@@ -121,6 +128,40 @@ def rsrp_tensor(h, beams) -> DiffTensor:
     array.  Equals measure_rsrp at sigma2 = 0.
     """
     power = ad.sum_axis(ad.abs2(_beam_signals(h, beams)), axis=-1)  # (C, L, U, T, K)
+    return ad.sum_axis(ad.sum_axis(power, axis=-1), axis=-1)
+
+
+def gather_per_user(books: list, index) -> DiffTensor:
+    """(C, U, ...) stack of entry ``index[c, u]`` of each cell's book.
+
+    books: per cell an (N, ...) DiffTensor or array, such as its (L, NT)
+    SSB beams or (N_CB, NT, B_g) precoders; index: (C, U) integers.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    rows = [ad.take(book, index[c], axis=0) for c, book in enumerate(books)]
+    return ad.concat([ad.reshape(r, (1,) + r.shape) for r in rows], axis=0)
+
+
+def _link_rows(hv: np.ndarray) -> DiffTensor:
+    """The channel as (C, U, T*K*N_R, NT): one matrix per (cell, user) link."""
+    c_cells, n_users = hv.shape[:2]
+    return ad.constant(hv.reshape(c_cells, n_users, -1, hv.shape[-1]))
+
+
+def beam_rsrp(h: np.ndarray, beams) -> DiffTensor:
+    """Differentiable noise-free RSRP (C, U) of one beam per (cell, user).
+
+    h: (C, U, T, K, N_R, NT); beams: (C, U, NT), the beam of cell c that
+    user u measures.  The entries of rsrp_tensor at those beams, from one
+    matrix-vector product per link instead of the full L-beam sweep.
+    """
+    hv = np.asarray(h, dtype=np.complex128)
+    c_cells, n_users, _, k_sub, _, n_t = hv.shape
+    if beams.shape != (c_cells, n_users, n_t):
+        raise ShapeError(f"beams {beams.shape} do not fit channel {hv.shape}")
+    sig = ad.matmul(_link_rows(hv), ad.reshape(beams, (c_cells, n_users, n_t, 1)))
+    sig = ad.scale(ad.reshape(sig, hv.shape[:-1]), 1.0 / np.sqrt(k_sub * n_t))
+    power = ad.sum_axis(ad.abs2(sig), axis=-1)  # (C, U, T, K)
     return ad.sum_axis(ad.sum_axis(power, axis=-1), axis=-1)
 
 
@@ -246,9 +287,43 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     g = ad.reshape(prod, (c_cells, n_users, t_slots, k_sub, n_rx, n_csi, b_g))
     x = ad.reshape(ad.swapaxes(g, 0, 5), (n_csi, n_users, t_slots, k_sub, n_rx,
                                           c_cells * b_g))
-    own = (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]  # (U, 1, 1, B_g)
-    sinr = ad.lmmse_sinr(x, own, sigma2)  # (N_CSI, U, T, K, B_g)
+    sinr = ad.lmmse_sinr(x, _own_streams(assoc, b_g), sigma2)  # (N_CSI, U, T, K, B_g)
     return SinrRecord(sinr=ad.swapaxes(sinr, 0, 1))  # (U, N_CSI, T, K, B_g)
+
+
+def _own_streams(assoc: np.ndarray, b_g: int) -> np.ndarray:
+    """(U, 1, 1, B_g) column of each user's serving-cell streams among C*B_g."""
+    return (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]
+
+
+def resource_sinr(h: np.ndarray, precoders, assoc: np.ndarray,
+                  sigma2: float) -> DiffTensor:
+    """LMMSE per-stream SINR (U, T, K, B_g) of each user on one resource.
+
+    precoders: (C, U, NT, B_g), the precoder cell c transmits on user u's
+    resource (see ``gather_per_user``).  The same received columns and
+    ``autodiff.lmmse_sinr`` call as ``csirs_sinr`` at that resource, from
+    one (T*K*N_R, NT) @ (NT, B_g) product per link instead of all N_CSI.
+    """
+    hv = np.asarray(h, dtype=np.complex128)
+    c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
+    if precoders.shape[:3] != (c_cells, n_users, n_t):
+        raise ShapeError(f"precoders {precoders.shape} do not fit channel {hv.shape}")
+    b_g = precoders.shape[-1]
+    prod = ad.matmul(_link_rows(hv), precoders)  # (C, U, T*K*N_R, B_g)
+    x = ad.reshape(ad.swapaxes(ad.swapaxes(prod, 0, 1), 1, 2),
+                   (n_users, t_slots, k_sub, n_rx, c_cells * b_g))
+    own = _own_streams(np.asarray(assoc, dtype=np.intp), b_g)
+    return ad.lmmse_sinr(x, own, sigma2)
+
+
+def stream_se(sinr) -> DiffTensor:
+    """SE (...) = sum over streams of log2(1 + mean over (t, k) SINR).
+
+    sinr: (..., T, K, S) per-stream SINR.
+    """
+    mean_tk = ad.mean_axis(ad.mean_axis(sinr, axis=-2), axis=-2)  # (..., S)
+    return ad.sum_axis(ad.log2_1p(mean_tk), axis=-1)
 
 
 def achievable_se(record: SinrRecord) -> SinrRecord:
@@ -257,8 +332,7 @@ def achievable_se(record: SinrRecord) -> SinrRecord:
     SE_i = sum_streams log2(1 + mean over (t, k) SINR); i-hat = argmax
     (tie -> lowest index), held constant for gradients.
     """
-    mean_tk = ad.mean_axis(ad.mean_axis(record.sinr, axis=3), axis=2)  # (U, N_CSI, S)
-    se = ad.sum_axis(ad.log2_1p(mean_tk), axis=-1)
+    se = stream_se(record.sinr)  # (U, N_CSI)
     chosen = np.argmax(se.value.real, axis=1)  # first max -> lowest index
     record.se = se
     record.chosen = chosen

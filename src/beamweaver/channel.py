@@ -22,6 +22,11 @@ from .errors import ConfigError, FormatError
 BMCH_MAGIC = b"BMCH"
 BMCH_VERSION = 1
 
+# Every seed, a command's and a scene's, lies in [0, SEED_LIMIT).  A drop's
+# stream seed, seed * 1000003 + drop index, then fits the uint64 word of the
+# Philox key for any drop index below 2**59.
+SEED_LIMIT = 2 ** 44
+
 # stream tags for Philox keying
 _TAG_USER = 1
 _TAG_LINK = 2

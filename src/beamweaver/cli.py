@@ -56,7 +56,8 @@ CONFIG_SCHEMA = {
                 "n_users": {"type": ["integer", "null"], "minimum": 1},
                 "user_count_range": {"type": "array", "items": {"type": "integer"},
                                      "minItems": 2, "maxItems": 2},
-                "scene_seed": {"type": "integer"},
+                "scene_seed": {"type": "integer", "minimum": 0,
+                               "exclusiveMaximum": ch.SEED_LIMIT},
                 "inter_site_distance": {"type": "number", "exclusiveMinimum": 0},
                 "cluster_count": {"type": "integer", "minimum": 0},
                 "rays_per_cluster": {"type": "integer", "minimum": 1},
@@ -208,11 +209,21 @@ def _check_codebook_file(ssb, csirs, config, dims) -> None:
                               f"config gives {value!r}")
 
 
-def _check_option(name: str, value, minimum) -> None:
-    """Refuse a command-line value outside the range the schema gives its key."""
-    if value is not None and not (np.isfinite(value) and value >= minimum):
-        raise ConfigError(f"{name} must be a finite number >= {minimum}, "
+def _check_option(name: str, value, minimum, limit=None) -> None:
+    """Refuse a command-line value outside the range the schema gives its key:
+    at least ``minimum`` and, if a ``limit`` is given, below it."""
+    if value is None:
+        return
+    # math.isfinite would overflow on an int beyond a double's range
+    finite = isinstance(value, int) or math.isfinite(value)
+    if not (finite and value >= minimum and (limit is None or value < limit)):
+        bound = "" if limit is None else f" and < {limit}"
+        raise ConfigError(f"{name} must be a finite number >= {minimum}{bound}, "
                           f"got {value!r}")
+
+
+def _check_seed(seed: int) -> None:
+    _check_option("--seed", seed, 0, ch.SEED_LIMIT)
 
 
 def _exit_codes(fn):
@@ -247,6 +258,7 @@ def main():
 @_exit_codes
 def gen_channels(config_path, seed, out_path):
     """Synthesize a channel tensor and dump it in the BMCH binary format."""
+    _check_seed(seed)
     doc = load_config(config_path)
     config = scenario_from(doc)
     n_users = doc.get("scenario", {}).get("n_users")
@@ -310,6 +322,7 @@ def _init_eval_ctx(ctx):
 @_exit_codes
 def evaluate(config_path, seed, out_dir, source, drops, workers):
     """Monte-Carlo protocol evaluation; writes a per-user metrics CSV."""
+    _check_seed(seed)
     _check_option("--drops", drops, 1)
     _check_option("--workers", workers, 1)
     doc = load_config(config_path)
@@ -376,6 +389,7 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
 @_exit_codes
 def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
     """End-to-end codebook training; writes checkpoint, loss and validation CSVs."""
+    _check_seed(seed)
     _check_option("--epochs", epochs, 1)
     _check_option("--lr", lr, 0)
     _check_option("--drops", drops, 1)

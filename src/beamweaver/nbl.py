@@ -1,9 +1,13 @@
 """End-to-end codebook learning.
 
-Targets are SVD-optimal per-user spectral efficiencies; the forward model
-replays the beam-management protocol over DiffTensors (discrete selections
-held constant, analog projection passed through a straight-through
-estimator) and the MSE to the targets is minimized with Adam.
+Targets are SVD-optimal per-user spectral efficiencies, and the MSE to them
+is minimized with Adam.  The forward model replays the beam-management
+protocol in two parts.  The full SSB sweep and CSI-RS stage run on the
+codebooks' plain arrays and only decide: association, subsets, each cell's
+strongest beam at each user and each user's resource.  Those decisions are
+held constant, and the autodiff graph covers only what the losses read:
+those beams' RSRP and the SINR on each user's chosen resource.  The analog
+projection passes gradients through a straight-through estimator.
 
 Two generator flavours: ``direct`` optimizes free beamspace images per
 cell; ``neural`` is a small fully-convolutional encoder-decoder mapping the
@@ -53,16 +57,23 @@ class SelectionPin:
     """Recorded discrete decisions, reusable across FD perturbations."""
 
     report: bm.FeedbackReport
-    subset_indices: list
-    chosen: np.ndarray
+    subset_indices: list  # per cell, its N_CSI precoder indices
+    chosen: np.ndarray  # (U,) each user's CSI-RS resource
+    beams: np.ndarray  # (C, U) each cell's strongest beam at each user
 
 
 @dataclass
 class ForwardResult:
-    pred: DiffTensor  # (U,) predicted achievable SE
-    best_rsrp: DiffTensor  # (U,) RSRP of the serving beam (differentiable)
+    """The differentiable quantities the training losses read.
+
+    Each is a small graph over the decisions in ``pin``; no other part of
+    the SSB or CSI-RS stage is differentiated.
+    """
+
+    pred: DiffTensor  # (U,) achievable SE on the chosen resource
+    best_rsrp: DiffTensor  # (U,) serving beam's RSRP, cell_rsrp at the serving cell
     pin: SelectionPin
-    rsrp_dt: DiffTensor  # (C, L, U) differentiable RSRP
+    cell_rsrp: DiffTensor  # (C, U) RSRP of each cell's strongest beam
 
 
 def compute_targets(h: np.ndarray, assoc: np.ndarray, sigma2: float) -> np.ndarray:
@@ -270,46 +281,65 @@ class NeuralGenerator:
         return ssb, csirs
 
 
+def decide(h: np.ndarray, ssb: list, csirs: list, sigma2: float, n_csi: int,
+           new_user_mask=None, memo: dict | None = None) -> SelectionPin:
+    """The protocol's discrete decisions, from plain codebook arrays.
+
+    ssb: per cell its (L, NT) beams; csirs: its (N_CB, NT, B_g) precoders.
+    Runs the full SSB sweep and the CSI-RS stage over all N_CSI resources,
+    with no autodiff graph.  ``memo`` is passed to
+    ``beam_mgmt.select_csirs_subset``, so calls that share it and the
+    codebook arrays compute each cell's beam-precoder correlation once.
+    """
+    rsrp = bm.rsrp_tensor(h, ssb).value.real  # (C, L, U)
+    report = bm.aggregate_feedback(rsrp, new_user_mask)
+    subset_idx = [bm.select_csirs_subset(ssb[c], csirs[c], report, c, n_csi,
+                                         memo).subset_indices
+                  for c in range(len(ssb))]
+    subsets = [cs[idx] for cs, idx in zip(csirs, subset_idx)]
+    record = bm.achievable_se(bm.csirs_sinr(h, subsets, report.b, sigma2))
+    # per cell, the first maximum: at the serving cell that is report.m
+    return SelectionPin(report=report, subset_indices=subset_idx,
+                        chosen=record.chosen, beams=np.argmax(rsrp, axis=1))
+
+
 def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
                   n_csi: int, pin: SelectionPin | None = None,
                   new_user_mask=None,
                   disaggregated_cell: int | None = None,
                   memo: dict | None = None) -> ForwardResult:
-    """Differentiable SSB -> feedback -> CSI-RS -> achievable-SE rollout.
+    """SSB -> feedback -> CSI-RS -> achievable-SE rollout, differentiated
+    only where the training losses read it.
 
-    Discrete selections (association, subsets, resource choice) are either
-    recomputed from current values or replayed from ``pin``; they carry no
-    gradient.  In disaggregated mode all other cells' codewords are treated
-    as fixed interference sources.  ``memo`` is passed to
-    ``beam_mgmt.select_csirs_subset``, so rollouts that share it and the
-    codebook tensors compute each cell's beam-precoder correlation once.
+    The decisions come from ``decide`` on the codebooks' values, or all of
+    them, each cell's strongest beam included, are replayed from ``pin``,
+    which skips both full stages.  They carry no gradient.  The graph then
+    holds each cell's strongest beam at each user (``cell_rsrp``, with
+    ``best_rsrp`` at the serving cell) and one LMMSE SINR per user on its
+    chosen resource, where every cell transmits its precoder for that
+    resource (``pred``).  Every cell's codebooks stay in the graph, so each
+    parameter gets a gradient even where no user reads it.  In
+    disaggregated mode all other cells' codewords are treated as fixed
+    interference sources.
     """
     h = np.asarray(h, dtype=np.complex128)
-    c_cells, n_users = h.shape[:2]
-    # the codebook arrays themselves, before stop_gradient copies them
-    books = [(s.value, cs.value) for s, cs in zip(ssb_dt, csirs_dt)]
+    if pin is None:
+        pin = decide(h, [s.value for s in ssb_dt], [cs.value for cs in csirs_dt],
+                     sigma2, n_csi, new_user_mask, memo)
     if disaggregated_cell is not None:
         ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                   for c, s in enumerate(ssb_dt)]
         csirs_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                     for c, s in enumerate(csirs_dt)]
-    rsrp = bm.rsrp_tensor(h, ssb_dt)  # (C, L, U)
-    if pin is None:
-        report = bm.aggregate_feedback(rsrp.value.real, new_user_mask)
-        subset_idx = [bm.select_csirs_subset(*books[c], report, c, n_csi,
-                                             memo).subset_indices
-                      for c in range(c_cells)]
-    else:
-        report, subset_idx = pin.report, pin.subset_indices
-    subsets = [ad.take(csirs_dt[c], np.asarray(subset_idx[c]), axis=0)
-               for c in range(c_cells)]
-    record = bm.achievable_se(bm.csirs_sinr(h, subsets, report.b, sigma2))
-    chosen = record.chosen if pin is None else pin.chosen
-    pred = ad.select_cells(ad.swapaxes(record.se, 0, 1), chosen)  # (U,)
-    flat = ad.reshape(rsrp, (c_cells * report.l_max, n_users))
-    best = ad.select_cells(flat, report.b * report.l_max + report.m)
-    new_pin = SelectionPin(report=report, subset_indices=subset_idx, chosen=chosen)
-    return ForwardResult(pred=pred, best_rsrp=best, pin=new_pin, rsrp_dt=rsrp)
+    serving = pin.report.b
+    cell_rsrp = bm.beam_rsrp(h, bm.gather_per_user(ssb_dt, pin.beams))
+    # (C, U): the precoder each cell transmits on each user's chosen resource
+    resource = np.asarray(pin.subset_indices, dtype=np.intp)[:, pin.chosen]
+    sinr = bm.resource_sinr(h, bm.gather_per_user(csirs_dt, resource), serving,
+                            sigma2)
+    return ForwardResult(pred=bm.stream_se(sinr),
+                         best_rsrp=ad.select_cells(cell_rsrp, serving),
+                         pin=pin, cell_rsrp=cell_rsrp)
 
 
 def e2e_loss(targets: np.ndarray, pred: DiffTensor) -> DiffTensor:
@@ -327,24 +357,18 @@ def ssb_alignment_loss(best_rsrp: DiffTensor, sigma2: float) -> DiffTensor:
     return ad.scale(ad.mean_axis(ad.log2_1p(snr), axis=0), -1.0)
 
 
-def load_balance_loss(rsrp_dt: DiffTensor) -> DiffTensor:
+def load_balance_loss(cell_rsrp: DiffTensor) -> DiffTensor:
     """Squared deviation of soft per-cell load shares from uniform.
 
-    Each user's strongest-beam RSRP per cell (beam index pinned at the
-    current argmax) is normalized across cells into an attachment share; the
-    penalty is the summed squared deviation of the mean share per cell from
-    1/C.  Discourages codebooks whose beams capture every hotspot user onto
-    a single cell, starving the others of spatial reuse.
+    cell_rsrp: (C, U), each user's RSRP of each cell's strongest beam (the
+    beam index held constant, as ``forward_model`` returns it).  It is
+    normalized across cells into an attachment share; the penalty is the
+    summed squared deviation of the mean share per cell from 1/C.
+    Discourages codebooks whose beams capture every hotspot user onto a
+    single cell, starving the others of spatial reuse.
     """
-    c_cells, l_max, n_users = rsrp_dt.shape
-    flat = ad.reshape(rsrp_dt, (c_cells * l_max, n_users))
-    vals = rsrp_dt.value.real
-    per_cell = []
-    for c in range(c_cells):
-        idx = c * l_max + np.argmax(vals[c], axis=0)
-        per_cell.append(ad.reshape(ad.real(ad.select_cells(flat, idx)),
-                                   (1, n_users)))
-    r = ad.concat(per_cell, axis=0)  # (C, U)
+    c_cells = cell_rsrp.shape[0]
+    r = ad.real(cell_rsrp)
     share = ad.div(r, ad.sum_axis(r, axis=0, keepdims=True))
     load = ad.mean_axis(share, axis=1)  # (C,)
     d = ad.sub(load, ad.constant(np.full(c_cells, 1.0 / c_cells)))
@@ -352,7 +376,12 @@ def load_balance_loss(rsrp_dt: DiffTensor) -> DiffTensor:
 
 
 class Adam:
-    """Adam over complex parameters: moments on g and |g|^2."""
+    """Adam over complex parameters: moments on g and |g|^2.
+
+    ``step`` skips a parameter whose ``grad`` is None, but moves one whose
+    gradient is all zero by its momentum, so a parameter that the loss
+    reaches must get a gradient, zero or not, on every step.
+    """
 
     def __init__(self, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -429,7 +458,7 @@ def _drop_loss(sample: TrainingSample, ssb_dt, csirs_dt, sigma2, n_csi,
         loss = ad.add(loss, ad.scale(ssb_alignment_loss(fw.best_rsrp, sigma2),
                                      ssb_weight))
     if balance_weight:
-        loss = ad.add(loss, ad.scale(load_balance_loss(fw.rsrp_dt),
+        loss = ad.add(loss, ad.scale(load_balance_loss(fw.cell_rsrp),
                                      balance_weight))
     return loss, fw
 

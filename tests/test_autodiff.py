@@ -205,6 +205,28 @@ def test_fd_matmul_spec_example():
     assert_grads_match(loss, [np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]])], rtol=1e-6)
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 8, 6), (3, 6, 1)),  # a far larger than g: dB conjugates g
+    ((2, 5), (4, 5, 9)),  # b far larger than g, broadcast a: dA conjugates g
+    ((4, 3, 2), (2, 5)),  # g the largest: both conjugate the other factor
+])
+def test_matmul_backward_matches_the_direct_adjoints(a_shape, b_shape):
+    rng = np.random.default_rng(23)
+    a0, b0 = random_complex(rng, a_shape), random_complex(rng, b_shape)
+    a, b = ad.DiffTensor(a0, requires_grad=True), ad.DiffTensor(b0, requires_grad=True)
+    out = ad.matmul(a, b)
+    g = random_complex(rng, out.shape)
+    ad.backward(ad.sum_axis(ad.reshape(ad.real(ad.mul(out, ad.constant(g))), (-1,)), 0))
+    # dA = g' @ B^H and dB = A^H @ g', with g' = conj(g) / 2 the adjoint of out
+    seed = np.conj(g) / 2
+    want_a = seed @ np.conj(np.swapaxes(b0, -1, -2))
+    want_b = np.conj(np.swapaxes(a0, -1, -2)) @ seed
+    want_a = want_a.sum(axis=tuple(range(want_a.ndim - a0.ndim)))
+    want_b = want_b.sum(axis=tuple(range(want_b.ndim - b0.ndim)))
+    np.testing.assert_allclose(a.grad, want_a, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(b.grad, want_b, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "div", "scale", "matmul", "conj", "abs2", "real",
     "log2_1p", "relu", "reshape", "swapaxes",

@@ -168,6 +168,21 @@ def test_rsrp_tensor_matches_per_element_loop():
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def test_beam_rsrp_matches_rsrp_tensor_at_gathered_beams():
+    rng = np.random.default_rng(19)
+    h = _crandn(rng, _C, _U, _T, _K, _NR, _NT)
+    books = [_crandn(rng, _L, _NT) for _ in range(_C)]
+    index = rng.integers(0, _L, size=(_C, _U))
+    beams = bm.gather_per_user(books, index)
+    assert beams.shape == (_C, _U, _NT)
+    got = bm.beam_rsrp(h, beams).value
+    full = bm.rsrp_tensor(h, books).value
+    want = np.take_along_axis(full, index[:, None, :], axis=1)[:, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    with pytest.raises(ShapeError):
+        bm.beam_rsrp(h, ad.constant(np.ones((_C, _U + 1, _NT))))
+
+
 # ----------------------------- feedback ----------------------------------
 
 def test_aggregate_feedback_picks_max():
@@ -315,6 +330,22 @@ def test_csirs_sinr_matches_per_stream_solve():
     got = bm.csirs_sinr(h, subsets, assoc, sigma2).sinr.value
     assert got.shape == want.shape
     np.testing.assert_allclose(got.real, want, rtol=1e-10)
+
+
+def test_resource_sinr_matches_csirs_sinr_at_each_users_resource():
+    rng = np.random.default_rng(20)
+    h = _crandn(rng, _C, _U, _T, _K, _NR, _NT)
+    subsets = [_crandn(rng, _NCSI, _NT, _BG) for _ in range(_C)]
+    assoc = rng.integers(0, _C, size=_U)
+    resource = rng.integers(0, _NCSI, size=_U)
+    precoders = bm.gather_per_user(subsets, np.tile(resource, (_C, 1)))
+    assert precoders.shape == (_C, _U, _NT, _BG)
+    got = bm.resource_sinr(h, precoders, assoc, 0.7).value
+    full = bm.csirs_sinr(h, subsets, assoc, 0.7).sinr.value  # (U, N_CSI, T, K, B_g)
+    np.testing.assert_allclose(got, full[np.arange(_U), resource], rtol=1e-12)
+    se = bm.stream_se(ad.constant(got)).value
+    want = bm.achievable_se(bm.SinrRecord(sinr=ad.constant(full))).se.value
+    np.testing.assert_allclose(se, want[np.arange(_U), resource], rtol=1e-12)
 
 
 def _one_interferer_sinr(v, u, sigma2):

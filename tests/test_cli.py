@@ -101,6 +101,44 @@ def test_option_outside_its_schema_range_is_a_config_error(cfg, tmp_path, comman
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-channels", "evaluate", "train"])
+@pytest.mark.parametrize("seed", [-1, ch.SEED_LIMIT, 35184372088832, 2 ** 70])
+def test_seed_outside_the_seed_range_is_a_config_error(cfg, tmp_path, command, seed):
+    # a drop's stream seed, seed * 1000003 + drop index, must fit a uint64
+    out = tmp_path / "out"
+    res = _run(command, "--config", cfg, "--out", out, "--seed", seed)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: --seed must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scene_seed", [-5, ch.SEED_LIMIT, 2 ** 70])
+@pytest.mark.parametrize("command", ["gen-channels", "evaluate"])
+def test_scene_seed_outside_the_seed_range_is_a_config_error(tmp_path, command,
+                                                            scene_seed):
+    doc = _config_doc()
+    doc["scenario"]["scene_seed"] = scene_seed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = _run(command, "--config", path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: config schema violation")
+    assert not out.exists()
+
+
+def test_largest_seeds_in_the_seed_range_evaluate(tmp_path):
+    doc = _config_doc()
+    doc["scenario"]["scene_seed"] = ch.SEED_LIMIT - 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run("evaluate", "--config", path, "--out", tmp_path / "ev",
+               "--seed", ch.SEED_LIMIT - 1, "--drops", 2)
+    assert res.exit_code == 0, res.output
+    drops = {r["drop"] for r in mx.read_metrics(tmp_path / "ev" / "metrics.csv")}
+    assert drops == {(ch.SEED_LIMIT - 1) * 1000003 + i for i in range(2)}
+
+
 def test_invalid_json_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from beamweaver import autodiff as ad
+from beamweaver import beam_mgmt as bm
 from beamweaver import channel as ch
 from beamweaver import codebook as cb
 from beamweaver import nbl
@@ -110,17 +111,16 @@ def test_ssb_alignment_loss_value():
 
 
 def test_load_balance_loss_zero_when_uniform():
-    c_cells, l_max, n_users = 3, 4, 5
-    rsrp = np.zeros((c_cells, l_max, n_users))
-    rsrp[:, 0, :] = 1.0  # every cell sees every user equally strongly
+    c_cells, n_users = 3, 5
+    rsrp = np.ones((c_cells, n_users))  # every cell reaches every user equally
     got = float(nbl.load_balance_loss(ad.constant(rsrp)).value.real)
     assert got == pytest.approx(0.0, abs=1e-15)
 
 
 def test_load_balance_loss_one_cell_captures_all():
-    c_cells, l_max, n_users = 3, 4, 5
-    rsrp = np.full((c_cells, l_max, n_users), 1e-12)
-    rsrp[1, 2, :] = 1.0  # cell 1 dominates every user
+    c_cells, n_users = 3, 5
+    rsrp = np.full((c_cells, n_users), 1e-12)
+    rsrp[1, :] = 1.0  # cell 1's strongest beam dominates every user
     got = float(nbl.load_balance_loss(ad.constant(rsrp)).value.real)
     want = (1.0 - 1.0 / 3) ** 2 + 2 * (1.0 / 3) ** 2
     assert got == pytest.approx(want, rel=1e-6)
@@ -128,7 +128,7 @@ def test_load_balance_loss_one_cell_captures_all():
 
 def test_load_balance_loss_gradient_matches_fd():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    x = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
 
     def loss_fn(p):
         return nbl.load_balance_loss(ad.abs2(p))
@@ -158,6 +158,149 @@ def test_forward_pin_replays_selections():
     np.testing.assert_array_equal(fw2.pin.chosen, fw.pin.chosen)
     assert fw2.pin.subset_indices == fw.pin.subset_indices
     np.testing.assert_array_equal(fw2.pin.report.b, fw.pin.report.b)
+
+
+def _full_graph_forward_model(h, ssb_dt, csirs_dt, sigma2, n_csi, pin=None,
+                              new_user_mask=None, disaggregated_cell=None):
+    """Frozen reference: forward_model as it was before it split decisions
+    from the graph, differentiating every beam and every CSI-RS resource.
+
+    ``pin`` is its own (report, subsets, chosen) triple.  Returns (pred,
+    best_rsrp, rsrp (C, L, U), pin).
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    c_cells, n_users = h.shape[:2]
+    books = [(s.value, cs.value) for s, cs in zip(ssb_dt, csirs_dt)]
+    if disaggregated_cell is not None:
+        ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
+                  for c, s in enumerate(ssb_dt)]
+        csirs_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
+                    for c, s in enumerate(csirs_dt)]
+    rsrp = bm.rsrp_tensor(h, ssb_dt)
+    if pin is None:
+        report = bm.aggregate_feedback(rsrp.value.real, new_user_mask)
+        subset_idx = [bm.select_csirs_subset(*books[c], report, c,
+                                             n_csi).subset_indices
+                      for c in range(c_cells)]
+    else:
+        report, subset_idx, _ = pin
+    subsets = [ad.take(csirs_dt[c], np.asarray(subset_idx[c]), axis=0)
+               for c in range(c_cells)]
+    record = bm.achievable_se(bm.csirs_sinr(h, subsets, report.b, sigma2))
+    chosen = record.chosen if pin is None else pin[2]
+    pred = ad.select_cells(ad.swapaxes(record.se, 0, 1), chosen)
+    flat = ad.reshape(rsrp, (c_cells * report.l_max, n_users))
+    best = ad.select_cells(flat, report.b * report.l_max + report.m)
+    return pred, best, rsrp, (report, subset_idx, chosen)
+
+
+def _full_graph_load_balance_loss(rsrp_dt):
+    """Frozen reference: load_balance_loss on the (C, L, U) RSRP tensor."""
+    c_cells, l_max, n_users = rsrp_dt.shape
+    flat = ad.reshape(rsrp_dt, (c_cells * l_max, n_users))
+    vals = rsrp_dt.value.real
+    per_cell = []
+    for c in range(c_cells):
+        idx = c * l_max + np.argmax(vals[c], axis=0)
+        per_cell.append(ad.reshape(ad.real(ad.select_cells(flat, idx)),
+                                   (1, n_users)))
+    r = ad.concat(per_cell, axis=0)
+    share = ad.div(r, ad.sum_axis(r, axis=0, keepdims=True))
+    load = ad.mean_axis(share, axis=1)
+    d = ad.sub(load, ad.constant(np.full(c_cells, 1.0 / c_cells)))
+    return ad.sum_axis(ad.mul(d, d), axis=0)
+
+
+def _rollout_loss(full_graph, sample, ssb, csirs, sigma2, n_csi, ssb_weight,
+                  balance_weight, cell=None, pin=None):
+    """One drop's training loss from either forward model, and its pin."""
+    kw = dict(pin=pin, new_user_mask=sample.new_user_mask,
+              disaggregated_cell=cell)
+    if full_graph:
+        pred, best, rsrp, pin = _full_graph_forward_model(
+            sample.h, ssb, csirs, sigma2, n_csi, **kw)
+        balance = lambda: _full_graph_load_balance_loss(rsrp)
+    else:
+        fw = nbl.forward_model(sample.h, ssb, csirs, sigma2, n_csi, **kw)
+        pred, best, pin = fw.pred, fw.best_rsrp, fw.pin
+        balance = lambda: nbl.load_balance_loss(fw.cell_rsrp)
+    loss = ad.add(nbl.e2e_loss(sample.targets, pred),
+                  ad.scale(nbl.ssb_alignment_loss(best, sigma2), ssb_weight))
+    if balance_weight:
+        loss = ad.add(loss, ad.scale(balance(), balance_weight))
+    return loss, pin
+
+
+@pytest.mark.parametrize("case", ["direct", "neural", "disaggregated",
+                                  "balance", "pin", "idle-cell"])
+def test_forward_model_matches_the_full_graph(case):
+    cells = 3 if case in ("disaggregated", "idle-cell") else 2
+    cfg = _config(c_cells=cells, user_count_range=(2, 4))
+    dims = _dims(n_cb=6, n_csi=3)
+    data, sigma2 = _dataset(cfg, dims, n_samples=6)
+    tape = Tape()
+    if case == "neural":
+        gen = nbl.NeuralGenerator(tape, cells, dims, n_pol=2, seed=2)
+        generate = lambda o: gen.generate_for(o, cfg.geometry)
+    else:
+        gen = nbl.DirectGenerator(tape, cells, cfg.geometry, dims)
+        generate = gen.generate
+        rng = np.random.default_rng(8)  # off the DFT start, so no ties
+        for p in tape.parameters.values():
+            p.value = p.value + 0.05 * (rng.standard_normal(p.value.shape)
+                                        + 1j * rng.standard_normal(p.value.shape))
+    if case == "idle-cell":
+        # only drops in which some cell is nobody's serving cell
+        books = [[t.value for t in b] for b in generate(None)]
+        data = [s for s in data
+                if np.bincount(nbl.decide(s.h, *books, sigma2, dims.n_csi,
+                                          s.new_user_mask).report.b,
+                               minlength=cells).min() == 0]
+        assert data
+    ssb_weight = 0.3
+    balance_weight = 0.5 if case in ("balance", "idle-cell") else 0.0
+    cell = 1 if case == "disaggregated" else None
+    pins = {True: [None] * len(data), False: [None] * len(data)}
+    if case == "pin":
+        # record the decisions, then move the codebooks far enough to change
+        # some of them; the replay must keep the recorded ones.  The balance
+        # loss stays off: a replay also keeps each cell's strongest beam,
+        # which the full-graph model took again from the current values.
+        for full_graph in (True, False):
+            for i, s in enumerate(data):
+                pins[full_graph][i] = _rollout_loss(
+                    full_graph, s, *generate(s.obsc), sigma2, dims.n_csi,
+                    ssb_weight, 0.0)[1]
+        rng = np.random.default_rng(9)
+        for p in tape.parameters.values():
+            p.value = p.value + 0.5 * (rng.standard_normal(p.value.shape)
+                                       + 1j * rng.standard_normal(p.value.shape))
+        ssb, csirs = generate(None)
+        moved = [nbl.decide(s.h, [t.value for t in ssb], [t.value for t in csirs],
+                            sigma2, dims.n_csi, s.new_user_mask) for s in data]
+        assert any(m.subset_indices != p.subset_indices
+                   or not np.array_equal(m.chosen, p.chosen)
+                   for m, p in zip(moved, pins[False]))
+    for i, s in enumerate(data):
+        results = {}
+        for full_graph in (True, False):
+            tape.zero_grad()
+            loss, _ = _rollout_loss(full_graph, s, *generate(s.obsc), sigma2,
+                                    dims.n_csi, ssb_weight, balance_weight,
+                                    cell, pins[full_graph][i])
+            ad.backward(loss)
+            results[full_graph] = (float(loss.value.real),
+                                   {k: p.grad for k, p in tape.parameters.items()})
+        (want_loss, want), (got_loss, got) = results[True], results[False]
+        assert got_loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        for name, w in want.items():
+            # a parameter the full graph reaches gets a gradient, even an
+            # all-zero one: Adam moves it by its momentum
+            assert (got[name] is None) == (w is None), name
+            if w is not None:
+                np.testing.assert_allclose(got[name], w, rtol=1e-12,
+                                           atol=1e-12 * np.abs(w).max(),
+                                           err_msg=name)
 
 
 def test_direct_generator_starts_at_dft():
@@ -361,6 +504,24 @@ def test_adam_first_step_is_lr_sized():
     opt = nbl.Adam(lr=0.01)
     opt.step(tape)
     assert p.value[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+
+
+def test_adam_moves_a_zero_gradient_by_momentum_and_skips_a_missing_one():
+    tape = Tape()
+    zero = tape.parameter("zero", np.array([1.0 + 0.0j]))
+    none = tape.parameter("none", np.array([1.0 + 0.0j]))
+    opt = nbl.Adam(lr=0.01)
+    zero.grad, none.grad = np.array([0.5 + 0.0j]), np.array([0.5 + 0.0j])
+    opt.step(tape)
+    after_first = zero.value.copy()
+    assert none.value[0] == after_first[0]
+    zero.grad, none.grad = np.zeros(1, complex), None
+    opt.step(tape)
+    # the all-zero gradient still steps, by the first moment it carries
+    assert zero.value[0].real < after_first[0].real - 1e-3
+    # a missing gradient leaves the value and both moments untouched
+    assert none.value[0] == after_first[0]
+    assert opt.m["none"][0] == pytest.approx(0.05)
 
 
 def test_train_same_seed_bitwise():
