@@ -12,6 +12,8 @@ Evaluation is eager, dense and single-threaded per tape.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, SingularMatrixError
@@ -26,7 +28,8 @@ def _asarray(x) -> np.ndarray:
 class DiffTensor:
     """A node in the autodiff graph: complex value + adjoint accumulator."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name",
+                 "__weakref__")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None, name=None):
         self.value = _asarray(value)
@@ -465,6 +468,11 @@ def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
     push-through form W = X A, A = (lam I_M + X^H X)^-1 E_own, and
     Z = E_own - lam A, exact as lam -> 0 whenever X has full column rank.
     Returns W (..., N, S) and Z (..., M, S).
+
+    The RZF precoder (``link._rzf_columns``) is the only caller: a few to a
+    few tens of matrices per call, where one LAPACK solve per stack is
+    cheapest.  ``lmmse_sinr`` solves the same system for stacks of thousands
+    of small matrices with its own batch-last kernel.
     """
     n, m = x.shape[-2:]
     own = _own_columns(own, x.ndim)
@@ -484,12 +492,112 @@ def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
     return x @ a, e_own - lam * a
 
 
+# Matrices per block of the ``lmmse_sinr`` kernel.  A block is stored batch
+# last, (N, M, B), so every op on it is one contiguous vector op over B.
+_SINR_BLOCK = 1024
+
+
+def _cholesky(gram, lam):
+    """Cholesky factor of lam I + G for a block of Hermitian PSD matrices G.
+
+    gram[i][j] (i >= j) is the lower triangle of G, each entry a (B,)
+    vector.  Returns the strictly lower entries of L, low[i][j], and the
+    inverse pivots 1 / L[j][j].  Every exact pivot of lam I + PSD is at
+    least lam, so each computed one is floored there.
+    """
+    k = len(gram)
+    low = [[None] * k for _ in range(k)]
+    inv = []
+    for j in range(k):
+        d = gram[j][j].real + lam
+        for q in range(j):
+            d -= low[j][q].real ** 2 + low[j][q].imag ** 2
+        inv.append(1.0 / np.sqrt(np.maximum(d, lam)))
+        for i in range(j + 1, k):
+            v = gram[i][j]
+            for q in range(j):
+                v = v - low[i][q] * np.conj(low[j][q])
+            low[i][j] = v * inv[j]
+    return low, inv
+
+
+def _cholesky_solve(low, inv, rhs) -> np.ndarray:
+    """Y (K, S, B) with L L^H y = rhs, by forward then back substitution."""
+    k = len(inv)
+    y = np.empty(rhs.shape, dtype=np.complex128)
+    for i in range(k):
+        v = rhs[i]
+        for q in range(i):
+            v = v - low[i][q] * y[q]
+        np.multiply(v, inv[i], out=y[i])
+    for i in reversed(range(k)):
+        v = y[i]
+        for q in range(i + 1, k):
+            v = v - np.conj(low[q][i]) * y[q]
+        np.multiply(v, inv[i], out=y[i])
+    return y
+
+
+def _lincomb(rows, coefs, out=None) -> np.ndarray:
+    """sum_i rows[i] * coefs[i], one broadcast multiply-add per term."""
+    out = np.multiply(rows[0], coefs[0], out=out)
+    for r, c in zip(rows[1:], coefs[1:]):
+        out += r * c
+    return out
+
+
+def _own_entries(own: np.ndarray, m: int) -> np.ndarray:
+    """Flat index (S, B) of each stream's own entry in an (S, M, B) block."""
+    n_s, b = own.shape
+    return (np.arange(n_s)[:, None] * m + own) * b + np.arange(b)
+
+
+def _sinr_block(xt: np.ndarray, own: np.ndarray, lam: float):
+    """LMMSE filters and output SINR of one batch-last block.
+
+    xt: (N, M, B) received columns; own: (S, B) own column of each stream.
+    The same filters as ``lmmse_filter``: for M >= N, W = R^-1 X[:, own]
+    with R = lam I + X X^H; for M < N, the push-through W = X A with
+    A = (lam I + X^H X)^-1 E_own and Z = E_own - lam A.  Returns W (N, S, B),
+    Z = X^H W (S, M, B), den and SINR (S, B).
+    """
+    n, m, b = xt.shape
+    n_s = own.shape[0]
+    at_own = _own_entries(own, m)
+    xc = np.conj(xt)
+    if m >= n:
+        low, inv = _cholesky([[(xt[i] * xc[j]).sum(axis=0) for j in range(i + 1)]
+                              for i in range(n)], lam)
+        v = xt.reshape(n, m * b).take(own * b + np.arange(b), axis=1)  # (N, S, B)
+        w = _cholesky_solve(low, inv, v)
+        z = np.empty((n_s, m, b), dtype=np.complex128)
+        for s in range(n_s):
+            _lincomb(xc, w[:, s], out=z[s])
+    else:
+        low, inv = _cholesky([[(xc[:, i] * xt[:, j]).sum(axis=0) for j in range(i + 1)]
+                              for i in range(m)], lam)
+        e_own = np.zeros((n_s, m, b))
+        e_own.reshape(-1)[at_own] = 1.0
+        a = _cholesky_solve(low, inv, np.swapaxes(e_own, 0, 1))  # (M, S, B)
+        w = np.empty((n, n_s, b), dtype=np.complex128)
+        for s in range(n_s):
+            _lincomb(np.swapaxes(xt, 0, 1), a[:, s], out=w[:, s])
+        z = e_own - lam * np.swapaxes(a, 0, 1)
+    p = z.real ** 2 + z.imag ** 2
+    num = p.reshape(-1)[at_own]
+    p.reshape(-1)[at_own] = 0.0
+    den = lam * (w.real ** 2 + w.imag ** 2).sum(axis=0) + p.sum(axis=1)
+    live = den > 0  # den is 0 only for a zero filter column: a zero desired column
+    den = np.where(live, den, 1.0)
+    return w, z, den, np.where(live, num, 0.0) / den
+
+
 def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     """Per-stream output SINR of the LMMSE receive filter (real-valued).
 
     x: (..., N_R, M), every transmitted column x_k at the receiver; own:
     (..., S) constant integer index of each desired stream's column in x
-    (broadcast against the leading axes).  With W = R^-1 V from
+    (broadcast against the leading axes).  With W = R^-1 V, the filter of
     ``lmmse_filter``, R = sigma2 I + X X^H and V = x[..., own],
 
         SINR_s = |v_s^H w_s|^2 / (sigma2 |w_s|^2 + sum_{k != own_s} |x_k^H w_s|^2).
@@ -499,29 +607,57 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     backward holds W fixed (envelope theorem) and needs no solve:
     dX = W (conj(Z) o coef)^T with Z = X^H W, coef = 2 g/den on the own
     column and -2 g SINR/den elsewhere.  A zero desired column scores 0.
+
+    The CSI-RS sweep passes stacks of thousands of tiny matrices (2 or 4 x
+    12), where one LAPACK call per matrix costs far more than its
+    arithmetic.  So the stack is copied ``_SINR_BLOCK`` matrices at a time
+    into a batch-last block, factored by a Cholesky unrolled over
+    min(N_R, M), and solved by substitution, every step one vector op over
+    the block.  ``lmmse_filter`` keeps LAPACK for the RZF precoder's few
+    matrices per call.
     """
     x = as_tensor(x)
     xv = x.value
     if xv.ndim < 2:
         raise ShapeError("lmmse_sinr requires x with ndim >= 2")
-    w, z = lmmse_filter(xv, own, sigma2)  # z[..., k, s] = x_k^H w_s
-    own = _own_columns(own, xv.ndim)
-    is_own = np.arange(xv.shape[-1])[:, None] == own  # (..., M, S)
-    p = z.real ** 2 + z.imag ** 2
-    num = np.take_along_axis(p, own, axis=-2)[..., 0, :]
-    den = (sigma2 * (w.real ** 2 + w.imag ** 2).sum(axis=-2)
-           + np.where(is_own, 0.0, p).sum(axis=-2))
-    live = den > 0  # den is 0 only for a zero filter column: a zero desired column
-    den = np.where(live, den, 1.0)
-    sinr = np.where(live, num, 0.0) / den
-    out = DiffTensor(sinr, parents=(x,))
-
-    def backward(g):
+    x_shape, (n, m) = xv.shape, xv.shape[-2:]
+    own = np.asarray(own, dtype=np.intp)
+    if own.size and (own.min() < 0 or own.max() >= m):
+        raise ShapeError(f"own columns must lie in [0, {m})")
+    n_s = own.shape[-1]
+    batch = np.broadcast_shapes(x_shape[:-2], own.shape[:-1])
+    total = math.prod(batch)
+    xs = np.broadcast_to(xv, batch + (n, m)).reshape(total, n, m)
+    owns = np.broadcast_to(own, batch + (n_s,)).reshape(total, n_s)
+    starts = range(0, total, _SINR_BLOCK)
+    sinr = np.empty((total, n_s))
+    saved = []  # per block (own, W, Z, den, SINR), kept only for the backward
+    for b0 in starts:
+        block = slice(b0, b0 + _SINR_BLOCK)
+        own_b = np.ascontiguousarray(owns[block].T)
+        w, z, den, sinr_b = _sinr_block(np.ascontiguousarray(np.moveaxis(xs[block], 0, -1)),
+                                        own_b, sigma2)
+        sinr[block] = sinr_b.T
         if x.requires_grad:
-            a = (2.0 * np.real(g) / den)[..., None, :]
-            coef = np.where(is_own, a, -a * sinr[..., None, :])
-            dx = w @ np.swapaxes(np.conj(z) * coef, -1, -2)
-            x.accumulate(_unbroadcast(dx, x.shape))
+            saved.append((own_b, w, z, den, sinr_b))
+    out = DiffTensor(sinr.reshape(batch + (n_s,)), parents=(x,))
+
+    # the closure holds shapes, never ``out``: out -> backward -> out would be
+    # a cycle that keeps the whole graph alive until the next GC pass
+    def backward(g):
+        if not x.requires_grad:
+            return
+        g = np.real(g).reshape(total, n_s)
+        dx = np.empty((total, n, m), dtype=np.complex128)
+        for b0, (own_b, w, z, den, sinr_b) in zip(starts, saved):
+            block = slice(b0, b0 + _SINR_BLOCK)
+            a = 2.0 * g[block].T / den
+            coef = np.conj(z) * (-a * sinr_b)[:, None, :]
+            at_own = _own_entries(own_b, m)
+            coef.reshape(-1)[at_own] = np.conj(z.reshape(-1)[at_own]) * a
+            dx_b = _lincomb(np.swapaxes(w, 0, 1)[:, :, None], coef[:, None])  # (N, M, B)
+            dx[block] = np.moveaxis(dx_b, -1, 0)
+        x.accumulate(_unbroadcast(dx.reshape(batch + (n, m)), x_shape))
 
     out._backward = backward
     return out

@@ -400,11 +400,25 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.value)
                 self.v[name] = np.zeros(p.value.shape)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * np.abs(g) ** 2
-            mh = self.m[name] / (1 - self.beta1 ** t)
-            vh = self.v[name] / (1 - self.beta2 ** t)
-            p.value = p.value - self.lr * mh / (np.sqrt(vh) + self.eps)
+            # the textbook update's operations in its order, in two scratch
+            # buffers: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) |g|^2,
+            # value -= lr m^ / (sqrt(v^) + eps)
+            m, v = self.m[name], self.v[name]
+            step = np.multiply(g, 1 - self.beta1)
+            m *= self.beta1
+            m += step
+            scale = np.abs(g)
+            np.square(scale, out=scale)
+            scale *= 1 - self.beta2
+            v *= self.beta2
+            v += scale
+            np.divide(m, 1 - self.beta1 ** t, out=step)
+            step *= self.lr
+            np.divide(v, 1 - self.beta2 ** t, out=scale)
+            np.sqrt(scale, out=scale)
+            scale += self.eps
+            step /= scale
+            p.value = p.value - step  # a new array: graphs may still hold the old one
 
 
 def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,

@@ -88,8 +88,8 @@ def test_c1_end_to_end_loss_matches_finite_differences():
 def test_c2_sinr_identity_1000_instances():
     # autodiff.lmmse_sinr against the explicit per-stream inverse
     # v^H (sigma2 I + B B^H)^-1 v and the identity q / (1 - q) with
-    # q = v^H R^-1 v; 0 to n + 2 interferers, so both lmmse_filter branches
-    # (M < N and M >= N) are covered
+    # q = v^H R^-1 v; 0 to n + 2 interferers, so both branches of the
+    # lmmse_sinr kernel (M < N and M >= N) are covered
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(1000):

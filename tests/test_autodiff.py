@@ -1,6 +1,8 @@
 """Autodiff engine: values, analytic gradients, finite-difference oracle."""
+import gc
 import importlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,116 @@ def test_lmmse_sinr_zero_stream_scores_zero():
     assert np.all(np.isfinite(p.grad)) and not p.grad[:, 1].any()  # quadratic at 0
 
 
+# Frozen reference: lmmse_filter and lmmse_sinr as they were before the SINR
+# moved to the batch-last block kernel, one LAPACK solve and two batched
+# matmuls per stack.
+def _frozen_own_columns(own, ndim):
+    own = np.asarray(own, dtype=np.intp)[..., None, :]
+    return own.reshape((1,) * (ndim - own.ndim) + own.shape)
+
+
+def _frozen_lmmse_filter(x, own, lam):
+    n, m = x.shape[-2:]
+    own = _frozen_own_columns(own, x.ndim)
+    xh = np.conj(np.swapaxes(x, -1, -2))
+    if m >= n:
+        r = x @ xh
+        r += lam * np.eye(n)
+        w = np.linalg.solve(r, np.take_along_axis(x, own, axis=-1))
+        return w, xh @ w
+    g = xh @ x
+    g += lam * np.eye(m)
+    e_own = (np.arange(m)[:, None] == own).astype(np.complex128)
+    a = np.linalg.solve(g, e_own)
+    return x @ a, e_own - lam * a
+
+
+def _frozen_lmmse_sinr(x, own, sigma2):
+    xv = x.value
+    w, z = _frozen_lmmse_filter(xv, own, sigma2)
+    own = _frozen_own_columns(own, xv.ndim)
+    is_own = np.arange(xv.shape[-1])[:, None] == own
+    p = z.real ** 2 + z.imag ** 2
+    num = np.take_along_axis(p, own, axis=-2)[..., 0, :]
+    den = (sigma2 * (w.real ** 2 + w.imag ** 2).sum(axis=-2)
+           + np.where(is_own, 0.0, p).sum(axis=-2))
+    live = den > 0
+    den = np.where(live, den, 1.0)
+    sinr = np.where(live, num, 0.0) / den
+    out = DiffTensor(sinr, parents=(x,))
+
+    def backward(g):
+        a = (2.0 * np.real(g) / den)[..., None, :]
+        coef = np.where(is_own, a, -a * sinr[..., None, :])
+        dx = w @ np.swapaxes(np.conj(z) * coef, -1, -2)
+        x.accumulate(ad._unbroadcast(dx, x.shape))
+
+    out._backward = backward
+    return out
+
+
+def _sinr_case(case):
+    """(x, own, sigma2) of one frozen-reference case."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case == "wide-one-stream":  # M >= N, S = 1, own from (U, 1, 1, S)
+        x = random_complex(rng, (3, 1, 4, 2, 6))
+        own = np.array([0, 2, 5])[:, None, None, None]
+    elif case == "wide-four-streams":  # the CSI-RS sweep's layout
+        x = random_complex(rng, (2, 3, 1, 4, 4, 12))
+        own = (np.array([0, 1, 2])[:, None] * 4 + np.arange(4))[:, None, None, :]
+    elif case == "tall-one-stream":  # M < N: the push-through form
+        x = random_complex(rng, (3, 1, 4, 4, 3))
+        own = np.arange(3)[:, None, None, None]
+    elif case == "tall-four-streams":
+        x = random_complex(rng, (3, 2, 6, 5))
+        own = np.array([[4, 0, 2, 1], [1, 3, 0, 4], [2, 1, 4, 0]])[:, None, :]
+    elif case == "blocks":  # two full blocks and one matrix
+        x = random_complex(rng, (2 * ad._SINR_BLOCK + 1, 2, 6))
+        own = rng.permuted(np.tile(np.arange(6), (len(x), 1)), axis=1)[:, :2]
+    elif case in ("wide-zero-column", "tall-zero-column"):  # matrices 0 and 3
+        n, m = (2, 6) if case.startswith("wide") else (4, 3)
+        x = random_complex(rng, (5, n, m))
+        x[[0, 3], :, 1] = 0.0
+        own = np.array([1, 0])
+    elif case in ("wide-rank-deficient", "tall-rank-deficient"):
+        n, m = (4, 6) if case.startswith("wide") else (5, 3)
+        x = random_complex(rng, (8, n, 2)) @ random_complex(rng, (8, 2, m))
+        own = np.array([0, m - 1])
+    else:  # pragma: no cover
+        raise AssertionError(case)
+    return x, own, 0.3
+
+
+@pytest.mark.parametrize("case", [
+    "wide-one-stream", "wide-four-streams", "tall-one-stream", "tall-four-streams",
+    "blocks", "wide-zero-column", "tall-zero-column", "wide-rank-deficient",
+    "tall-rank-deficient",
+])
+def test_lmmse_sinr_matches_frozen_lapack_reference(case):
+    x0, own, sigma2 = _sinr_case(case)
+    results = []
+    for op in (ad.lmmse_sinr, _frozen_lmmse_sinr):
+        x = DiffTensor(x0, requires_grad=True)
+        out = op(x, own, sigma2)
+        out._backward(np.random.default_rng(4).uniform(0.5, 1.5, out.shape) + 0j)
+        results.append((out.value, x.grad))
+    (got, got_dx), (want, want_dx) = results
+    assert got.shape == want.shape and not got.imag.any()
+    np.testing.assert_allclose(got.real, want.real, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got_dx, want_dx, rtol=1e-12,
+                               atol=1e-12 * np.abs(want_dx).max())
+    if case.endswith("zero-column"):  # stream 0 of matrices 0 and 3 is all zero
+        assert not got[[0, 3], 0].any() and np.all(got.real[[1, 2, 4]] > 0)
+        assert not got_dx[[0, 3], :, 1].any()
+
+
+@pytest.mark.parametrize("own", [[0, 6], [-1, 2]])
+def test_lmmse_sinr_rejects_own_columns_outside_x(own):
+    # a flat index one past a stream's columns would read the next stream's
+    with pytest.raises(ShapeError):
+        ad.lmmse_sinr(np.ones((3, 2, 6)), np.array(own), 0.3)
+
+
 def test_benchmark_per_layer_ops_exist():
     # perfbench reports a per-layer op or function missing from the package
     # as null, which makes the benchmark's output malformed
@@ -227,13 +339,16 @@ def test_matmul_backward_matches_the_direct_adjoints(a_shape, b_shape):
     np.testing.assert_allclose(b.grad, want_b, rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("op_name", [
+EVERY_OP = [
     "add", "sub", "mul", "div", "scale", "matmul", "conj", "abs2", "real",
     "log2_1p", "relu", "reshape", "swapaxes",
     "sum_axis", "mean_axis", "concat", "take", "take-scalar", "select_cells",
     "unit_modulus", "hermitian_inverse", "lmmse_sinr", "conv2d", "conv2d_transpose", "crop2d",
-])
-def test_fd_every_op(op_name):
+]
+
+
+def _every_op_case(op_name):
+    """(loss function, parameter values) that exercise one op."""
     rng = np.random.default_rng(hash(op_name) % 2**32)
     a = random_complex(rng, (4, 4))
     b = random_complex(rng, (4, 4))
@@ -308,7 +423,31 @@ def test_fd_every_op(op_name):
         fn, vals = (lambda xx: _scalar_loss(ad.crop2d(ad.mul(xx, xx), 3, 2))), [x]
     else:  # pragma: no cover
         raise AssertionError(op_name)
-    assert_grads_match(fn, vals)
+    return fn, vals
+
+
+@pytest.mark.parametrize("op_name", EVERY_OP)
+def test_fd_every_op(op_name):
+    assert_grads_match(*_every_op_case(op_name))
+
+
+@pytest.mark.parametrize("op_name", EVERY_OP)
+def test_every_op_graph_is_freed_without_gc(op_name):
+    # a backward closure that holds its own output (say, to read out.shape)
+    # makes a reference cycle: the graph then lives until the next GC pass
+    fn, vals = _every_op_case(op_name)
+    params = [DiffTensor(v, requires_grad=True) for v in vals]
+    gc.collect()
+    gc.disable()
+    try:
+        loss = fn(*params)
+        nodes = [n for n in ad._toposort(loss) if n._parents]
+        refs = [weakref.ref(n) for n in nodes] + [weakref.ref(n._backward) for n in nodes]
+        del loss, nodes
+        alive = [r() for r in refs if r() is not None]
+        assert not alive, f"{op_name}: {len(alive)} graph objects outlive their output"
+    finally:
+        gc.enable()
 
 
 def _frozen_conv2d_dx(g, w, x_shape, stride, pad):

@@ -355,6 +355,18 @@ def _one_interferer_sinr(v, u, sigma2):
     return (sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu))
 
 
+def _interferers_sinr(v, u, sigma2):
+    """Closed form v^H (sigma2 I + U U^H)^-1 v for U (N, K), K < N, as a sum of
+    non-negative terms: U = Q1 R1, R1 R1^H = E diag(lam) E^H, Q2 spans the rest.
+    """
+    q, r = np.linalg.qr(u, mode="complete")
+    k = u.shape[1]
+    lam, e = np.linalg.eigh(r[:k] @ np.conj(r[:k].T))
+    inside = np.abs(np.conj(e.T) @ (np.conj(q[:, :k].T) @ v)) ** 2
+    outside = np.abs(np.conj(q[:, k:].T) @ v) ** 2
+    return float((inside / (sigma2 + lam)).sum() + outside.sum() / sigma2)
+
+
 def test_csirs_sinr_accurate_from_low_to_high_snr():
     # cell 0 serves the user along v, cell 1 interferes along u (N_R = 2)
     v, u = np.array([1.0 + 0.5j, -0.3 + 0.2j]), np.array([0.4 - 0.1j, 0.9 + 0.7j])
@@ -365,6 +377,19 @@ def test_csirs_sinr_accurate_from_low_to_high_snr():
         got = bm.csirs_sinr(h, [sub, sub], np.array([0]), sigma2).sinr.value
         np.testing.assert_allclose(got.real.reshape(()), _one_interferer_sinr(v, u, sigma2),
                                    rtol=1e-12, err_msg=f"sigma2={sigma2}")
+        assert got.imag.reshape(()) == 0.0
+    # N_R = 4: cell 0 serves along v, cells 1-3 interfere along U's columns
+    rng = np.random.default_rng(358)
+    v4, u4 = _crandn(rng, 4), _crandn(rng, 4, 3)
+    h4 = np.zeros((4, 1, 1, 1, 4, 1), dtype=np.complex128)
+    h4[0, 0, 0, 0, :, 0] = v4
+    h4[1:, 0, 0, 0, :, 0] = u4.T
+    assert _interferers_sinr(v, u[:, None], 0.3) == pytest.approx(
+        _one_interferer_sinr(v, u, 0.3), rel=1e-14)
+    for sigma2 in 10.0 ** np.arange(2, -13, -1):
+        got = bm.csirs_sinr(h4, [sub] * 4, np.array([0]), sigma2).sinr.value
+        np.testing.assert_allclose(got.real.reshape(()), _interferers_sinr(v4, u4, sigma2),
+                                   rtol=1e-12, err_msg=f"N_R=4, sigma2={sigma2}")
         assert got.imag.reshape(()) == 0.0
 
 

@@ -524,6 +524,60 @@ def test_adam_moves_a_zero_gradient_by_momentum_and_skips_a_missing_one():
     assert opt.m["none"][0] == pytest.approx(0.05)
 
 
+class _FrozenAdam(nbl.Adam):
+    """Adam.step as it was before its update moved into scratch buffers."""
+
+    def step(self, tape):
+        self.step_count += 1
+        t = self.step_count
+        for name, p in tape.parameters.items():
+            g = p.grad
+            if g is None:
+                continue
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.value)
+                self.v[name] = np.zeros(p.value.shape)
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * np.abs(g) ** 2
+            mh = self.m[name] / (1 - self.beta1 ** t)
+            vh = self.v[name] / (1 - self.beta2 ** t)
+            p.value = p.value - self.lr * mh / (np.sqrt(vh) + self.eps)
+
+
+def test_adam_matches_frozen_update_bit_for_bit():
+    # three steps over a parameter with a gradient, one whose gradient turns
+    # all zero (it moves by momentum) and one that loses its gradient
+    rng = np.random.default_rng(31)
+    start = {name: rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+             for name in ("live", "zero", "none")}
+    grads = [{name: rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-6, 3, (3, 5))
+              + 1j * rng.standard_normal((3, 5)) for name in start} for _ in range(3)]
+    grads[1]["zero"] = grads[2]["zero"] = np.zeros((3, 5), complex)
+    grads[1]["none"] = grads[2]["none"] = None
+    runs = []
+    for opt in (nbl.Adam(lr=0.01), _FrozenAdam(lr=0.01)):
+        tape = Tape()
+        params = {name: tape.parameter(name, value.copy()) for name, value in start.items()}
+        history = []
+        for step_grads in grads:
+            for name, p in params.items():
+                p.grad = step_grads[name]
+            held = params["live"].value  # a graph built before the step keeps it
+            opt.step(tape)
+            assert not np.shares_memory(held, params["live"].value)
+            history.append({name: p.value.copy() for name, p in params.items()})
+        runs.append((history, opt.m, opt.v))
+    (got, got_m, got_v), (want, want_m, want_v) = runs
+    for got_step, want_step in zip(got, want):
+        for name in start:
+            assert np.array_equal(got_step[name], want_step[name]), name
+    for name in start:
+        assert np.array_equal(got_m[name], want_m[name])
+        assert np.array_equal(got_v[name], want_v[name])
+    assert np.array_equal(got[2]["none"], got[0]["none"])
+    assert not np.array_equal(got[2]["zero"], got[0]["zero"])
+
+
 def test_train_same_seed_bitwise():
     cfg = _config()
     dims = _dims()
