@@ -43,8 +43,14 @@ class DiffTensor:
     def shape(self):
         return self.value.shape
 
-    def accumulate(self, g: np.ndarray):
+    def accumulate(self, g: np.ndarray, owned: bool = False):
+        """Add g to the gradient.  With ``owned``, g is a fresh C-contiguous
+        complex128 buffer of this shape that no one else holds, and the first
+        gradient adopts it in place of a zero buffer plus an add."""
         if self.grad is None:
+            if owned:
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.value)
         self.grad += g
 
@@ -360,10 +366,13 @@ def take(t, indices, axis=0) -> DiffTensor:
 
     def backward(g):
         if t.requires_grad:
-            acc = np.zeros_like(t.value)
+            acc = np.zeros(t.shape, dtype=np.complex128)
             moved = np.moveaxis(acc, axis, 0)
-            np.add.at(moved, indices, np.moveaxis(g, axis, 0) if indices.ndim else g)
-            t.accumulate(acc)
+            if indices.ndim:  # indices may repeat
+                np.add.at(moved, indices, np.moveaxis(g, axis, 0))
+            else:
+                moved[indices] = g
+            t.accumulate(acc, owned=True)
 
     out._backward = backward
     return out
@@ -378,9 +387,9 @@ def select_cells(t, cell_index) -> DiffTensor:
 
     def backward(g):
         if t.requires_grad:
-            acc = np.zeros_like(t.value)
-            np.add.at(acc, (idx, users), g)
-            t.accumulate(acc)
+            acc = np.zeros(t.shape, dtype=np.complex128)
+            acc[idx, users] = g  # one (cell, user) pair per user: no repeats
+            t.accumulate(acc, owned=True)
 
     out._backward = backward
     return out
@@ -664,50 +673,60 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
 
 
 # ------------------------------ convolution ------------------------------
+#
+# The conv ops take and return NCHW tensors, but work channels-last inside:
+# each kernel tap (i, j) gathers its strided positions as a (B*Ho*Wo, C)
+# matrix whose rows are whole channel vectors, and multiplies it by the
+# tap's (C, C') weight slice, one GEMM per tap.  No window tensor
+# (B, C, kh, kw, Ho, Wo) is ever formed, and nothing is kept from the
+# forward for the backward beyond the op's inputs.
 
-def _im2col(x, kh, kw, stride, pad):
-    # x: (B, C, H, W) -> windows (B, C, kh, kw, Ho, Wo)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    b, c, h, w = xp.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    s0, s1, s2, s3 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, c, kh, kw, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    return windows, ho, wo
-
-
-def _conv2d_value(x, w, stride, pad):
-    kh, kw = w.shape[-2:]
-    windows, ho, wo = _im2col(x, kh, kw, stride, pad)
-    # (B, C, kh, kw, Ho, Wo) x (Cout, C, kh, kw) -> (B, Cout, Ho, Wo)
-    return np.einsum("bcklhw,ockl->bohw", windows, w, optimize=True)
+def _pad_nhwc(x, pad):
+    """x (B, C, H, W) as a zero-padded channels-last (B, H+2p, W+2p, C) copy."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.complex128)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    return xp
 
 
-def _scatter_windows(g, w, x_shape, stride, pad):
-    # scatter each output position back through its window, weighted by w
-    b, c, h, w_in = x_shape
-    kh, kw = w.shape[-2:]
-    acc = np.zeros((b, c, h + 2 * pad, w_in + 2 * pad), dtype=np.complex128)
-    ho, wo = g.shape[-2:]
-    contrib = np.einsum("bohw,ockl->bcklhw", g, w, optimize=True)
-    for i in range(kh):
-        for j in range(kw):
-            acc[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += contrib[:, :, i, j]
-    if pad:
-        acc = acc[:, :, pad:-pad, pad:-pad]
-    return acc
+def _tap(xp, i, j, ho, wo, stride):
+    """Rows (B*Ho*Wo, C) of tap (i, j) in a padded channels-last xp."""
+    return xp[:, i:i + ho * stride:stride, j:j + wo * stride:stride].reshape(-1, xp.shape[-1])
 
 
-def _window_products(g, x, kh, kw, stride, pad):
-    # sum over batch and positions of g[b, o, h, w] * window[b, c, k, l, h, w];
-    # no conjugate of the window view is ever formed, which would copy it
-    windows, _, _ = _im2col(x, kh, kw, stride, pad)
-    return np.einsum("bohw,bcklhw->ockl", g, windows, optimize=True)
+def _tap_weights(w):
+    """Per-tap weight slices, contiguous: (A, B, kh, kw) -> (kh, kw, A, B)."""
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+
+
+def _nchw(a):
+    """A channels-last (B, H, W, C) array in C-contiguous (B, C, H, W) order."""
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
+
+
+def _gather_taps(xp, wt, ho, wo, stride):
+    """sum over taps of tap rows @ wt[i, j]: (B*Ho*Wo, C'), wt (kh, kw, C, C')."""
+    taps = np.ndindex(wt.shape[:2])
+    out = _tap(xp, *next(taps), ho, wo, stride) @ wt[0, 0]
+    for i, j in taps:
+        out += _tap(xp, i, j, ho, wo, stride) @ wt[i, j]
+    return out
+
+
+def _scatter_taps(rows, wt, in_hw, out_hw, stride, pad):
+    """Add rows @ wt[i, j] at each tap's strided positions; crop the padding.
+
+    rows: (B*H*W, C) at the input positions in_hw = (H, W); wt: (kh, kw, C,
+    C').  Returns the (B, C', Ho, Wo) result, out_hw = (Ho, Wo).
+    """
+    kh, kw, _, c_out = wt.shape
+    (h, w), (ho, wo) = in_hw, out_hw
+    b = rows.shape[0] // (h * w)
+    acc = np.zeros((b, ho + 2 * pad, wo + 2 * pad, c_out), dtype=np.complex128)
+    for i, j in np.ndindex(kh, kw):
+        acc[:, i:i + h * stride:stride, j:j + w * stride:stride] += (
+            (rows @ wt[i, j]).reshape(b, h, w, c_out))
+    return _nchw(acc[:, pad:pad + ho, pad:pad + wo])
 
 
 def conv2d(x, w, stride=1, pad=1) -> DiffTensor:
@@ -717,16 +736,26 @@ def conv2d(x, w, stride=1, pad=1) -> DiffTensor:
         raise ShapeError("conv2d expects x (B,C,H,W) and w (Cout,Cin,kh,kw)")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"channel mismatch: {x.shape} vs {w.shape}")
-    out = DiffTensor(_conv2d_value(x.value, w.value, stride, pad), parents=(x, w))
-    kh, kw = w.shape[-2:]
+    b, _, h, w_in = x.shape
+    c_out, _, kh, kw = w.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w_in + 2 * pad - kw) // stride + 1
+    rows = _gather_taps(_pad_nhwc(x.value, pad), _tap_weights(w.value.swapaxes(0, 1)),
+                        ho, wo, stride)
+    out = DiffTensor(_nchw(rows.reshape(b, ho, wo, c_out)), parents=(x, w))
 
     def backward(g):
+        g_rows = g.transpose(0, 2, 3, 1).reshape(-1, c_out)  # (B*Ho*Wo, Cout)
         if x.requires_grad:
-            x.accumulate(_scatter_windows(g, np.conj(w.value), x.shape, stride, pad))
+            x.accumulate(_scatter_taps(g_rows, _tap_weights(np.conj(w.value)), (ho, wo),
+                                       (h, w_in), stride, pad), owned=True)
         if w.requires_grad:
-            # g * conj(windows) = conj(conj(g) * windows): conjugate the small factor
-            w.accumulate(np.conj(_window_products(np.conj(g), x.value, kh, kw,
-                                                  stride, pad)))
+            # dw = g^T conj(tap) = conj(conj(g)^T tap): conjugate g once, not each tap
+            xp, gc = _pad_nhwc(x.value, pad), np.conj(g_rows)
+            dw = np.empty(w.shape, dtype=np.complex128)
+            for i, j in np.ndindex(kh, kw):
+                np.conj(gc.T @ _tap(xp, i, j, ho, wo, stride), out=dw[:, :, i, j])
+            w.accumulate(dw, owned=True)
 
     out._backward = backward
     return out
@@ -743,19 +772,34 @@ def conv2d_transpose(x, w, stride=1, pad=1) -> DiffTensor:
         raise ShapeError("conv2d_transpose expects 4-D tensors")
     if x.shape[1] != w.shape[0]:
         raise ShapeError(f"channel mismatch: {x.shape} vs {w.shape}")
-    b = x.shape[0]
-    kh, kw = w.shape[-2:]
-    ho = (x.shape[2] - 1) * stride - 2 * pad + kh
-    wo = (x.shape[3] - 1) * stride - 2 * pad + kw
-    # forward of transpose == backward-dx of conv, without its conjugation
-    out_v = _scatter_windows(x.value, w.value, (b, w.shape[1], ho, wo), stride, pad)
-    out = DiffTensor(out_v, parents=(x, w))
+    b, c_in, h, w_in = x.shape
+    c_out, kh, kw = w.shape[1:]
+    ho = (h - 1) * stride - 2 * pad + kh
+    wo = (w_in - 1) * stride - 2 * pad + kw
+    # the forward of the transpose is conv2d's dx, without its conjugation
+    x_rows = x.value.transpose(0, 2, 3, 1).reshape(-1, c_in)
+    out = DiffTensor(_scatter_taps(x_rows, _tap_weights(w.value), (h, w_in), (ho, wo),
+                                   stride, pad), parents=(x, w))
 
     def backward(g):
+        # each tap of the padded g is gathered once and feeds both dx and dw
+        gp = _pad_nhwc(g, pad)
         if x.requires_grad:
-            x.accumulate(_conv2d_value(g, np.conj(w.value), stride, pad))
+            wc = _tap_weights(np.conj(w.value).swapaxes(0, 1))  # (kh, kw, Cout, Cin)
+            dx = np.zeros((b * h * w_in, c_in), dtype=np.complex128)
         if w.requires_grad:
-            w.accumulate(_window_products(np.conj(x.value), g, kh, kw, stride, pad))
+            xc = np.conj(x.value.transpose(0, 2, 3, 1).reshape(-1, c_in))
+            dw = np.empty(w.shape, dtype=np.complex128)
+        for i, j in np.ndindex(kh, kw):
+            rows = _tap(gp, i, j, h, w_in, stride)
+            if x.requires_grad:
+                dx += rows @ wc[i, j]
+            if w.requires_grad:
+                np.matmul(xc.T, rows, out=dw[:, :, i, j])
+        if x.requires_grad:
+            x.accumulate(_nchw(dx.reshape(b, h, w_in, c_in)), owned=True)
+        if w.requires_grad:
+            w.accumulate(dw, owned=True)
 
     out._backward = backward
     return out
@@ -770,9 +814,9 @@ def crop2d(t, h, w) -> DiffTensor:
 
     def backward(g):
         if t.requires_grad:
-            acc = np.zeros_like(t.value)
+            acc = np.zeros(t.shape, dtype=np.complex128)
             acc[..., :h, :w] = g
-            t.accumulate(acc)
+            t.accumulate(acc, owned=True)
 
     out._backward = backward
     return out

@@ -66,6 +66,8 @@ CONFIG_SCHEMA = {
                 "subcarrier_spacing": {"type": "number", "exclusiveMinimum": 0},
                 "n_hotspots": {"type": "integer", "minimum": 0},
                 "hotspot_fraction": {"type": "number", "minimum": 0, "maximum": 1},
+                "hotspot_sigma": {"type": "number", "minimum": 0},
+                "angle_spread_deg": {"type": "number", "minimum": 0},
             },
         },
         "codebook": {

@@ -280,14 +280,6 @@ def _sets_se(cross: np.ndarray, sets: list[tuple], sigma2: float,
     return _sum_se(cross[idx[:, :, None], idx[:, None, :]], sigma2, n_ports).tolist()
 
 
-def _estimated_sum_se(cand: list[int], recon_wb: np.ndarray, gains_wb: np.ndarray,
-                      chosen: np.ndarray, subset_precoders: np.ndarray,
-                      sigma2: float, n_ports: int) -> float:
-    """Model-based sum SE of a candidate schedule from PMI reconstructions."""
-    cross = _candidate_cross(cand, recon_wb, gains_wb, chosen, subset_precoders)
-    return float(_sum_se(cross, sigma2, n_ports))
-
-
 def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
                    subset_precoders: np.ndarray, candidates: list[int],
                    sigma2: float, n_ports: int = DIGITAL_PORTS) -> list[int]:

@@ -477,14 +477,6 @@ def _drop_loss(sample: TrainingSample, ssb_dt, csirs_dt, sigma2, n_csi,
     return loss, fw
 
 
-def _total_loss(sample: TrainingSample, generate, sigma2, n_csi, ssb_weight,
-                disaggregated_cell=None, balance_weight=0.0):
-    """One drop's loss, with codebooks generated from its own images alone."""
-    ssb_dt, csirs_dt = generate(sample.obsc)
-    return _drop_loss(sample, ssb_dt, csirs_dt, sigma2, n_csi, ssb_weight,
-                      disaggregated_cell, balance_weight)
-
-
 def _batch_losses(batch: list, generate, sigma2, n_csi, ssb_weight,
                   cell=None, balance_weight=0.0):
     """Yield each drop's loss, from one ``generate`` call on the batch's images.

@@ -298,10 +298,10 @@ def test_c9_greedy_within_5pct_of_exhaustive():
         greedy = link.schedule_users(recon, gains, chosen, subset, cand, sigma2)
         best = test_link._reference_schedule_users_exhaustive(
             recon, gains, chosen, subset, cand, sigma2, link.DIGITAL_PORTS)
-        se_g = link._estimated_sum_se(greedy, recon_wb, gains_wb, chosen,
-                                      subset, sigma2, link.DIGITAL_PORTS)
-        se_b = link._estimated_sum_se(best, recon_wb, gains_wb, chosen,
-                                      subset, sigma2, link.DIGITAL_PORTS)
+        se_g = test_link._estimated_sum_se(greedy, recon_wb, gains_wb, chosen,
+                                           subset, sigma2, link.DIGITAL_PORTS)
+        se_b = test_link._estimated_sum_se(best, recon_wb, gains_wb, chosen,
+                                           subset, sigma2, link.DIGITAL_PORTS)
         assert se_g >= 0.95 * se_b
     assert time.time() - t0 < 300.0
 

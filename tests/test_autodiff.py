@@ -450,12 +450,64 @@ def test_every_op_graph_is_freed_without_gc(op_name):
         gc.enable()
 
 
-def _frozen_conv2d_dx(g, w, x_shape, stride, pad):
+@pytest.mark.parametrize("op_name", EVERY_OP)
+def test_every_op_stores_fresh_c_contiguous_gradients(op_name):
+    # an op may hand ``accumulate`` its buffer as owned only if the buffer is
+    # fresh: C-contiguous complex128 of the input's shape, and shared with no
+    # other node's gradient or value.  Each node's gradient is kept here as
+    # its backward runs, since ``backward`` releases the inner ones.
+    fn, vals = _every_op_case(op_name)
+    params = [DiffTensor(v, requires_grad=True) for v in vals]
+    loss = fn(*params)
+    nodes = ad._toposort(loss)
+    kept = []
+    for n in nodes:
+        if n._backward is not None:
+            n._backward = (lambda g, node=n, run=n._backward:
+                           (kept.append((node, g)), run(g)))
+    ad.backward(loss)
+    grads = kept + [(p, p.grad) for p in params]
+    for p in params:
+        assert p.grad.shape == p.shape
+        assert p.grad.dtype == np.complex128
+        assert p.grad.flags.c_contiguous
+    for i, (node, g) in enumerate(grads):
+        others = [h for other, h in grads[i + 1:] if other is not node]
+        others += [n.value for n in nodes]
+        assert not any(np.shares_memory(g, h) for h in others), op_name
+
+
+# Frozen NCHW window kernels, the conv ops' implementation before they went
+# channels-last with one GEMM per kernel tap; the references for both ops.
+
+def _frozen_im2col(x, kh, kw, stride, pad):
+    # x: (B, C, H, W) -> windows (B, C, kh, kw, Ho, Wo)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    b, c, h, w = xp.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(b, c, kh, kw, ho, wo),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    return windows, ho, wo
+
+
+def _frozen_conv2d_value(x, w, stride, pad):
+    kh, kw = w.shape[-2:]
+    windows, ho, wo = _frozen_im2col(x, kh, kw, stride, pad)
+    return np.einsum("bcklhw,ockl->bohw", windows, w, optimize=True)
+
+
+def _frozen_scatter_windows(g, w, x_shape, stride, pad):
     b, c, h, w_in = x_shape
     kh, kw = w.shape[-2:]
     acc = np.zeros((b, c, h + 2 * pad, w_in + 2 * pad), dtype=np.complex128)
     ho, wo = g.shape[-2:]
-    contrib = np.einsum("bohw,ockl->bcklhw", g, np.conj(w), optimize=True)
+    contrib = np.einsum("bohw,ockl->bcklhw", g, w, optimize=True)
     for i in range(kh):
         for j in range(kw):
             acc[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += contrib[:, :, i, j]
@@ -464,37 +516,61 @@ def _frozen_conv2d_dx(g, w, x_shape, stride, pad):
     return acc
 
 
-def _frozen_conv2d_dw(g, x, kh, kw, stride, pad):
-    windows, _, _ = ad._im2col(x, kh, kw, stride, pad)
-    return np.einsum("bohw,bcklhw->ockl", g, np.conj(windows), optimize=True)
+def _frozen_window_products(g, x, kh, kw, stride, pad):
+    windows, _, _ = _frozen_im2col(x, kh, kw, stride, pad)
+    return np.einsum("bohw,bcklhw->ockl", g, windows, optimize=True)
 
 
-def test_conv_kernels_match_frozen_conjugated_window_kernels():
-    # the kernels before conjugation moved off the window tensors
-    rng = np.random.default_rng(12)
-    x = random_complex(rng, (3, 4, 5, 5))
-    w = random_complex(rng, (6, 4, 3, 3))
-    g = random_complex(rng, (3, 6, 3, 3))
-    out = ad.conv2d(ad.DiffTensor(x, requires_grad=True),
-                    ad.DiffTensor(w, requires_grad=True), stride=2, pad=1)
-    xt, wt = out._parents
+def _frozen_conv(op, x, w, g, stride, pad):
+    """(value, dx, dw) of conv2d or conv2d_transpose by the frozen kernels."""
+    kh, kw = w.shape[-2:]
+    if op == "conv2d":
+        return (_frozen_conv2d_value(x, w, stride, pad),
+                _frozen_scatter_windows(g, np.conj(w), x.shape, stride, pad),
+                np.conj(_frozen_window_products(np.conj(g), x, kh, kw, stride, pad)))
+    b, _, h, w_in = x.shape
+    out_shape = (b, w.shape[1], (h - 1) * stride - 2 * pad + kh,
+                 (w_in - 1) * stride - 2 * pad + kw)
+    return (_frozen_scatter_windows(x, w, out_shape, stride, pad),
+            _frozen_conv2d_value(g, np.conj(w), stride, pad),
+            _frozen_window_products(np.conj(x), g, kh, kw, stride, pad))
+
+
+# (op, x shape, w shape, stride, pad, x needs a gradient)
+CONV_CASES = {
+    # the four layers of the train-neural-4x4 generator at B = 4
+    "conv1": ("conv2d", (4, 192, 5, 5), (16, 192, 3, 3), 2, 1, False),
+    "conv2": ("conv2d", (4, 16, 3, 3), (32, 16, 3, 3), 2, 1, True),
+    "deconv1": ("conv2d_transpose", (4, 32, 2, 2), (32, 16, 3, 3), 2, 1, True),
+    "deconv2": ("conv2d_transpose", (4, 16, 3, 3), (16, 576, 3, 3), 2, 1, True),
+    "conv-s1-p1": ("conv2d", (2, 3, 6, 5), (4, 3, 3, 3), 1, 1, True),
+    "conv-s2-p0": ("conv2d", (2, 3, 7, 6), (4, 3, 3, 3), 2, 0, True),
+    "conv-2x3-kernel": ("conv2d", (2, 3, 6, 7), (4, 3, 2, 3), 2, 1, True),
+    "conv-b1": ("conv2d", (1, 5, 4, 4), (3, 5, 3, 3), 1, 0, True),
+    "deconv-s1-p1": ("conv2d_transpose", (2, 3, 4, 5), (3, 4, 3, 3), 1, 1, True),
+    "deconv-s2-p0": ("conv2d_transpose", (2, 3, 3, 4), (3, 4, 3, 3), 2, 0, True),
+    "deconv-2x3-kernel": ("conv2d_transpose", (2, 3, 4, 3), (3, 4, 2, 3), 2, 1, True),
+    "deconv-b1": ("conv2d_transpose", (1, 5, 3, 3), (5, 2, 3, 3), 2, 1, True),
+    "deconv-x-constant": ("conv2d_transpose", (2, 3, 3, 3), (3, 4, 3, 3), 2, 1, False),
+}
+
+
+@pytest.mark.parametrize("case", list(CONV_CASES))
+def test_conv_ops_match_frozen_window_kernels(case):
+    op, x_shape, w_shape, stride, pad, x_grad = CONV_CASES[case]
+    rng = np.random.default_rng(sorted(CONV_CASES).index(case))
+    x, w = random_complex(rng, x_shape), random_complex(rng, w_shape)
+    xt, wt = DiffTensor(x, requires_grad=x_grad), DiffTensor(w, requires_grad=True)
+    out = getattr(ad, op)(xt, wt, stride=stride, pad=pad)
+    g = random_complex(rng, out.shape)
     out._backward(g)
-    np.testing.assert_allclose(xt.grad, _frozen_conv2d_dx(g, w, x.shape, 2, 1), rtol=1e-13)
-    np.testing.assert_allclose(wt.grad, _frozen_conv2d_dw(g, x, 3, 3, 2, 1), rtol=1e-13)
-
-    xs = random_complex(rng, (3, 6, 3, 3))
-    ws = random_complex(rng, (6, 4, 3, 3))
-    gs = random_complex(rng, (3, 4, 5, 5))
-    out = ad.conv2d_transpose(ad.DiffTensor(xs, requires_grad=True),
-                              ad.DiffTensor(ws, requires_grad=True), stride=2, pad=1)
-    np.testing.assert_allclose(
-        out.value, _frozen_conv2d_dx(xs, np.conj(ws), (3, 4, 5, 5), 2, 1), rtol=1e-13)
-    xt, wt = out._parents
-    out._backward(gs)
-    np.testing.assert_allclose(
-        xt.grad, ad._conv2d_value(gs, np.conj(ws), 2, 1), rtol=1e-13)
-    np.testing.assert_allclose(
-        wt.grad, np.conj(_frozen_conv2d_dw(xs, gs, 3, 3, 2, 1)), rtol=1e-13)
+    value, dx, dw = _frozen_conv(op, x, w, g, stride, pad)
+    np.testing.assert_allclose(out.value, value, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(wt.grad, dw, rtol=1e-13, atol=0)
+    if x_grad:
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-13, atol=0)
+    else:
+        assert xt.grad is None
 
 
 def test_fd_real_trace_of_inverse():

@@ -127,6 +127,52 @@ def test_scene_seed_outside_the_seed_range_is_a_config_error(tmp_path, command,
     assert not out.exists()
 
 
+SCENE_SPREADS = [("hotspot_sigma", 5.0), ("angle_spread_deg", 3.0)]
+
+
+@pytest.mark.parametrize("key, value", SCENE_SPREADS)
+def test_scene_spread_keys_are_honoured(tmp_path, key, value):
+    # the CLI's metrics equal those of a ScenarioConfig built directly with
+    # the value, and differ from the default's
+    texts = []
+    for name, scenario in (("set", {key: value}), ("default", {})):
+        doc = _config_doc()
+        doc["scenario"].update(scenario)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        res = _run("evaluate", "--config", path, "--out", tmp_path / name,
+                   "--seed", 4, "--drops", 2)
+        assert res.exit_code == 0, res.output
+        texts.append((tmp_path / name / "metrics.csv").read_bytes())
+    config = ch.ScenarioConfig(
+        geometry=ch.ArrayGeometry(n_x=4, n_y=4, dual_polarized=True), c_cells=1,
+        k_subcarriers=4, n_rx=2, cluster_count=2, rays_per_cluster=3,
+        user_count_range=(2, 3), **{key: value})
+    ssb = cbk.build_dft_ssb(config.geometry, 8, (-1.01, 1.01))
+    cs = cbk.build_dft_csirs(config.geometry, 4, 2, elevation_window=(-1.01, 1.01))
+    settings = mx.EvalSettings(n_csi=4, l_csi=2, s_b=2, k_ssb=2, t_period=160)
+    rows = [r for i in range(2)
+            for r in mx.evaluate_drop(config, settings, [ssb], [cs], 4 * 1000003 + i)]
+    mx.write_metrics(tmp_path / "direct.csv", rows)
+    assert texts[0] == (tmp_path / "direct.csv").read_bytes()
+    assert texts[0] != texts[1]
+
+
+@pytest.mark.parametrize("key", [k for k, _ in SCENE_SPREADS])
+def test_negative_scene_spread_is_a_config_error(tmp_path, key):
+    # a negative scale used to reach rng.normal / rng.laplace: exit 1
+    doc = _config_doc()
+    doc["scenario"][key] = -1.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = _run("evaluate", "--config", path, "--out", out, "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: config schema violation: -1.0 is less "
+                                 "than the minimum of 0")
+    assert not out.exists()
+
+
 def test_largest_seeds_in_the_seed_range_evaluate(tmp_path):
     doc = _config_doc()
     doc["scenario"]["scene_seed"] = ch.SEED_LIMIT - 1

@@ -205,11 +205,11 @@ def test_schedule_never_below_best_singleton():
         sched = link.schedule_users(recon, gains, chosen, subset, cand, 0.2)
         recon_wb = link._wideband_profile(recon)
         gains_wb = gains.mean(axis=1)
-        se_sched = link._estimated_sum_se(sched, recon_wb, gains_wb, chosen,
-                                          subset, 0.2, link.DIGITAL_PORTS)
+        se_sched = _estimated_sum_se(sched, recon_wb, gains_wb, chosen,
+                                     subset, 0.2, link.DIGITAL_PORTS)
         best_single = max(
-            link._estimated_sum_se([u], recon_wb, gains_wb, chosen, subset,
-                                   0.2, link.DIGITAL_PORTS) for u in cand)
+            _estimated_sum_se([u], recon_wb, gains_wb, chosen, subset,
+                              0.2, link.DIGITAL_PORTS) for u in cand)
         assert se_sched >= best_single - 1e-12
 
 
@@ -233,10 +233,10 @@ def test_greedy_close_to_exhaustive_small():
     greedy = link.schedule_users(recon, gains, chosen, subset, cand, 0.2)
     best = _reference_schedule_users_exhaustive(recon, gains, chosen, subset, cand,
                                                 0.2, link.DIGITAL_PORTS)
-    se_g = link._estimated_sum_se(greedy, recon_wb, gains_wb, chosen, subset,
-                                  0.2, link.DIGITAL_PORTS)
-    se_b = link._estimated_sum_se(best, recon_wb, gains_wb, chosen, subset,
-                                  0.2, link.DIGITAL_PORTS)
+    se_g = _estimated_sum_se(greedy, recon_wb, gains_wb, chosen, subset,
+                             0.2, link.DIGITAL_PORTS)
+    se_b = _estimated_sum_se(best, recon_wb, gains_wb, chosen, subset,
+                             0.2, link.DIGITAL_PORTS)
     assert se_g >= 0.95 * se_b
 
 
@@ -396,6 +396,14 @@ def _reference_rzf_blocks(rows, grams, sigma2, n_ports):
         norm = np.linalg.norm(f)
         cols[u] = f / norm if norm > 0 else 0.0
     return cols
+
+
+def _estimated_sum_se(cand, recon_wb, gains_wb, chosen, subset_precoders, sigma2,
+                      n_ports):
+    """The scheduler's model-based sum SE of one candidate set, through the
+    same cross-channel and SE kernels that ``link.schedule_users`` scores with."""
+    cross = link._candidate_cross(cand, recon_wb, gains_wb, chosen, subset_precoders)
+    return float(link._sum_se(cross, sigma2, n_ports))
 
 
 def _reference_estimated_sum_se(cand, recon_wb, gains_wb, chosen,
@@ -576,8 +584,8 @@ def test_estimated_sum_se_matches_frozen_reference():
         recon_wb, gains_wb = link._wideband_profile(recon), gains.mean(axis=1)
         for r in range(1, len(cand) + 1):
             users = sorted(rng.choice(cand, size=r, replace=False).tolist())
-            got = link._estimated_sum_se(users, recon_wb, gains_wb, chosen,
-                                         subset, sigma2, n_ports)
+            got = _estimated_sum_se(users, recon_wb, gains_wb, chosen,
+                                    subset, sigma2, n_ports)
             want = _reference_estimated_sum_se(users, recon_wb, gains_wb, chosen,
                                                subset, sigma2, n_ports)
             assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -314,6 +314,15 @@ def test_direct_generator_starts_at_dft():
     assert csirs_dt[0].shape == (dims.n_cb, cfg.geometry.n_elements, dims.b_g)
 
 
+def _total_loss(sample, generate, sigma2, n_csi, ssb_weight, disaggregated_cell=None,
+                balance_weight=0.0):
+    """Per-drop reference: one drop's loss, with codebooks generated from its
+    own images alone."""
+    ssb_dt, csirs_dt = generate(sample.obsc)
+    return nbl._drop_loss(sample, ssb_dt, csirs_dt, sigma2, n_csi, ssb_weight,
+                          disaggregated_cell, balance_weight)
+
+
 def test_neural_with_zero_head_matches_direct_dft():
     cfg = _config()
     dims = _dims()
@@ -323,8 +332,8 @@ def test_neural_with_zero_head_matches_direct_dft():
     net = nbl.NeuralGenerator(t_net, cfg.c_cells, dims, n_pol=2)
     net.t2.value = np.zeros_like(net.t2.value)  # output head off => delta 0
     net.c2.value = np.zeros_like(net.c2.value)
-    l_dir, _ = nbl._total_loss(data[0], direct.generate, sigma2, dims.n_csi, 0.0)
-    l_net, _ = nbl._total_loss(
+    l_dir, _ = _total_loss(data[0], direct.generate, sigma2, dims.n_csi, 0.0)
+    l_net, _ = _total_loss(
         data[0], lambda o: net.generate_for(o, cfg.geometry), sigma2,
         dims.n_csi, 0.0)
     np.testing.assert_allclose(l_net.value, l_dir.value, rtol=1e-12)
@@ -635,8 +644,8 @@ def _per_sample_step_gradients(dataset, generate, tape, sigma2, n_csi,
         tape.zero_grad()
         for j in batch:
             cell = (step % disaggregated_cells) if disaggregated_cells else None
-            loss, _ = nbl._total_loss(dataset[j], generate, sigma2, n_csi,
-                                      ssb_weight, cell, balance_weight)
+            loss, _ = _total_loss(dataset[j], generate, sigma2, n_csi,
+                                  ssb_weight, cell, balance_weight)
             ad.backward(ad.scale(loss, 1.0 / len(batch)))
         grads.append({k: g.copy() for k, g in tape.gradients().items()})
     return grads
@@ -717,8 +726,8 @@ def test_validation_callback_reports_epochs_and_changes_no_output():
         tape.parameter(k, v)
     gen = nbl.DirectGenerator.from_tape(tape, cfg.c_cells, cfg.geometry, dims)
     val = data[:3]
-    again = sum(float(nbl._total_loss(s, gen.generate, sigma2, dims.n_csi,
-                                      0.0)[0].value.real) / len(val) for s in val)
+    again = sum(float(_total_loss(s, gen.generate, sigma2, dims.n_csi,
+                                  0.0)[0].value.real) / len(val) for s in val)
     assert again == pytest.approx(losses[best], rel=1e-12)
 
 
