@@ -155,11 +155,8 @@ def dims_from(doc: dict) -> nbl.NblDims:
 
 def settings_from(doc: dict) -> mx.EvalSettings:
     cb = doc.get("codebook", {})
-    ev = doc.get("evaluation", {})
-    return mx.EvalSettings(
-        n_csi=cb.get("n_csi", 16), l_csi=cb.get("l_csi", 4),
-        s_b=ev.get("s_b", 8), k_ssb=ev.get("k_ssb", 4),
-        t_period=ev.get("t_period", 160))
+    return mx.EvalSettings(**{k: cb[k] for k in ("n_csi", "l_csi") if k in cb},
+                           **doc.get("evaluation", {}))
 
 
 def _reject_n_users(doc: dict, command: str) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .channel import ArrayGeometry
 from .errors import ConfigError, FormatError, ShapeError
 
@@ -198,21 +199,25 @@ def beamspace_forward(beams: np.ndarray, pair: TransformPair, geometry: ArrayGeo
     return images
 
 
-def beamspace_inverse(interiors: np.ndarray, pair: TransformPair,
-                      geometry: ArrayGeometry) -> np.ndarray:
+def beamspace_inverse(interiors, pair: TransformPair,
+                      geometry: ArrayGeometry) -> ad.DiffTensor:
     """Beam vectors (pre-projection) of beamspace interiors.
 
-    interiors: (n_beams * n_pol, N_XO, N_YO).  Each panel maps back as
-    mat(f) = (U_x^H)^+ I (U_y)^+.
+    interiors: an array or DiffTensor, (..., n_beams * n_pol, N_XO, N_YO)
+    over any leading axes.  Each panel maps back as
+    mat(f) = (U_x^H)^+ I (U_y)^+; returns (..., n_beams, NT).
     """
-    interiors = np.asarray(interiors, dtype=np.complex128)
-    if interiors.shape[-2:] != (pair.n_xo, pair.n_yo):
+    interiors = ad.as_tensor(interiors)
+    if interiors.shape[-2:] != (pair.n_xo, pair.n_yo) or interiors.value.ndim < 3:
         raise ShapeError(f"interior shape {interiors.shape} does not match grid")
     n_pol = 2 if geometry.dual_polarized else 1
-    if interiors.shape[0] % n_pol:
+    n_img = interiors.shape[-3]
+    if n_img % n_pol:
         raise ShapeError("image count not divisible by polarization count")
-    panels = np.conj(pair.u_x_pinv.T) @ interiors @ pair.u_y_pinv  # (n_img, N_X, N_Y)
-    return panels.reshape(-1, geometry.n_elements)
+    panels = ad.matmul(ad.matmul(np.conj(pair.u_x_pinv.T), interiors),
+                       pair.u_y_pinv)  # (..., n_img, N_X, N_Y)
+    return ad.reshape(panels, interiors.shape[:-3] + (
+        n_img // n_pol, geometry.n_elements))
 
 
 # ----------------------------- file format -------------------------------

@@ -91,15 +91,7 @@ def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
     params: (..., n_img, N_XO, N_YO); returns (..., n_img / n_pol, NT) over
     the same leading axes.
     """
-    n_pol = 2 if geometry.dual_polarized else 1
-    n_img = params.shape[-3]
-    if n_img % n_pol:
-        raise ShapeError("image count not divisible by polarization count")
-    left = ad.constant(np.conj(pair.u_x_pinv.T))
-    right = ad.constant(pair.u_y_pinv)
-    mats = ad.matmul(ad.matmul(left, params), right)  # (..., n_img, N_X, N_Y)
-    raw = ad.reshape(mats, params.shape[:-3] + (
-        n_img // n_pol, n_pol * geometry.n_x * geometry.n_y))
+    raw = cb.beamspace_inverse(params, pair, geometry)
     # magnitude equalization is smooth, so it gets the exact gradient; only
     # the phase-grid snap needs the straight-through surrogate
     equalized = ad.unit_modulus(raw, 1.0 / np.sqrt(geometry.n_elements))
@@ -109,18 +101,63 @@ def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
     return ad.straight_through(equalized, projected)
 
 
-def _interiors(beams: np.ndarray, pair: cb.TransformPair,
-               geometry: ArrayGeometry) -> np.ndarray:
-    """(n_beams*n_pol, N_XO, N_YO) beamspace interiors of fixed beams."""
-    return cb.beamspace_forward(beams, pair, geometry)[:, :pair.n_xo, :pair.n_yo]
+def _dft_baseline(geometry: ArrayGeometry, dims: NblDims) -> tuple:
+    """A geometry's transform pair and its DFT codebooks' beamspace interiors:
+    (pair, (L*n_pol, N_XO, N_YO) SSB, (N_CB*B_g*n_pol, N_XO, N_YO) CSI-RS
+    interiors, precoder by precoder and column by column)."""
+    pair = cb.make_transform_pair(geometry)
+    ssb = cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window)
+    csirs = cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
+                               elevation_window=dims.elevation_window)
+    cols = np.swapaxes(csirs.precoders, 1, 2).reshape(-1, geometry.n_elements)
+    return (pair,) + tuple(cb.beamspace_forward(b, pair, geometry)[:, :pair.n_xo, :pair.n_yo]
+                           for b in (ssb.beams, cols))
 
 
-def _csirs_columns(csirs: cb.CsirsCodebook) -> np.ndarray:
-    """(N_CB*B_g, NT) column-major flattening of the precoder stack."""
-    return np.swapaxes(csirs.precoders, 1, 2).reshape(-1, csirs.precoders.shape[1])
+def _codebooks(interiors, pair: cb.TransformPair, geometry: ArrayGeometry,
+               dims: NblDims) -> tuple[list, list]:
+    """Per-cell codebooks of per-cell (SSB, CSI-RS) beamspace interiors.
+
+    Each cell's interiors, over any leading axes, map to its (..., L, NT)
+    SSB beams and (..., N_CB, NT, B_g) CSI-RS precoders.
+    """
+    ssb, csirs = [], []
+    for ssb_img, csirs_img in interiors:
+        ssb.append(_inverse_project(ssb_img, pair, geometry, dims.b_phase))
+        cols = _inverse_project(csirs_img, pair, geometry, dims.b_phase)
+        stack = ad.reshape(cols, cols.shape[:-2] + (
+            dims.n_cb, dims.b_g, geometry.n_elements))
+        csirs.append(ad.swapaxes(stack, -1, -2))
+    return ssb, csirs
 
 
-class DirectGenerator:
+class _Bound:
+    """A loaded tape in a generator's constructor: ``parameter`` returns the
+    loaded parameter of that name, refusing one that is missing or not of the
+    fresh value's shape."""
+
+    def __init__(self, tape: Tape):
+        self.parameters = tape.parameters
+
+    def parameter(self, name: str, value) -> DiffTensor:
+        p = self.parameters.get(name)
+        if p is None:
+            raise FormatError(f"checkpoint lacks the generator parameter {name!r}")
+        if p.shape != np.shape(value):
+            raise FormatError(f"checkpoint parameter {name!r} has shape {p.shape}, "
+                              f"the generator needs {np.shape(value)}")
+        return p
+
+
+class _Generator:
+    @classmethod
+    def from_tape(cls, tape: Tape, *args, **kwargs):
+        """Bind to parameters already present on a tape (checkpoint load);
+        the other arguments are the constructor's (see ``_Bound``)."""
+        return cls(_Bound(tape), *args, **kwargs)
+
+
+class DirectGenerator(_Generator):
     """Free beamspace parameters per cell, initialized at the DFT baseline.
 
     The codebooks do not depend on the feedback images, so every drop
@@ -128,50 +165,23 @@ class DirectGenerator:
     """
 
     def __init__(self, tape: Tape, cells: int, geometry: ArrayGeometry,
-                 dims: NblDims, init_ssb=None, init_csirs=None):
-        self.cells = cells
+                 dims: NblDims):
         self.geometry = geometry
         self.dims = dims
-        self.pair = cb.make_transform_pair(geometry)
-        if init_ssb is None:
-            init_ssb = [cb.build_dft_ssb(geometry, dims.l_max,
-                                         dims.elevation_window)] * cells
-        if init_csirs is None:
-            init_csirs = [cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
-                                             elevation_window=dims.elevation_window)] * cells
-        self.ssb_params = []
-        self.csirs_params = []
-        for c in range(cells):
-            self.ssb_params.append(tape.parameter(
-                f"ssb{c}", _interiors(init_ssb[c].beams, self.pair, geometry)))
-            self.csirs_params.append(tape.parameter(
-                f"csirs{c}", _interiors(_csirs_columns(init_csirs[c]), self.pair, geometry)))
-
-    @classmethod
-    def from_tape(cls, tape: Tape, cells: int, geometry: ArrayGeometry,
-                  dims: NblDims) -> "DirectGenerator":
-        """Bind to parameters already present on a tape (checkpoint load)."""
-        gen = cls(Tape(), cells, geometry, dims)  # DFT start, rebound below
-        gen.ssb_params = [tape.parameters[f"ssb{c}"] for c in range(cells)]
-        gen.csirs_params = [tape.parameters[f"csirs{c}"] for c in range(cells)]
-        return gen
+        self.pair, ssb, csirs = _dft_baseline(geometry, dims)
+        self.ssb_params, self.csirs_params = [], []
+        for c in range(cells):  # each cell's parameters in arrays of their own
+            self.ssb_params.append(tape.parameter(f"ssb{c}", ssb.copy()))
+            self.csirs_params.append(tape.parameter(f"csirs{c}", csirs.copy()))
 
     def generate(self, obsc=None):
         """Per-cell (L, NT) SSB and (N_CB, NT, B_g) CSI-RS codebooks; ``obsc``
         is ignored."""
-        ssb, csirs = [], []
-        n_t = self.geometry.n_elements
-        for c in range(self.cells):
-            ssb.append(_inverse_project(self.ssb_params[c], self.pair,
-                                        self.geometry, self.dims.b_phase))
-            cols = _inverse_project(self.csirs_params[c], self.pair,
-                                    self.geometry, self.dims.b_phase)
-            stack = ad.reshape(cols, (self.dims.n_cb, self.dims.b_g, n_t))
-            csirs.append(ad.swapaxes(stack, 1, 2))  # (N_CB, NT, B_g)
-        return ssb, csirs
+        return _codebooks(zip(self.ssb_params, self.csirs_params), self.pair,
+                          self.geometry, self.dims)
 
 
-class NeuralGenerator:
+class NeuralGenerator(_Generator):
     """Fully-convolutional generator: feedback beamspace in, codebooks out.
 
     Two stride-2 encoder convolutions, two stride-2 transposed
@@ -180,6 +190,13 @@ class NeuralGenerator:
     whatever geometry is being evaluated, so weights trained on one array
     size transfer to another.  That baseline and the geometry's transform
     pair are computed once per geometry.
+
+    Any array size is served: the network maps an image side s to
+    4*ceil(s/4) - 3, so where that falls short of the beamspace grid, the
+    input is zero-padded on its far edges only as much as the crop needs.
+    Codebooks come out through the direct generator's beamspace inverse and
+    projection.  ``from_tape`` refuses a checkpoint that lacks one of the
+    eight weights or holds one of another shape (FormatError).
     """
 
     def __init__(self, tape: Tape, cells: int, dims: NblDims, n_pol: int = 2,
@@ -187,57 +204,28 @@ class NeuralGenerator:
         self.cells = cells
         self.dims = dims
         self.n_pol = n_pol
-        self._baselines = {}  # ArrayGeometry -> (pair, ssb, csirs interiors)
+        self._baselines = {}  # ArrayGeometry -> _dft_baseline(geometry, dims)
         self.cin = cells * dims.l_max * n_pol * 2
         self.cout = cells * (dims.l_max + dims.n_cb * dims.b_g) * n_pol * 2
         h1, h2 = 16, 32  # encoder widths
         rng = np.random.default_rng(seed)
-
-        def init(name, shape, scl):
-            fan_in = int(np.prod(shape[1:]))
-            w = rng.standard_normal(shape) * scl / np.sqrt(fan_in)
-            return tape.parameter(name, w)
-
-        self.w1 = init("conv1_w", (h1, self.cin, 3, 3), np.sqrt(2.0))
-        self.b1 = tape.parameter("conv1_b", np.zeros((1, h1, 1, 1)))
-        self.w2 = init("conv2_w", (h2, h1, 3, 3), np.sqrt(2.0))
-        self.b2 = tape.parameter("conv2_b", np.zeros((1, h2, 1, 1)))
-        self.t1 = init("deconv1_w", (h2, h1, 3, 3), np.sqrt(2.0))
-        self.c1 = tape.parameter("deconv1_b", np.zeros((1, h1, 1, 1)))
-        self.t2 = init("deconv2_w", (h1, self.cout, 3, 3), 1e-2)
-        self.c2 = tape.parameter("deconv2_b", np.zeros((1, self.cout, 1, 1)))
-
-    @classmethod
-    def from_tape(cls, tape: Tape, cells: int, dims: NblDims,
-                  n_pol: int = 2) -> "NeuralGenerator":
-        """Bind to parameters already present on a tape (checkpoint load)."""
-        gen = cls(Tape(), cells, dims, n_pol)  # fresh weights, rebound below
-        p = tape.parameters
-        gen.w1, gen.b1 = p["conv1_w"], p["conv1_b"]
-        gen.w2, gen.b2 = p["conv2_w"], p["conv2_b"]
-        gen.t1, gen.c1 = p["deconv1_w"], p["deconv1_b"]
-        gen.t2, gen.c2 = p["deconv2_w"], p["deconv2_b"]
-        return gen
+        self.weights = []  # each layer's weight, then its bias
+        # per layer: the 3x3 weight's two leading axes, output channels, gain
+        for layer, (a, b), out, gain in (
+                ("conv1", (h1, self.cin), h1, np.sqrt(2.0)),
+                ("conv2", (h2, h1), h2, np.sqrt(2.0)),
+                ("deconv1", (h2, h1), h1, np.sqrt(2.0)),
+                ("deconv2", (h1, self.cout), self.cout, 1e-2)):
+            w = rng.standard_normal((a, b, 3, 3)) * gain / np.sqrt(b * 9)
+            self.weights += [tape.parameter(f"{layer}_w", w),
+                             tape.parameter(f"{layer}_b", np.zeros((1, out, 1, 1)))]
 
     def _network(self, x: DiffTensor) -> DiffTensor:
-        h = ad.relu(ad.add(ad.conv2d(x, self.w1, stride=2, pad=1), self.b1))
-        h = ad.relu(ad.add(ad.conv2d(h, self.w2, stride=2, pad=1), self.b2))
-        h = ad.relu(ad.add(ad.conv2d_transpose(h, self.t1, stride=2, pad=1), self.c1))
-        return ad.add(ad.conv2d_transpose(h, self.t2, stride=2, pad=1), self.c2)
-
-    def _baseline(self, geometry: ArrayGeometry):
-        """Transform pair and DFT baseline interiors (SSB, CSI-RS) of a geometry."""
-        entry = self._baselines.get(geometry)
-        if entry is None:
-            dims = self.dims
-            pair = cb.make_transform_pair(geometry)
-            ssb = cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window)
-            csirs = cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
-                                       elevation_window=dims.elevation_window)
-            entry = self._baselines[geometry] = (
-                pair, _interiors(ssb.beams, pair, geometry),
-                _interiors(_csirs_columns(csirs), pair, geometry))
-        return entry
+        w1, b1, w2, b2, t1, c1, t2, c2 = self.weights
+        h = ad.relu(ad.add(ad.conv2d(x, w1, stride=2, pad=1), b1))
+        h = ad.relu(ad.add(ad.conv2d(h, w2, stride=2, pad=1), b2))
+        h = ad.relu(ad.add(ad.conv2d_transpose(h, t1, stride=2, pad=1), c1))
+        return ad.add(ad.conv2d_transpose(h, t2, stride=2, pad=1), c2)
 
     def generate_for(self, obsc: list, geometry: ArrayGeometry):
         """Emit per-cell codebooks for the geometry the obsc was built on.
@@ -252,33 +240,36 @@ class NeuralGenerator:
         n_pol = 2 if geometry.dual_polarized else 1
         if n_pol != self.n_pol:
             raise ConfigError("generator polarization does not match geometry")
-        pair, base_ssb, base_csirs = self._baseline(geometry)
+        if geometry not in self._baselines:
+            self._baselines[geometry] = _dft_baseline(geometry, dims)
+        pair, base_ssb, base_csirs = self._baselines[geometry]
         stacked = np.concatenate([np.asarray(o) for o in obsc], axis=-3)
         lead, (n_in, hh, ww) = stacked.shape[:-3], stacked.shape[-3:]
         if n_in * 2 != self.cin:
             raise ShapeError("observation channel count does not match weights")
         stacked = stacked.reshape((-1, n_in, hh, ww))
-        x = np.empty((stacked.shape[0], self.cin, hh, ww))
-        x[:, 0::2], x[:, 1::2] = stacked.real, stacked.imag
+        # the network maps a side s to 4*ceil(s/4) - 3; where that falls short
+        # of the grid, zero-pad the far edges to the least side that reaches it
+        sides = [max(s, 4 * -(-(n + 3) // 4) - 3)
+                 for s, n in ((hh, pair.n_xo), (ww, pair.n_yo))]
+        x = np.zeros((stacked.shape[0], self.cin, *sides))
+        x[:, 0::2, :hh, :ww], x[:, 1::2, :hh, :ww] = stacked.real, stacked.imag
         # crop first, so the re/im split and the delta copy only the interior
         out = ad.crop2d(self._network(ad.constant(x)), pair.n_xo, pair.n_yo)
         re = ad.take(out, np.arange(0, self.cout, 2), axis=1)
         im = ad.take(out, np.arange(1, self.cout, 2), axis=1)
         delta = ad.add(re, ad.scale(im, 1j))  # (B, cout/2, n_xo, n_yo)
         delta = ad.reshape(delta, lead + (self.cout // 2, pair.n_xo, pair.n_yo))
-        per_cell = dims.l_max + dims.n_cb * dims.b_g
-        ssb, csirs = [], []
-        for c in range(self.cells):
-            start = c * per_cell * n_pol
-            idx_ssb = np.arange(start, start + dims.l_max * n_pol)
-            idx_cs = np.arange(start + dims.l_max * n_pol, start + per_cell * n_pol)
-            p_ssb = ad.add(ad.take(delta, idx_ssb, axis=-3), ad.constant(base_ssb))
-            p_cs = ad.add(ad.take(delta, idx_cs, axis=-3), ad.constant(base_csirs))
-            ssb.append(_inverse_project(p_ssb, pair, geometry, dims.b_phase))
-            cols = _inverse_project(p_cs, pair, geometry, dims.b_phase)
-            stack = ad.reshape(cols, lead + (dims.n_cb, dims.b_g, geometry.n_elements))
-            csirs.append(ad.swapaxes(stack, -1, -2))
-        return ssb, csirs
+
+        def offset(lo, hi, base):  # images lo..hi-1 of the delta, on the baseline
+            return ad.add(ad.take(delta, np.arange(lo, hi), axis=-3), ad.constant(base))
+
+        n_ssb = dims.l_max * n_pol
+        per_cell = n_ssb + dims.n_cb * dims.b_g * n_pol
+        return _codebooks([(offset(s, s + n_ssb, base_ssb),
+                            offset(s + n_ssb, s + per_cell, base_csirs))
+                           for s in range(0, self.cells * per_cell, per_cell)],
+                          pair, geometry, dims)
 
 
 def decide(h: np.ndarray, ssb: list, csirs: list, sigma2: float, n_csi: int,

@@ -199,6 +199,12 @@ def test_schema_violation(tmp_path):
     assert res.exit_code == 2
 
 
+def test_evaluation_settings_take_the_document_keys_and_default_the_rest():
+    assert cli.settings_from({}) == mx.EvalSettings()
+    doc = {"codebook": {"l_csi": 2, "l_max": 8}, "evaluation": {"t_period": 80}}
+    assert cli.settings_from(doc) == mx.EvalSettings(l_csi=2, t_period=80)
+
+
 def test_config_schema_is_a_valid_schema():
     # load_config builds its validator once and leaves this check to the tests
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
@@ -331,7 +337,39 @@ def test_checkpoint_with_a_misshapen_parameter_is_a_config_error(tmp_path):
                "--codebook", "nbl-direct", "--drops", 1)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert res.output.startswith("config error: inner dimensions mismatch")
+    assert res.output.startswith("config error: checkpoint parameter 'ssb0' has shape")
+
+
+@pytest.mark.parametrize("mode, name", [("direct", "csirs0"), ("direct", "ssb0"),
+                                        ("neural", "conv2_w"), ("neural", "deconv2_b")])
+@pytest.mark.parametrize("fault", ["missing", "one-dimensional"])
+def test_checkpoint_that_misfits_the_generator_is_a_format_error(tmp_path, mode,
+                                                                 name, fault):
+    # the metadata fits the config, but one generator parameter does not
+    doc = _config_doc()
+    config, dims = cli.scenario_from(doc), cli.dims_from(doc)
+    tape = Tape()
+    if mode == "direct":
+        nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims)
+    else:
+        nbl.NeuralGenerator(tape, config.c_cells, dims, n_pol=2)
+    if fault == "missing":
+        del tape.parameters[name]
+        message = f"config error: checkpoint lacks the generator parameter '{name}'"
+    else:
+        tape.parameters[name].value = tape.parameters[name].value.reshape(-1)
+        message = f"config error: checkpoint parameter '{name}' has shape"
+    ckpt = tmp_path / "misfit.bmck"
+    nbl.save_checkpoint(ckpt, tape,
+                        meta=cli._checkpoint_meta(f"nbl-{mode}", config, dims))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    res = _run("evaluate", "--config", path, "--out", tmp_path / "ev",
+               "--codebook", f"nbl-{mode}", "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(message), res.output
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
 
 
 def test_checkpoint_with_a_nan_parameter_is_a_format_error(tmp_path):

@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+from conftest import assert_grads_match
+
+from beamweaver import autodiff as ad
 from beamweaver import codebook as cb
 from beamweaver.channel import ArrayGeometry
 from beamweaver.errors import ConfigError, ShapeError
@@ -228,35 +231,60 @@ def test_beamspace_maps_match_frozen_per_beam_loops():
     want = _frozen_beamspace_forward(beams, pair, geo, counts, rsrp)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     interiors = got[:, :8, :3]
-    np.testing.assert_allclose(cb.beamspace_inverse(interiors, pair, geo),
+    np.testing.assert_allclose(cb.beamspace_inverse(interiors, pair, geo).value,
                                _frozen_beamspace_inverse(interiors, pair, geo),
                                rtol=1e-13, atol=0)
 
 
-def test_round_trip_critical_sampling():
+def _inverse(interiors, pair, geo, lead):
+    """``beamspace_inverse`` of an interior array, or of a DiffTensor holding
+    it as drop 1 of 2 on a leading drop axis.
+
+    The drop-axis path must give the array path's beams bit for bit, and
+    its gradient must match finite differences.
+    """
+    want = cb.beamspace_inverse(interiors, pair, geo).value
+    if lead == "array":
+        return want
+    rng = np.random.default_rng(5)
+    stack = np.stack([rng.standard_normal(interiors.shape)
+                      + 1j * rng.standard_normal(interiors.shape), interiors])
+    got = cb.beamspace_inverse(ad.constant(stack), pair, geo).value
+    assert got.shape == (2,) + want.shape
+    np.testing.assert_array_equal(got[1], want)
+    weights = rng.standard_normal(got.shape) + 1j * rng.standard_normal(got.shape)
+    assert_grads_match(lambda t: ad.sum_axis(ad.reshape(ad.real(ad.mul(
+        cb.beamspace_inverse(t, pair, geo), ad.constant(weights))), (-1,)), 0),
+        [stack], rtol=1e-7)
+    return got[1]
+
+
+@pytest.mark.parametrize("lead", ["array", "drop-axis"])
+def test_round_trip_critical_sampling(lead):
     geo = _geo(4, 4)
     pair = cb.make_transform_pair(geo)
     rng = np.random.default_rng(3)
     beams = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
     img = cb.beamspace_forward(beams, pair, geo)
-    back = cb.beamspace_inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo)
+    back = _inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo, lead)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-9
 
 
-def test_round_trip_oversampled_grid_beams():
+@pytest.mark.parametrize("lead", ["array", "drop-axis"])
+def test_round_trip_oversampled_grid_beams(lead):
     geo = _geo(4, 2, dual=True)
     pair = cb.make_transform_pair(geo, n_xo=8, n_yo=4)
     beams = np.stack([cb._grid_beam(pair.u_x, pair.u_y, kx, ky, geo)
                       for kx, ky in [(0, 0), (3, 1), (7, 3)]])
     img = cb.beamspace_forward(beams, pair, geo)
-    back = cb.beamspace_inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo)
+    back = _inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo, lead)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-8
 
 
 def test_inverse_of_zero_image_projects_to_uniform_phase():
     geo = _geo(2, 2, dual=False)
     pair = cb.make_transform_pair(geo)
-    beams = cb.beamspace_inverse(np.zeros((1, 2, 2)), pair, geo)
+    beams = cb.beamspace_inverse(np.zeros((1, 2, 2)), pair, geo).value
     assert not beams.any()
     projected = cb.project_analog(beams, b_phase=4)
     np.testing.assert_allclose(projected, 0.5)  # uniform zero phase
@@ -267,6 +295,8 @@ def test_inverse_dimension_mismatch():
     pair = cb.make_transform_pair(geo)
     with pytest.raises(ShapeError):
         cb.beamspace_inverse(np.zeros((1, 3, 3)), pair, geo)
+    with pytest.raises(ShapeError):  # no image axis
+        cb.beamspace_inverse(np.zeros((2, 2)), pair, geo)
 
 
 # ------------------------------ file format ------------------------------

@@ -330,8 +330,8 @@ def test_neural_with_zero_head_matches_direct_dft():
     t_dir, t_net = Tape(), Tape()
     direct = nbl.DirectGenerator(t_dir, cfg.c_cells, cfg.geometry, dims)
     net = nbl.NeuralGenerator(t_net, cfg.c_cells, dims, n_pol=2)
-    net.t2.value = np.zeros_like(net.t2.value)  # output head off => delta 0
-    net.c2.value = np.zeros_like(net.c2.value)
+    for name in ("deconv2_w", "deconv2_b"):  # output head off => delta 0
+        t_net.parameters[name].value = np.zeros_like(t_net.parameters[name].value)
     l_dir, _ = _total_loss(data[0], direct.generate, sigma2, dims.n_csi, 0.0)
     l_net, _ = _total_loss(
         data[0], lambda o: net.generate_for(o, cfg.geometry), sigma2,
@@ -455,6 +455,66 @@ def test_neural_generator_rejects_polarization_mismatch():
     obsc = [np.zeros((dims.l_max, pair.n_xo + 1, pair.n_yo + 1), complex)]
     with pytest.raises(Exception):
         net.generate_for(obsc, geo)
+
+
+@pytest.mark.parametrize("n_x, n_y, side", [
+    (6, 6, (9, 9)), (7, 8, (9, 9)), (2, 4, (5, 5)), (3, 5, (5, 6)),
+    (4, 4, (5, 5)), (5, 5, (6, 6)), (8, 8, (9, 9)),
+])
+def test_neural_generator_serves_every_array_size(n_x, n_y, side):
+    # the network maps an image side s to 4*ceil(s/4) - 3; an image of side
+    # N + 1 is zero-padded on its far edges only where that falls below N
+    geo = ch.ArrayGeometry(n_x=n_x, n_y=n_y, dual_polarized=True)
+    dims = _dims()
+    tape = Tape()
+    gen = nbl.NeuralGenerator(tape, 1, dims, n_pol=2)
+    calls = []
+    gen._network = _counting(gen._network, calls)
+    ssb, csirs = gen.generate_for(_random_obsc(geo, dims, 1, 0), geo)
+    assert [x.shape[-2:] for (x,) in calls] == [side]
+    assert ssb[0].shape == (dims.l_max, geo.n_elements)
+    assert csirs[0].shape == (dims.n_cb, geo.n_elements, dims.b_g)
+    for book in (ssb[0], csirs[0]):
+        np.testing.assert_allclose(np.abs(book.value), 1 / np.sqrt(geo.n_elements))
+    ad.backward(_books_loss(ssb + csirs, [np.ones(ssb[0].shape),
+                                          np.ones(csirs[0].shape)]))
+    assert all(np.isfinite(p.grad).all() for p in tape.parameters.values())
+
+
+def test_generator_parameter_names_shapes_and_order_are_pinned():
+    # the checkpoint layout is the tape's registration order
+    dims = _dims()  # l_max 8, n_cb 4, b_g 2
+    tape = Tape()
+    gen = nbl.DirectGenerator(tape, 2, _geo(), dims)
+    assert [(k, p.shape) for k, p in tape.parameters.items()] == [
+        ("ssb0", (16, 4, 4)), ("csirs0", (16, 4, 4)),
+        ("ssb1", (16, 4, 4)), ("csirs1", (16, 4, 4))]
+    # every cell starts at the DFT baseline in an array of its own
+    np.testing.assert_array_equal(gen.ssb_params[0].value, gen.ssb_params[1].value)
+    assert not np.shares_memory(gen.ssb_params[0].value, gen.ssb_params[1].value)
+    assert not np.shares_memory(gen.csirs_params[0].value,
+                                gen.csirs_params[1].value)
+    tape = Tape()
+    nbl.NeuralGenerator(tape, 2, dims, n_pol=2)
+    cin, cout = 2 * 8 * 2 * 2, 2 * (8 + 4 * 2) * 2 * 2
+    assert [(k, p.shape) for k, p in tape.parameters.items()] == [
+        ("conv1_w", (16, cin, 3, 3)), ("conv1_b", (1, 16, 1, 1)),
+        ("conv2_w", (32, 16, 3, 3)), ("conv2_b", (1, 32, 1, 1)),
+        ("deconv1_w", (32, 16, 3, 3)), ("deconv1_b", (1, 16, 1, 1)),
+        ("deconv2_w", (16, cout, 3, 3)), ("deconv2_b", (1, cout, 1, 1))]
+
+
+@pytest.mark.parametrize("mode", ["direct", "neural"])
+def test_from_tape_binds_the_loaded_parameters(mode):
+    dims = _dims()
+    cls, args = ((nbl.DirectGenerator, (2, _geo(), dims)) if mode == "direct"
+                 else (nbl.NeuralGenerator, (2, dims)))
+    tape = Tape()
+    cls(tape, *args)
+    gen = cls.from_tape(tape, *args)
+    bound = gen.ssb_params + gen.csirs_params if mode == "direct" else gen.weights
+    # the loaded tape's own tensors, so training on the tape moves them
+    assert {id(p) for p in bound} == {id(p) for p in tape.parameters.values()}
 
 
 def test_shared_correlation_memo_keeps_subsets_and_computes_once_per_cell():
