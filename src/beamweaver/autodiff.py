@@ -478,10 +478,11 @@ def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
     Z = E_own - lam A, exact as lam -> 0 whenever X has full column rank.
     Returns W (..., N, S) and Z (..., M, S).
 
-    The RZF precoder (``link._rzf_columns``) is the only caller: a few to a
-    few tens of matrices per call, where one LAPACK solve per stack is
-    cheapest.  ``lmmse_sinr`` solves the same system for stacks of thousands
-    of small matrices with its own batch-last kernel.
+    The RZF precoder (``link._rzf_columns``) is the only caller: on default
+    drops a median of 12 matrices per call and at most about a hundred,
+    where one LAPACK solve per stack is about 4x cheaper than the batch-last
+    kernel of ``lmmse_sinr``, which solves the same system for stacks of
+    thousands of small matrices.
     """
     n, m = x.shape[-2:]
     own = _own_columns(own, x.ndim)
@@ -561,44 +562,82 @@ def _own_entries(own: np.ndarray, m: int) -> np.ndarray:
     return (np.arange(n_s)[:, None] * m + own) * b + np.arange(b)
 
 
-def _sinr_block(xt: np.ndarray, own: np.ndarray, lam: float):
+def _sinr_block(xt: np.ndarray, own: np.ndarray, lam: float, keep: bool):
     """LMMSE filters and output SINR of one batch-last block.
 
-    xt: (N, M, B) received columns; own: (S, B) own column of each stream.
-    The same filters as ``lmmse_filter``: for M >= N, W = R^-1 X[:, own]
-    with R = lam I + X X^H; for M < N, the push-through W = X A with
-    A = (lam I + X^H X)^-1 E_own and Z = E_own - lam A.  Returns W (N, S, B),
-    Z = X^H W (S, M, B), den and SINR (S, B).
+    xt: (N, M, B) received columns, any strides as long as the batch axis
+    is unit-stride (a copied block, or a view of a batch-last stack); own:
+    (S, B) own column of each stream.  The same filters as
+    ``lmmse_filter``: for M >= N, W = R^-1 X[:, own] with
+    R = lam I + X X^H; for M < N, the push-through W = X A with
+    A = (lam I + X^H X)^-1 E_own and Z = E_own - lam A.  Returns
+    W (N, S, B), Z = X^H W (S, M, B), den and SINR (S, B).
+
+    Z is reduced one stream at a time.  For M >= N it is stored only if
+    ``keep`` (a backward needs it); otherwise each stream's (M, B) slice is
+    formed in one reused buffer and None is returned in Z's place.  The
+    whole (S, M, B) Z and its powers, about 1.6 MB per block at S = 4,
+    M = 12, are then never allocated: faulting in those fresh pages costs
+    more than the arithmetic on them.
     """
     n, m, b = xt.shape
     n_s = own.shape[0]
-    at_own = _own_entries(own, m)
     xc = np.conj(xt)
     if m >= n:
         low, inv = _cholesky([[(xt[i] * xc[j]).sum(axis=0) for j in range(i + 1)]
                               for i in range(n)], lam)
-        v = xt.reshape(n, m * b).take(own * b + np.arange(b), axis=1)  # (N, S, B)
-        w = _cholesky_solve(low, inv, v)
-        z = np.empty((n_s, m, b), dtype=np.complex128)
-        for s in range(n_s):
-            _lincomb(xc, w[:, s], out=z[s])
+        w = _cholesky_solve(low, inv, xt[:, own, np.arange(b)])  # rhs (N, S, B)
+        # Z row by row: into z when it is kept, else into one reused row
+        z = np.empty((n_s, m, b), dtype=np.complex128) if keep else None
+        row = np.empty((m, b), dtype=np.complex128)
+        rows = (_lincomb(xc, w[:, s], out=row if z is None else z[s]) for s in range(n_s))
     else:
         low, inv = _cholesky([[(xc[:, i] * xt[:, j]).sum(axis=0) for j in range(i + 1)]
                               for i in range(m)], lam)
         e_own = np.zeros((n_s, m, b))
-        e_own.reshape(-1)[at_own] = 1.0
+        e_own.reshape(-1)[_own_entries(own, m)] = 1.0
         a = _cholesky_solve(low, inv, np.swapaxes(e_own, 0, 1))  # (M, S, B)
         w = np.empty((n, n_s, b), dtype=np.complex128)
         for s in range(n_s):
             _lincomb(np.swapaxes(xt, 0, 1), a[:, s], out=w[:, s])
-        z = e_own - lam * np.swapaxes(a, 0, 1)
-    p = z.real ** 2 + z.imag ** 2
-    num = p.reshape(-1)[at_own]
-    p.reshape(-1)[at_own] = 0.0
-    den = lam * (w.real ** 2 + w.imag ** 2).sum(axis=0) + p.sum(axis=1)
+        rows = z = e_own - lam * np.swapaxes(a, 0, 1)
+    num, off = np.empty((n_s, b)), np.empty((n_s, b))
+    cols = np.arange(b)
+    for s, z_s in enumerate(rows):  # z_s (M, B): own power, then the rest
+        p = z_s.real ** 2 + z_s.imag ** 2
+        num[s] = p[own[s], cols]
+        p[own[s], cols] = 0.0
+        off[s] = p.sum(axis=0)
+    den = lam * (w.real ** 2 + w.imag ** 2).sum(axis=0) + off
     live = den > 0  # den is 0 only for a zero filter column: a zero desired column
     den = np.where(live, den, 1.0)
     return w, z, den, np.where(live, num, 0.0) / den
+
+
+def _check_own(own: np.ndarray, m: int) -> None:
+    if own.size and (own.min() < 0 or own.max() >= m):
+        raise ShapeError(f"own columns must lie in [0, {m})")
+
+
+def _sinr_blocks(block_of, owns: np.ndarray, lam: float, keep: bool):
+    """Run ``_sinr_block`` over a stack, ``_SINR_BLOCK`` matrices at a time.
+
+    block_of(block) gives the (N, M, B) batch-last matrices of the slice
+    ``block`` of the stack; owns: (total, S) own columns.  Returns the SINR
+    (total, S) and, if ``keep``, per block (own, W, Z, den, SINR) for a
+    backward.
+    """
+    total, n_s = owns.shape
+    sinr = np.empty((total, n_s))
+    saved = []
+    for b0 in range(0, total, _SINR_BLOCK):
+        block = slice(b0, b0 + _SINR_BLOCK)
+        own_b = np.ascontiguousarray(owns[block].T)
+        w, z, den, sinr_b = _sinr_block(block_of(block), own_b, lam, keep)
+        sinr[block] = sinr_b.T
+        if keep:
+            saved.append((own_b, w, z, den, sinr_b))
+    return sinr, saved
 
 
 def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
@@ -617,13 +656,14 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     dX = W (conj(Z) o coef)^T with Z = X^H W, coef = 2 g/den on the own
     column and -2 g SINR/den elsewhere.  A zero desired column scores 0.
 
-    The CSI-RS sweep passes stacks of thousands of tiny matrices (2 or 4 x
+    Its callers pass stacks of up to thousands of tiny matrices (2 or 4 x
     12), where one LAPACK call per matrix costs far more than its
     arithmetic.  So the stack is copied ``_SINR_BLOCK`` matrices at a time
     into a batch-last block, factored by a Cholesky unrolled over
     min(N_R, M), and solved by substitution, every step one vector op over
-    the block.  ``lmmse_filter`` keeps LAPACK for the RZF precoder's few
-    matrices per call.
+    the block.  ``lmmse_sinr_batch_last`` runs the same kernel, forward
+    only, on views of a stack that is batch-last already.  ``lmmse_filter``
+    keeps LAPACK for the RZF precoder's small stacks.
     """
     x = as_tensor(x)
     xv = x.value
@@ -631,24 +671,15 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
         raise ShapeError("lmmse_sinr requires x with ndim >= 2")
     x_shape, (n, m) = xv.shape, xv.shape[-2:]
     own = np.asarray(own, dtype=np.intp)
-    if own.size and (own.min() < 0 or own.max() >= m):
-        raise ShapeError(f"own columns must lie in [0, {m})")
+    _check_own(own, m)
     n_s = own.shape[-1]
     batch = np.broadcast_shapes(x_shape[:-2], own.shape[:-1])
     total = math.prod(batch)
     xs = np.broadcast_to(xv, batch + (n, m)).reshape(total, n, m)
     owns = np.broadcast_to(own, batch + (n_s,)).reshape(total, n_s)
-    starts = range(0, total, _SINR_BLOCK)
-    sinr = np.empty((total, n_s))
-    saved = []  # per block (own, W, Z, den, SINR), kept only for the backward
-    for b0 in starts:
-        block = slice(b0, b0 + _SINR_BLOCK)
-        own_b = np.ascontiguousarray(owns[block].T)
-        w, z, den, sinr_b = _sinr_block(np.ascontiguousarray(np.moveaxis(xs[block], 0, -1)),
-                                        own_b, sigma2)
-        sinr[block] = sinr_b.T
-        if x.requires_grad:
-            saved.append((own_b, w, z, den, sinr_b))
+    sinr, saved = _sinr_blocks(
+        lambda block: np.ascontiguousarray(np.moveaxis(xs[block], 0, -1)),
+        owns, sigma2, x.requires_grad)
     out = DiffTensor(sinr.reshape(batch + (n_s,)), parents=(x,))
 
     # the closure holds shapes, never ``out``: out -> backward -> out would be
@@ -658,8 +689,8 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
             return
         g = np.real(g).reshape(total, n_s)
         dx = np.empty((total, n, m), dtype=np.complex128)
-        for b0, (own_b, w, z, den, sinr_b) in zip(starts, saved):
-            block = slice(b0, b0 + _SINR_BLOCK)
+        for i, (own_b, w, z, den, sinr_b) in enumerate(saved):
+            block = slice(i * _SINR_BLOCK, (i + 1) * _SINR_BLOCK)
             a = 2.0 * g[block].T / den
             coef = np.conj(z) * (-a * sinr_b)[:, None, :]
             at_own = _own_entries(own_b, m)
@@ -670,6 +701,21 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
 
     out._backward = backward
     return out
+
+
+def lmmse_sinr_batch_last(xt: np.ndarray, own: np.ndarray, sigma2: float) -> np.ndarray:
+    """``lmmse_sinr`` of a batch-last stack, forward only, as a plain array.
+
+    xt: (N_R, M, B) with a unit-stride batch axis; own: (B, S) own columns.
+    Returns the SINR (B, S).  The kernel reads each block as a view of xt,
+    so a caller that forms its matrices batch-last saves ``lmmse_sinr``'s
+    per-block copy; the arithmetic, and so every bit, is the same.
+    """
+    own = np.asarray(own, dtype=np.intp)
+    if xt.ndim != 3 or own.ndim != 2 or own.shape[0] != xt.shape[2]:
+        raise ShapeError(f"stack {xt.shape} and own columns {own.shape} do not match")
+    _check_own(own, xt.shape[1])
+    return _sinr_blocks(lambda block: xt[:, :, block], own, sigma2, False)[0]
 
 
 # ------------------------------ convolution ------------------------------

@@ -11,7 +11,10 @@ and in training alike.  Training then differentiates only what its loss
 reads, on DiffTensor codebooks: ``beam_rsrp`` at one beam per (cell, user)
 and ``resource_sinr`` at each user's chosen resource, with
 ``gather_per_user`` picking those entries.  Both kinds build their SINR
-with ``autodiff.lmmse_sinr`` and their SE with ``stream_se``.
+with the LMMSE block kernel of ``autodiff`` and their SE with
+``stream_se``: ``csirs_sinr`` forward only through
+``lmmse_sinr_batch_last``, on a stack its GEMM output is copied into once,
+and ``resource_sinr`` through the differentiable ``lmmse_sinr``.
 
 Conventions:
   * All cells sweep beam index i on the same time-frequency occasion.
@@ -266,11 +269,17 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
                assoc: np.ndarray, sigma2: float) -> SinrRecord:
     """LMMSE per-stream SINR for every user and CSI-RS resource.
 
-    subsets: per cell, the ordered (N_CSI, NT, B_g) stack of transmitted
-    precoders (array or DiffTensor).  assoc: per-user serving cell.
-    G_c = H_c B_c,i; every cell's B_g columns reach each user, and the
-    serving cell's columns are its desired streams.  The SINR is the LMMSE
-    filter's output SINR from ``autodiff.lmmse_sinr``, accurate at any SNR.
+    subsets: per cell, the ordered (N_CSI, NT, B_g) array of transmitted
+    precoders.  assoc: per-user serving cell.  G_c = H_c B_c,i; every
+    cell's B_g columns reach each user, and the serving cell's columns are
+    its desired streams.  The SINR is the LMMSE filter's output SINR, that
+    of ``autodiff.lmmse_sinr``, accurate at any SNR.
+
+    Forward only: one GEMM forms every received signal, one transpose copy
+    lays them out batch-last, (N_R, C*B_g, N_CSI*U*T*K), and
+    ``autodiff.lmmse_sinr_batch_last`` runs on views of that stack.  The
+    SINR is a constant DiffTensor; ``resource_sinr`` is the differentiable
+    stage.
     """
     hv = h.values if isinstance(h, ChannelTensor) else h
     hv = np.asarray(hv, dtype=np.complex128)
@@ -278,16 +287,22 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     if len(subsets) != c_cells:
         raise ShapeError("one precoder subset required per cell")
     assoc = np.asarray(assoc, dtype=np.intp)
-    n_csi, _, b_g = subsets[0].shape
+    n_csi, _, b_g = np.shape(subsets[0])
+    if any(np.shape(s) != (n_csi, n_t, b_g) for s in subsets):
+        raise ShapeError("CSI-RS subsets do not match each other or the channel")
     # every cell's subset as one (C, NT, N_CSI*B_g) stack, so one GEMM forms
-    # all received signals; then one swap to (N_CSI, U, T, K, N_R, C*B_g)
-    stacked = ad.concat([ad.reshape(s, (1, n_csi, n_t, b_g)) for s in subsets], axis=0)
-    cols = ad.reshape(ad.swapaxes(stacked, 1, 2), (c_cells, n_t, n_csi * b_g))
-    prod = ad.matmul(ad.constant(hv.reshape(c_cells, -1, n_t)), cols)
-    g = ad.reshape(prod, (c_cells, n_users, t_slots, k_sub, n_rx, n_csi, b_g))
-    x = ad.reshape(ad.swapaxes(g, 0, 5), (n_csi, n_users, t_slots, k_sub, n_rx,
-                                          c_cells * b_g))
-    sinr = ad.lmmse_sinr(x, _own_streams(assoc, b_g), sigma2)  # (N_CSI, U, T, K, B_g)
+    # all received signals (C, U*T*K*N_R, N_CSI*B_g); the product is freed
+    # once it is copied into the stack, before the kernel allocates
+    cols = np.swapaxes(np.stack(subsets).astype(np.complex128, copy=False), 1, 2)
+    prod = hv.reshape(c_cells, -1, n_t) @ cols.reshape(c_cells, n_t, n_csi * b_g)
+    xt = np.ascontiguousarray(
+        prod.reshape(c_cells, n_users, t_slots, k_sub, n_rx, n_csi, b_g)
+        .transpose(4, 0, 6, 5, 1, 2, 3)).reshape(n_rx, c_cells * b_g, -1)
+    del prod  # xt: (N_R, C*B_g, N_CSI*U*T*K)
+    own = np.broadcast_to(_own_streams(assoc, b_g),
+                          (n_csi, n_users, t_slots, k_sub, b_g)).reshape(-1, b_g)
+    sinr = ad.lmmse_sinr_batch_last(xt, own, sigma2)
+    sinr = ad.constant(sinr.reshape(n_csi, n_users, t_slots, k_sub, b_g))
     return SinrRecord(sinr=ad.swapaxes(sinr, 0, 1))  # (U, N_CSI, T, K, B_g)
 
 

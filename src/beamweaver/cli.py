@@ -266,12 +266,17 @@ def gen_channels(config_path, seed, out_path):
     click.echo(f"wrote {out_path}: dims {tensor.values.shape}")
 
 
+def _dft_ssb_books(config, dims):
+    """The DFT SSB codebook, built once and shared by all cells."""
+    ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
+    return [ssb] * config.c_cells
+
+
 def _build_dft_books(config, dims):
     """DFT SSB and CSI-RS codebooks, each built once and shared by all cells."""
-    ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
     cs = cbk.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
                              elevation_window=dims.elevation_window)
-    return [ssb] * config.c_cells, [cs] * config.c_cells
+    return _dft_ssb_books(config, dims), [cs] * config.c_cells
 
 
 def _books_from_arrays(ssb_arrays, csirs_arrays, geometry):
@@ -280,10 +285,12 @@ def _books_from_arrays(ssb_arrays, csirs_arrays, geometry):
     return ssb, cs
 
 
-def _prior_obsc(config, tensor, prior_ssb):
-    """Feedback beamspace images from the prior (DFT) codebook for one drop."""
+def _prior_obsc(config, tensor, prior_ssb, pair):
+    """Feedback beamspace images from the prior (DFT) codebook for one drop.
+
+    pair: the geometry's critically sampled ``codebook.TransformPair``.
+    """
     h = np.asarray(tensor.values, np.complex128)
-    pair = cbk.make_transform_pair(config.geometry)
     return nbl.feedback_images(h, prior_ssb, config.geometry, pair, None)[0]
 
 
@@ -298,7 +305,7 @@ def _eval_one(drop_seed: int) -> list[dict]:
         return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed)
     # the neural codebook depends on the drop: synthesize its channel once
     tensor = ch.generate_channels(config, drop_seed)
-    obsc = _prior_obsc(config, tensor, ctx["prior_ssb"])
+    obsc = _prior_obsc(config, tensor, ctx["prior_ssb"], ctx["pair"])
     ssb_dt, cs_dt = ctx["gen"].generate_for(obsc, config.geometry)
     books = _books_from_arrays([s.value for s in ssb_dt],
                                [c.value for c in cs_dt], config.geometry)
@@ -332,7 +339,7 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ctx = {"config": config, "settings": settings, "source": source,
-           "books": None, "gen": None, "prior_ssb": None}
+           "books": None, "gen": None, "prior_ssb": None, "pair": None}
     if source == "dft":
         ctx["books"] = _build_dft_books(config, dims)
     elif source.startswith("file:"):
@@ -357,7 +364,8 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
             ctx["gen"] = nbl.NeuralGenerator.from_tape(
                 tape, config.c_cells, dims,
                 n_pol=2 if config.geometry.dual_polarized else 1)
-            ctx["prior_ssb"] = _build_dft_books(config, dims)[0]
+            ctx["prior_ssb"] = _dft_ssb_books(config, dims)
+            ctx["pair"] = cbk.make_transform_pair(config.geometry)
     else:
         raise ConfigError(f"unknown codebook source {source!r}")
     seeds = [seed * 1000003 + i for i in range(drops)]
@@ -401,7 +409,7 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
     lr = lr if lr is not None else tr.get("lr", 1e-4)
     samples = drops if drops is not None else tr.get("samples", 64)
     sigma2 = ch.noise_variance(config)
-    prior_ssb = _build_dft_books(config, dims)[0]
+    prior_ssb = _dft_ssb_books(config, dims)
     dataset = nbl.build_dataset(config, prior_ssb, samples, seed, sigma2,
                                 new_user_prob=tr.get("new_user_prob", 0.2))
     tape = Tape()

@@ -105,27 +105,31 @@ def grid_sin_elevation(ky: np.ndarray, n_y: int, spacing: float = 0.5) -> np.nda
     return -mw / (n_y * spacing)
 
 
-def _grid_candidates(n_x: int, n_y: int, elevation_window, spacing: float):
-    """(kx, ky) grid points whose elevation lies in the window, az-major rows."""
+def _grid_candidates(n_x: int, n_y: int, elevation_window, spacing: float) -> np.ndarray:
+    """(kx, ky) grid points whose elevation lies in the window, az-major rows.
+
+    Returns a (P, 2) integer array, the ky in ascending elevation order and
+    every kx under each.
+    """
     lo, hi = elevation_window
-    cands = []
-    ky_order = np.argsort(grid_sin_elevation(np.arange(n_y), n_y, spacing))
-    for ky in ky_order:
-        s = float(grid_sin_elevation(np.array(ky), n_y, spacing))
-        if lo <= s <= hi:
-            for kx in range(n_x):
-                cands.append((kx, int(ky)))
-    return cands
+    sin_el = grid_sin_elevation(np.arange(n_y), n_y, spacing)
+    ky_order = np.argsort(sin_el)
+    ky = ky_order[(lo <= sin_el[ky_order]) & (sin_el[ky_order] <= hi)]
+    return np.stack([np.tile(np.arange(n_x), len(ky)), np.repeat(ky, n_x)], axis=1)
 
 
-def _grid_beam(u_x: np.ndarray, u_y: np.ndarray, kx: int, ky: int,
-               geometry: ArrayGeometry) -> np.ndarray:
-    """Unit-norm dual-pol beam from grid columns; x-major vectorization."""
-    mat = np.outer(u_x[:, kx], np.conj(u_y[:, ky]))
-    panel = mat.reshape(-1)
+def _grid_beams(u_x: np.ndarray, u_y: np.ndarray, kx: np.ndarray, ky: np.ndarray,
+                geometry: ArrayGeometry) -> np.ndarray:
+    """Unit-norm beams (P, NT) from grid columns (kx[p], ky[p]).
+
+    Each panel is the outer product u_x[:, kx] conj(u_y[:, ky])^T,
+    vectorized x-major; a dual-pol beam repeats it on both panels.
+    """
+    panels = (u_x[:, kx].T[:, :, None] * np.conj(u_y[:, ky]).T[:, None, :]).reshape(
+        len(kx), u_x.shape[0] * u_y.shape[0])
     if geometry.dual_polarized:
-        return np.concatenate([panel, panel]) / np.sqrt(2.0)
-    return panel
+        return np.concatenate([panels, panels], axis=1) / np.sqrt(2.0)
+    return panels
 
 
 def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
@@ -138,8 +142,8 @@ def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
     if l_max > len(cands):
         raise ConfigError(f"l_max={l_max} exceeds {len(cands)} unpruned directions")
     picks = np.linspace(0, len(cands), l_max, endpoint=False).astype(int)
-    beams = np.stack([_grid_beam(u_x, u_y, *cands[i], geometry) for i in picks])
-    return SsbCodebook(beams=beams, geometry=geometry)
+    return SsbCodebook(beams=_grid_beams(u_x, u_y, *cands[picks].T, geometry),
+                       geometry=geometry)
 
 
 def build_dft_csirs(geometry: ArrayGeometry, n_cb: int, b_g: int,
@@ -153,9 +157,9 @@ def build_dft_csirs(geometry: ArrayGeometry, n_cb: int, b_g: int,
     if n_cb * b_g > len(cands):
         raise ConfigError(f"n_cb*b_g={n_cb * b_g} exceeds {len(cands)} grid beams")
     picks = np.linspace(0, len(cands), n_cb * b_g, endpoint=False).astype(int)
-    cols = [_grid_beam(u_x, u_y, *cands[i], geometry) for i in picks]
-    precoders = np.stack([np.stack(cols[j * b_g:(j + 1) * b_g], axis=1)
-                          for j in range(n_cb)])
+    cols = _grid_beams(u_x, u_y, *cands[picks].T, geometry)  # (N_CB*B_g, NT)
+    precoders = np.ascontiguousarray(
+        cols.reshape(n_cb, b_g, -1).transpose(0, 2, 1))  # (N_CB, NT, B_g)
     return CsirsCodebook(precoders=precoders, geometry=geometry)
 
 

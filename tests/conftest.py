@@ -1,4 +1,5 @@
-"""Shared test helpers: the finite-difference gradient oracle."""
+"""Shared test helpers: the finite-difference gradient oracle and the
+frozen differentiable CSI-RS sweep."""
 import numpy as np
 
 from beamweaver import autodiff as ad
@@ -59,3 +60,25 @@ def assert_grads_match(loss_fn, values, rtol=1e-4, eps=1e-5):
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def frozen_csirs_sinr(h, subsets, assoc, sigma2):
+    """Frozen reference: ``beam_mgmt.csirs_sinr`` as it was while it still
+    built an autodiff graph, (U, N_CSI, T, K, B_g) as a DiffTensor.
+
+    subsets: per cell an (N_CSI, NT, B_g) array or DiffTensor.  One GEMM,
+    a concat/swapaxes/reshape chain into (N_CSI, U, T, K, N_R, C*B_g), then
+    ``autodiff.lmmse_sinr``; it differentiates every resource of the sweep.
+    """
+    hv = np.asarray(h, dtype=np.complex128)
+    c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
+    assoc = np.asarray(assoc, dtype=np.intp)
+    n_csi, _, b_g = subsets[0].shape
+    stacked = ad.concat([ad.reshape(s, (1, n_csi, n_t, b_g)) for s in subsets], axis=0)
+    cols = ad.reshape(ad.swapaxes(stacked, 1, 2), (c_cells, n_t, n_csi * b_g))
+    prod = ad.matmul(ad.constant(hv.reshape(c_cells, -1, n_t)), cols)
+    g = ad.reshape(prod, (c_cells, n_users, t_slots, k_sub, n_rx, n_csi, b_g))
+    x = ad.reshape(ad.swapaxes(g, 0, 5), (n_csi, n_users, t_slots, k_sub, n_rx,
+                                          c_cells * b_g))
+    own = (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]
+    return ad.swapaxes(ad.lmmse_sinr(x, own, sigma2), 0, 1)

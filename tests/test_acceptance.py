@@ -334,12 +334,13 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
               for _ in range(3)]
     dft_cs8 = [cb.build_dft_csirs(eval_cfg.geometry, dims.n_cb, dims.b_g,
                                   elevation_window=FULL) for _ in range(3)]
+    pair8 = cb.make_transform_pair(eval_cfg.geometry)
     settings = mx.EvalSettings(n_csi=dims.n_csi)
     ratios = []
     for i in range(60):
         seed = 321 * 1000003 + i
         tensor = ch.generate_channels(eval_cfg, seed)
-        obsc = cli._prior_obsc(eval_cfg, tensor, prior8)
+        obsc = cli._prior_obsc(eval_cfg, tensor, prior8, pair8)
         ssb_dt, cs_dt = gen.generate_for(obsc, eval_cfg.geometry)
         nbl_ssb = [cb.SsbCodebook(beams=s.value, geometry=eval_cfg.geometry)
                    for s in ssb_dt]

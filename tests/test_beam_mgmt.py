@@ -8,7 +8,7 @@ from beamweaver import codebook as cb
 from beamweaver.channel import ArrayGeometry, ChannelTensor, _stream
 from beamweaver.errors import ConfigError, ShapeError
 
-from conftest import analytic_gradients, assert_grads_match
+from conftest import analytic_gradients, assert_grads_match, frozen_csirs_sinr
 
 
 def _tensor(values):
@@ -396,18 +396,22 @@ def test_csirs_sinr_accurate_from_low_to_high_snr():
 @pytest.mark.parametrize("disaggregated", [False, True])
 @pytest.mark.parametrize("n_rx", [1, 2, 3])
 def test_csirs_sinr_gradients_match_finite_differences(n_rx, disaggregated):
-    # two cells serving users 0 and 1, 2; in disaggregated mode cell 1 is
-    # held fixed by stop_gradient, as nbl.forward_model does
+    # The CSI-RS stage's gradient path: resource_sinr on precoders gathered
+    # from the per-cell DiffTensors.  Two cells serving users 0 and 1, 2; in
+    # disaggregated mode cell 1 is held fixed by stop_gradient, as
+    # nbl.forward_model does.
     rng = np.random.default_rng(50 + n_rx)
     h = _crandn(rng, 2, 3, 1, 2, n_rx, 4)
     subsets = [_crandn(rng, 2, 4, 2) for _ in range(2)]
-    weights = ad.constant(rng.uniform(0.5, 1.5, size=(3, 2, 1, 2, 2)))
+    weights = ad.constant(rng.uniform(0.5, 1.5, size=(3, 1, 2, 2)))
     assoc = np.array([0, 1, 1])
+    resource = np.tile([1, 0, 1], (2, 1))  # (C, U): each user's resource
 
     def loss(b0, b1):
         if disaggregated:
             b1 = ad.stop_gradient(b1)
-        s = ad.real(ad.mul(bm.csirs_sinr(h, [b0, b1], assoc, 0.3).sinr, weights))
+        precoders = bm.gather_per_user([b0, b1], resource)
+        s = ad.real(ad.mul(bm.resource_sinr(h, precoders, assoc, 0.3), weights))
         while s.value.ndim:
             s = ad.sum_axis(s, axis=0)
         return s
@@ -445,30 +449,59 @@ def test_csirs_sinr_matches_frozen_per_cell_product(c_cells, b_g):
     h = _crandn(rng, c_cells, _U, _T, _K, n_rx, _NT)
     subsets = [_crandn(rng, _NCSI, _NT, b_g) for _ in range(c_cells)]
     assoc = rng.integers(0, c_cells, size=_U)
-    weights = rng.uniform(0.5, 1.5, size=(_U, _NCSI, _T, _K, b_g))
+    resource = rng.integers(0, _NCSI, size=_U)
+    weights = rng.uniform(0.5, 1.5, size=(_U, _T, _K, b_g))
     frozen = c_cells - 1  # held fixed by stop_gradient, as a disaggregated step does
 
+    got = bm.csirs_sinr(h, subsets, assoc, 0.3).sinr.value
+    want = _frozen_per_cell_csirs_sinr(h, subsets, assoc, 0.3).value
+    assert got.shape == (_U, _NCSI, _T, _K, b_g)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    # the gradient path: resource_sinr at each user's resource against the
+    # frozen product's differentiable sweep read at the same entries
     def run(sinr_fn):
         tape = ad.Tape()
         params = [tape.parameter(f"b{c}", v) for c, v in enumerate(subsets)]
         used = [ad.stop_gradient(p) if c == frozen and c_cells > 1 else p
                 for c, p in enumerate(params)]
-        sinr = sinr_fn(h, used, assoc, 0.3)
+        sinr = sinr_fn(used)  # (U, T, K, B_g)
         s = ad.mul(sinr, ad.constant(weights))
         while s.value.ndim:
             s = ad.sum_axis(s, axis=0)
         ad.backward(ad.real(s))
         return sinr.value, [p.grad for p in params]
 
-    got, got_grads = run(lambda *a: bm.csirs_sinr(*a).sinr)
-    want, want_grads = run(_frozen_per_cell_csirs_sinr)
-    assert got.shape == (_U, _NCSI, _T, _K, b_g)
+    got, got_grads = run(lambda used: bm.resource_sinr(
+        h, bm.gather_per_user(used, np.tile(resource, (c_cells, 1))), assoc, 0.3))
+    want, want_grads = run(lambda used: ad.select_cells(ad.swapaxes(
+        _frozen_per_cell_csirs_sinr(h, used, assoc, 0.3), 0, 1), resource))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     for c, (g, w) in enumerate(zip(got_grads, want_grads)):
         if c == frozen and c_cells > 1:
             assert g is None and w is None
         else:
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("blocks", ["one", "several", "partial"])
+@pytest.mark.parametrize("c_cells,b_g,n_rx", [(3, 2, 2), (2, 1, 2), (1, 2, 4), (1, 1, 2)])
+def test_csirs_sinr_matches_frozen_differentiable_sweep(c_cells, b_g, n_rx, blocks,
+                                                        monkeypatch):
+    # M = C*B_g against N = N_R covers both kernel branches (M >= N for the
+    # first two cases, M < N for the last two); the block size splits the
+    # N_CSI*U*T*K = 24 matrices into exactly one block, three full blocks,
+    # or three blocks and a partial one
+    monkeypatch.setattr(ad, "_SINR_BLOCK", {"one": 24, "several": 8, "partial": 7}[blocks])
+    rng = np.random.default_rng(70 + 10 * c_cells + b_g + n_rx)
+    h = _crandn(rng, c_cells, 3, 1, 2, n_rx, _NT)
+    subsets = [_crandn(rng, 4, _NT, b_g) for _ in range(c_cells)]
+    assoc = rng.integers(0, c_cells, size=3)
+    got = bm.csirs_sinr(h, subsets, assoc, 0.3).sinr
+    want = frozen_csirs_sinr(h, subsets, assoc, 0.3)
+    np.testing.assert_array_equal(got.value, want.value)
+    assert got.value.shape == (3, 4, 1, 2, b_g)
+    assert np.swapaxes(got.value, 0, 1).flags.c_contiguous  # stream_se's layout
 
 
 def test_csirs_sinr_subset_count_mismatch():

@@ -64,6 +64,66 @@ def test_downtilt_pruning_halves_symmetric_grid():
     assert len(full) == 16 and len(down) == 8
 
 
+# Frozen reference: the DFT builders as they were before they were
+# vectorized, one Python call per candidate and per beam.
+
+def _frozen_grid_candidates(n_x, n_y, elevation_window, spacing):
+    lo, hi = elevation_window
+    cands = []
+    ky_order = np.argsort(cb.grid_sin_elevation(np.arange(n_y), n_y, spacing))
+    for ky in ky_order:
+        s = float(cb.grid_sin_elevation(np.array(ky), n_y, spacing))
+        if lo <= s <= hi:
+            for kx in range(n_x):
+                cands.append((kx, int(ky)))
+    return cands
+
+
+def _frozen_grid_beam(u_x, u_y, kx, ky, geometry):
+    panel = np.outer(u_x[:, kx], np.conj(u_y[:, ky])).reshape(-1)
+    if geometry.dual_polarized:
+        return np.concatenate([panel, panel]) / np.sqrt(2.0)
+    return panel
+
+
+def _frozen_build_dft(geometry, l_max, n_cb, b_g, elevation_window, oversampling=4):
+    u_x = cb.transform_matrix(geometry.n_x, geometry.n_x)
+    u_y = cb.transform_matrix(geometry.n_y, geometry.n_y)
+    cands = _frozen_grid_candidates(geometry.n_x, geometry.n_y, elevation_window,
+                                    geometry.element_spacing)
+    picks = np.linspace(0, len(cands), l_max, endpoint=False).astype(int)
+    ssb = np.stack([_frozen_grid_beam(u_x, u_y, *cands[i], geometry) for i in picks])
+    u_x = cb.transform_matrix(geometry.n_x, oversampling * geometry.n_x)
+    u_y = cb.transform_matrix(geometry.n_y, oversampling * geometry.n_y)
+    cands = _frozen_grid_candidates(oversampling * geometry.n_x,
+                                    oversampling * geometry.n_y, elevation_window,
+                                    geometry.element_spacing)
+    picks = np.linspace(0, len(cands), n_cb * b_g, endpoint=False).astype(int)
+    cols = [_frozen_grid_beam(u_x, u_y, *cands[i], geometry) for i in picks]
+    csirs = np.stack([np.stack(cols[j * b_g:(j + 1) * b_g], axis=1) for j in range(n_cb)])
+    return ssb, csirs
+
+
+@pytest.mark.parametrize("window", [(-0.6, 0.05), FULL, (-1.01, 0.0)])
+@pytest.mark.parametrize("shape,dual", [((4, 4), True), ((8, 8), True), ((4, 1), False),
+                                        ((1, 4), True), ((5, 3), False), ((2, 6), True),
+                                        ((8, 4), False), ((3, 3), True)])
+def test_dft_builders_match_frozen_per_beam_loop(shape, dual, window):
+    geo = _geo(*shape, dual=dual)
+    n_points = len(_frozen_grid_candidates(*shape, window, 0.5))
+    n_fine = len(_frozen_grid_candidates(4 * shape[0], 4 * shape[1], window, 0.5))
+    l_max, b_g = min(8, n_points), 2 if dual else 1
+    n_cb = min(16, n_fine // b_g)
+    want_ssb, want_csirs = _frozen_build_dft(geo, l_max, n_cb, b_g, window)
+    ssb = cb.build_dft_ssb(geo, l_max, window)
+    csirs = cb.build_dft_csirs(geo, n_cb, b_g, elevation_window=window)
+    np.testing.assert_array_equal(ssb.beams, want_ssb)
+    np.testing.assert_array_equal(csirs.precoders, want_csirs)
+    assert ssb.beams.flags.c_contiguous and csirs.precoders.flags.c_contiguous
+    assert [tuple(c) for c in cb._grid_candidates(*shape, window, 0.5)] == \
+        _frozen_grid_candidates(*shape, window, 0.5)
+
+
 def test_ssb_infeasible_l_max():
     with pytest.raises(ConfigError):
         cb.build_dft_ssb(_geo(2, 2, dual=False), l_max=64, elevation_window=FULL)
@@ -274,8 +334,8 @@ def test_round_trip_critical_sampling(lead):
 def test_round_trip_oversampled_grid_beams(lead):
     geo = _geo(4, 2, dual=True)
     pair = cb.make_transform_pair(geo, n_xo=8, n_yo=4)
-    beams = np.stack([cb._grid_beam(pair.u_x, pair.u_y, kx, ky, geo)
-                      for kx, ky in [(0, 0), (3, 1), (7, 3)]])
+    beams = cb._grid_beams(pair.u_x, pair.u_y, np.array([0, 3, 7]), np.array([0, 1, 3]),
+                           geo)
     img = cb.beamspace_forward(beams, pair, geo)
     back = _inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo, lead)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-8

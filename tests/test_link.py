@@ -605,6 +605,44 @@ def test_schedule_matches_frozen_reference_on_default_drops(default_drop_inputs)
         assert link.schedule_users(*args) == _reference_schedule_users(*args)
 
 
+@pytest.mark.parametrize("size", range(1, 9))
+def test_sets_se_gives_each_set_the_same_bits_in_any_batch(size):
+    # the lockstep search scores whatever sets its starts ask for together,
+    # so a set's estimate must not depend on the batch it is scored in
+    rng = np.random.default_rng(40 + size)
+    for b_g in (1, 2, 4):
+        cross = rng.standard_normal((10, 10, b_g)) + 1j * rng.standard_normal((10, 10, b_g))
+        sets = [tuple(sorted(rng.choice(10, size=size, replace=False).tolist()))
+                for _ in range(24)]
+        alone = [link._sets_se(cross, [s], 0.3, link.DIGITAL_PORTS)[0] for s in sets]
+        assert link._sets_se(cross, sets, 0.3, link.DIGITAL_PORTS) == alone
+        order = rng.permutation(len(sets))
+        assert (link._sets_se(cross, [sets[i] for i in order], 0.3, link.DIGITAL_PORTS)
+                == [alone[i] for i in order])
+        for lo, hi in ((0, 2), (3, 8), (5, 20)):
+            assert link._sets_se(cross, sets[lo:hi], 0.3, link.DIGITAL_PORTS) == alone[lo:hi]
+
+
+# ``_sets_se`` calls of the 59 schedule calls in ``default_drop_inputs`` when
+# every start searched on its own, one after another
+_SETS_SE_CALLS_START_BY_START = 783
+
+
+def test_lockstep_search_makes_fewer_sets_se_calls(default_drop_inputs, monkeypatch):
+    calls = []
+    sets_se = link._sets_se
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return sets_se(*args)
+
+    monkeypatch.setattr(link, "_sets_se", counted)
+    for args in default_drop_inputs[1]:
+        link.schedule_users(*args)
+    assert len(default_drop_inputs[1]) == 59
+    assert len(calls) < _SETS_SE_CALLS_START_BY_START
+
+
 def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
                                   n_ports):
     ps = link.build_precoders(recon, gains, chosen, subset, users, sigma2,

@@ -10,7 +10,7 @@ from beamweaver import nbl
 from beamweaver.autodiff import Tape
 from beamweaver.errors import DivergenceError, FormatError, ShapeError
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, frozen_csirs_sinr
 
 FULL = (-1.01, 1.01)
 
@@ -186,7 +186,8 @@ def _full_graph_forward_model(h, ssb_dt, csirs_dt, sigma2, n_csi, pin=None,
         report, subset_idx, _ = pin
     subsets = [ad.take(csirs_dt[c], np.asarray(subset_idx[c]), axis=0)
                for c in range(c_cells)]
-    record = bm.achievable_se(bm.csirs_sinr(h, subsets, report.b, sigma2))
+    record = bm.achievable_se(bm.SinrRecord(
+        sinr=frozen_csirs_sinr(h, subsets, report.b, sigma2)))
     chosen = record.chosen if pin is None else pin[2]
     pred = ad.select_cells(ad.swapaxes(record.se, 0, 1), chosen)
     flat = ad.reshape(rsrp, (c_cells * report.l_max, n_users))
