@@ -4,10 +4,11 @@ SSB sweep RSRP (measured and differentiable), network feedback aggregation,
 CSI-RS subset selection, LMMSE combining / SINR, and achievable spectral
 efficiency.
 
-Two kinds of stage.  The full sweeps -- ``rsrp_tensor`` over every cell's
-L beams and ``csirs_sinr`` over all N_CSI resources -- take plain arrays
-and decide: association, subsets and each user's resource, in evaluation
-and in training alike.  Training then differentiates only what its loss
+Two kinds of stage.  ``decide``, the one decision path of evaluation and
+training, takes plain arrays and an RSRP tensor, measured (``measure_rsrp``)
+or noise-free (``rsrp_tensor``), and runs feedback, subsets and
+``csirs_sinr`` over all N_CSI resources to decide association, subsets and
+each user's resource.  Training then differentiates only what its loss
 reads, on DiffTensor codebooks: ``beam_rsrp`` at one beam per (cell, user)
 and ``resource_sinr`` at each user's chosen resource, with
 ``gather_per_user`` picking those entries.  Both kinds build their SINR
@@ -81,6 +82,18 @@ class SinrRecord:
     sinr: DiffTensor  # (U, N_CSI, T, K, S)
     se: DiffTensor | None = None  # (U, N_CSI) filled by achievable_se
     chosen: np.ndarray | None = None  # (U,) resource index i-hat
+
+
+@dataclass
+class SelectionPin:
+    """One drop's discrete decisions (``decide``), reusable across FD steps."""
+
+    report: FeedbackReport
+    subset_indices: list  # per cell, its N_CSI precoder indices
+    subsets: list  # per cell, its (N_CSI, NT, B_g) transmitted precoders
+    se: np.ndarray  # (U, N_CSI) achievable SE on each resource
+    chosen: np.ndarray  # (U,) each user's CSI-RS resource
+    beams: np.ndarray  # (C, U) each cell's strongest beam at each user
 
 
 def _beam_signals(h, beams) -> DiffTensor:
@@ -185,14 +198,16 @@ def aggregate_feedback(rsrp: np.ndarray, new_user_mask=None) -> FeedbackReport:
 
 
 def _apportion(counts: np.ndarray, total: int) -> np.ndarray:
-    """Largest-remainder apportionment with a one-seat floor per claimant."""
+    """Largest-remainder apportionment with a one-seat floor per claimant;
+    with more claimants than seats, one seat each for the largest counts."""
     active = np.nonzero(counts > 0)[0]
     n = len(active)
     out = np.zeros_like(counts, dtype=int)
     if n == 0:
         return out
     if total < n:
-        raise ConfigError(f"budget {total} below {n} distinct reported beams")
+        out[active[np.argsort(-counts[active], kind="stable")[:total]]] = 1
+        return out
     out[active] = 1
     spare = total - n
     quota = spare * counts[active] / counts[active].sum()
@@ -234,13 +249,13 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
 
     Per-SSB-beam budgets follow user counts (largest-remainder, each
     reported beam keeps at least one precoder); each beam takes its
-    most-correlated free precoders.  A cell with no users falls back to the
-    first N_CSI precoders by index.
+    most-correlated free precoders; over budget, the N_CSI most-reported
+    beams take one each (ties to the lower beam index).  A cell with no
+    users falls back to the first N_CSI precoders by index.
 
-    ``memo``, a dict the caller creates and drops, shares the beam-precoder
-    correlation between calls on the same two array objects (the drops of
-    one training step, or the cells of one evaluation drop, that use the
-    same codebooks).  The arrays must not be edited in place while it lives.
+    ``memo`` shares the beam-precoder correlation between calls on the same
+    two array objects; its owner keeps it as long as those codebooks.  The
+    arrays must not be edited in place while it lives.
     """
     n_cb = precoders.shape[0]
     if n_csi > n_cb:
@@ -352,6 +367,27 @@ def achievable_se(record: SinrRecord) -> SinrRecord:
     record.se = se
     record.chosen = chosen
     return record
+
+
+def decide(rsrp: np.ndarray, h, ssb_beams: list, precoders: list,
+           sigma2: float, n_csi: int, new_user_mask=None,
+           memo: dict | None = None) -> SelectionPin:
+    """One drop's discrete decisions from its (C, L, U) RSRP, forward only.
+
+    ssb_beams: per cell its (L, NT) beams; precoders: its (N_CB, NT, B_g)
+    CSI-RS precoders.  Without a ``memo``, the drop's cells that share
+    codebook arrays share a new one.
+    """
+    report = aggregate_feedback(rsrp, new_user_mask)
+    memo = {} if memo is None else memo
+    subset_idx = [select_csirs_subset(b, p, report, c, n_csi, memo).subset_indices
+                  for c, (b, p) in enumerate(zip(ssb_beams, precoders))]
+    subsets = [p[idx] for p, idx in zip(precoders, subset_idx)]
+    record = achievable_se(csirs_sinr(h, subsets, report.b, sigma2))
+    # per cell, the first maximum: at the serving cell that is report.m
+    return SelectionPin(report=report, subset_indices=subset_idx, subsets=subsets,
+                        se=record.se.value.real, chosen=record.chosen,
+                        beams=np.argmax(rsrp, axis=1))
 
 
 def effective_sinr(se) -> np.ndarray:

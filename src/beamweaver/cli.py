@@ -273,16 +273,11 @@ def _dft_ssb_books(config, dims):
 
 
 def _build_dft_books(config, dims):
-    """DFT SSB and CSI-RS codebooks, each built once and shared by all cells."""
+    """DFT SSB beams and CSI-RS precoders, built once, shared by all cells."""
+    ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
     cs = cbk.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
                              elevation_window=dims.elevation_window)
-    return _dft_ssb_books(config, dims), [cs] * config.c_cells
-
-
-def _books_from_arrays(ssb_arrays, csirs_arrays, geometry):
-    ssb = [cbk.SsbCodebook(beams=a, geometry=geometry) for a in ssb_arrays]
-    cs = [cbk.CsirsCodebook(precoders=a, geometry=geometry) for a in csirs_arrays]
-    return ssb, cs
+    return [ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells
 
 
 def _prior_obsc(config, tensor, prior_ssb, pair):
@@ -301,16 +296,15 @@ def _eval_one(drop_seed: int) -> list[dict]:
     ctx = _EVAL_CTX
     config, settings = ctx["config"], ctx["settings"]
     if ctx["source"] != "nbl-neural":
-        books = ctx["books"]
-        return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed)
-    # the neural codebook depends on the drop: synthesize its channel once
+        return mx.evaluate_drop(config, settings, *ctx["books"], drop_seed,
+                                memo=ctx["memo"])
+    # the neural codebook depends on the drop: synthesize its channel once,
+    # and keep the books' correlations only for this drop
     tensor = ch.generate_channels(config, drop_seed)
     obsc = _prior_obsc(config, tensor, ctx["prior_ssb"], ctx["pair"])
     ssb_dt, cs_dt = ctx["gen"].generate_for(obsc, config.geometry)
-    books = _books_from_arrays([s.value for s in ssb_dt],
-                               [c.value for c in cs_dt], config.geometry)
-    return mx.evaluate_drop(config, settings, books[0], books[1], drop_seed,
-                            tensor=tensor)
+    return mx.evaluate_drop(config, settings, [s.value for s in ssb_dt],
+                            [c.value for c in cs_dt], drop_seed, tensor=tensor)
 
 
 def _init_eval_ctx(ctx):
@@ -338,14 +332,15 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     dims = dims_from(doc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx = {"config": config, "settings": settings, "source": source,
-           "books": None, "gen": None, "prior_ssb": None, "pair": None}
+    # memo: the correlations of the call's fixed books, one copy per worker
+    ctx = {"config": config, "settings": settings, "source": source, "memo": {}}
     if source == "dft":
         ctx["books"] = _build_dft_books(config, dims)
     elif source.startswith("file:"):
         ssb, cs = cbk.load_codebooks(source[5:])
         _check_codebook_file(ssb, cs, config, dims)
-        ctx["books"] = ([ssb] * config.c_cells, [cs] * config.c_cells)
+        ctx["books"] = ([ssb.beams] * config.c_cells,
+                        [cs.precoders] * config.c_cells)
     elif source in ("nbl-direct", "nbl-neural"):
         ckpt = doc.get("checkpoint")
         if not ckpt:
@@ -357,9 +352,7 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
             gen = nbl.DirectGenerator.from_tape(tape, config.c_cells,
                                                 config.geometry, dims)
             ssb_dt, cs_dt = gen.generate()
-            ctx["books"] = _books_from_arrays([s.value for s in ssb_dt],
-                                              [c.value for c in cs_dt],
-                                              config.geometry)
+            ctx["books"] = ([s.value for s in ssb_dt], [c.value for c in cs_dt])
         else:
             ctx["gen"] = nbl.NeuralGenerator.from_tape(
                 tape, config.c_cells, dims,

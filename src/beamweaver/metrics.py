@@ -45,33 +45,28 @@ def _to_dbm(p: np.ndarray) -> np.ndarray:
 
 
 def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
-                  ssb_books: list, csirs_books: list, drop_seed: int,
-                  tensor: ch.ChannelTensor | None = None) -> list[dict]:
+                  ssb_beams: list, precoders: list, drop_seed: int,
+                  tensor: ch.ChannelTensor | None = None,
+                  memo: dict | None = None) -> list[dict]:
     """Run the full protocol for one drop; returns per-user metric rows.
 
-    ``tensor`` is the drop's channel, ``generate_channels(config, drop_seed)``,
-    when the caller already synthesized it.
+    ssb_beams and precoders: per cell, as ``beam_mgmt.decide`` takes them,
+    and ``memo`` its correlation memo.  ``tensor`` is the drop's channel,
+    ``generate_channels(config, drop_seed)``, if already synthesized.
     """
     sigma2 = ch.noise_variance(config)
     if tensor is None:
         tensor = ch.generate_channels(config, drop_seed)
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
-    rsrp = bm.measure_rsrp(hv, [b.beams for b in ssb_books], sigma2, drop_seed)
-    report = bm.aggregate_feedback(rsrp)
-    memo = {}  # cells that share codebook arrays share their correlation
-    sels = [bm.select_csirs_subset(ssb_books[c].beams, csirs_books[c].precoders,
-                                   report, c, settings.n_csi, memo)
-            for c in range(c_cells)]
-    subsets = [csirs_books[c].precoders[sels[c].subset_indices]
-               for c in range(c_cells)]
-    record = bm.achievable_se(bm.csirs_sinr(hv, subsets, report.b, sigma2))
-    se_val = record.se.value.real
+    pin = bm.decide(bm.measure_rsrp(hv, ssb_beams, sigma2, drop_seed), hv,
+                    ssb_beams, precoders, sigma2, settings.n_csi, memo=memo)
+    report, subsets, chosen = pin.report, pin.subsets, pin.chosen
     users = np.arange(n_users)
-    se_best = se_val[users, record.chosen]
+    se_best = pin.se[users, chosen]
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
     # signal / interference+noise decomposition at the selected resource
-    v = hv[report.b, users] @ np.stack(subsets)[report.b, record.chosen][:, None, None]
+    v = hv[report.b, users] @ np.stack(subsets)[report.b, chosen][:, None, None]
     sig_u = (np.abs(v) ** 2).sum(axis=(-1, -2)).mean(axis=(1, 2))  # v: (U, T, K, N_R, B_g)
     snr_eq = np.exp2(se_best) - 1.0
     in_u = np.where(snr_eq > 0, sig_u / np.where(snr_eq > 0, snr_eq, 1.0), np.inf)
@@ -88,12 +83,12 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     sets = []
     for c in range(c_cells):
         cand = list(report.users_of_cell(c))
-        sched = link.schedule_users(recon, fb.gains, record.chosen, subsets[c],
+        sched = link.schedule_users(recon, fb.gains, chosen, subsets[c],
                                     cand, sigma2) if cand else []
-        sets.append(link.build_precoders(recon, fb.gains, record.chosen,
+        sets.append(link.build_precoders(recon, fb.gains, chosen,
                                          subsets[c], sched, sigma2,
                                          est.subband_of_k))
-    alpha = link.data_fraction(ssb_books[0].l_max, settings.n_csi, settings.k_ssb,
+    alpha = link.data_fraction(len(ssb_beams[0]), settings.n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)
     rows = []

@@ -2,12 +2,14 @@
 
 Targets are SVD-optimal per-user spectral efficiencies, and the MSE to them
 is minimized with Adam.  The forward model replays the beam-management
-protocol in two parts.  The full SSB sweep and CSI-RS stage run on the
-codebooks' plain arrays and only decide: association, subsets, each cell's
-strongest beam at each user and each user's resource.  Those decisions are
-held constant, and the autodiff graph covers only what the losses read:
-those beams' RSRP and the SINR on each user's chosen resource.  The analog
-projection passes gradients through a straight-through estimator.
+protocol in two parts.  The noise-free SSB sweep and
+``beam_mgmt.decide``, the decision path evaluation runs on measured RSRP,
+work on the codebooks' plain arrays and only decide: association, subsets,
+each cell's strongest beam at each user and each user's resource.  Those
+decisions are held constant, and the autodiff graph covers only what the
+losses read: those beams' RSRP and the SINR on each user's chosen resource.
+The analog projection passes gradients through a straight-through
+estimator.
 
 Two generator flavours: ``direct`` optimizes free beamspace images per
 cell; ``neural`` is a small fully-convolutional encoder-decoder mapping the
@@ -53,16 +55,6 @@ class TrainingSample:
 
 
 @dataclass
-class SelectionPin:
-    """Recorded discrete decisions, reusable across FD perturbations."""
-
-    report: bm.FeedbackReport
-    subset_indices: list  # per cell, its N_CSI precoder indices
-    chosen: np.ndarray  # (U,) each user's CSI-RS resource
-    beams: np.ndarray  # (C, U) each cell's strongest beam at each user
-
-
-@dataclass
 class ForwardResult:
     """The differentiable quantities the training losses read.
 
@@ -72,7 +64,7 @@ class ForwardResult:
 
     pred: DiffTensor  # (U,) achievable SE on the chosen resource
     best_rsrp: DiffTensor  # (U,) serving beam's RSRP, cell_rsrp at the serving cell
-    pin: SelectionPin
+    pin: bm.SelectionPin
     cell_rsrp: DiffTensor  # (C, U) RSRP of each cell's strongest beam
 
 
@@ -272,51 +264,31 @@ class NeuralGenerator(_Generator):
                           pair, geometry, dims)
 
 
-def decide(h: np.ndarray, ssb: list, csirs: list, sigma2: float, n_csi: int,
-           new_user_mask=None, memo: dict | None = None) -> SelectionPin:
-    """The protocol's discrete decisions, from plain codebook arrays.
-
-    ssb: per cell its (L, NT) beams; csirs: its (N_CB, NT, B_g) precoders.
-    Runs the full SSB sweep and the CSI-RS stage over all N_CSI resources,
-    with no autodiff graph.  ``memo`` is passed to
-    ``beam_mgmt.select_csirs_subset``, so calls that share it and the
-    codebook arrays compute each cell's beam-precoder correlation once.
-    """
-    rsrp = bm.rsrp_tensor(h, ssb).value.real  # (C, L, U)
-    report = bm.aggregate_feedback(rsrp, new_user_mask)
-    subset_idx = [bm.select_csirs_subset(ssb[c], csirs[c], report, c, n_csi,
-                                         memo).subset_indices
-                  for c in range(len(ssb))]
-    subsets = [cs[idx] for cs, idx in zip(csirs, subset_idx)]
-    record = bm.achievable_se(bm.csirs_sinr(h, subsets, report.b, sigma2))
-    # per cell, the first maximum: at the serving cell that is report.m
-    return SelectionPin(report=report, subset_indices=subset_idx,
-                        chosen=record.chosen, beams=np.argmax(rsrp, axis=1))
-
-
 def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
-                  n_csi: int, pin: SelectionPin | None = None,
+                  n_csi: int, pin: bm.SelectionPin | None = None,
                   new_user_mask=None,
                   disaggregated_cell: int | None = None,
                   memo: dict | None = None) -> ForwardResult:
     """SSB -> feedback -> CSI-RS -> achievable-SE rollout, differentiated
     only where the training losses read it.
 
-    The decisions come from ``decide`` on the codebooks' values, or all of
-    them, each cell's strongest beam included, are replayed from ``pin``,
-    which skips both full stages.  They carry no gradient.  The graph then
-    holds each cell's strongest beam at each user (``cell_rsrp``, with
-    ``best_rsrp`` at the serving cell) and one LMMSE SINR per user on its
-    chosen resource, where every cell transmits its precoder for that
-    resource (``pred``).  Every cell's codebooks stay in the graph, so each
-    parameter gets a gradient even where no user reads it.  In
-    disaggregated mode all other cells' codewords are treated as fixed
-    interference sources.
+    The decisions come from ``beam_mgmt.decide`` on the noise-free RSRP
+    of the codebooks' values, or all of them, each cell's strongest beam
+    included, are replayed from ``pin``, which skips both full stages.
+    They carry no gradient.  The graph then holds each cell's strongest
+    beam at each user (``cell_rsrp``, with ``best_rsrp`` at the serving
+    cell) and one LMMSE SINR per user on its chosen resource, where every
+    cell transmits its precoder for that resource (``pred``).  Every cell's
+    codebooks stay in the graph, so each parameter gets a gradient even
+    where no user reads it.  In disaggregated mode all other cells'
+    codewords are treated as fixed interference sources.
     """
     h = np.asarray(h, dtype=np.complex128)
     if pin is None:
-        pin = decide(h, [s.value for s in ssb_dt], [cs.value for cs in csirs_dt],
-                     sigma2, n_csi, new_user_mask, memo)
+        ssb = [s.value for s in ssb_dt]
+        pin = bm.decide(bm.rsrp_tensor(h, ssb).value.real, h, ssb,
+                        [cs.value for cs in csirs_dt], sigma2, n_csi,
+                        new_user_mask, memo)
     if disaggregated_cell is not None:
         ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                   for c, s in enumerate(ssb_dt)]

@@ -246,8 +246,12 @@ def test_apportion_tie_to_lowest_index():
 
 
 def test_apportion_budget_too_small():
-    with pytest.raises(ConfigError):
-        bm._apportion(np.array([1.0, 1.0, 1.0]), 2)
+    # more reported beams than seats: one seat each for the most-reported,
+    # ties to the lower index
+    np.testing.assert_array_equal(bm._apportion(np.array([1.0, 1.0, 1.0]), 2),
+                                  [1, 1, 0])
+    np.testing.assert_array_equal(
+        bm._apportion(np.array([1.0, 0.0, 2.0, 1.0, 3.0]), 3), [1, 0, 1, 0, 1])
 
 
 def _books(geo, l_max, n_cb, b_g):
@@ -269,6 +273,26 @@ def test_subset_single_beam_takes_most_correlated():
                             csirs.precoders)).max(axis=1)
     want = list(np.argsort(-corr, kind="stable")[:3])
     assert sel.subset_indices == [int(w) for w in want]
+
+
+def test_subset_over_budget_serves_the_most_reported_beams():
+    # users report 4 distinct beams (counts 1, 2, 1, 3 on beams 0-3) against
+    # a budget of 3: beams 3, 1 and the lower-index tie 0 get one precoder
+    # each, the most-correlated free one, in beam order
+    geo = ArrayGeometry(n_x=4, n_y=1, dual_polarized=False)
+    ssb, csirs = _books(geo, l_max=4, n_cb=8, b_g=1)
+    beams = [0, 1, 1, 2, 3, 3, 3]
+    rsrp = np.zeros((1, 4, len(beams)))
+    rsrp[0, beams, np.arange(len(beams))] = 1.0
+    rep = bm.aggregate_feedback(rsrp)
+    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=3)
+    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb.beams),
+                            csirs.precoders)).max(axis=2)
+    want = []
+    for beam in (0, 1, 3):
+        want.append(next(int(j) for j in np.argsort(-corr[beam], kind="stable")
+                         if j not in want))
+    assert not sel.fallback and sel.subset_indices == want
 
 
 def test_subset_fallback_when_cell_empty():

@@ -152,7 +152,8 @@ def test_scene_spread_keys_are_honoured(tmp_path, key, value):
     cs = cbk.build_dft_csirs(config.geometry, 4, 2, elevation_window=(-1.01, 1.01))
     settings = mx.EvalSettings(n_csi=4, l_csi=2, s_b=2, k_ssb=2, t_period=160)
     rows = [r for i in range(2)
-            for r in mx.evaluate_drop(config, settings, [ssb], [cs], 4 * 1000003 + i)]
+            for r in mx.evaluate_drop(config, settings, [ssb.beams], [cs.precoders],
+                                      4 * 1000003 + i)]
     mx.write_metrics(tmp_path / "direct.csv", rows)
     assert texts[0] == (tmp_path / "direct.csv").read_bytes()
     assert texts[0] != texts[1]
@@ -540,16 +541,35 @@ def test_evaluate_writes_metrics(cfg, tmp_path):
     assert (tmp_path / "ev" / "config.json").exists()
 
 
-def test_evaluate_worker_count_invariance(cfg, tmp_path):
+@pytest.mark.parametrize("source", ["dft", "nbl-direct", "nbl-neural"])
+def test_evaluate_worker_count_invariance(source, trained, tmp_path):
+    # a call's correlation memo lives in each worker, and nbl-neural builds
+    # new codebooks for every drop; neither may show in the output
+    doc = _config_doc(**({} if source == "dft" else
+                         {"checkpoint": str(trained[source])}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
     digests = []
     for workers, name in ((1, "w1"), (3, "w3")):
-        res = _run("evaluate", "--config", cfg, "--seed", 2,
+        res = _run("evaluate", "--config", path, "--seed", 2,
                    "--out", tmp_path / name, "--drops", 3,
-                   "--workers", workers)
+                   "--codebook", source, "--workers", workers)
         assert res.exit_code == 0, res.output
         digests.append(hashlib.sha256(
             (tmp_path / name / "metrics.csv").read_bytes()).digest())
     assert digests[0] == digests[1]
+
+
+def test_evaluate_survives_a_drop_over_the_csirs_budget(tmp_path):
+    # drop 75 of --seed 7 has a cell whose users report 9 distinct SSB
+    # beams against n_csi = 8; it used to stop the run with exit 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"codebook": {"n_csi": 8}}))
+    res = _run("evaluate", "--config", path, "--seed", 7, "--out", tmp_path / "ev",
+               "--drops", 76)
+    assert res.exit_code == 0, res.output
+    rows = mx.read_metrics(tmp_path / "ev" / "metrics.csv")
+    assert {r["drop"] for r in rows} == {7 * 1000003 + i for i in range(76)}
 
 
 # ----------------------- train -> evaluate -> compare --------------------

@@ -34,10 +34,15 @@ def _books(config):
     return ssb, cs
 
 
+def _evaluate(config, settings, ssb_books, csirs_books, drop_seed, **kw):
+    """evaluate_drop on the books' arrays."""
+    return mx.evaluate_drop(config, settings, [b.beams for b in ssb_books],
+                            [c.precoders for c in csirs_books], drop_seed, **kw)
+
+
 def _rows(drop_seed=7):
-    config, settings = _config(), _settings()
-    ssb, cs = _books(config)
-    return mx.evaluate_drop(config, settings, ssb, cs, drop_seed)
+    config = _config()
+    return _evaluate(config, _settings(), *_books(config), drop_seed)
 
 
 def test_evaluate_drop_row_invariants():
@@ -174,9 +179,13 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, drop_seed,
 
 
 def _doc_setup(doc):
-    config = cli.scenario_from(doc)
-    return (config, cli.settings_from(doc),
-            *cli._build_dft_books(config, cli.dims_from(doc)))
+    """(config, settings, SSB books, CSI-RS books) as the CLI's DFT
+    evaluation builds them."""
+    config, dims = cli.scenario_from(doc), cli.dims_from(doc)
+    cs = cb.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
+                            elevation_window=dims.elevation_window)
+    return (config, cli.settings_from(doc), cli._dft_ssb_books(config, dims),
+            [cs] * config.c_cells)
 
 
 # the 2-cell, 2-slot, 8-subcarrier 4x4 scene with S_B = K: one RE per subband
@@ -198,7 +207,7 @@ def test_serving_cell_data_plane_matches_frozen_per_cell_loop(case):
     config = setup[0]
     for seed in seeds:
         tensor = ch.generate_channels(config, seed)
-        rows = mx.evaluate_drop(*setup, seed, tensor=tensor)
+        rows = _evaluate(*setup, seed, tensor=tensor)
         assert rows == _frozen_evaluate_drop(*setup, seed, tensor)
         if case == "idle-cell":
             assert len({r["cell"] for r in rows}) < config.c_cells
@@ -220,5 +229,5 @@ def test_data_plane_estimates_each_user_once_per_drop(monkeypatch):
     monkeypatch.setattr(link, "quantize_pmi", count_pmi)
     for setup, seed in [(_doc_setup({}), 3000), (_doc_setup(_SMALL_DOC), 3100)]:
         calls.clear()
-        n_users = len(mx.evaluate_drop(*setup, seed))
+        n_users = len(_evaluate(*setup, seed))
         assert calls == [("estimate", n_users), ("pmi", n_users)]

@@ -6,6 +6,7 @@ from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
 from beamweaver import channel as ch
 from beamweaver import codebook as cb
+from beamweaver import metrics as mx
 from beamweaver import nbl
 from beamweaver.autodiff import Tape
 from beamweaver.errors import DivergenceError, FormatError, ShapeError
@@ -212,6 +213,12 @@ def _full_graph_load_balance_loss(rsrp_dt):
     return ad.sum_axis(ad.mul(d, d), axis=0)
 
 
+def _decide(h, ssb, csirs, sigma2, n_csi, new_user_mask):
+    """The rollout's decisions: ``beam_mgmt.decide`` on noise-free RSRP."""
+    return bm.decide(bm.rsrp_tensor(h, ssb).value.real, h, ssb, csirs, sigma2,
+                     n_csi, new_user_mask)
+
+
 def _rollout_loss(full_graph, sample, ssb, csirs, sigma2, n_csi, ssb_weight,
                   balance_weight, cell=None, pin=None):
     """One drop's training loss from either forward model, and its pin."""
@@ -254,8 +261,8 @@ def test_forward_model_matches_the_full_graph(case):
         # only drops in which some cell is nobody's serving cell
         books = [[t.value for t in b] for b in generate(None)]
         data = [s for s in data
-                if np.bincount(nbl.decide(s.h, *books, sigma2, dims.n_csi,
-                                          s.new_user_mask).report.b,
+                if np.bincount(_decide(s.h, *books, sigma2, dims.n_csi,
+                                       s.new_user_mask).report.b,
                                minlength=cells).min() == 0]
         assert data
     ssb_weight = 0.3
@@ -277,8 +284,8 @@ def test_forward_model_matches_the_full_graph(case):
             p.value = p.value + 0.5 * (rng.standard_normal(p.value.shape)
                                        + 1j * rng.standard_normal(p.value.shape))
         ssb, csirs = generate(None)
-        moved = [nbl.decide(s.h, [t.value for t in ssb], [t.value for t in csirs],
-                            sigma2, dims.n_csi, s.new_user_mask) for s in data]
+        moved = [_decide(s.h, [t.value for t in ssb], [t.value for t in csirs],
+                         sigma2, dims.n_csi, s.new_user_mask) for s in data]
         assert any(m.subset_indices != p.subset_indices
                    or not np.array_equal(m.chosen, p.chosen)
                    for m, p in zip(moved, pins[False]))
@@ -518,11 +525,15 @@ def test_from_tape_binds_the_loaded_parameters(mode):
     assert {id(p) for p in bound} == {id(p) for p in tape.parameters.values()}
 
 
-def test_shared_correlation_memo_keeps_subsets_and_computes_once_per_cell():
+@pytest.mark.parametrize("path", ["forward_model", "evaluate_drop"])
+def test_shared_correlation_memo_keeps_subsets_and_computes_once_per_cell(path):
+    # one memo through every drop: the training rollout's, and evaluation's,
+    # where it lasts as long as the codebooks (a whole `evaluate` call)
     cfg = _config(c_cells=3, user_count_range=(4, 6))
     dims = _dims(n_cb=8, n_csi=4)
     data, sigma2 = _dataset(cfg, dims, n_samples=4)
     gen = nbl.DirectGenerator(Tape(), cfg.c_cells, cfg.geometry, dims)
+    settings = mx.EvalSettings(n_csi=dims.n_csi, l_csi=2, s_b=2, k_ssb=2)
     rng = np.random.default_rng(4)
     for perturb in (0.0, 0.3):  # DFT ties, then a generic codebook
         for p in gen.ssb_params + gen.csirs_params:
@@ -530,13 +541,24 @@ def test_shared_correlation_memo_keeps_subsets_and_computes_once_per_cell():
                                            + 1j * rng.standard_normal(p.value.shape))
         ssb, csirs = gen.generate()
         memo = {}
-        for s in data:
-            kw = dict(new_user_mask=s.new_user_mask)
-            shared = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi,
-                                       memo=memo, **kw)
-            alone = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi, **kw)
-            assert shared.pin.subset_indices == alone.pin.subset_indices
-        assert len(memo) == cfg.c_cells
+        if path == "forward_model":
+            for s in data:
+                kw = dict(new_user_mask=s.new_user_mask)
+                shared = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi,
+                                           memo=memo, **kw)
+                alone = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi, **kw)
+                assert shared.pin.subset_indices == alone.pin.subset_indices
+            assert len(memo) == cfg.c_cells
+        else:
+            # cells 0 and 1 share one (SSB, precoder) array pair
+            beams = [ssb[0].value, ssb[0].value, ssb[2].value]
+            precoders = [csirs[0].value, csirs[0].value, csirs[2].value]
+            for seed in range(5):
+                shared = mx.evaluate_drop(cfg, settings, beams, precoders, seed,
+                                          memo=memo)
+                assert shared == mx.evaluate_drop(cfg, settings, beams, precoders,
+                                                  seed, memo={})
+            assert len(memo) == 2
 
 
 # -------------------------------- dataset --------------------------------
