@@ -48,7 +48,6 @@ class FeedbackReport:
     m: np.ndarray  # (U,) best beam index
     b: np.ndarray  # (U,) best cell index
     new_user_mask: np.ndarray  # (U,) bool; True = excluded from statistics
-    c_cells: int
     l_max: int
 
     def users_of_cell(self, cell: int) -> np.ndarray:
@@ -126,10 +125,17 @@ def measure_rsrp(h, beams, sigma2: float, seed: int) -> np.ndarray:
     """
     sig = _beam_signals(h, beams).value
     rng = _stream(seed, _NOISE_TAG, 0)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape))
+    # noise = scale * (re + 1j im), re drawn first, through one float buffer;
+    # then conj(sig) * (sig + noise) in place, in that operand order, which
+    # fixes the last bits of the RSRP
+    scale, draw = np.sqrt(sigma2 / 2.0), np.empty(sig.shape)
+    noise = np.empty_like(sig)
+    np.multiply(rng.standard_normal(out=draw), scale, out=noise.real)
+    np.multiply(rng.standard_normal(out=draw), scale, out=noise.imag)
+    np.add(sig, noise, out=noise)
+    np.multiply(np.conj(sig), noise, out=noise)
     ns2 = np.sum(np.abs(sig) ** 2, axis=-1)
-    cross = np.abs(np.sum(np.conj(sig) * (sig + noise), axis=-1)) ** 2
+    cross = np.abs(np.sum(noise, axis=-1)) ** 2
     # only an exactly zero signal scores 0; a non-finite one stays non-finite
     # so that aggregate_feedback rejects it
     zero = ns2 == 0
@@ -194,7 +200,7 @@ def aggregate_feedback(rsrp: np.ndarray, new_user_mask=None) -> FeedbackReport:
     mask = (np.zeros(n_users, bool) if new_user_mask is None
             else np.asarray(new_user_mask, bool))
     return FeedbackReport(p=p, m=m.astype(int), b=b.astype(int),
-                          new_user_mask=mask, c_cells=c_cells, l_max=l_max)
+                          new_user_mask=mask, l_max=l_max)
 
 
 def _apportion(counts: np.ndarray, total: int) -> np.ndarray:

@@ -65,8 +65,12 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     users = np.arange(n_users)
     se_best = pin.se[users, chosen]
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
-    # signal / interference+noise decomposition at the selected resource
-    v = hv[report.b, users] @ np.stack(subsets)[report.b, chosen][:, None, None]
+    # signal / interference+noise decomposition at the selected resource:
+    # v[u] = H[b_u, u] F_u, one product per user on a view of its channel
+    f = np.stack(subsets)[report.b, chosen]  # (U, NT, B_g)
+    v = np.empty(hv.shape[1:-1] + f.shape[-1:], dtype=np.complex128)
+    for u in users:
+        np.matmul(hv[report.b[u], u], f[u], out=v[u])
     sig_u = (np.abs(v) ** 2).sum(axis=(-1, -2)).mean(axis=(1, 2))  # v: (U, T, K, N_R, B_g)
     snr_eq = np.exp2(se_best) - 1.0
     in_u = np.where(snr_eq > 0, sig_u / np.where(snr_eq > 0, snr_eq, 1.0), np.inf)

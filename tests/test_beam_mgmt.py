@@ -92,6 +92,32 @@ def test_noisy_measure_rsrp_matches_frozen_per_cell_sweep():
     assert np.abs(got - clean).min() > 1e-6 * clean.max()  # noise was drawn
 
 
+def _frozen_measure_rsrp(h, books, sigma2, seed):
+    """measure_rsrp's noise and MRC combining as they read with full-size
+    temporaries for each draw, the scaled sum and the noisy signal."""
+    sig = bm._beam_signals(h, books).value
+    rng = _stream(seed, bm._NOISE_TAG, 0)
+    noise = np.sqrt(sigma2 / 2.0) * (
+        rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape))
+    ns2 = np.sum(np.abs(sig) ** 2, axis=-1)
+    cross = np.abs(np.sum(np.conj(sig) * (sig + noise), axis=-1)) ** 2
+    zero = ns2 == 0
+    combined = np.where(zero, 0.0, cross / np.where(zero, 1.0, ns2))
+    return combined.sum(axis=(-1, -2))
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1e-9, 0.3, 50.0])
+def test_measure_rsrp_matches_frozen_expression_bit_for_bit(sigma2):
+    rng = np.random.default_rng(25)
+    h = _crandn(rng, _C, _U, _T, _K, _NR, _NT)
+    h[1, 2] = 0.0  # a zero link takes the exact-zero rule
+    books = [_crandn(rng, _L, _NT) for _ in range(_C)]
+    for seed in (0, 31, 7 * 1000003 + 5):
+        got = bm.measure_rsrp(h, books, sigma2, seed)
+        want = _frozen_measure_rsrp(h, books, sigma2, seed)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_measured_rsrp_ignores_other_cells_beams():
     # cell-specific DMRS decorrelate the other cells' sweeps
     rng = np.random.default_rng(24)

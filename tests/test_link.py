@@ -1,8 +1,10 @@
 """Data plane: estimation, PMI, RZF precoding, scheduling, ESSE."""
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamweaver import channel as ch
 from beamweaver import cli
@@ -591,11 +593,57 @@ def test_estimated_sum_se_matches_frozen_reference():
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_schedulers_match_frozen_reference_on_random_instances():
+def _spy_search(monkeypatch) -> list:
+    """Count the multi-start searches: each one, and only the search,
+    builds the candidates' cross-channels."""
+    searched, cross = [], link._candidate_cross
+
+    def counted(*args):
+        searched.append(args[0])
+        return cross(*args)
+
+    monkeypatch.setattr(link, "_candidate_cross", counted)
+    return searched
+
+
+def _has_clone(recon, gains, chosen, cand):
+    """Whether two candidates are exact clones, so that their sets tie."""
+    return any(np.array_equal(recon[i], recon[j]) and np.array_equal(gains[i], gains[j])
+               and chosen[i] == chosen[j] for i, j in combinations(cand, 2))
+
+
+def test_schedulers_match_frozen_reference_on_random_instances(monkeypatch):
+    searched = _spy_search(monkeypatch)
     rng = np.random.default_rng(22)
+    paths = {True: Counter(), False: Counter()}  # searched or not -> kinds seen
     for _ in range(150):
         args = _random_instance(rng)
+        before = len(searched)
         assert link.schedule_users(*args) == _reference_schedule_users(*args)
+        recon, gains, chosen, subset, cand, _, n_ports = args
+        kinds = paths[len(searched) > before]
+        kinds["all"] += 1
+        kinds["clone"] += _has_clone(recon, gains, chosen, cand)
+        kinds["one port group"] += n_ports == subset.shape[2] and len(cand) > 1
+    # both the single-user shortcut and the search are exercised, each on
+    # instances with exact clone ties and with room for one user only
+    for kinds in paths.values():
+        assert kinds["all"] >= 30 and kinds["clone"] >= 1 and kinds["one port group"] >= 1
+
+
+def test_single_user_shortcut_returns_the_search_result(monkeypatch):
+    # every instance is scheduled twice, the second time with the shortcut
+    # off; half of them at a SINR of 1e-20..1e-8, where log2(1 + SINR)
+    # rounds in absolute terms and only the 1e-12-bit margin separates users
+    rng = np.random.default_rng(24)
+    runs = [list(_random_instance(rng)) for _ in range(200)]
+    for args in runs[1::2]:
+        args[5] *= 10.0 ** rng.uniform(10.0, 18.0)  # sigma2
+    searched = _spy_search(monkeypatch)
+    fast = [link.schedule_users(*args) for args in runs]
+    assert len(runs) - len(searched) >= 60
+    monkeypatch.setattr(link, "_clear_single", lambda alone, n_max: None)
+    assert [link.schedule_users(*args) for args in runs] == fast
 
 
 def test_schedule_matches_frozen_reference_on_default_drops(default_drop_inputs):
@@ -603,6 +651,34 @@ def test_schedule_matches_frozen_reference_on_default_drops(default_drop_inputs)
     assert len(calls) >= 40
     for args in calls:
         assert link.schedule_users(*args) == _reference_schedule_users(*args)
+
+
+def test_single_user_shortcut_fires_on_default_drops(default_drop_inputs, monkeypatch):
+    # the default scene almost always schedules one user, provably
+    searched = _spy_search(monkeypatch)
+    calls = default_drop_inputs[1]
+    for args in calls:
+        link.schedule_users(*args)
+    assert len(calls) - len(searched) >= 0.9 * len(calls)
+
+
+def _ceiling(n):
+    return n * np.log2(1.0 + 1.0 / (link._PMI_LEAKAGE * (n - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), b_g=st.integers(1, 4), log_sigma2=st.floats(-12.0, 3.0),
+       log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_multi_user_sum_se_stays_below_the_ceiling(n, b_g, log_sigma2, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    cross = 10.0 ** log_scale * (rng.standard_normal((6, n, n, b_g))
+                                 + 1j * rng.standard_normal((6, n, n, b_g)))
+    se = link._sum_se(cross, 10.0 ** log_sigma2, link.DIGITAL_PORTS)
+    # below C(n) up to rounding: where RZF nulls every stream and sigma2 is
+    # negligible, a set can reach C(n) in floating point
+    assert np.all(se <= _ceiling(n) * (1.0 + 1e-12))
+    assert link._multi_user_ceiling(n) == pytest.approx(
+        max(_ceiling(k) for k in range(2, n + 1)), rel=1e-14)
 
 
 @pytest.mark.parametrize("size", range(1, 9))
@@ -637,6 +713,8 @@ def test_lockstep_search_makes_fewer_sets_se_calls(default_drop_inputs, monkeypa
         return sets_se(*args)
 
     monkeypatch.setattr(link, "_sets_se", counted)
+    # the search on every call, as if no single user were a clear winner
+    monkeypatch.setattr(link, "_clear_single", lambda alone, n_max: None)
     for args in default_drop_inputs[1]:
         link.schedule_users(*args)
     assert len(default_drop_inputs[1]) == 59
