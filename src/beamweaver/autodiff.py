@@ -502,8 +502,9 @@ def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
     return x @ a, e_own - lam * a
 
 
-# Matrices per block of the ``lmmse_sinr`` kernel.  A block is stored batch
-# last, (N, M, B), so every op on it is one contiguous vector op over B.
+# Matrices per block of the ``lmmse_sinr`` kernel.  A block is a view
+# (N, M, B) of the batch-last stack, so every op on it is one unit-stride
+# vector op over B.
 _SINR_BLOCK = 1024
 
 
@@ -565,10 +566,9 @@ def _own_entries(own: np.ndarray, m: int) -> np.ndarray:
 def _sinr_block(xt: np.ndarray, own: np.ndarray, lam: float, keep: bool):
     """LMMSE filters and output SINR of one batch-last block.
 
-    xt: (N, M, B) received columns, any strides as long as the batch axis
-    is unit-stride (a copied block, or a view of a batch-last stack); own:
-    (S, B) own column of each stream.  The same filters as
-    ``lmmse_filter``: for M >= N, W = R^-1 X[:, own] with
+    xt: (N, M, B) received columns, a view of a batch-last stack whose
+    batch axis is unit-stride; own: (S, B) own column of each stream.  The
+    same filters as ``lmmse_filter``: for M >= N, W = R^-1 X[:, own] with
     R = lam I + X X^H; for M < N, the push-through W = X A with
     A = (lam I + X^H X)^-1 E_own and Z = E_own - lam A.  Returns
     W (N, S, B), Z = X^H W (S, M, B), den and SINR (S, B).
@@ -619,27 +619,6 @@ def _check_own(own: np.ndarray, m: int) -> None:
         raise ShapeError(f"own columns must lie in [0, {m})")
 
 
-def _sinr_blocks(block_of, owns: np.ndarray, lam: float, keep: bool):
-    """Run ``_sinr_block`` over a stack, ``_SINR_BLOCK`` matrices at a time.
-
-    block_of(block) gives the (N, M, B) batch-last matrices of the slice
-    ``block`` of the stack; owns: (total, S) own columns.  Returns the SINR
-    (total, S) and, if ``keep``, per block (own, W, Z, den, SINR) for a
-    backward.
-    """
-    total, n_s = owns.shape
-    sinr = np.empty((total, n_s))
-    saved = []
-    for b0 in range(0, total, _SINR_BLOCK):
-        block = slice(b0, b0 + _SINR_BLOCK)
-        own_b = np.ascontiguousarray(owns[block].T)
-        w, z, den, sinr_b = _sinr_block(block_of(block), own_b, lam, keep)
-        sinr[block] = sinr_b.T
-        if keep:
-            saved.append((own_b, w, z, den, sinr_b))
-    return sinr, saved
-
-
 def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     """Per-stream output SINR of the LMMSE receive filter (real-valued).
 
@@ -658,12 +637,13 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
 
     Its callers pass stacks of up to thousands of tiny matrices (2 or 4 x
     12), where one LAPACK call per matrix costs far more than its
-    arithmetic.  So the stack is copied ``_SINR_BLOCK`` matrices at a time
-    into a batch-last block, factored by a Cholesky unrolled over
-    min(N_R, M), and solved by substitution, every step one vector op over
-    the block.  ``lmmse_sinr_batch_last`` runs the same kernel, forward
-    only, on views of a stack that is batch-last already.  ``lmmse_filter``
-    keeps LAPACK for the RZF precoder's small stacks.
+    arithmetic.  So the stack is laid out batch-last once, (N_R, M, total),
+    and run ``_SINR_BLOCK`` matrices at a time through a Cholesky unrolled
+    over min(N_R, M) and solved by substitution, every step one vector op
+    over the block.  A stack that is a moved view of a batch-last array
+    (``np.moveaxis(xt, -1, 0)``, as ``beam_mgmt.csirs_sinr`` passes) is laid
+    out so already, and is not copied.  ``lmmse_filter`` keeps LAPACK for
+    the RZF precoder's small stacks.
     """
     x = as_tensor(x)
     xv = x.value
@@ -677,13 +657,21 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     total = math.prod(batch)
     xs = np.broadcast_to(xv, batch + (n, m)).reshape(total, n, m)
     owns = np.broadcast_to(own, batch + (n_s,)).reshape(total, n_s)
-    sinr, saved = _sinr_blocks(
-        lambda block: np.ascontiguousarray(np.moveaxis(xs[block], 0, -1)),
-        owns, sigma2, x.requires_grad)
+    xt = np.ascontiguousarray(np.moveaxis(xs, 0, -1))  # (N, M, total)
+    sinr = np.empty((total, n_s))
+    saved = []  # per block (own, W, Z, den, SINR) for the backward
+    for b0 in range(0, total, _SINR_BLOCK):
+        block = slice(b0, b0 + _SINR_BLOCK)
+        own_b = np.ascontiguousarray(owns[block].T)
+        w, z, den, sinr_b = _sinr_block(xt[:, :, block], own_b, sigma2, x.requires_grad)
+        sinr[block] = sinr_b.T
+        if x.requires_grad:
+            saved.append((own_b, w, z, den, sinr_b))
     out = DiffTensor(sinr.reshape(batch + (n_s,)), parents=(x,))
 
-    # the closure holds shapes, never ``out``: out -> backward -> out would be
-    # a cycle that keeps the whole graph alive until the next GC pass
+    # the closure holds shapes and ``saved``, never ``out`` (out -> backward ->
+    # out would be a cycle that keeps the whole graph alive until the next GC
+    # pass) nor the whole stack ``xt``
     def backward(g):
         if not x.requires_grad:
             return
@@ -701,21 +689,6 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
 
     out._backward = backward
     return out
-
-
-def lmmse_sinr_batch_last(xt: np.ndarray, own: np.ndarray, sigma2: float) -> np.ndarray:
-    """``lmmse_sinr`` of a batch-last stack, forward only, as a plain array.
-
-    xt: (N_R, M, B) with a unit-stride batch axis; own: (B, S) own columns.
-    Returns the SINR (B, S).  The kernel reads each block as a view of xt,
-    so a caller that forms its matrices batch-last saves ``lmmse_sinr``'s
-    per-block copy; the arithmetic, and so every bit, is the same.
-    """
-    own = np.asarray(own, dtype=np.intp)
-    if xt.ndim != 3 or own.ndim != 2 or own.shape[0] != xt.shape[2]:
-        raise ShapeError(f"stack {xt.shape} and own columns {own.shape} do not match")
-    _check_own(own, xt.shape[1])
-    return _sinr_blocks(lambda block: xt[:, :, block], own, sigma2, False)[0]
 
 
 # ------------------------------ convolution ------------------------------

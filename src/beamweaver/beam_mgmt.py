@@ -12,10 +12,10 @@ each user's resource.  Training then differentiates only what its loss
 reads, on DiffTensor codebooks: ``beam_rsrp`` at one beam per (cell, user)
 and ``resource_sinr`` at each user's chosen resource, with
 ``gather_per_user`` picking those entries.  Both kinds build their SINR
-with the LMMSE block kernel of ``autodiff`` and their SE with
-``stream_se``: ``csirs_sinr`` forward only through
-``lmmse_sinr_batch_last``, on a stack its GEMM output is copied into once,
-and ``resource_sinr`` through the differentiable ``lmmse_sinr``.
+with ``autodiff.lmmse_sinr`` and their SE with ``stream_se``:
+``csirs_sinr`` forward only, on a batch-last stack that its GEMM output is
+copied into once and that the kernel reads in place, and ``resource_sinr``
+differentiably.
 
 Conventions:
   * All cells sweep beam index i on the same time-frequency occasion.
@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffTensor
 from .channel import ChannelTensor, _stream
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 _NOISE_TAG = 7
 
@@ -76,11 +76,9 @@ class CsirsSelection:
 
 @dataclass
 class SinrRecord:
-    """Per (user, resource, t, k, stream) SINR with derived SE quantities."""
+    """Per (user, resource, t, k, stream) SINR of the CSI-RS sweep."""
 
-    sinr: DiffTensor  # (U, N_CSI, T, K, S)
-    se: DiffTensor | None = None  # (U, N_CSI) filled by achievable_se
-    chosen: np.ndarray | None = None  # (U,) resource index i-hat
+    sinr: DiffTensor  # (U, N_CSI, T, K, S), constant
 
 
 @dataclass
@@ -191,7 +189,7 @@ def aggregate_feedback(rsrp: np.ndarray, new_user_mask=None) -> FeedbackReport:
     """Per-user argmax over (cell, beam); ties go to lowest cell then beam."""
     rsrp = np.asarray(rsrp, dtype=float)
     if not np.all(np.isfinite(rsrp)):
-        raise ConfigError("RSRP values must be finite")
+        raise DomainError("RSRP values must be finite")
     c_cells, l_max, n_users = rsrp.shape
     flat = rsrp.reshape(c_cells * l_max, n_users)
     best = np.argmax(flat, axis=0)  # argmax takes the first maximum: lowest (c, i)
@@ -296,11 +294,11 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     its desired streams.  The SINR is the LMMSE filter's output SINR, that
     of ``autodiff.lmmse_sinr``, accurate at any SNR.
 
-    Forward only: one GEMM forms every received signal, one transpose copy
-    lays them out batch-last, (N_R, C*B_g, N_CSI*U*T*K), and
-    ``autodiff.lmmse_sinr_batch_last`` runs on views of that stack.  The
-    SINR is a constant DiffTensor; ``resource_sinr`` is the differentiable
-    stage.
+    Forward only: one GEMM forms every received signal and one transpose
+    copy lays them out batch-last, (N_R, C*B_g, N_CSI*U*T*K).
+    ``autodiff.lmmse_sinr`` gets that stack as its moved view
+    (N_CSI*U*T*K, N_R, C*B_g), which it reads in place.  The SINR is a
+    constant DiffTensor; ``resource_sinr`` is the differentiable stage.
     """
     hv = h.values if isinstance(h, ChannelTensor) else h
     hv = np.asarray(hv, dtype=np.complex128)
@@ -322,7 +320,7 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     del prod  # xt: (N_R, C*B_g, N_CSI*U*T*K)
     own = np.broadcast_to(_own_streams(assoc, b_g),
                           (n_csi, n_users, t_slots, k_sub, b_g)).reshape(-1, b_g)
-    sinr = ad.lmmse_sinr_batch_last(xt, own, sigma2)
+    sinr = ad.lmmse_sinr(np.moveaxis(xt, -1, 0), own, sigma2).value
     sinr = ad.constant(sinr.reshape(n_csi, n_users, t_slots, k_sub, b_g))
     return SinrRecord(sinr=ad.swapaxes(sinr, 0, 1))  # (U, N_CSI, T, K, B_g)
 
@@ -362,17 +360,14 @@ def stream_se(sinr) -> DiffTensor:
     return ad.sum_axis(ad.log2_1p(mean_tk), axis=-1)
 
 
-def achievable_se(record: SinrRecord) -> SinrRecord:
-    """Per-user SE per resource and the stop-gradient resource choice.
+def achievable_se(sinr) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user SE per resource (U, N_CSI) and each user's resource (U,).
 
-    SE_i = sum_streams log2(1 + mean over (t, k) SINR); i-hat = argmax
-    (tie -> lowest index), held constant for gradients.
+    sinr: (U, N_CSI, T, K, S).  SE_i = sum_streams log2(1 + mean over (t, k)
+    SINR); i-hat = argmax, ties to the lowest index.
     """
-    se = stream_se(record.sinr)  # (U, N_CSI)
-    chosen = np.argmax(se.value.real, axis=1)  # first max -> lowest index
-    record.se = se
-    record.chosen = chosen
-    return record
+    se = stream_se(sinr).value.real
+    return se, np.argmax(se, axis=1)
 
 
 def decide(rsrp: np.ndarray, h, ssb_beams: list, precoders: list,
@@ -389,11 +384,10 @@ def decide(rsrp: np.ndarray, h, ssb_beams: list, precoders: list,
     subset_idx = [select_csirs_subset(b, p, report, c, n_csi, memo).subset_indices
                   for c, (b, p) in enumerate(zip(ssb_beams, precoders))]
     subsets = [p[idx] for p, idx in zip(precoders, subset_idx)]
-    record = achievable_se(csirs_sinr(h, subsets, report.b, sigma2))
+    se, chosen = achievable_se(csirs_sinr(h, subsets, report.b, sigma2).sinr)
     # per cell, the first maximum: at the serving cell that is report.m
     return SelectionPin(report=report, subset_indices=subset_idx, subsets=subsets,
-                        se=record.se.value.real, chosen=record.chosen,
-                        beams=np.argmax(rsrp, axis=1))
+                        se=se, chosen=chosen, beams=np.argmax(rsrp, axis=1))
 
 
 def effective_sinr(se) -> np.ndarray:

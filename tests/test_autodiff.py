@@ -291,6 +291,69 @@ def test_lmmse_sinr_rejects_own_columns_outside_x(own):
         ad.lmmse_sinr(np.ones((3, 2, 6)), np.array(own), 0.3)
 
 
+# 24 matrices: one block, three full blocks, or three blocks and a partial one
+_BLOCK_SPLITS = {"one": 24, "three": 8, "three-and-partial": 7}
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+@pytest.mark.parametrize("blocks", list(_BLOCK_SPLITS))
+@pytest.mark.parametrize("n,m", [(2, 6), (4, 3)])  # M >= N and M < N
+def test_lmmse_sinr_on_a_batch_last_view_matches_a_contiguous_stack(n, m, blocks,
+                                                                     requires_grad,
+                                                                     monkeypatch):
+    monkeypatch.setattr(ad, "_SINR_BLOCK", _BLOCK_SPLITS[blocks])
+    rng = np.random.default_rng(10 * n + m)
+    xt = random_complex(rng, (n, m, 24))  # batch last, as the CSI-RS sweep lays it out
+    own = rng.permuted(np.tile(np.arange(m), (24, 1)), axis=1)[:, :2]
+    g = rng.uniform(0.5, 1.5, (24, 2)) + 0j
+    results = []
+    for stack in (np.moveaxis(xt, -1, 0), np.ascontiguousarray(np.moveaxis(xt, -1, 0))):
+        x = DiffTensor(stack, requires_grad=requires_grad)
+        out = ad.lmmse_sinr(x, own, 0.3)
+        if requires_grad:
+            out._backward(g)
+        results.append((out.value, x.grad))
+    (view_sinr, view_dx), (copy_sinr, copy_dx) = results
+    assert np.array_equal(view_sinr, copy_sinr)
+    if requires_grad:
+        assert np.array_equal(view_dx, copy_dx)
+
+
+def test_lmmse_sinr_copies_a_contiguous_stack_once(monkeypatch):
+    monkeypatch.setattr(ad, "_SINR_BLOCK", 7)
+    seen = []
+    kernel = ad._sinr_block
+
+    def spy(xt, *args):
+        seen.append(xt)
+        return kernel(xt, *args)
+
+    monkeypatch.setattr(ad, "_sinr_block", spy)
+    x = random_complex(np.random.default_rng(8), (24, 2, 6))
+    ad.lmmse_sinr(x, np.array([0, 3]), 0.3)
+    assert len(seen) == 4
+    # every block is a view of one batch-last copy, none of them of x
+    assert all(b.base is seen[0].base is not None for b in seen)
+    assert not any(np.shares_memory(b, x) for b in seen)
+
+
+def test_lmmse_sinr_backward_does_not_keep_the_stack_alive(monkeypatch):
+    # the backward keeps only each block's filters, never the batch-last copy
+    bases = []
+    kernel = ad._sinr_block
+
+    def spy(xt, *args):
+        bases.append(weakref.ref(xt.base))
+        return kernel(xt, *args)
+
+    monkeypatch.setattr(ad, "_sinr_block", spy)
+    x = DiffTensor(random_complex(np.random.default_rng(9), (24, 2, 6)), requires_grad=True)
+    out = ad.lmmse_sinr(x, np.array([0, 3]), 0.3)
+    assert bases and all(r() is None for r in bases)
+    out._backward(np.ones(out.shape, dtype=np.complex128))
+    assert x.grad.shape == x.shape
+
+
 def test_benchmark_per_layer_ops_exist():
     # perfbench reports a per-layer op or function missing from the package
     # as null, which makes the benchmark's output malformed

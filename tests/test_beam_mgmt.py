@@ -6,7 +6,7 @@ from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
 from beamweaver import codebook as cb
 from beamweaver.channel import ArrayGeometry, ChannelTensor, _stream
-from beamweaver.errors import ConfigError, ShapeError
+from beamweaver.errors import ConfigError, DomainError, ShapeError
 
 from conftest import analytic_gradients, assert_grads_match, frozen_csirs_sinr
 
@@ -145,7 +145,7 @@ def test_nonfinite_beam_reaches_the_feedback_check():
     rsrp = bm.measure_rsrp(h, books, sigma2=0.1, seed=4)
     assert np.isnan(rsrp[1, 0]).all()
     assert np.isfinite(rsrp[0]).all() and np.isfinite(rsrp[1, 1:]).all()
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         bm.aggregate_feedback(rsrp)
 
 
@@ -244,7 +244,7 @@ def test_aggregate_feedback_scale_invariance():
 def test_aggregate_feedback_rejects_nonfinite():
     rsrp = np.ones((1, 2, 1))
     rsrp[0, 0, 0] = np.inf
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         bm.aggregate_feedback(rsrp)
 
 
@@ -394,7 +394,7 @@ def test_resource_sinr_matches_csirs_sinr_at_each_users_resource():
     full = bm.csirs_sinr(h, subsets, assoc, 0.7).sinr.value  # (U, N_CSI, T, K, B_g)
     np.testing.assert_allclose(got, full[np.arange(_U), resource], rtol=1e-12)
     se = bm.stream_se(ad.constant(got)).value
-    want = bm.achievable_se(bm.SinrRecord(sinr=ad.constant(full))).se.value
+    want, _ = bm.achievable_se(full)
     np.testing.assert_allclose(se, want[np.arange(_U), resource], rtol=1e-12)
 
 
@@ -554,6 +554,32 @@ def test_csirs_sinr_matches_frozen_differentiable_sweep(c_cells, b_g, n_rx, bloc
     assert np.swapaxes(got.value, 0, 1).flags.c_contiguous  # stream_se's layout
 
 
+@pytest.mark.parametrize("blocks", [24, 7])
+def test_csirs_sinr_runs_the_kernel_on_its_stack_without_a_copy(blocks, monkeypatch):
+    # the sweep's batch-last stack reaches lmmse_sinr as a moved view, and
+    # every block the kernel reads is a view of that stack
+    monkeypatch.setattr(ad, "_SINR_BLOCK", blocks)
+    stacks, seen = [], []
+    entry, kernel = ad.lmmse_sinr, ad._sinr_block
+
+    def entry_spy(x, *args):
+        stacks.append(x)
+        return entry(x, *args)
+
+    def kernel_spy(xt, *args):
+        seen.append(xt)
+        return kernel(xt, *args)
+
+    monkeypatch.setattr(ad, "lmmse_sinr", entry_spy)
+    monkeypatch.setattr(ad, "_sinr_block", kernel_spy)
+    rng = np.random.default_rng(75)
+    h = _crandn(rng, 2, 3, 1, 2, 2, _NT)
+    subsets = [_crandn(rng, 4, _NT, 2) for _ in range(2)]
+    bm.csirs_sinr(h, subsets, np.array([0, 1, 1]), 0.3)
+    assert len(stacks) == 1 and len(seen) == -(-24 // blocks)
+    assert all(np.shares_memory(b, stacks[0]) for b in seen)
+
+
 def test_csirs_sinr_subset_count_mismatch():
     h = np.ones((2, 1, 1, 1, 1, 2), dtype=np.complex128)
     with pytest.raises(ShapeError):
@@ -615,28 +641,27 @@ def test_extra_interfering_cell_never_raises_sinr():
 
 
 def test_achievable_se_constant_sinr():
-    rec = bm.SinrRecord(sinr=ad.constant(np.full((1, 1, 1, 1, 1), 3.0)))
-    rec = bm.achievable_se(rec)
-    np.testing.assert_allclose(rec.se.value.real, [[2.0]])
+    se, _ = bm.achievable_se(ad.constant(np.full((1, 1, 1, 1, 1), 3.0)))
+    np.testing.assert_allclose(se, [[2.0]])
 
 
 def test_achievable_se_resource_choice():
     sinr = np.zeros((1, 2, 1, 1, 1))
     sinr[0, 0] = 1.0   # SE 1.0
     sinr[0, 1] = 4.6569  # SE ~2.5
-    rec = bm.achievable_se(bm.SinrRecord(sinr=ad.constant(sinr)))
-    assert rec.chosen[0] == 1
+    _, chosen = bm.achievable_se(ad.constant(sinr))
+    assert chosen[0] == 1
 
 
 def test_achievable_se_mean_then_log():
     sinr = np.array([1.0, 3.0]).reshape(1, 1, 1, 2, 1)
-    rec = bm.achievable_se(bm.SinrRecord(sinr=ad.constant(sinr)))
-    np.testing.assert_allclose(rec.se.value.real, np.log2(3.0), rtol=1e-12)
+    se, _ = bm.achievable_se(ad.constant(sinr))
+    np.testing.assert_allclose(se, np.log2(3.0), rtol=1e-12)
 
 
 def test_achievable_se_tie_to_lowest():
-    rec = bm.achievable_se(bm.SinrRecord(sinr=ad.constant(np.ones((1, 3, 1, 1, 1)))))
-    assert rec.chosen[0] == 0
+    _, chosen = bm.achievable_se(ad.constant(np.ones((1, 3, 1, 1, 1))))
+    assert chosen[0] == 0
 
 
 def test_effective_sinr_values():
@@ -649,6 +674,6 @@ def test_effective_sinr_values():
 
 def test_effective_sinr_inverts_single_stream_se():
     sinr = np.full((1, 1, 1, 1, 1), 5.0)
-    rec = bm.achievable_se(bm.SinrRecord(sinr=ad.constant(sinr)))
-    back = bm.effective_sinr(rec.se.value.real.reshape(-1))
+    se, _ = bm.achievable_se(ad.constant(sinr))
+    back = bm.effective_sinr(se.reshape(-1))
     np.testing.assert_allclose(back, [10.0 * np.log10(5.0)], rtol=1e-12)

@@ -482,6 +482,22 @@ def test_neural_checkpoint_evaluates_at_another_array_size(trained, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_checkpoint_whose_rsrp_overflows_is_a_numerical_failure(trained, tmp_path):
+    # every ssb0 entry is finite, so the checkpoint loads, but the beams'
+    # RSRP overflows to inf: a numerical failure of the run, not a config error
+    tape, _, meta = nbl.load_checkpoint(trained["nbl-direct"])
+    tape.parameters["ssb0"].value[...] = 1.7e308
+    ckpt = tmp_path / "huge.bmck"
+    nbl.save_checkpoint(ckpt, tape, meta=meta)
+    res = _evaluate_checkpoint(tmp_path, ckpt, "nbl-direct")
+    assert res.exit_code == 4, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("numerical failure: RSRP values must be finite")
+    assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
 def test_neural_evaluate_synthesizes_each_drop_once(trained, tmp_path,
                                                     monkeypatch):
     seeds = []

@@ -138,28 +138,27 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, drop_seed,
             for c in range(c_cells)]
     subsets = [csirs_books[c].precoders[sels[c].subset_indices]
                for c in range(c_cells)]
-    record = bm.achievable_se(bm.csirs_sinr(hv, subsets, report.b, sigma2))
-    se_val = record.se.value.real
+    se_val, chosen = bm.achievable_se(bm.csirs_sinr(hv, subsets, report.b, sigma2).sinr)
     users = np.arange(n_users)
-    se_best = se_val[users, record.chosen]
+    se_best = se_val[users, chosen]
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
-    v = hv[report.b, users] @ np.stack(subsets)[report.b, record.chosen][:, None, None]
+    v = hv[report.b, users] @ np.stack(subsets)[report.b, chosen][:, None, None]
     sig_u = (np.abs(v) ** 2).sum(axis=(-1, -2)).mean(axis=(1, 2))
     snr_eq = np.exp2(se_best) - 1.0
     in_u = np.where(snr_eq > 0, sig_u / np.where(snr_eq > 0, snr_eq, 1.0), np.inf)
     pilot_rng = ch._stream(drop_seed, mx._PILOT_TAG, 0)
     sets = []
     for c in range(c_cells):
-        y = hv[c, :, 0] @ subsets[c][record.chosen][:, None]  # (U, K, N_R, B_g)
+        y = hv[c, :, 0] @ subsets[c][chosen][:, None]  # (U, K, N_R, B_g)
         noise = np.sqrt(sigma2 / 2.0) * (pilot_rng.standard_normal(y.shape)
                                          + 1j * pilot_rng.standard_normal(y.shape))
         h_ls = (y + noise) @ np.linalg.pinv(np.eye(csirs_books[c].b_g))
         est = link.estimate_channel(h_ls, sigma2, settings.s_b)
         fb, recon = link.quantize_pmi(est, l_csi=settings.l_csi)
         cand = list(report.users_of_cell(c))
-        sched = link.schedule_users(recon, fb.gains, record.chosen, subsets[c],
+        sched = link.schedule_users(recon, fb.gains, chosen, subsets[c],
                                     cand, sigma2) if cand else []
-        sets.append(link.build_precoders(recon, fb.gains, record.chosen,
+        sets.append(link.build_precoders(recon, fb.gains, chosen,
                                          subsets[c], sched, sigma2,
                                          est.subband_of_k))
     alpha = link.data_fraction(ssb_books[0].l_max, settings.n_csi, settings.k_ssb,

@@ -187,10 +187,9 @@ def _full_graph_forward_model(h, ssb_dt, csirs_dt, sigma2, n_csi, pin=None,
         report, subset_idx, _ = pin
     subsets = [ad.take(csirs_dt[c], np.asarray(subset_idx[c]), axis=0)
                for c in range(c_cells)]
-    record = bm.achievable_se(bm.SinrRecord(
-        sinr=frozen_csirs_sinr(h, subsets, report.b, sigma2)))
-    chosen = record.chosen if pin is None else pin[2]
-    pred = ad.select_cells(ad.swapaxes(record.se, 0, 1), chosen)
+    se = bm.stream_se(frozen_csirs_sinr(h, subsets, report.b, sigma2))  # (U, N_CSI)
+    chosen = np.argmax(se.value.real, axis=1) if pin is None else pin[2]
+    pred = ad.select_cells(ad.swapaxes(se, 0, 1), chosen)
     flat = ad.reshape(rsrp, (c_cells * report.l_max, n_users))
     best = ad.select_cells(flat, report.b * report.l_max + report.m)
     return pred, best, rsrp, (report, subset_idx, chosen)
