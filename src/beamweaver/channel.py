@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 
 BMCH_MAGIC = b"BMCH"
 BMCH_VERSION = 1
@@ -105,7 +105,10 @@ class ScenarioConfig:
 
 @dataclass
 class ChannelTensor:
-    """Channel H over (cell, user, time, subcarrier, rx antenna, tx element)."""
+    """Channel H over (cell, user, time, subcarrier, rx antenna, tx element).
+
+    ``generate_channels`` and ``import_channels`` check that it is finite.
+    """
 
     values: np.ndarray  # complex64, shape (C, U, T, K, N_R, NT)
     scenario_id: str = ""
@@ -115,8 +118,6 @@ class ChannelTensor:
         if self.values.ndim != 6:
             raise FormatError("channel tensor must be 6-dimensional")
         self.values = np.ascontiguousarray(self.values, dtype=np.complex64)
-        if not np.all(np.isfinite(self.values)):
-            raise FormatError("channel tensor contains non-finite entries")
 
     @property
     def shape(self):
@@ -295,6 +296,8 @@ def generate_channels(config: ScenarioConfig, seed: int,
 
     Links draw from their own streams; the arithmetic runs one cell at a time
     over all of that cell's links, which bounds the working set to one cell.
+    A channel that overflows complex64 (a huge ``tx_power_dBm``, say) is a
+    numerical failure of the drop, ``DomainError``.
     """
     if n_users is None:
         n_users = draw_user_count(config, seed)
@@ -307,6 +310,8 @@ def generate_channels(config: ScenarioConfig, seed: int,
         for c in range(config.c_cells):
             # block-constant over the period: one cast, broadcast across T
             h[c] = _synthesize_cell(config, seed, c, pos)[:, None]
+    if not np.isfinite(h).all():
+        raise DomainError("synthesized channel is not finite: an amplitude overflowed")
     return ChannelTensor(values=h, scenario_id=f"scene{config.scene_seed}", seed=seed)
 
 
@@ -350,4 +355,6 @@ def import_channels(path) -> ChannelTensor:
             raise IOError("truncated payload")
     parts = np.frombuffer(payload, dtype="<f4")
     values = (parts[0::2] + 1j * parts[1::2]).astype(np.complex64).reshape(dims)
+    if not np.isfinite(values).all():
+        raise FormatError("channel file contains non-finite entries")
     return ChannelTensor(values=values)

@@ -226,10 +226,17 @@ def _check_seed(seed: int) -> None:
 
 
 def _exit_codes(fn):
+    """Map each error to its exit code and a one-line message on stderr.
+
+    Floating-point warnings are off: a non-finite value that matters is
+    refused by a check of its own, and numpy's warning lines would only come
+    before that check's message.
+    """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return fn(*args, **kwargs)
         except (ConfigError, FormatError, ShapeError) as e:
             click.echo(f"config error: {e}", err=True)
             sys.exit(2)

@@ -333,14 +333,9 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     move improves the estimate; the best schedule over all starts wins, the
     first in start order on a tie.
 
-    The search runs over candidate positions, and each set's estimate is
-    memoised for the duration of the call.  All starts advance in lockstep:
-    each is a generator that yields the sets its next move reads and are not
-    yet memoised, and each round scores what the live starts yielded, one
-    ``_sets_se`` batch per set size.  A polish pass asks for all of its drop
-    and swap sets at once, so a pass costs at most two batches.  A set's
-    estimate has the same bits in any batch, so the schedule is the one the
-    starts would find one after another.
+    The search runs over candidate positions, one start after another; the
+    trials of one growth step or one swap are scored as a batch, and each
+    set's estimate is memoised for the duration of the call.
 
     Before the search, every candidate is scored alone (``_single_se``,
     O(U)), and the search is skipped when its result is already known.
@@ -374,77 +369,40 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
                              chosen, subset_precoders)
     memo: dict[tuple, float] = {}
 
-    def se_batch(sets):
+    def scores(sets):  # sets of one size: one _sets_se batch for the new ones
         keys = [tuple(sorted(s)) for s in sets]
-        if not all(k in memo for k in keys):
-            yield keys  # resumed once every key is in the memo
+        new = [k for k in dict.fromkeys(keys) if k not in memo]
+        if new:
+            memo.update(zip(new, _sets_se(cross, new, sigma2, n_ports)))
         return [memo[k] for k in keys]
 
     def best_trial(base, extra):
-        trial = zip((yield from se_batch([base + [u] for u in extra])), extra)
+        trial = zip(scores([base + [u] for u in extra]), extra)
         return max(trial, key=lambda t: (t[0], -t[1]))
 
-    def grow(schedule, se):
-        remaining = [u for u in range(len(cand)) if u not in schedule]
+    best_se, best_sched = 0.0, []
+    for first, se in enumerate(scores([[u] for u in range(len(cand))])):
+        schedule = [first]
+        remaining = [u for u in range(len(cand)) if u != first]
         while remaining and (len(schedule) + 1) * b_g <= n_ports:
-            se_new, pick = yield from best_trial(schedule, remaining)
+            se_new, pick = best_trial(schedule, remaining)
             if se_new <= se:
                 break
             se = se_new
             schedule.append(pick)
             remaining.remove(pick)
-        return schedule, se
-
-    def polish(schedule, se):
         improved = True
-        while improved:
+        while improved:  # polish: take the first improving drop or swap
             improved = False
             others = [u for u in range(len(cand)) if u not in schedule]
-            rests = [[u for u in schedule if u != out] for out in sorted(schedule)]
-            # every move of the pass is scored in the round that asks for the first
-            yield from se_batch((rests if len(schedule) > 1 else [])
-                                + [rest + [u] for rest in rests for u in others])
-            for rest in rests:
-                if len(schedule) > 1 and (se_rest := (yield from se_batch([rest]))[0]) > se:
-                    schedule, se = rest, se_rest
-                    improved = True
+            for out in sorted(schedule):
+                rest = [u for u in schedule if u != out]
+                if len(schedule) > 1 and (se_rest := scores([rest])[0]) > se:
+                    schedule, se, improved = rest, se_rest, True
                     break
-                if not others:
-                    continue
-                se_new, pick = yield from best_trial(rest, others)
-                if se_new > se:
-                    schedule, se = rest + [pick], se_new
-                    improved = True
+                if others and (trial := best_trial(rest, others))[0] > se:
+                    schedule, se, improved = rest + [trial[1]], trial[0], True
                     break
-        return schedule, se
-
-    def start(first):
-        se = (yield from se_batch([[first]]))[0]
-        schedule, se = yield from grow([first], se)
-        return (yield from polish(schedule, se))
-
-    starts = [start(first) for first in range(len(cand))]
-    results, asks = [None] * len(starts), {}
-
-    def resume(i):
-        try:
-            asks[i] = next(starts[i])
-        except StopIteration as done:
-            asks.pop(i, None)
-            results[i] = done.value
-
-    for i in range(len(starts)):
-        resume(i)
-    while asks:
-        new = [k for k in dict.fromkeys(k for keys in asks.values() for k in keys)
-               if k not in memo]
-        for size in sorted({len(k) for k in new}):
-            sets = [k for k in new if len(k) == size]
-            memo.update(zip(sets, _sets_se(cross, sets, sigma2, n_ports)))
-        for i in list(asks):
-            resume(i)
-    best_se, best_sched = 0.0, []
-    for schedule, se in results:
         if se > best_se:
             best_se, best_sched = se, schedule
     return [cand[i] for i in sorted(best_sched)]

@@ -188,8 +188,8 @@ def compare_metrics(rows_a: list[dict], rows_b: list[dict]) -> dict:
     esse_a = np.array([first_a[d] for d in drops])
     esse_b = np.array([first_b[d] for d in drops])
     esse_delta = esse_b - esse_a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(esse_a > 0, esse_b / np.where(esse_a > 0, esse_a, 1.0), np.nan)
+    served = esse_a > 0
+    ratio = esse_b[served] / esse_a[served]
     pct = np.arange(1, 100)
     in_a = np.array([a_map[k]["int_noise_power"] for k in keys])
     in_b = np.array([b_map[k]["int_noise_power"] for k in keys])
@@ -210,7 +210,7 @@ def compare_metrics(rows_a: list[dict], rows_b: list[dict]) -> dict:
         },
         "esse": {
             "median_delta": float(np.median(esse_delta)),
-            "median_ratio": float(np.nanmedian(ratio)),
+            "median_ratio": float(np.median(ratio)) if served.any() else None,
             "nonregressing_fraction": float(np.mean(esse_delta >= 0.0)),
         },
         "int_noise_mean_a": float(np.mean(in_a[fin])) if fin.any() else None,

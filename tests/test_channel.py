@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamweaver import channel as ch
-from beamweaver.errors import ConfigError, FormatError
+from beamweaver.errors import ConfigError, DomainError, FormatError
 
 
 def _tiny_config(**over):
@@ -384,6 +384,22 @@ def test_bmch_export_deterministic(tmp_path):
     ch.export_channels(p1, tensor)
     ch.export_channels(p2, tensor)
     assert hashlib.sha256(p1.read_bytes()).digest() == hashlib.sha256(p2.read_bytes()).digest()
+
+
+def test_bmch_non_finite_entry_is_a_format_error(tmp_path):
+    values = np.array([1.0, np.nan], np.complex64).reshape(1, 1, 1, 1, 1, 2)
+    path = tmp_path / "nan.bmch"
+    ch.export_channels(path, ch.ChannelTensor(values=values))
+    with pytest.raises(FormatError, match="non-finite"):
+        ch.import_channels(path)
+
+
+def test_channel_overflow_is_a_domain_error():
+    # the synthesized channel overflows complex64: a numerical failure of the
+    # drop, which no config range can rule out (shadowing is unbounded)
+    cfg = _tiny_config(tx_power_dBm=3000.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite"):
+        ch.generate_channels(cfg, seed=7, n_users=2)
 
 
 def test_bmch_bad_magic(tmp_path):

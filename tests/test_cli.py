@@ -1,6 +1,10 @@
 """CLI contract: exit codes, file outputs, worker-count determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -44,6 +48,16 @@ def cfg(tmp_path):
 
 def _run(*args):
     return CliRunner().invoke(cli.main, [str(a) for a in args])
+
+
+def _run_process(*args):
+    """The CLI in a fresh interpreter that shows every warning once, as a
+    user's shell would; returns the completed process."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-W", "default", "-m", "beamweaver.cli",
+                           *map(str, args)], capture_output=True, text=True, env=env)
 
 
 # ------------------------------ exit codes -------------------------------
@@ -482,20 +496,36 @@ def test_neural_checkpoint_evaluates_at_another_array_size(trained, tmp_path):
     assert res.exit_code == 0, res.output
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_checkpoint_whose_rsrp_overflows_is_a_numerical_failure(trained, tmp_path):
     # every ssb0 entry is finite, so the checkpoint loads, but the beams'
-    # RSRP overflows to inf: a numerical failure of the run, not a config error
+    # RSRP overflows to inf: a numerical failure of the run, not a config
+    # error, reported on one line without numpy's overflow warnings
     tape, _, meta = nbl.load_checkpoint(trained["nbl-direct"])
     tape.parameters["ssb0"].value[...] = 1.7e308
     ckpt = tmp_path / "huge.bmck"
     nbl.save_checkpoint(ckpt, tape, meta=meta)
-    res = _evaluate_checkpoint(tmp_path, ckpt, "nbl-direct")
-    assert res.exit_code == 4, res.output
-    assert isinstance(res.exception, SystemExit)
-    assert res.output.startswith("numerical failure: RSRP values must be finite")
+    path = tmp_path / "eval_config.json"
+    path.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    res = _run_process("evaluate", "--config", path, "--out", tmp_path / "ev",
+                       "--codebook", "nbl-direct", "--drops", 1)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.splitlines() == ["numerical failure: RSRP values must be finite"]
     assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gen-channels"])
+def test_channel_overflow_is_a_numerical_failure(tmp_path, command):
+    # a huge tx_power_dBm overflows the complex64 channel of a drop: a
+    # numerical failure (exit 4) on one line, not a format error
+    doc = _config_doc()
+    doc["scenario"]["tx_power_dBm"] = 3000.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = ["--drops", 1] if command == "evaluate" else []
+    res = _run_process(command, "--config", path, "--out", tmp_path / "out", *out)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.splitlines() == [
+        "numerical failure: synthesized channel is not finite: an amplitude overflowed"]
 
 
 def test_neural_evaluate_synthesizes_each_drop_once(trained, tmp_path,
@@ -668,6 +698,26 @@ def test_compare_accepts_the_writers_infinities(tmp_path):
                "--out", tmp_path / "s.json")
     assert res.exit_code == 0, res.output
     assert "NaN" not in (tmp_path / "s.json").read_text()
+
+
+def test_compare_without_a_served_drop_writes_strict_json(tmp_path):
+    # t_period 1 leaves no time for data, so every drop's ESSE is 0 and no
+    # drop has an ESSE ratio: its median is null, not NaN
+    doc = _config_doc()
+    doc["evaluation"]["t_period"] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run("evaluate", "--config", path, "--out", tmp_path / "ev", "--drops", 2)
+    assert res.exit_code == 0, res.output
+    metrics = tmp_path / "ev" / "metrics.csv"
+    res = _run("compare", metrics, metrics, "--out", tmp_path / "s.json")
+    assert res.exit_code == 0, res.output
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    summary = json.loads((tmp_path / "s.json").read_text(), parse_constant=refuse)
+    assert summary["esse"]["median_ratio"] is None
 
 
 _MALFORMED = {
