@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffTensor
-from .channel import ChannelTensor, _stream
+from .channel import _stream
 from .errors import ConfigError, DomainError, ShapeError
 
 _NOISE_TAG = 7
@@ -100,8 +100,7 @@ def _beam_signals(h, beams) -> DiffTensor:
     DiffTensor.  One (C, L, NT) @ (C, NT, U*T*K*N_R) product, scaled by the
     broadcast normalization 1/sqrt(K * NT).
     """
-    hv = h.values if isinstance(h, ChannelTensor) else h
-    hv = np.asarray(hv, dtype=np.complex128)
+    hv = np.asarray(h, dtype=np.complex128)
     c_cells, _, _, k_sub, _, n_t = hv.shape
     if len(beams) != c_cells:
         raise ShapeError(f"{len(beams)} SSB codebooks for {c_cells} cells")
@@ -284,7 +283,7 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     return CsirsSelection(subset_indices=taken)
 
 
-def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
+def csirs_sinr(h: np.ndarray, subsets: list,
                assoc: np.ndarray, sigma2: float) -> SinrRecord:
     """LMMSE per-stream SINR for every user and CSI-RS resource.
 
@@ -300,8 +299,7 @@ def csirs_sinr(h: ChannelTensor | np.ndarray, subsets: list,
     (N_CSI*U*T*K, N_R, C*B_g), which it reads in place.  The SINR is a
     constant DiffTensor; ``resource_sinr`` is the differentiable stage.
     """
-    hv = h.values if isinstance(h, ChannelTensor) else h
-    hv = np.asarray(hv, dtype=np.complex128)
+    hv = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
     if len(subsets) != c_cells:
         raise ShapeError("one precoder subset required per cell")

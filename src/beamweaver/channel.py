@@ -27,6 +27,10 @@ BMCH_VERSION = 1
 # Philox key for any drop index below 2**59.
 SEED_LIMIT = 2 ** 44
 
+# Every user count, a fixed one or either end of a drawn one's range, is at
+# most MAX_USERS: a BMCH header holds each dimension in a u32 word.
+MAX_USERS = 2 ** 32 - 1
+
 # stream tags for Philox keying
 _TAG_USER = 1
 _TAG_LINK = 2

@@ -53,8 +53,11 @@ CONFIG_SCHEMA = {
                 "k_subcarriers": {"type": "integer", "minimum": 1},
                 "t_slots": {"type": "integer", "minimum": 1},
                 "n_rx": {"type": "integer", "minimum": 1},
-                "n_users": {"type": ["integer", "null"], "minimum": 1},
-                "user_count_range": {"type": "array", "items": {"type": "integer"},
+                "n_users": {"type": ["integer", "null"], "minimum": 1,
+                            "maximum": ch.MAX_USERS},
+                "user_count_range": {"type": "array",
+                                     "items": {"type": "integer", "minimum": 1,
+                                               "maximum": ch.MAX_USERS},
                                      "minItems": 2, "maxItems": 2},
                 "scene_seed": {"type": "integer", "minimum": 0,
                                "exclusiveMaximum": ch.SEED_LIMIT},
@@ -88,7 +91,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mode": {"enum": ["direct", "neural"]},
                 "epochs": {"type": "integer", "minimum": 1},
                 "lr": {"type": "number", "minimum": 0},
                 "batch_size": {"type": "integer", "minimum": 1},
@@ -273,27 +275,17 @@ def gen_channels(config_path, seed, out_path):
     click.echo(f"wrote {out_path}: dims {tensor.values.shape}")
 
 
-def _dft_ssb_books(config, dims):
-    """The DFT SSB codebook, built once and shared by all cells."""
-    ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
-    return [ssb] * config.c_cells
-
-
-def _build_dft_books(config, dims):
-    """DFT SSB beams and CSI-RS precoders, built once, shared by all cells."""
-    ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
-    cs = cbk.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
-                             elevation_window=dims.elevation_window)
-    return [ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells
-
-
-def _prior_obsc(config, tensor, prior_ssb, pair):
-    """Feedback beamspace images from the prior (DFT) codebook for one drop.
-
-    pair: the geometry's critically sampled ``codebook.TransformPair``.
+def _generator(tape: Tape, source: str, config, dims, seed: int = 0):
+    """The ``generate`` function of a fresh ``source`` generator whose
+    parameters are registered on ``tape``: each cell's feedback images in,
+    per-cell (SSB, CSI-RS) codebooks out.  ``nbl-direct`` ignores the images.
     """
-    h = np.asarray(tensor.values, np.complex128)
-    return nbl.feedback_images(h, prior_ssb, config.geometry, pair, None)[0]
+    if source == "nbl-direct":
+        return nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims).generate
+    gen = nbl.NeuralGenerator(tape, config.c_cells, dims,
+                              n_pol=2 if config.geometry.dual_polarized else 1,
+                              seed=seed)
+    return lambda obsc: gen.generate_for(obsc, config.geometry)
 
 
 _EVAL_CTX: dict = {}
@@ -302,14 +294,17 @@ _EVAL_CTX: dict = {}
 def _eval_one(drop_seed: int) -> list[dict]:
     ctx = _EVAL_CTX
     config, settings = ctx["config"], ctx["settings"]
-    if ctx["source"] != "nbl-neural":
+    if "books" in ctx:
         return mx.evaluate_drop(config, settings, *ctx["books"], drop_seed,
                                 memo=ctx["memo"])
     # the neural codebook depends on the drop: synthesize its channel once,
-    # and keep the books' correlations only for this drop
+    # feed back under the prior (DFT) SSB codebook, and keep the books'
+    # correlations only for this drop
     tensor = ch.generate_channels(config, drop_seed)
-    obsc = _prior_obsc(config, tensor, ctx["prior_ssb"], ctx["pair"])
-    ssb_dt, cs_dt = ctx["gen"].generate_for(obsc, config.geometry)
+    h = np.asarray(tensor.values, np.complex128)
+    obsc = nbl.feedback_images(h, ctx["prior_ssb"], config.geometry, ctx["pair"],
+                               None)[0]
+    ssb_dt, cs_dt = ctx["generate"](obsc)
     return mx.evaluate_drop(config, settings, [s.value for s in ssb_dt],
                             [c.value for c in cs_dt], drop_seed, tensor=tensor)
 
@@ -339,35 +334,36 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     dims = dims_from(doc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # memo: the correlations of the call's fixed books, one copy per worker
-    ctx = {"config": config, "settings": settings, "source": source, "memo": {}}
-    if source == "dft":
-        ctx["books"] = _build_dft_books(config, dims)
-    elif source.startswith("file:"):
-        ssb, cs = cbk.load_codebooks(source[5:])
-        _check_codebook_file(ssb, cs, config, dims)
-        ctx["books"] = ([ssb.beams] * config.c_cells,
-                        [cs.precoders] * config.c_cells)
-    elif source in ("nbl-direct", "nbl-neural"):
+    # memo: the correlations of the call's fixed books, one copy per worker;
+    # fixed books are "books", per-drop ones come from "generate"
+    ctx = {"config": config, "settings": settings, "memo": {}}
+    if source in ("nbl-direct", "nbl-neural"):
         ckpt = doc.get("checkpoint")
         if not ckpt:
             raise ConfigError(f"codebook source {source} requires a 'checkpoint' "
                               "path in the config")
-        tape, _, meta = nbl.load_checkpoint(ckpt)
+        loaded, _, meta = nbl.load_checkpoint(ckpt)
         _check_checkpoint(meta, source, config, dims)
+        tape = Tape()
+        generate = _generator(tape, source, config, dims)
+        nbl.load_parameters(tape, loaded)
         if source == "nbl-direct":
-            gen = nbl.DirectGenerator.from_tape(tape, config.c_cells,
-                                                config.geometry, dims)
-            ssb_dt, cs_dt = gen.generate()
+            ssb_dt, cs_dt = generate(None)
             ctx["books"] = ([s.value for s in ssb_dt], [c.value for c in cs_dt])
         else:
-            ctx["gen"] = nbl.NeuralGenerator.from_tape(
-                tape, config.c_cells, dims,
-                n_pol=2 if config.geometry.dual_polarized else 1)
-            ctx["prior_ssb"] = _dft_ssb_books(config, dims)
+            ctx["generate"] = generate
+            prior_ssb, _ = nbl.dft_codebooks(config.geometry, dims)
+            ctx["prior_ssb"] = [prior_ssb] * config.c_cells
             ctx["pair"] = cbk.make_transform_pair(config.geometry)
     else:
-        raise ConfigError(f"unknown codebook source {source!r}")
+        if source == "dft":
+            ssb, cs = nbl.dft_codebooks(config.geometry, dims)
+        elif source.startswith("file:"):
+            ssb, cs = cbk.load_codebooks(source[5:])
+            _check_codebook_file(ssb, cs, config, dims)
+        else:
+            raise ConfigError(f"unknown codebook source {source!r}")
+        ctx["books"] = ([ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells)
     seeds = [seed * 1000003 + i for i in range(drops)]
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(
@@ -409,18 +405,11 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
     lr = lr if lr is not None else tr.get("lr", 1e-4)
     samples = drops if drops is not None else tr.get("samples", 64)
     sigma2 = ch.noise_variance(config)
-    prior_ssb = _dft_ssb_books(config, dims)
-    dataset = nbl.build_dataset(config, prior_ssb, samples, seed, sigma2,
-                                new_user_prob=tr.get("new_user_prob", 0.2))
+    prior_ssb, _ = nbl.dft_codebooks(config.geometry, dims)
+    dataset = nbl.build_dataset(config, [prior_ssb] * config.c_cells, samples, seed,
+                                sigma2, new_user_prob=tr.get("new_user_prob", 0.2))
     tape = Tape()
-    if source == "nbl-direct":
-        gen = nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims)
-        generate = gen.generate
-    else:
-        gen = nbl.NeuralGenerator(
-            tape, config.c_cells, dims,
-            n_pol=2 if config.geometry.dual_polarized else 1, seed=seed)
-        generate = lambda obsc: gen.generate_for(obsc, config.geometry)
+    generate = _generator(tape, source, config, dims, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     loss_rows, val_rows = [], []

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import lmmse_filter, lmmse_sinr
-from .channel import ChannelTensor
 from .errors import ConfigError, ShapeError
 
 DIGITAL_PORTS = 32  # digital port budget per cell
@@ -415,7 +414,7 @@ def data_fraction(l_max: int, n_csi: int, k_ssb: int, k_subcarriers: int,
     return max(0.0, 1.0 - used / t_period)
 
 
-def transmit_and_score(h: ChannelTensor | np.ndarray, sets: list[PrecoderSet],
+def transmit_and_score(h: np.ndarray, sets: list[PrecoderSet],
                        sigma2: float, alpha: float = 1.0) -> EsseReport:
     """Score the data transmission: per-user LMMSE SINR and ESSE.
 
@@ -427,8 +426,7 @@ def transmit_and_score(h: ChannelTensor | np.ndarray, sets: list[PrecoderSet],
     any SNR.  The per-user rate is the mean over REs, scaled by the data
     fraction ``alpha`` (see ``data_fraction``).
     """
-    hv = h.values if isinstance(h, ChannelTensor) else h
-    hv = np.asarray(hv, dtype=np.complex128)
+    hv = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
     if len(sets) != c_cells:
         raise ShapeError("one precoder set per cell required")

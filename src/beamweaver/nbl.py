@@ -93,14 +93,20 @@ def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
     return ad.straight_through(equalized, projected)
 
 
+def dft_codebooks(geometry: ArrayGeometry,
+                  dims: NblDims) -> tuple[cb.SsbCodebook, cb.CsirsCodebook]:
+    """A geometry's DFT SSB and CSI-RS codebooks at the sizing of ``dims``."""
+    return (cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window),
+            cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
+                               elevation_window=dims.elevation_window))
+
+
 def _dft_baseline(geometry: ArrayGeometry, dims: NblDims) -> tuple:
     """A geometry's transform pair and its DFT codebooks' beamspace interiors:
     (pair, (L*n_pol, N_XO, N_YO) SSB, (N_CB*B_g*n_pol, N_XO, N_YO) CSI-RS
     interiors, precoder by precoder and column by column)."""
     pair = cb.make_transform_pair(geometry)
-    ssb = cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window)
-    csirs = cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
-                               elevation_window=dims.elevation_window)
+    ssb, csirs = dft_codebooks(geometry, dims)
     cols = np.swapaxes(csirs.precoders, 1, 2).reshape(-1, geometry.n_elements)
     return (pair,) + tuple(cb.beamspace_forward(b, pair, geometry)[:, :pair.n_xo, :pair.n_yo]
                            for b in (ssb.beams, cols))
@@ -123,33 +129,7 @@ def _codebooks(interiors, pair: cb.TransformPair, geometry: ArrayGeometry,
     return ssb, csirs
 
 
-class _Bound:
-    """A loaded tape in a generator's constructor: ``parameter`` returns the
-    loaded parameter of that name, refusing one that is missing or not of the
-    fresh value's shape."""
-
-    def __init__(self, tape: Tape):
-        self.parameters = tape.parameters
-
-    def parameter(self, name: str, value) -> DiffTensor:
-        p = self.parameters.get(name)
-        if p is None:
-            raise FormatError(f"checkpoint lacks the generator parameter {name!r}")
-        if p.shape != np.shape(value):
-            raise FormatError(f"checkpoint parameter {name!r} has shape {p.shape}, "
-                              f"the generator needs {np.shape(value)}")
-        return p
-
-
-class _Generator:
-    @classmethod
-    def from_tape(cls, tape: Tape, *args, **kwargs):
-        """Bind to parameters already present on a tape (checkpoint load);
-        the other arguments are the constructor's (see ``_Bound``)."""
-        return cls(_Bound(tape), *args, **kwargs)
-
-
-class DirectGenerator(_Generator):
+class DirectGenerator:
     """Free beamspace parameters per cell, initialized at the DFT baseline.
 
     The codebooks do not depend on the feedback images, so every drop
@@ -173,7 +153,7 @@ class DirectGenerator(_Generator):
                           self.geometry, self.dims)
 
 
-class NeuralGenerator(_Generator):
+class NeuralGenerator:
     """Fully-convolutional generator: feedback beamspace in, codebooks out.
 
     Two stride-2 encoder convolutions, two stride-2 transposed
@@ -187,8 +167,8 @@ class NeuralGenerator(_Generator):
     4*ceil(s/4) - 3, so where that falls short of the beamspace grid, the
     input is zero-padded on its far edges only as much as the crop needs.
     Codebooks come out through the direct generator's beamspace inverse and
-    projection.  ``from_tape`` refuses a checkpoint that lacks one of the
-    eight weights or holds one of another shape (FormatError).
+    projection.  A checkpoint loads into a generator built on a fresh tape,
+    through ``load_parameters``.
     """
 
     def __init__(self, tape: Tape, cells: int, dims: NblDims, n_pol: int = 2,
@@ -591,6 +571,21 @@ def _read_exact(f, n: int) -> bytes:
 
 def _unpack(f, fmt: str) -> tuple:
     return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
+
+
+def load_parameters(tape: Tape, loaded: Tape) -> None:
+    """Give each parameter on ``tape`` the value of its namesake on ``loaded``
+    (a checkpoint's tape), in registration order.  A loaded tape that lacks
+    one of them or holds one of another shape is a FormatError; parameters
+    that only ``loaded`` holds are ignored."""
+    for name, p in tape.parameters.items():
+        q = loaded.parameters.get(name)
+        if q is None:
+            raise FormatError(f"checkpoint lacks the generator parameter {name!r}")
+        if q.shape != p.shape:
+            raise FormatError(f"checkpoint parameter {name!r} has shape {q.shape}, "
+                              f"the generator needs {p.shape}")
+        p.value = q.value
 
 
 def load_checkpoint(path) -> tuple[Tape, Adam, dict]:

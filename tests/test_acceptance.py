@@ -342,7 +342,8 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
     for i in range(60):
         seed = 321 * 1000003 + i
         tensor = ch.generate_channels(eval_cfg, seed)
-        obsc = cli._prior_obsc(eval_cfg, tensor, prior8, pair8)
+        obsc = nbl.feedback_images(np.asarray(tensor.values, np.complex128),
+                                   prior8, eval_cfg.geometry, pair8, None)[0]
         ssb_dt, cs_dt = gen.generate_for(obsc, eval_cfg.geometry)
         rows_dft = mx.evaluate_drop(eval_cfg, settings, *dft8, seed,
                                     tensor=tensor, memo=memo)

@@ -12,7 +12,8 @@ from conftest import analytic_gradients, assert_grads_match, frozen_csirs_sinr
 
 
 def _tensor(values):
-    return ChannelTensor(values=np.asarray(values, dtype=np.complex64))
+    """A channel array rounded to complex64, as ``ChannelTensor`` stores it."""
+    return ChannelTensor(values=np.asarray(values, dtype=np.complex64)).values
 
 
 def _crandn(rng, *shape):

@@ -1,5 +1,7 @@
 """CLI contract: exit codes, file outputs, worker-count determinism."""
+import functools
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -234,6 +236,166 @@ def test_schema_violation_message_matches_jsonschema_validate(tmp_path):
     with pytest.raises(ConfigError) as got:
         cli.load_config(path)
     assert str(got.value) == f"config schema violation: {want.value.message}"
+
+
+def test_training_mode_is_a_config_error(tmp_path):
+    # the generator is chosen by --codebook alone; the key was once accepted
+    # and never read, so a neural "mode" trained a direct checkpoint
+    doc = _config_doc()
+    doc["training"]["mode"] = "neural"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run("train", "--config", path, "--out", tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: config schema violation")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, ch.MAX_USERS + 1, 2 ** 70])
+@pytest.mark.parametrize("command", ["gen-channels", "evaluate", "train"])
+def test_user_count_outside_its_range_is_a_config_error(tmp_path, command, value):
+    # gen-channels reads a fixed n_users, the others draw from
+    # user_count_range; a count beyond MAX_USERS used to reach numpy (exit 1)
+    doc = _config_doc()
+    if command == "gen-channels":
+        doc["scenario"]["n_users"] = value
+    else:
+        doc["scenario"]["user_count_range"] = [min(value, 1), value]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = _run(command, "--config", path, "--out", out)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: config schema violation")
+    assert not out.exists()
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of the leaves of a schema (through "properties") or of a
+    config document."""
+    if isinstance(node, dict) and "type" in node:  # a schema
+        node = node.get("properties")
+    if not isinstance(node, dict):
+        return [path]
+    return [p for key, child in node.items() for p in _leaf_paths(child, path + (key,))]
+
+
+# every leaf key of CONFIG_SCHEMA at a value that no default holds
+_EVERY_KEY = {
+    "scenario": {
+        "geometry": {"n_x": 4, "n_y": 6, "dual_polarized": False,
+                     "element_spacing": 0.45, "carrier_frequency": 3.5e9},
+        "c_cells": 2, "k_subcarriers": 6, "t_slots": 2, "n_rx": 3,
+        "n_users": 5, "user_count_range": [3, 4], "scene_seed": 11,
+        "inter_site_distance": 180.0, "cluster_count": 3, "rays_per_cluster": 4,
+        "tx_power_dBm": 33.0, "noise_figure_dB": 7.0, "subcarrier_spacing": 60e3,
+        "n_hotspots": 4, "hotspot_fraction": 0.5, "hotspot_sigma": 20.0,
+        "angle_spread_deg": 8.0,
+    },
+    "codebook": {"l_max": 6, "n_csi": 5, "n_cb": 7, "b_g": 3, "l_csi": 3,
+                 "b_phase": 3, "elevation_window": [-0.9, 0.3]},
+    "training": {"epochs": 2, "lr": 0.003, "batch_size": 3, "samples": 5,
+                 "ssb_weight": 0.7, "balance_weight": 0.4, "new_user_prob": 0.35,
+                 "val_fraction": 0.25},
+    "evaluation": {"s_b": 3, "k_ssb": 3, "t_period": 80},
+    "checkpoint": "trained.bmck",
+}
+
+
+def _observe(tmp_path, monkeypatch, doc):
+    """What `train` and `evaluate --codebook dft` build from a document: the
+    arguments, by name, of their calls to the spied functions, which stand
+    in for the dataset, the training loop and the drops."""
+    seen = {}
+
+    def spy(module, name, result=None):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            seen.setdefault(name, []).append(
+                inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs) if result is None else result
+        monkeypatch.setattr(module, name, call)
+
+    spy(nbl, "dft_codebooks")
+    spy(nbl, "build_dataset", [])
+    spy(nbl, "train", [0.0])
+    spy(mx, "evaluate_drop", [])
+    tmp_path.mkdir()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for command, extra in (("train", []), ("evaluate", ["--drops", 1])):
+        res = _run(command, "--config", path, "--out", tmp_path / command, *extra)
+        assert res.exit_code == 0, res.output
+    monkeypatch.undo()
+    return seen
+
+
+def _values_read(seen, path):
+    """Each value the CLI's objects hold for the config key at ``path``."""
+    section, key = path[0], path[-1]
+    if section == "training":
+        call, name = (("build_dataset", {"samples": "n_samples"}.get(key, key))
+                      if key in ("samples", "new_user_prob") else ("train", key))
+        return [args[name] for args in seen[call]]
+    if section == "scenario":
+        configs = [args["config"] for args in seen["build_dataset"] + seen["evaluate_drop"]]
+        owners = [c.geometry for c in configs] if path[1] == "geometry" else configs
+    else:
+        dims = [args["dims"] for args in seen["dft_codebooks"]]
+        settings = [args["settings"] for args in seen["evaluate_drop"]]
+        owners = settings if section == "evaluation" else [
+            o for o in dims + settings if hasattr(o, key)]
+    values = [getattr(o, key) for o in owners]
+    return [list(v) if isinstance(v, tuple) else v for v in values]
+
+
+def test_every_config_key_is_honoured(tmp_path, monkeypatch):
+    # a key is either read or refused: each leaf at a non-default value
+    # reaches the objects train and evaluate build, and the empty document
+    # gives each a different value there
+    assert sorted(_leaf_paths(_EVERY_KEY)) == sorted(_leaf_paths(cli.CONFIG_SCHEMA))
+    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in _EVERY_KEY.items()}
+    doc["scenario"] = {k: v for k, v in doc["scenario"].items() if k != "n_users"}
+    del doc["checkpoint"]  # read by the nbl-* sources only: below
+    seen = _observe(tmp_path / "set", monkeypatch, doc)
+    defaults = _observe(tmp_path / "default", monkeypatch, {})
+    for path in _leaf_paths(doc):
+        want = functools.reduce(dict.get, path, doc)
+        got = _values_read(seen, path)
+        assert got and got == [want] * len(got), path
+        assert want not in _values_read(defaults, path), path
+
+    # scenario.n_users fixes gen-channels' user count; train and evaluate
+    # refuse it (test_n_users_is_rejected_outside_gen_channels)
+    counts = []
+
+    def generate(config, seed, n_users=None):
+        counts.append(n_users)
+        return ch.ChannelTensor(np.zeros((1,) * 6, np.complex64))
+
+    monkeypatch.setattr(ch, "generate_channels", generate)
+    path = tmp_path / "config.json"
+    for scenario in ({"n_users": _EVERY_KEY["scenario"]["n_users"]}, {}):
+        path.write_text(json.dumps({"scenario": scenario}))
+        res = _run("gen-channels", "--config", path, "--out", tmp_path / "h.bmch")
+        assert res.exit_code == 0, res.output
+    assert counts == [_EVERY_KEY["scenario"]["n_users"], None]
+    # checkpoint is the file that the nbl-* sources load
+    loads = []
+
+    def load_checkpoint(ckpt):
+        loads.append(ckpt)
+        raise FormatError("not loaded")
+
+    monkeypatch.setattr(nbl, "load_checkpoint", load_checkpoint)
+    path.write_text(json.dumps({"checkpoint": _EVERY_KEY["checkpoint"]}))
+    for source in ("nbl-direct", "nbl-neural"):
+        res = _run("evaluate", "--config", path, "--out", tmp_path / source,
+                   "--codebook", source)
+        assert res.output == "config error: not loaded\n"
+    assert loads == [_EVERY_KEY["checkpoint"]] * 2
 
 
 @pytest.mark.parametrize("text", [
@@ -544,6 +706,53 @@ def test_neural_evaluate_synthesizes_each_drop_once(trained, tmp_path,
                "--codebook", "nbl-neural", "--drops", 3)
     assert res.exit_code == 0, res.output
     assert seeds == [0, 1, 2]
+
+
+def test_loaded_codebooks_evaluate_as_their_exported_file(tmp_path):
+    # a 1-cell direct checkpoint, away from the DFT baseline, against its
+    # codebooks exported with save_codebooks.  The generator's CSI-RS
+    # precoders are a transposed view and the file's are C-ordered, and the
+    # analog @ digital product in link.transmit_and_score rounds by layout:
+    # data_rate and esse agree to a few ulp, every other field bit for bit,
+    # and the loaded books laid out C-ordered give the file's bytes
+    doc = _config_doc()
+    config, dims = cli.scenario_from(doc), cli.dims_from(doc)
+    assert config.c_cells == 1
+    tape = Tape()
+    gen = nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims)
+    rng = np.random.default_rng(5)
+    for p in tape.parameters.values():
+        p.value = p.value + 0.3 * (rng.standard_normal(p.shape)
+                                   + 1j * rng.standard_normal(p.shape))
+    ckpt = tmp_path / "direct.bmck"
+    nbl.save_checkpoint(ckpt, tape, meta=cli._checkpoint_meta("nbl-direct", config, dims))
+    (ssb, csirs) = [t[0].value for t in gen.generate()]
+    book = tmp_path / "book.json"
+    cbk.save_codebooks(book, cbk.SsbCodebook(ssb, config.geometry),
+                       cbk.CsirsCodebook(csirs, config.geometry))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    drops = 8
+    for name, source in (("loaded", "nbl-direct"), ("file", f"file:{book}")):
+        res = _run("evaluate", "--config", path, "--out", tmp_path / name, "--seed", 2,
+                   "--codebook", source, "--drops", drops)
+        assert res.exit_code == 0, res.output
+    loaded = mx.read_metrics(tmp_path / "loaded" / "metrics.csv")
+    exported = mx.read_metrics(tmp_path / "file" / "metrics.csv")
+    rounded = ("data_rate", "esse")
+    assert len(loaded) == len(exported) > drops
+    for a, b in zip(loaded, exported):
+        assert ({k: v for k, v in a.items() if k not in rounded}
+                == {k: v for k, v in b.items() if k not in rounded})
+        for k in rounded:
+            assert a[k] == pytest.approx(b[k], rel=1e-14, abs=0)
+    settings, memo = cli.settings_from(doc), {}
+    mx.write_metrics(tmp_path / "c-ordered.csv", [
+        row for i in range(drops)
+        for row in mx.evaluate_drop(config, settings, [ssb], [np.ascontiguousarray(csirs)],
+                                    2 * 1000003 + i, memo=memo)])
+    assert ((tmp_path / "c-ordered.csv").read_bytes()
+            == (tmp_path / "file" / "metrics.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train"])

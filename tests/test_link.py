@@ -10,6 +10,7 @@ from beamweaver import channel as ch
 from beamweaver import cli
 from beamweaver import link
 from beamweaver import metrics as mx
+from beamweaver import nbl
 from beamweaver.errors import ConfigError
 
 
@@ -530,7 +531,8 @@ def default_drop_inputs():
     """
     config = ch.ScenarioConfig()
     dims = cli.dims_from({})
-    ssb, csirs = cli._build_dft_books(config, dims)
+    ssb, cs = nbl.dft_codebooks(config.geometry, dims)
+    ssb, csirs = [ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells
     pmi_calls, schedule_calls = [], []
     quantize, schedule = link.quantize_pmi, link.schedule_users
 
@@ -876,7 +878,8 @@ def test_esse_exact_with_fewer_streams_than_receive_antennas(streams):
 def test_esse_matches_frozen_loop_on_default_drops():
     config = ch.ScenarioConfig()
     dims = cli.dims_from({})
-    ssb, csirs = cli._build_dft_books(config, dims)
+    ssb, cs = nbl.dft_codebooks(config.geometry, dims)
+    ssb, csirs = [ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells
     calls = []
     score = link.transmit_and_score
 

@@ -11,6 +11,7 @@ from beamweaver import cli
 from beamweaver import codebook as cb
 from beamweaver import link
 from beamweaver import metrics as mx
+from beamweaver import nbl
 from beamweaver.errors import ConfigError, FormatError
 
 FULL = (-1.01, 1.01)
@@ -181,9 +182,8 @@ def _doc_setup(doc):
     """(config, settings, SSB books, CSI-RS books) as the CLI's DFT
     evaluation builds them."""
     config, dims = cli.scenario_from(doc), cli.dims_from(doc)
-    cs = cb.build_dft_csirs(config.geometry, dims.n_cb, dims.b_g,
-                            elevation_window=dims.elevation_window)
-    return (config, cli.settings_from(doc), cli._dft_ssb_books(config, dims),
+    ssb, cs = nbl.dft_codebooks(config.geometry, dims)
+    return (config, cli.settings_from(doc), [ssb] * config.c_cells,
             [cs] * config.c_cells)
 
 

@@ -446,9 +446,7 @@ def test_neural_generator_at_a_second_geometry_matches_a_fresh_one():
     used.generate_for(obsc_for(_geo(), 0), _geo())
     for geo, seed in ((geo8, 1), (_geo(), 2), (geo8, 3)):
         got = used.generate_for(obsc_for(geo, seed), geo)
-        fresh_tape = Tape()
-        nbl.NeuralGenerator(fresh_tape, 1, dims, n_pol=2)
-        fresh = nbl.NeuralGenerator.from_tape(fresh_tape, 1, dims, n_pol=2)
+        fresh = nbl.NeuralGenerator(Tape(), 1, dims, n_pol=2)
         want = fresh.generate_for(obsc_for(geo, seed), geo)
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             np.testing.assert_array_equal(a.value, b.value)
@@ -512,16 +510,33 @@ def test_generator_parameter_names_shapes_and_order_are_pinned():
 
 
 @pytest.mark.parametrize("mode", ["direct", "neural"])
-def test_from_tape_binds_the_loaded_parameters(mode):
+def test_load_parameters_gives_a_fresh_generator_the_loaded_values(mode):
     dims = _dims()
-    cls, args = ((nbl.DirectGenerator, (2, _geo(), dims)) if mode == "direct"
-                 else (nbl.NeuralGenerator, (2, dims)))
+
+    def build(tape, seed):
+        if mode == "direct":
+            gen = nbl.DirectGenerator(tape, 2, _geo(), dims)
+            return gen.generate, gen.ssb_params + gen.csirs_params
+        gen = nbl.NeuralGenerator(tape, 2, dims, n_pol=2, seed=seed)
+        return lambda o: gen.generate_for(o, _geo()), gen.weights
+
+    loaded = Tape()
+    want_generate, _ = build(loaded, seed=1)
+    for p in loaded.parameters.values():  # away from any fresh generator's
+        p.value = p.value + 0.25
+    loaded.parameter("unused", np.ones(3))  # only the checkpoint holds it
     tape = Tape()
-    cls(tape, *args)
-    gen = cls.from_tape(tape, *args)
-    bound = gen.ssb_params + gen.csirs_params if mode == "direct" else gen.weights
-    # the loaded tape's own tensors, so training on the tape moves them
+    generate, bound = build(tape, seed=2)
+    nbl.load_parameters(tape, loaded)
+    assert list(tape.parameters) == list(loaded.parameters)[:-1]
+    # the generator reads its own tape's tensors, which now hold the values
     assert {id(p) for p in bound} == {id(p) for p in tape.parameters.values()}
+    for name, p in tape.parameters.items():
+        assert p.value is loaded.parameters[name].value
+    obsc = _random_obsc(_geo(), dims, 2, 0)
+    got, want = generate(obsc), want_generate(obsc)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        np.testing.assert_array_equal(a.value, b.value)
 
 
 @pytest.mark.parametrize("path", ["forward_model", "evaluate_drop"])
@@ -753,10 +768,9 @@ def test_one_graph_step_matches_per_sample_backward(mode, cells, n_samples,
         tape = Tape()
         if mode == "direct":
             gen = nbl.DirectGenerator(tape, cells, cfg.geometry, dims)
-            # the reference regenerates the codebooks for every drop
-            regenerate = lambda o: nbl.DirectGenerator.from_tape(
-                tape, cells, cfg.geometry, dims).generate(o)
-            return tape, gen.generate, regenerate
+            # the reference regenerates the codebooks for every drop: each
+            # call builds a new graph from the parameters
+            return tape, gen.generate, gen.generate
         gen = nbl.NeuralGenerator(tape, cells, dims, n_pol=2)
         generate = lambda o: gen.generate_for(o, cfg.geometry)
         return tape, generate, generate
@@ -803,10 +817,12 @@ def test_validation_callback_reports_epochs_and_changes_no_output():
     assert all(r[2] == int(np.argmin(losses[:r[0] + 1])) for r in rows)
     # the restored parameters are the best epoch's: validating them again
     # reproduces its loss
-    tape = Tape()
+    loaded = Tape()
     for k, v in params1.items():
-        tape.parameter(k, v)
-    gen = nbl.DirectGenerator.from_tape(tape, cfg.c_cells, cfg.geometry, dims)
+        loaded.parameter(k, v)
+    tape = Tape()
+    gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
+    nbl.load_parameters(tape, loaded)
     val = data[:3]
     again = sum(float(_total_loss(s, gen.generate, sigma2, dims.n_csi,
                                   0.0)[0].value.real) / len(val) for s in val)
@@ -933,8 +949,10 @@ def test_checkpoint_restores_direct_generator(tmp_path):
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     path = tmp_path / "gen.bmck"
     nbl.save_checkpoint(path, tape)
-    tape2, _, _ = nbl.load_checkpoint(path)
-    gen2 = nbl.DirectGenerator.from_tape(tape2, cfg.c_cells, cfg.geometry, dims)
+    loaded, _, _ = nbl.load_checkpoint(path)
+    tape2 = Tape()
+    gen2 = nbl.DirectGenerator(tape2, cfg.c_cells, cfg.geometry, dims)
+    nbl.load_parameters(tape2, loaded)
     s1, c1 = gen.generate()
     s2, c2 = gen2.generate()
     np.testing.assert_array_equal(s1[0].value, s2[0].value)
