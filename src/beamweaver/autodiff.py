@@ -28,16 +28,14 @@ def _asarray(x) -> np.ndarray:
 class DiffTensor:
     """A node in the autodiff graph: complex value + adjoint accumulator."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "name",
-                 "__weakref__")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None, name=None):
+    def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = _asarray(value)
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -85,7 +83,7 @@ class Tape:
     def parameter(self, name: str, value) -> DiffTensor:
         if name in self.parameters:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        p = DiffTensor(value, requires_grad=True, name=name)
+        p = DiffTensor(value, requires_grad=True)
         self.parameters[name] = p
         return p
 
@@ -469,14 +467,13 @@ def _own_columns(own, ndim: int) -> np.ndarray:
     return own.reshape((1,) * (ndim - own.ndim) + own.shape)
 
 
-def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
-    """Filter W = (lam I_N + X X^H)^-1 X[..., own] and Z = X^H W, for lam > 0.
+def lmmse_filter(x: np.ndarray, own, lam) -> np.ndarray:
+    """Filter W = (lam I_N + X X^H)^-1 X[..., own], for lam > 0.
 
     x: (..., N, M); own: (..., S) integer column of each stream, broadcast
     against the leading axes.  For M >= N: one N x N solve.  For M < N: the
-    push-through form W = X A, A = (lam I_M + X^H X)^-1 E_own, and
-    Z = E_own - lam A, exact as lam -> 0 whenever X has full column rank.
-    Returns W (..., N, S) and Z (..., M, S).
+    push-through form W = X A, A = (lam I_M + X^H X)^-1 E_own, exact as
+    lam -> 0 whenever X has full column rank.  Returns W (..., N, S).
 
     The RZF precoder (``link._rzf_columns``) is the only caller: on default
     drops a median of 12 matrices per call and at most about a hundred,
@@ -491,15 +488,14 @@ def lmmse_filter(x: np.ndarray, own, lam) -> tuple[np.ndarray, np.ndarray]:
         if m >= n:
             r = x @ xh
             r += lam * np.eye(n)
-            w = np.linalg.solve(r, np.take_along_axis(x, own, axis=-1))
-            return w, xh @ w
+            return np.linalg.solve(r, np.take_along_axis(x, own, axis=-1))
         g = xh @ x
         g += lam * np.eye(m)
         e_own = (np.arange(m)[:, None] == own).astype(np.complex128)
         a = np.linalg.solve(g, e_own)
     except np.linalg.LinAlgError as e:
         raise SingularMatrixError("LMMSE covariance is singular") from e
-    return x @ a, e_own - lam * a
+    return x @ a
 
 
 # Matrices per block of the ``lmmse_sinr`` kernel.  A block is a view

@@ -87,7 +87,7 @@ class SelectionPin:
 
     report: FeedbackReport
     subset_indices: list  # per cell, its N_CSI precoder indices
-    subsets: list  # per cell, its (N_CSI, NT, B_g) transmitted precoders
+    subsets: np.ndarray  # (C, N_CSI, NT, B_g): per cell, its transmitted precoders
     se: np.ndarray  # (U, N_CSI) achievable SE on each resource
     chosen: np.ndarray  # (U,) each user's CSI-RS resource
     beams: np.ndarray  # (C, U) each cell's strongest beam at each user
@@ -288,10 +288,11 @@ def csirs_sinr(h: np.ndarray, subsets: list,
     """LMMSE per-stream SINR for every user and CSI-RS resource.
 
     subsets: per cell, the ordered (N_CSI, NT, B_g) array of transmitted
-    precoders.  assoc: per-user serving cell.  G_c = H_c B_c,i; every
-    cell's B_g columns reach each user, and the serving cell's columns are
-    its desired streams.  The SINR is the LMMSE filter's output SINR, that
-    of ``autodiff.lmmse_sinr``, accurate at any SNR.
+    precoders, as a list or one stacked array.  assoc: per-user serving
+    cell.  G_c = H_c B_c,i; every cell's B_g columns reach each user, and
+    the serving cell's columns are its desired streams.  The SINR is the
+    LMMSE filter's output SINR, that of ``autodiff.lmmse_sinr``, accurate at
+    any SNR.
 
     Forward only: one GEMM forms every received signal and one transpose
     copy lays them out batch-last, (N_R, C*B_g, N_CSI*U*T*K).
@@ -310,7 +311,7 @@ def csirs_sinr(h: np.ndarray, subsets: list,
     # every cell's subset as one (C, NT, N_CSI*B_g) stack, so one GEMM forms
     # all received signals (C, U*T*K*N_R, N_CSI*B_g); the product is freed
     # once it is copied into the stack, before the kernel allocates
-    cols = np.swapaxes(np.stack(subsets).astype(np.complex128, copy=False), 1, 2)
+    cols = np.swapaxes(np.asarray(subsets, dtype=np.complex128), 1, 2)
     prod = hv.reshape(c_cells, -1, n_t) @ cols.reshape(c_cells, n_t, n_csi * b_g)
     xt = np.ascontiguousarray(
         prod.reshape(c_cells, n_users, t_slots, k_sub, n_rx, n_csi, b_g)
@@ -381,7 +382,9 @@ def decide(rsrp: np.ndarray, h, ssb_beams: list, precoders: list,
     memo = {} if memo is None else memo
     subset_idx = [select_csirs_subset(b, p, report, c, n_csi, memo).subset_indices
                   for c, (b, p) in enumerate(zip(ssb_beams, precoders))]
-    subsets = [p[idx] for p, idx in zip(precoders, subset_idx)]
+    # one C-ordered stack in any codebook layout (np.stack would keep a
+    # transposed one), so equal codebooks give equal bits
+    subsets = np.array([p[idx] for p, idx in zip(precoders, subset_idx)])
     se, chosen = achievable_se(csirs_sinr(h, subsets, report.b, sigma2).sinr)
     # per cell, the first maximum: at the serving cell that is report.m
     return SelectionPin(report=report, subset_indices=subset_idx, subsets=subsets,

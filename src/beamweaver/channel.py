@@ -31,6 +31,16 @@ SEED_LIMIT = 2 ** 44
 # most MAX_USERS: a BMCH header holds each dimension in a u32 word.
 MAX_USERS = 2 ** 32 - 1
 
+# Model constants of the channel, the same for every scene
+CELL_HEIGHT = 25.0  # m
+UE_HEIGHT = 1.5  # m
+UE_ELEMENT_SPACING = 0.5  # wavelengths, of the UE's vertical ULA
+BANDWIDTH = 100e6  # Hz, spanned by the sampled subcarrier grid
+DELAY_SPREAD = 100e-9  # s, mean of the exponential cluster delays
+PATHLOSS_EXPONENT = 3.0
+SHADOWING_SIGMA_DB = 6.0  # per link
+CLUSTER_SHADOWING_SIGMA_DB = 3.0  # per cluster
+
 # stream tags for Philox keying
 _TAG_USER = 1
 _TAG_LINK = 2
@@ -66,25 +76,17 @@ class ArrayGeometry:
 @dataclass(frozen=True)
 class ScenarioConfig:
     c_cells: int = 3
-    cell_positions: tuple = ()  # (x, y) meters; default built in __post_init__
-    cell_height: float = 25.0
-    ue_height: float = 1.5
     user_count_range: tuple = (8, 20)
-    bandwidth: float = 100e6
     subcarrier_spacing: float = 30e3
     k_subcarriers: int = 16  # sampled resource-block grid
     t_slots: int = 1
     cluster_count: int = 5
     rays_per_cluster: int = 10
-    delay_spread: float = 100e-9
     angle_spread_deg: float = 6.0
     tx_power_dBm: float = 30.0  # per-RE radiated power folded into H
     noise_figure_dB: float = 9.0
     n_rx: int = 4
     geometry: ArrayGeometry = field(default_factory=ArrayGeometry)
-    pathloss_exponent: float = 3.0
-    shadowing_sigma_dB: float = 6.0
-    cluster_shadowing_sigma_dB: float = 3.0
     # site-specific user distribution: hotspot mixture, fixed per scene seed
     scene_seed: int = 7
     n_hotspots: int = 6
@@ -97,14 +99,13 @@ class ScenarioConfig:
             raise ConfigError("need at least one cell")
         if self.user_count_range[0] > self.user_count_range[1] or self.user_count_range[0] < 1:
             raise ConfigError("bad user_count_range")
-        if not self.cell_positions:
-            d = self.inter_site_distance
-            ang = 2.0 * np.pi * np.arange(self.c_cells) / max(self.c_cells, 1)
-            r = d / np.sqrt(3.0) if self.c_cells > 1 else 0.0
-            pos = tuple((float(r * np.cos(a)), float(r * np.sin(a))) for a in ang)
-            object.__setattr__(self, "cell_positions", pos)
-        if len(self.cell_positions) != self.c_cells:
-            raise ConfigError("cell_positions length must equal c_cells")
+
+    @property
+    def cell_positions(self) -> list:
+        """(x, y) of each cell in meters: the origin, or a ring of radius ISD/sqrt(3)."""
+        ang = 2.0 * np.pi * np.arange(self.c_cells) / self.c_cells
+        r = self.inter_site_distance / np.sqrt(3.0) if self.c_cells > 1 else 0.0
+        return [(float(r * np.cos(a)), float(r * np.sin(a))) for a in ang]
 
 
 @dataclass
@@ -156,14 +157,14 @@ def array_response(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (geometry.n_panel,))
 
 
-def ue_array_response(n_rx: int, elevation, spacing: float = 0.5) -> np.ndarray:
+def ue_array_response(n_rx: int, elevation) -> np.ndarray:
     """UE vertical ULA response (elevation-steered), unit norm.
 
     Broadcasts over an array of elevations: returns shape (..., n_rx).
     """
     n = np.arange(n_rx)
     el = np.asarray(elevation, dtype=np.float64)[..., None]
-    return np.exp(1j * 2.0 * np.pi * spacing * n * np.sin(el)) / np.sqrt(n_rx)
+    return np.exp(1j * 2.0 * np.pi * UE_ELEMENT_SPACING * n * np.sin(el)) / np.sqrt(n_rx)
 
 
 def noise_variance(config: ScenarioConfig) -> float:
@@ -207,7 +208,7 @@ def _link_geometry(config: ScenarioConfig, cell: int, pos_xy: np.ndarray):
     """
     cx, cy = config.cell_positions[cell]
     dx, dy = pos_xy[..., 0] - cx, pos_xy[..., 1] - cy
-    dz = config.ue_height - config.cell_height
+    dz = UE_HEIGHT - CELL_HEIGHT
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     boresight = np.arctan2(-cy, -cx) if (cx, cy) != (0.0, 0.0) else 0.0
     az = np.arctan2(dy, dx) - boresight
@@ -235,9 +236,9 @@ def _link_draws(config: ScenarioConfig, seed: int, cell: int, n_users: int):
     rays = np.empty((n_users, n_cl, 7, n_ray))
     for u in range(n_users):
         rng = _stream(seed, _TAG_LINK, cell, u)
-        shadow[u] = rng.normal(scale=config.shadowing_sigma_dB)
-        clusters[u, 0] = rng.exponential(config.delay_spread, size=n_cl)
-        clusters[u, 1] = rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl)
+        shadow[u] = rng.normal(scale=SHADOWING_SIGMA_DB)
+        clusters[u, 0] = rng.exponential(DELAY_SPREAD, size=n_cl)
+        clusters[u, 1] = rng.normal(scale=CLUSTER_SHADOWING_SIGMA_DB, size=n_cl)
         clusters[u, 2] = rng.laplace(scale=spread, size=n_cl)
         clusters[u, 3] = rng.laplace(scale=spread / 2.0, size=n_cl)
         rng.uniform(-np.pi, np.pi, size=n_cl)
@@ -259,12 +260,12 @@ def _synthesize_cell(config: ScenarioConfig, seed: int, cell: int,
 
     # log-distance pathloss, free-space intercept at 1 m, plus shadowing
     fspl_1m = 20.0 * np.log10(geo.carrier_frequency) - 147.55
-    pl_db = fspl_1m + 10.0 * config.pathloss_exponent * np.log10(np.maximum(dist, 1.0))
+    pl_db = fspl_1m + 10.0 * PATHLOSS_EXPONENT * np.log10(np.maximum(dist, 1.0))
     pl_db += shadow
     amp = 10.0 ** ((config.tx_power_dBm - pl_db) / 20.0)  # (U,)
 
     delays = np.sort(clusters[:, 0], axis=-1)  # (U, n_cl)
-    cl_power = np.exp(-delays / config.delay_spread)
+    cl_power = np.exp(-delays / DELAY_SPREAD)
     cl_power *= 10.0 ** (clusters[:, 1] / 10.0)
     cl_power /= cl_power.sum(axis=-1, keepdims=True)
     cl_az = los_az[:, None] + clusters[:, 2]
@@ -288,7 +289,7 @@ def _synthesize_cell(config: ScenarioConfig, seed: int, cell: int,
         n_users, n_cl, config.n_rx * geo.n_elements)
 
     # baseband subcarrier offsets across the sampled grid
-    f_k = (np.arange(k_count) - k_count / 2.0) * (config.bandwidth / max(k_count, 1))
+    f_k = (np.arange(k_count) - k_count / 2.0) * (BANDWIDTH / max(k_count, 1))
     phase = amp[:, None, None] * np.exp(-2j * np.pi * f_k[:, None] * delays[:, None, :])
     slab = phase @ per_cluster  # (U, K, N_R * NT), polarization-major TX
     return slab.reshape(n_users, k_count, config.n_rx, geo.n_elements)

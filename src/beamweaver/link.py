@@ -18,6 +18,9 @@ from .autodiff import lmmse_filter, lmmse_sinr
 from .errors import ConfigError, ShapeError
 
 DIGITAL_PORTS = 32  # digital port budget per cell
+PORT_OVERSAMPLING = 4  # of the PMI's DFT basis over the B_g ports
+PMI_AMP_BITS = 3  # per wideband amplitude
+PMI_PHASE_BITS = 3  # per subband co-phase
 _PMI_LEAKAGE = 0.1  # scheduler model: per-stream mis-null leakage fraction
 
 
@@ -104,29 +107,28 @@ def estimate_channel(y: np.ndarray, sigma2: float,
     return BeamformedChannelEstimate(h_est=h_est, subband_of_k=sb_of_k)
 
 
-def port_dft(b_g: int, oversampling: int = 4) -> np.ndarray:
+def port_dft(b_g: int) -> np.ndarray:
     """Oversampled DFT basis over the B_g digital ports: (B_g, O*B_g)."""
     n = np.arange(b_g)[:, None]
-    m = np.arange(oversampling * b_g)[None, :]
-    return np.exp(2j * np.pi * n * m / (oversampling * b_g)) / np.sqrt(b_g)
+    m = np.arange(PORT_OVERSAMPLING * b_g)[None, :]
+    return np.exp(2j * np.pi * n * m / (PORT_OVERSAMPLING * b_g)) / np.sqrt(b_g)
 
 
-def quantize_pmi(estimate: BeamformedChannelEstimate, l_csi: int = 4,
-                 oversampling: int = 4, amp_bits: int | None = 3,
-                 phase_bits: int | None = 3) -> tuple[PmiFeedback, np.ndarray]:
+def quantize_pmi(estimate: BeamformedChannelEstimate,
+                 l_csi: int = 4) -> tuple[PmiFeedback, np.ndarray]:
     """Quantize the dominant beamformed direction per subband.
 
-    Beam selection is wideband (largest summed projections); amplitudes are
-    wideband and max-normalized; co-phases are per subband.  amp_bits or
-    phase_bits of None mean unquantized.  Returns (feedback, recon) with
-    recon of shape (U, S_B, B_g), unit-norm rows; an all-zero estimate maps
-    to the first basis column.
+    Beam selection is wideband (largest summed projections on ``port_dft``);
+    amplitudes are wideband, max-normalized, of PMI_AMP_BITS; co-phases are
+    per subband, of PMI_PHASE_BITS.  Returns (feedback, recon) with recon
+    of shape (U, S_B, B_g), unit-norm rows; an all-zero estimate maps to
+    the first basis column.
     """
     h = estimate.h_est
     n_users, s_b, n_rx, b_g = h.shape
-    if l_csi > b_g * oversampling:
+    if l_csi > b_g * PORT_OVERSAMPLING:
         raise ConfigError("l_csi exceeds the oversampled basis size")
-    basis = port_dft(b_g, oversampling)
+    basis = port_dft(b_g)
     nonzero = h.any(axis=(1, 2, 3))
     # leading right-singular vector and singular value per (user, subband)
     _, sv, vh = np.linalg.svd(h)
@@ -141,15 +143,13 @@ def quantize_pmi(estimate: BeamformedChannelEstimate, l_csi: int = 4,
     peak = a.max(axis=1)
     valid = nonzero & (peak > 0)
     a = a / np.where(valid, peak, 1.0)[:, None]
-    if amp_bits is not None:
-        levels = 2 ** amp_bits - 1
-        a = np.round(a * levels) / levels
+    levels = 2 ** PMI_AMP_BITS - 1
+    a = np.round(a * levels) / levels
     # global phase fixed so the strongest beam co-phase is zero
     ref = np.argmax(a, axis=1)
     ph = np.angle(sel * np.conj(sel[np.arange(n_users), ref])[:, None, :])
-    if phase_bits is not None:
-        step = 2.0 * np.pi / (2 ** phase_bits)
-        ph = np.ceil(ph / step - 0.5) * step
+    step = 2.0 * np.pi / (2 ** PMI_PHASE_BITS)
+    ph = np.ceil(ph / step - 0.5) * step
     amps = np.where(valid[:, None], a, 0.0)
     cophases = np.where(valid[:, None, None], ph, 0.0)
     # recon[u, s] = sum_l a[u, l] e^{j ph[u, l, s]} basis[:, beams[u, l]]
@@ -172,33 +172,32 @@ def _cross_channels(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return (rows[..., :, None, None, :] @ grams)[..., 0, :]
 
 
-def _rzf_columns(cross: np.ndarray, sigma2: float, n_ports: int) -> np.ndarray:
+def _rzf_columns(cross: np.ndarray, sigma2: float) -> np.ndarray:
     """Unit-norm RZF digital columns for a batch of schedules.
 
     cross: (..., U_a, U_a, B_g) effective cross-channels of each schedule.
-    Column u is (H_u^H H_u + U_a * n_ports * sigma2 * I)^-1 H_u^H e_u with
-    H_u = cross[..., :, u, :]: the ``lmmse_filter`` of X = H_u^H for own
-    column u, exact down to the zero-forcing limit.  It is then
+    Column u is (H_u^H H_u + U_a * DIGITAL_PORTS * sigma2 * I)^-1 H_u^H e_u
+    with H_u = cross[..., :, u, :]: the ``lmmse_filter`` of X = H_u^H for
+    own column u, exact down to the zero-forcing limit.  It is then
     unit-normalized (a zero solution stays zero).  Returns (..., U_a, B_g).
     """
     n_a = cross.shape[-2]
     x = np.conj(np.moveaxis(cross, -3, -1))  # x[..., u, :, i] = conj(H_u[i])
-    f = lmmse_filter(x, np.arange(n_a)[:, None], n_a * n_ports * sigma2)[0][..., 0]
+    f = lmmse_filter(x, np.arange(n_a)[:, None], n_a * DIGITAL_PORTS * sigma2)[..., 0]
     norm = np.linalg.norm(f, axis=-1, keepdims=True)
     return np.where(norm > 0, f / np.where(norm > 0, norm, 1.0), 0.0)
 
 
 def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
                     subset_precoders: np.ndarray, users: list[int],
-                    sigma2: float, subband_of_k: np.ndarray,
-                    n_ports: int = DIGITAL_PORTS) -> PrecoderSet:
+                    sigma2: float, subband_of_k: np.ndarray) -> PrecoderSet:
     """Assemble one cell's hybrid precoder for the scheduled users.
 
     recon/gains: PMI reconstruction (U, S_B, B_g) and (U, S_B);
     chosen: per-user CSI-RS resource; subset_precoders: (N_CSI, NT, B_g)
     transmitted subset stack.  Digital blocks are per-subband RZF columns
-    with regularization U_a * n_ports * sigma2, unit-normalized, assembled
-    block-diagonally.
+    with regularization U_a * DIGITAL_PORTS * sigma2, unit-normalized,
+    assembled block-diagonally.
     """
     users = sorted(int(u) for u in users)
     n_a = len(users)
@@ -211,7 +210,7 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     blocks = subset_precoders[np.asarray(chosen)[users]]  # (U_a, NT, B_g)
     analog = np.swapaxes(blocks, 0, 1).reshape(n_t, n_a * b_g)
     rows = np.swapaxes(gains[users, :, None] * np.conj(recon[users]), 0, 1)
-    cols = _rzf_columns(_cross_channels(rows, blocks), sigma2, n_ports)
+    cols = _rzf_columns(_cross_channels(rows, blocks), sigma2)
     digital = np.zeros((s_b, n_a * b_g, n_a), dtype=np.complex128)
     digital[:, np.arange(n_a * b_g), np.repeat(np.arange(n_a), b_g)] = \
         cols.reshape(s_b, n_a * b_g)
@@ -249,10 +248,10 @@ def _wideband_profile(recon: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, acc / np.where(norms > 0, norms, 1.0), acc)
 
 
-def _sum_se(cross: np.ndarray, sigma2: float, n_ports: int) -> np.ndarray:
+def _sum_se(cross: np.ndarray, sigma2: float) -> np.ndarray:
     """Model-based sum SE of a batch of schedules: (..., U_a, U_a, B_g) -> (...)."""
     n_a = cross.shape[-2]
-    cols = _rzf_columns(cross, sigma2, n_ports)
+    cols = _rzf_columns(cross, sigma2)
     g2 = np.abs(np.einsum("...ivb,...vb->...iv", cross, cols)) ** 2
     p = 1.0 / n_a  # equal power split across scheduled users
     sig = p * np.diagonal(g2, axis1=-2, axis2=-1)
@@ -314,20 +313,19 @@ def _clear_single(alone: np.ndarray, n_max: int) -> int | None:
     return top if se[top] > ceiling * (1.0 + 1e-9) + 1e-12 else None
 
 
-def _sets_se(cross: np.ndarray, sets: list[tuple], sigma2: float,
-             n_ports: int) -> list[float]:
+def _sets_se(cross: np.ndarray, sets: list[tuple], sigma2: float) -> list[float]:
     """Sum SE of equal-size candidate sets (positions into ``cross``)."""
     idx = np.array(sets)
-    return _sum_se(cross[idx[:, :, None], idx[:, None, :]], sigma2, n_ports).tolist()
+    return _sum_se(cross[idx[:, :, None], idx[:, None, :]], sigma2).tolist()
 
 
 def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
                    subset_precoders: np.ndarray, candidates: list[int],
-                   sigma2: float, n_ports: int = DIGITAL_PORTS) -> list[int]:
+                   sigma2: float) -> list[int]:
     """Multi-start greedy schedule maximizing estimated sum SE.
 
     One greedy growth per forced first user (adding users while the estimate
-    improves and the digital port budget len(schedule) * B_g <= n_ports
+    improves and the digital port budget len(schedule) * B_g <= DIGITAL_PORTS
     allows), each polished by drop and one-for-one swap moves until no such
     move improves the estimate; the best schedule over all starts wins, the
     first in start order on a tie.
@@ -341,7 +339,7 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     With leakage L > 0, a set of n >= 2 users scores below
     C(n) = n log2(1 + 1 / (L (n-1))) (6.92, 7.75, ..., 10.24 bits for
     n = 2..8 at L = 0.1), and a schedule never holds more than
-    n_max = min(len(candidates), n_ports // B_g) users: growth checks the
+    n_max = min(len(candidates), DIGITAL_PORTS // B_g) users: growth checks the
     port budget and polish keeps or shrinks a schedule.  If the best single
     user u* has a finite estimate above 0, above every other single and
     above C(n) for n = 2..n_max, then the start at u* never moves (every
@@ -357,11 +355,11 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     """
     b_g = subset_precoders.shape[2]
     cand = sorted(int(u) for u in candidates)
-    if not cand or b_g > n_ports:
+    if not cand or b_g > DIGITAL_PORTS:
         return []
     alone = _single_se(recon[cand], gains[cand],
                        subset_precoders[np.asarray(chosen)[cand]], sigma2)
-    top = _clear_single(alone, min(len(cand), n_ports // b_g))
+    top = _clear_single(alone, min(len(cand), DIGITAL_PORTS // b_g))
     if top is not None:
         return [cand[top]]
     cross = _candidate_cross(cand, _wideband_profile(recon), gains.mean(axis=1),
@@ -372,7 +370,7 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
         keys = [tuple(sorted(s)) for s in sets]
         new = [k for k in dict.fromkeys(keys) if k not in memo]
         if new:
-            memo.update(zip(new, _sets_se(cross, new, sigma2, n_ports)))
+            memo.update(zip(new, _sets_se(cross, new, sigma2)))
         return [memo[k] for k in keys]
 
     def best_trial(base, extra):
@@ -383,7 +381,7 @@ def schedule_users(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     for first, se in enumerate(scores([[u] for u in range(len(cand))])):
         schedule = [first]
         remaining = [u for u in range(len(cand)) if u != first]
-        while remaining and (len(schedule) + 1) * b_g <= n_ports:
+        while remaining and (len(schedule) + 1) * b_g <= DIGITAL_PORTS:
             se_new, pick = best_trial(schedule, remaining)
             if se_new <= se:
                 break

@@ -67,7 +67,7 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
     # signal / interference+noise decomposition at the selected resource:
     # v[u] = H[b_u, u] F_u, one product per user on a view of its channel
-    f = np.stack(subsets)[report.b, chosen]  # (U, NT, B_g)
+    f = subsets[report.b, chosen]  # (U, NT, B_g)
     v = np.empty(hv.shape[1:-1] + f.shape[-1:], dtype=np.complex128)
     for u in users:
         np.matmul(hv[report.b[u], u], f[u], out=v[u])

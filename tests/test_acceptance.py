@@ -262,15 +262,13 @@ def test_c8_rzf_zero_forcing_and_matched_filter_limits():
     for _ in range(20):
         rows = rng.standard_normal((2, b_g)) + 1j * rng.standard_normal((2, b_g))
         blocks = np.broadcast_to(np.eye(b_g), (2, b_g, b_g))  # B_i^H B_u = I
-        cols = link._rzf_columns(link._cross_channels(rows, blocks),
-                                 sigma2=1e-12, n_ports=8)
+        cols = link._rzf_columns(link._cross_channels(rows, blocks), sigma2=1e-12)
         for i in range(2):
             for v in range(2):
                 if i != v:
                     leak = abs(rows[i] @ cols[v]) / abs(rows[i] @ cols[i])
                     assert 20.0 * np.log10(leak) < -40.0
-        cols = link._rzf_columns(link._cross_channels(rows, blocks),
-                                 sigma2=1e9, n_ports=8)
+        cols = link._rzf_columns(link._cross_channels(rows, blocks), sigma2=1e9)
         for i in range(2):
             mf = np.conj(rows[i]) / np.linalg.norm(rows[i])
             assert abs(np.vdot(mf, cols[i])) > 0.999
@@ -299,9 +297,9 @@ def test_c9_greedy_within_5pct_of_exhaustive():
         best = test_link._reference_schedule_users_exhaustive(
             recon, gains, chosen, subset, cand, sigma2, link.DIGITAL_PORTS)
         se_g = test_link._estimated_sum_se(greedy, recon_wb, gains_wb, chosen,
-                                           subset, sigma2, link.DIGITAL_PORTS)
+                                           subset, sigma2)
         se_b = test_link._estimated_sum_se(best, recon_wb, gains_wb, chosen,
-                                           subset, sigma2, link.DIGITAL_PORTS)
+                                           subset, sigma2)
         assert se_g >= 0.95 * se_b
     assert time.time() - t0 < 300.0
 

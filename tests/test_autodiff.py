@@ -284,6 +284,13 @@ def test_lmmse_sinr_matches_frozen_lapack_reference(case):
         assert not got_dx[[0, 3], :, 1].any()
 
 
+@pytest.mark.parametrize("case", ["wide-one-stream", "tall-one-stream", "tall-four-streams"])
+def test_lmmse_filter_gives_the_frozen_filters_bit_for_bit(case):
+    # W alone, from the same operations as when Z came with it
+    x, own, lam = _sinr_case(case)
+    assert np.array_equal(ad.lmmse_filter(x, own, lam), _frozen_lmmse_filter(x, own, lam)[0])
+
+
 @pytest.mark.parametrize("own", [[0, 6], [-1, 2]])
 def test_lmmse_sinr_rejects_own_columns_outside_x(own):
     # a flat index one past a stream's columns would read the next stream's

@@ -1,4 +1,5 @@
 """Channel synthesis, array responses, noise figures, BMCH dump I/O."""
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -135,8 +136,9 @@ def test_energy_linearity_in_tx_power():
     np.testing.assert_allclose(b, 10.0 * a, rtol=1e-5)
 
 
-def test_zero_delay_is_frequency_flat():
-    cfg = _tiny_config(delay_spread=1e-30, k_subcarriers=4)
+def test_zero_delay_is_frequency_flat(monkeypatch):
+    monkeypatch.setattr(ch, "DELAY_SPREAD", 1e-30)
+    cfg = _tiny_config(k_subcarriers=4)
     h = ch.generate_channels(cfg, seed=5, n_users=1).values[0, 0, 0]
     for k in range(1, 4):
         np.testing.assert_allclose(h[k], h[0], rtol=1e-5, atol=1e-12)
@@ -148,6 +150,20 @@ def test_t_slots_repeat_the_single_slot_tensor():
     assert three.shape[2] == 3
     for t in range(3):
         assert np.array_equal(three[:, :, t], one[:, :, 0])
+
+
+@pytest.mark.parametrize("over", [{"inter_site_distance": 500.0}, {"c_cells": 2},
+                                  {"c_cells": 1}], ids=["isd-500", "cells-2", "cells-1"])
+def test_replaced_config_synthesizes_as_a_fresh_one(over):
+    # the cells' ring follows c_cells and inter_site_distance, so a config
+    # from dataclasses.replace gives the channels of one built anew
+    replaced, fresh = dataclasses.replace(ch.ScenarioConfig(), **over), ch.ScenarioConfig(**over)
+    assert replaced.cell_positions == fresh.cell_positions
+    assert np.array_equal(ch.generate_channels(replaced, 3, n_users=2).values,
+                          ch.generate_channels(fresh, 3, n_users=2).values)
+    radius = over.get("inter_site_distance", 250.0) / np.sqrt(3.0)
+    assert np.hypot(*replaced.cell_positions[-1]) == pytest.approx(
+        radius if replaced.c_cells > 1 else 0.0)
 
 
 # Frozen reference: the per-ray synthesis loop and ray accumulation that the
@@ -174,23 +190,23 @@ def _reference_synthesize_link(config, seed, cell, user, pos_xy):
     dist, los_az, los_el = ch._link_geometry(config, cell, pos_xy)
 
     fspl_1m = 20.0 * np.log10(geo.carrier_frequency) - 147.55
-    pl_db = fspl_1m + 10.0 * config.pathloss_exponent * np.log10(max(dist, 1.0))
-    pl_db += rng.normal(scale=config.shadowing_sigma_dB)
+    pl_db = fspl_1m + 10.0 * ch.PATHLOSS_EXPONENT * np.log10(max(dist, 1.0))
+    pl_db += rng.normal(scale=ch.SHADOWING_SIGMA_DB)
     amp = 10.0 ** ((config.tx_power_dBm - pl_db) / 20.0)
 
     n_cl, n_ray = config.cluster_count, config.rays_per_cluster
     spread = np.deg2rad(config.angle_spread_deg)
 
-    delays = np.sort(rng.exponential(config.delay_spread, size=n_cl))
-    cl_power = np.exp(-delays / config.delay_spread)
-    cl_power *= 10.0 ** (rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl) / 10.0)
+    delays = np.sort(rng.exponential(ch.DELAY_SPREAD, size=n_cl))
+    cl_power = np.exp(-delays / ch.DELAY_SPREAD)
+    cl_power *= 10.0 ** (rng.normal(scale=ch.CLUSTER_SHADOWING_SIGMA_DB, size=n_cl) / 10.0)
     cl_power /= cl_power.sum()
     cl_az = los_az + rng.laplace(scale=spread, size=n_cl)
     cl_el = los_el + rng.laplace(scale=spread / 2.0, size=n_cl)
     rng.uniform(-np.pi, np.pi, size=n_cl)  # cluster AoA azimuths (unused)
     cl_aoa_el = -cl_el + rng.normal(scale=spread, size=n_cl)
 
-    f_k = (np.arange(k_count) - k_count / 2.0) * (config.bandwidth / max(k_count, 1))
+    f_k = (np.arange(k_count) - k_count / 2.0) * (ch.BANDWIDTH / max(k_count, 1))
 
     n_rays = n_cl * n_ray
     phase = np.empty((n_rays, k_count), dtype=np.complex128)
@@ -261,9 +277,9 @@ def _reference_link_draws(config, seed, cell, user):
     rng = ch._stream(seed, ch._TAG_LINK, cell, user)
     n_cl, n_ray = config.cluster_count, config.rays_per_cluster
     spread = np.deg2rad(config.angle_spread_deg)
-    shadow = rng.normal(scale=config.shadowing_sigma_dB)
-    delays = np.sort(rng.exponential(config.delay_spread, size=n_cl))
-    cl_shadow = rng.normal(scale=config.cluster_shadowing_sigma_dB, size=n_cl)
+    shadow = rng.normal(scale=ch.SHADOWING_SIGMA_DB)
+    delays = np.sort(rng.exponential(ch.DELAY_SPREAD, size=n_cl))
+    cl_shadow = rng.normal(scale=ch.CLUSTER_SHADOWING_SIGMA_DB, size=n_cl)
     cl_az = rng.laplace(scale=spread, size=n_cl)
     cl_el = rng.laplace(scale=spread / 2.0, size=n_cl)
     rng.uniform(-np.pi, np.pi, size=n_cl)

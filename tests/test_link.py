@@ -63,7 +63,7 @@ def test_estimate_mse_decreases_with_averaging():
 
 def test_pmi_recovers_basis_column():
     b_g, s_b = 4, 2
-    basis = link.port_dft(b_g, oversampling=4)
+    basis = link.port_dft(b_g)
     v = basis[:, 5]
     h = np.zeros((1, s_b, 2, b_g), dtype=np.complex128)
     h[0, :, 0] = np.conj(v)  # rank-1 channel whose right vector is v
@@ -73,21 +73,6 @@ def test_pmi_recovers_basis_column():
     for s in range(s_b):
         corr = abs(np.vdot(v, recon[0, s])) / np.linalg.norm(v)
         assert corr >= 0.98
-
-
-def test_pmi_complete_basis_unquantized_is_exact():
-    rng = np.random.default_rng(4)
-    b_g, s_b = 4, 2
-    vec = rng.standard_normal(b_g) + 1j * rng.standard_normal(b_g)
-    vec /= np.linalg.norm(vec)
-    h = np.zeros((1, s_b, 3, b_g), dtype=np.complex128)
-    h[0, :, 0] = np.conj(vec)
-    est = link.BeamformedChannelEstimate(h_est=h,
-                                         subband_of_k=link.subband_map(4, s_b))
-    fb, recon = link.quantize_pmi(est, l_csi=b_g, oversampling=1,
-                                  amp_bits=None, phase_bits=None)
-    for s in range(s_b):
-        assert abs(np.vdot(vec, recon[0, s])) > 1.0 - 1e-9
 
 
 def test_pmi_zero_estimate_degenerate_rule():
@@ -152,8 +137,7 @@ def test_rzf_zero_forcing_limit():
     b_g = 4
     rows = rng.standard_normal((2, b_g)) + 1j * rng.standard_normal((2, b_g))
     blocks = np.broadcast_to(np.eye(b_g), (2, b_g, b_g))  # B_i^H B_u = I
-    cols = link._rzf_columns(link._cross_channels(rows, blocks),
-                             sigma2=1e-12, n_ports=8)
+    cols = link._rzf_columns(link._cross_channels(rows, blocks), sigma2=1e-12)
     for i in range(2):
         for v in range(2):
             if i != v:
@@ -166,8 +150,7 @@ def test_rzf_matched_filter_limit():
     b_g = 4
     rows = rng.standard_normal((2, b_g)) + 1j * rng.standard_normal((2, b_g))
     blocks = np.broadcast_to(np.eye(b_g), (2, b_g, b_g))  # B_i^H B_u = I
-    cols = link._rzf_columns(link._cross_channels(rows, blocks),
-                             sigma2=1e9, n_ports=8)
+    cols = link._rzf_columns(link._cross_channels(rows, blocks), sigma2=1e9)
     for i in range(2):
         mf = np.conj(rows[i]) / np.linalg.norm(rows[i])
         cos = abs(np.vdot(mf, cols[i]))
@@ -193,10 +176,11 @@ def test_schedule_skips_identical_clone():
 
 
 def test_schedule_port_budget_bound():
+    # port groups as wide as the whole budget leave room for one user
     rng = np.random.default_rng(11)
-    subset, recon, gains, chosen = _one_cell_setup(rng, n_users=4)
-    sched = link.schedule_users(recon, gains, chosen, subset, [0, 1, 2, 3], 0.1,
-                                n_ports=subset.shape[2])
+    subset, recon, gains, chosen = _one_cell_setup(rng, n_users=4, n_t=64,
+                                                   b_g=link.DIGITAL_PORTS)
+    sched = link.schedule_users(recon, gains, chosen, subset, [0, 1, 2, 3], 0.1)
     assert len(sched) == 1
 
 
@@ -208,11 +192,9 @@ def test_schedule_never_below_best_singleton():
         sched = link.schedule_users(recon, gains, chosen, subset, cand, 0.2)
         recon_wb = link._wideband_profile(recon)
         gains_wb = gains.mean(axis=1)
-        se_sched = _estimated_sum_se(sched, recon_wb, gains_wb, chosen,
-                                     subset, 0.2, link.DIGITAL_PORTS)
-        best_single = max(
-            _estimated_sum_se([u], recon_wb, gains_wb, chosen, subset,
-                              0.2, link.DIGITAL_PORTS) for u in cand)
+        se_sched = _estimated_sum_se(sched, recon_wb, gains_wb, chosen, subset, 0.2)
+        best_single = max(_estimated_sum_se([u], recon_wb, gains_wb, chosen, subset, 0.2)
+                          for u in cand)
         assert se_sched >= best_single - 1e-12
 
 
@@ -236,10 +218,8 @@ def test_greedy_close_to_exhaustive_small():
     greedy = link.schedule_users(recon, gains, chosen, subset, cand, 0.2)
     best = _reference_schedule_users_exhaustive(recon, gains, chosen, subset, cand,
                                                 0.2, link.DIGITAL_PORTS)
-    se_g = _estimated_sum_se(greedy, recon_wb, gains_wb, chosen, subset,
-                             0.2, link.DIGITAL_PORTS)
-    se_b = _estimated_sum_se(best, recon_wb, gains_wb, chosen, subset,
-                             0.2, link.DIGITAL_PORTS)
+    se_g = _estimated_sum_se(greedy, recon_wb, gains_wb, chosen, subset, 0.2)
+    se_b = _estimated_sum_se(best, recon_wb, gains_wb, chosen, subset, 0.2)
     assert se_g >= 0.95 * se_b
 
 
@@ -340,11 +320,10 @@ def test_allocation_fractions_sum_to_one():
 # quantization one (user, subband) SVD at a time, RZF one least-squares solve
 # per user, and a scheduler that rebuilds the Gram tensor for every trial set.
 
-def _reference_quantize_pmi(estimate, l_csi=4, oversampling=4, amp_bits=3,
-                            phase_bits=3):
+def _reference_quantize_pmi(estimate, l_csi=4):
     h = estimate.h_est
     n_users, s_b, n_rx, b_g = h.shape
-    basis = link.port_dft(b_g, oversampling)
+    basis = link.port_dft(b_g)
     beams = np.zeros((n_users, l_csi), dtype=int)
     amps = np.zeros((n_users, l_csi))
     cophases = np.zeros((n_users, l_csi, s_b))
@@ -367,14 +346,12 @@ def _reference_quantize_pmi(estimate, l_csi=4, oversampling=4, amp_bits=3,
         peak = a.max()
         if peak > 0:
             a = a / peak
-            if amp_bits is not None:
-                levels = 2 ** amp_bits - 1
-                a = np.round(a * levels) / levels
+            levels = 2 ** 3 - 1  # 3-bit amplitudes
+            a = np.round(a * levels) / levels
             ref = int(np.argmax(a))
             ph = np.angle(sel * np.conj(sel[ref]))
-            if phase_bits is not None:
-                step = 2.0 * np.pi / (2 ** phase_bits)
-                ph = np.ceil(ph / step - 0.5) * step
+            step = 2.0 * np.pi / (2 ** 3)  # 3-bit co-phases
+            ph = np.ceil(ph / step - 0.5) * step
             amps[u], cophases[u] = a, ph
             for s in range(s_b):
                 w = (a * np.exp(1j * ph[:, s]))[None, :] * basis[:, beams[u]]
@@ -401,12 +378,11 @@ def _reference_rzf_blocks(rows, grams, sigma2, n_ports):
     return cols
 
 
-def _estimated_sum_se(cand, recon_wb, gains_wb, chosen, subset_precoders, sigma2,
-                      n_ports):
+def _estimated_sum_se(cand, recon_wb, gains_wb, chosen, subset_precoders, sigma2):
     """The scheduler's model-based sum SE of one candidate set, through the
     same cross-channel and SE kernels that ``link.schedule_users`` scores with."""
     cross = link._candidate_cross(cand, recon_wb, gains_wb, chosen, subset_precoders)
-    return float(link._sum_se(cross, sigma2, n_ports))
+    return float(link._sum_se(cross, sigma2))
 
 
 def _reference_estimated_sum_se(cand, recon_wb, gains_wb, chosen,
@@ -506,7 +482,9 @@ def _reference_schedule_users_exhaustive(recon, gains, chosen, subset_precoders,
 def _random_instance(rng):
     """Scheduler input spanning U 1-12, B_g 1/2/4, sigma2 1e-6..1e2 and a
     binding port budget half the time; 1-3 resources, so users share them,
-    and half the time an exact clone of one user, so trial sets tie."""
+    and half the time an exact clone of one user, so trial sets tie.
+    Returns the ``schedule_users`` arguments, a list, and the port budget
+    that a test sets as ``link.DIGITAL_PORTS``."""
     n_users = int(rng.integers(1, 13))
     b_g = int(rng.choice([1, 2, 4]))
     subset, recon, gains, chosen = _one_cell_setup(
@@ -519,7 +497,7 @@ def _random_instance(rng):
                else link.DIGITAL_PORTS)
     cand = sorted(rng.choice(n_users, size=int(rng.integers(1, n_users + 1)),
                              replace=False).tolist())
-    return recon, gains, chosen, subset, cand, sigma2, n_ports
+    return [recon, gains, chosen, subset, cand, sigma2], n_ports
 
 
 @pytest.fixture(scope="module")
@@ -563,8 +541,7 @@ def _assert_pmi_matches_reference(estimate, **kw):
     np.testing.assert_allclose(recon, want_recon, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("bits", [(3, 3), (2, 4), (None, None)])
-def test_quantize_pmi_matches_frozen_per_user_loop(bits):
+def test_quantize_pmi_matches_frozen_per_user_loop():
     rng = np.random.default_rng(20)
     for n_users, s_b, n_rx, b_g, l_csi in [(5, 4, 2, 4, 4), (3, 8, 4, 2, 3),
                                            (4, 1, 1, 1, 2), (6, 3, 3, 4, 8)]:
@@ -572,8 +549,7 @@ def test_quantize_pmi_matches_frozen_per_user_loop(bits):
         h[1] = 0.0  # an all-zero estimate takes the degenerate rule
         est = link.BeamformedChannelEstimate(
             h_est=h, subband_of_k=link.subband_map(s_b, s_b))
-        _assert_pmi_matches_reference(est, l_csi=l_csi, amp_bits=bits[0],
-                                      phase_bits=bits[1])
+        _assert_pmi_matches_reference(est, l_csi=l_csi)
 
 
 def test_quantize_pmi_matches_frozen_loop_on_default_drops(default_drop_inputs):
@@ -581,15 +557,15 @@ def test_quantize_pmi_matches_frozen_loop_on_default_drops(default_drop_inputs):
         _assert_pmi_matches_reference(estimate, **kw)
 
 
-def test_estimated_sum_se_matches_frozen_reference():
+def test_estimated_sum_se_matches_frozen_reference(monkeypatch):
     rng = np.random.default_rng(21)
     for _ in range(100):
-        recon, gains, chosen, subset, cand, sigma2, n_ports = _random_instance(rng)
+        (recon, gains, chosen, subset, cand, sigma2), n_ports = _random_instance(rng)
+        monkeypatch.setattr(link, "DIGITAL_PORTS", n_ports)
         recon_wb, gains_wb = link._wideband_profile(recon), gains.mean(axis=1)
         for r in range(1, len(cand) + 1):
             users = sorted(rng.choice(cand, size=r, replace=False).tolist())
-            got = _estimated_sum_se(users, recon_wb, gains_wb, chosen,
-                                    subset, sigma2, n_ports)
+            got = _estimated_sum_se(users, recon_wb, gains_wb, chosen, subset, sigma2)
             want = _reference_estimated_sum_se(users, recon_wb, gains_wb, chosen,
                                                subset, sigma2, n_ports)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -619,10 +595,11 @@ def test_schedulers_match_frozen_reference_on_random_instances(monkeypatch):
     rng = np.random.default_rng(22)
     paths = {True: Counter(), False: Counter()}  # searched or not -> kinds seen
     for _ in range(150):
-        args = _random_instance(rng)
+        args, n_ports = _random_instance(rng)
+        monkeypatch.setattr(link, "DIGITAL_PORTS", n_ports)
         before = len(searched)
-        assert link.schedule_users(*args) == _reference_schedule_users(*args)
-        recon, gains, chosen, subset, cand, _, n_ports = args
+        assert link.schedule_users(*args) == _reference_schedule_users(*args, n_ports)
+        recon, gains, chosen, subset, cand, _ = args
         kinds = paths[len(searched) > before]
         kinds["all"] += 1
         kinds["clone"] += _has_clone(recon, gains, chosen, cand)
@@ -638,14 +615,22 @@ def test_single_user_shortcut_returns_the_search_result(monkeypatch):
     # off; half of them at a SINR of 1e-20..1e-8, where log2(1 + SINR)
     # rounds in absolute terms and only the 1e-12-bit margin separates users
     rng = np.random.default_rng(24)
-    runs = [list(_random_instance(rng)) for _ in range(200)]
-    for args in runs[1::2]:
+    runs = [_random_instance(rng) for _ in range(200)]
+    for args, _ in runs[1::2]:
         args[5] *= 10.0 ** rng.uniform(10.0, 18.0)  # sigma2
     searched = _spy_search(monkeypatch)
-    fast = [link.schedule_users(*args) for args in runs]
+
+    def schedules():
+        out = []
+        for args, n_ports in runs:
+            monkeypatch.setattr(link, "DIGITAL_PORTS", n_ports)
+            out.append(link.schedule_users(*args))
+        return out
+
+    fast = schedules()
     assert len(runs) - len(searched) >= 60
     monkeypatch.setattr(link, "_clear_single", lambda alone, n_max: None)
-    assert [link.schedule_users(*args) for args in runs] == fast
+    assert schedules() == fast
 
 
 def test_schedule_matches_frozen_reference_on_default_drops(default_drop_inputs):
@@ -685,7 +670,7 @@ def test_multi_user_sum_se_stays_below_the_ceiling(n, b_g, log_sigma2, log_scale
     rng = np.random.default_rng(seed)
     cross = 10.0 ** log_scale * (rng.standard_normal((6, n, n, b_g))
                                  + 1j * rng.standard_normal((6, n, n, b_g)))
-    se = link._sum_se(cross, 10.0 ** log_sigma2, link.DIGITAL_PORTS)
+    se = link._sum_se(cross, 10.0 ** log_sigma2)
     # below C(n) up to rounding: where RZF nulls every stream and sigma2 is
     # negligible, a set can reach C(n) in floating point
     assert np.all(se <= _ceiling(n) * (1.0 + 1e-12))
@@ -702,20 +687,17 @@ def test_sets_se_gives_each_set_the_same_bits_in_any_batch(size):
         cross = rng.standard_normal((10, 10, b_g)) + 1j * rng.standard_normal((10, 10, b_g))
         sets = [tuple(sorted(rng.choice(10, size=size, replace=False).tolist()))
                 for _ in range(24)]
-        alone = [link._sets_se(cross, [s], 0.3, link.DIGITAL_PORTS)[0] for s in sets]
-        assert link._sets_se(cross, sets, 0.3, link.DIGITAL_PORTS) == alone
+        alone = [link._sets_se(cross, [s], 0.3)[0] for s in sets]
+        assert link._sets_se(cross, sets, 0.3) == alone
         order = rng.permutation(len(sets))
-        assert (link._sets_se(cross, [sets[i] for i in order], 0.3, link.DIGITAL_PORTS)
-                == [alone[i] for i in order])
+        assert link._sets_se(cross, [sets[i] for i in order], 0.3) == [alone[i] for i in order]
         for lo, hi in ((0, 2), (3, 8), (5, 20)):
-            assert link._sets_se(cross, sets[lo:hi], 0.3, link.DIGITAL_PORTS) == alone[lo:hi]
+            assert link._sets_se(cross, sets[lo:hi], 0.3) == alone[lo:hi]
 
 
-def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
-                                  n_ports):
+def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2):
     ps = link.build_precoders(recon, gains, chosen, subset, users, sigma2,
-                              link.subband_map(recon.shape[1], recon.shape[1]),
-                              n_ports)
+                              link.subband_map(recon.shape[1], recon.shape[1]))
     users, b_g = ps.users, subset.shape[2]
     blocks = np.stack([subset[chosen[u]] for u in users])
     np.testing.assert_array_equal(ps.analog, np.concatenate(list(blocks), axis=1))
@@ -723,26 +705,26 @@ def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
     for s in range(recon.shape[1]):
         rows = np.stack([gains[u, s] * np.conj(recon[u, s]) for u in users])
         want = np.zeros((len(users) * b_g, len(users)), dtype=np.complex128)
-        for j, col in enumerate(_reference_rzf_blocks(rows, grams, sigma2, n_ports)):
+        for j, col in enumerate(_reference_rzf_blocks(rows, grams, sigma2,
+                                                      link.DIGITAL_PORTS)):
             want[j * b_g:(j + 1) * b_g, j] = col
         # column-wise: every column's error norm within 1e-12 of its norm
         err = np.linalg.norm(ps.digital[s] - want, axis=0)
         assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=0)), err
 
 
-def test_rzf_columns_match_frozen_per_user_loop():
+def test_rzf_columns_match_frozen_per_user_loop(monkeypatch):
     rng = np.random.default_rng(23)
     for _ in range(100):
-        recon, gains, chosen, subset, cand, sigma2, n_ports = _random_instance(rng)
-        _assert_rzf_matches_reference(recon, gains, chosen, subset, cand, sigma2,
-                                      n_ports)
+        args, n_ports = _random_instance(rng)
+        monkeypatch.setattr(link, "DIGITAL_PORTS", n_ports)
+        _assert_rzf_matches_reference(*args)
 
 
 def test_rzf_columns_match_frozen_loop_on_default_drops(default_drop_inputs):
     for recon, gains, chosen, subset, cand, sigma2 in default_drop_inputs[1]:
         users = link.schedule_users(recon, gains, chosen, subset, cand, sigma2)
-        _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2,
-                                      link.DIGITAL_PORTS)
+        _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2)
 
 
 # ------------- frozen per-RE reference of the batched ESSE scoring -------------
