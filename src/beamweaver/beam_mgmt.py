@@ -1,21 +1,21 @@
 """Beam-management protocol core.
 
-SSB sweep RSRP (measured and differentiable), network feedback aggregation,
-CSI-RS subset selection, LMMSE combining / SINR, and achievable spectral
-efficiency.
+SSB sweep RSRP (measured, noise-free and differentiable at chosen beams),
+network feedback aggregation, CSI-RS subset selection, LMMSE combining /
+SINR, and achievable spectral efficiency.
 
-Two kinds of stage.  ``decide``, the one decision path of evaluation and
-training, takes plain arrays and an RSRP tensor, measured (``measure_rsrp``)
-or noise-free (``rsrp_tensor``), and runs feedback, subsets and
-``csirs_sinr`` over all N_CSI resources to decide association, subsets and
-each user's resource.  Training then differentiates only what its loss
+Two kinds of stage.  The sweeps run forward only, on plain arrays:
+``measure_rsrp`` and ``rsrp_tensor`` over every SSB beam, ``csirs_sinr``
+over all N_CSI resources.  ``decide``, the one decision path of evaluation
+and training, takes a (C, L, U) RSRP array, measured or noise-free, and
+runs feedback, subsets and ``csirs_sinr`` to decide association, subsets
+and each user's resource.  Training then differentiates only what its loss
 reads, on DiffTensor codebooks: ``beam_rsrp`` at one beam per (cell, user)
 and ``resource_sinr`` at each user's chosen resource, with
-``gather_per_user`` picking those entries.  Both kinds build their SINR
-with ``autodiff.lmmse_sinr`` and their SE with ``stream_se``:
-``csirs_sinr`` forward only, on a batch-last stack that its GEMM output is
-copied into once and that the kernel reads in place, and ``resource_sinr``
-differentiably.
+``gather_per_user`` picking those entries.  Both CSI-RS stages build their
+SINR with ``autodiff.lmmse_sinr`` and their SE with ``stream_se``;
+``csirs_sinr`` copies its GEMM output once into a batch-last stack that the
+kernel reads in place.
 
 Conventions:
   * All cells sweep beam index i on the same time-frequency occasion.
@@ -93,12 +93,12 @@ class SelectionPin:
     beams: np.ndarray  # (C, U) each cell's strongest beam at each user
 
 
-def _beam_signals(h, beams) -> DiffTensor:
+def _beam_signals(h, beams) -> np.ndarray:
     """Per-beam receive vectors of every cell's sweep: (C, L, U, T, K, N_R).
 
-    h: (C, U, T, K, N_R, NT) channel; beams: per cell an (L, NT) array or
-    DiffTensor.  One (C, L, NT) @ (C, NT, U*T*K*N_R) product, scaled by the
-    broadcast normalization 1/sqrt(K * NT).
+    h: (C, U, T, K, N_R, NT) channel; beams: per cell an (L, NT) array.
+    One (C, L, NT) @ (C, NT, U*T*K*N_R) product, scaled by the broadcast
+    normalization 1/sqrt(K * NT).
     """
     hv = np.asarray(h, dtype=np.complex128)
     c_cells, _, _, k_sub, _, n_t = hv.shape
@@ -107,11 +107,10 @@ def _beam_signals(h, beams) -> DiffTensor:
     l_max = beams[0].shape[0]
     if any(b.shape != (l_max, n_t) for b in beams):
         raise ShapeError("SSB codebook does not match channel geometry")
-    stacked = ad.concat([ad.reshape(b, (1, l_max, n_t)) for b in beams], axis=0)
-    h_cols = ad.constant(np.swapaxes(hv.reshape(c_cells, -1, n_t), 1, 2))
-    prod = ad.matmul(stacked, h_cols)  # (C, L, U*T*K*N_R)
-    return ad.scale(ad.reshape(prod, (c_cells, l_max) + hv.shape[1:-1]),
-                    1.0 / np.sqrt(k_sub * n_t))
+    stacked = np.array(beams, dtype=np.complex128)  # (C, L, NT)
+    prod = stacked @ np.swapaxes(hv.reshape(c_cells, -1, n_t), 1, 2)
+    prod *= 1.0 / np.sqrt(k_sub * n_t)
+    return prod.reshape((c_cells, l_max) + hv.shape[1:-1])
 
 
 def measure_rsrp(h, beams, sigma2: float, seed: int) -> np.ndarray:
@@ -120,7 +119,7 @@ def measure_rsrp(h, beams, sigma2: float, seed: int) -> np.ndarray:
     h: (C, U, T, K, N_R, NT); beams: per cell its (L, NT) SSB beams.  The
     drop's receiver noise, complex variance sigma2, is drawn from ``seed``.
     """
-    sig = _beam_signals(h, beams).value
+    sig = _beam_signals(h, beams)
     rng = _stream(seed, _NOISE_TAG, 0)
     # noise = scale * (re + 1j im), re drawn first, through one float buffer;
     # then conj(sig) * (sig + noise) in place, in that operand order, which
@@ -140,14 +139,16 @@ def measure_rsrp(h, beams, sigma2: float, seed: int) -> np.ndarray:
     return combined.sum(axis=(-1, -2))
 
 
-def rsrp_tensor(h, beams) -> DiffTensor:
-    """Differentiable noise-free RSRP (C, L, U) of every cell's beams.
+def rsrp_tensor(h, beams) -> np.ndarray:
+    """Noise-free RSRP (C, L, U) of every cell's beams, float64, forward only.
 
-    h: (C, U, T, K, N_R, NT); beams: per cell an (L, NT) DiffTensor or
-    array.  Equals measure_rsrp at sigma2 = 0.
+    h: (C, U, T, K, N_R, NT); beams: per cell an (L, NT) array.  Equals
+    measure_rsrp at sigma2 = 0; ``beam_rsrp`` is the differentiable stage.
     """
-    power = ad.sum_axis(ad.abs2(_beam_signals(h, beams)), axis=-1)  # (C, L, U, T, K)
-    return ad.sum_axis(ad.sum_axis(power, axis=-1), axis=-1)
+    # complex128 sums, as on DiffTensors: float64 sums round the last bit
+    # differently, and the RSRP reaches the bytes of the feedback images
+    power = (np.abs(_beam_signals(h, beams)) ** 2).astype(np.complex128)
+    return power.sum(axis=-1).sum(axis=-1).sum(axis=-1).real
 
 
 def gather_per_user(books: list, index) -> DiffTensor:
@@ -171,8 +172,8 @@ def beam_rsrp(h: np.ndarray, beams) -> DiffTensor:
     """Differentiable noise-free RSRP (C, U) of one beam per (cell, user).
 
     h: (C, U, T, K, N_R, NT); beams: (C, U, NT), the beam of cell c that
-    user u measures.  The entries of rsrp_tensor at those beams, from one
-    matrix-vector product per link instead of the full L-beam sweep.
+    user u measures.  The SSB stage that training differentiates:
+    rsrp_tensor's entries at those beams, one matrix-vector product per link.
     """
     hv = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, _, k_sub, _, n_t = hv.shape

@@ -116,8 +116,6 @@ class ChannelTensor:
     """
 
     values: np.ndarray  # complex64, shape (C, U, T, K, N_R, NT)
-    scenario_id: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         if self.values.ndim != 6:
@@ -317,7 +315,7 @@ def generate_channels(config: ScenarioConfig, seed: int,
             h[c] = _synthesize_cell(config, seed, c, pos)[:, None]
     if not np.isfinite(h).all():
         raise DomainError("synthesized channel is not finite: an amplitude overflowed")
-    return ChannelTensor(values=h, scenario_id=f"scene{config.scene_seed}", seed=seed)
+    return ChannelTensor(values=h)
 
 
 # ----------------------------- BMCH dump I/O -----------------------------

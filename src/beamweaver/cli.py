@@ -332,8 +332,6 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     config = scenario_from(doc)
     settings = settings_from(doc)
     dims = dims_from(doc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # memo: the correlations of the call's fixed books, one copy per worker;
     # fixed books are "books", per-drop ones come from "generate"
     ctx = {"config": config, "settings": settings, "memo": {}}
@@ -364,6 +362,8 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
         else:
             raise ConfigError(f"unknown codebook source {source!r}")
         ctx["books"] = ([ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells)
+    out = Path(out_dir)  # made once the source resolves: a refused run leaves none
+    out.mkdir(parents=True, exist_ok=True)
     seeds = [seed * 1000003 + i for i in range(drops)]
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(

@@ -266,7 +266,7 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
     h = np.asarray(h, dtype=np.complex128)
     if pin is None:
         ssb = [s.value for s in ssb_dt]
-        pin = bm.decide(bm.rsrp_tensor(h, ssb).value.real, h, ssb,
+        pin = bm.decide(bm.rsrp_tensor(h, ssb), h, ssb,
                         [cs.value for cs in csirs_dt], sigma2, n_csi,
                         new_user_mask, memo)
     if disaggregated_cell is not None:
@@ -373,7 +373,7 @@ def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
     feeds the association; each cell's image weights its prior beams by the
     reported user counts and RSRP sums.  Returns (per-cell images, report).
     """
-    rsrp = bm.rsrp_tensor(h, [s.beams for s in prior_ssb]).value.real
+    rsrp = bm.rsrp_tensor(h, [s.beams for s in prior_ssb])
     report = bm.aggregate_feedback(rsrp, new_user_mask)
     obsc = [cb.beamspace_forward(s.beams, pair, geometry, report.beam_counts(c),
                                  report.beam_rsrp_sums(c))
@@ -418,7 +418,7 @@ def _drop_loss(sample: TrainingSample, ssb_dt, csirs_dt, sigma2, n_csi,
     if balance_weight:
         loss = ad.add(loss, ad.scale(load_balance_loss(fw.cell_rsrp),
                                      balance_weight))
-    return loss, fw
+    return loss
 
 
 def _batch_losses(batch: list, generate, sigma2, n_csi, ssb_weight,
@@ -438,7 +438,7 @@ def _batch_losses(batch: list, generate, sigma2, n_csi, ssb_weight,
         ssb_i = [ad.take(t, i) for t in ssb] if batched else ssb
         csirs_i = [ad.take(t, i) for t in csirs] if batched else csirs
         yield _drop_loss(sample, ssb_i, csirs_i, sigma2, n_csi, ssb_weight,
-                         cell, balance_weight, memo)[0]
+                         cell, balance_weight, memo)
 
 
 def _batch_backward(batch: list, generate, sigma2, n_csi, ssb_weight, cell,

@@ -1,5 +1,5 @@
 """Shared test helpers: the finite-difference gradient oracle and the
-frozen differentiable CSI-RS sweep."""
+frozen differentiable SSB and CSI-RS sweeps."""
 import numpy as np
 
 from beamweaver import autodiff as ad
@@ -60,6 +60,32 @@ def assert_grads_match(loss_fn, values, rtol=1e-4, eps=1e-5):
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def frozen_beam_signals(h, beams):
+    """Frozen reference: ``beam_mgmt._beam_signals`` as it was while it still
+    built an autodiff graph, (C, L, U, T, K, N_R) as a DiffTensor.
+
+    beams: per cell an (L, NT) array or DiffTensor.  A concat of the cells'
+    beams, one matmul with the channel's columns, then the broadcast
+    normalization 1/sqrt(K * NT) as a complex ``scale``.
+    """
+    hv = np.asarray(h, dtype=np.complex128)
+    c_cells, _, _, k_sub, _, n_t = hv.shape
+    l_max = beams[0].shape[0]
+    stacked = ad.concat([ad.reshape(b, (1, l_max, n_t)) for b in beams], axis=0)
+    h_cols = ad.constant(np.swapaxes(hv.reshape(c_cells, -1, n_t), 1, 2))
+    prod = ad.matmul(stacked, h_cols)  # (C, L, U*T*K*N_R)
+    return ad.scale(ad.reshape(prod, (c_cells, l_max) + hv.shape[1:-1]),
+                    1.0 / np.sqrt(k_sub * n_t))
+
+
+def frozen_rsrp_tensor(h, beams):
+    """Frozen reference: ``beam_mgmt.rsrp_tensor`` as it was while it still
+    built an autodiff graph, the noise-free (C, L, U) RSRP as a complex
+    DiffTensor with zero imaginary part; it differentiates every beam."""
+    power = ad.sum_axis(ad.abs2(frozen_beam_signals(h, beams)), axis=-1)
+    return ad.sum_axis(ad.sum_axis(power, axis=-1), axis=-1)
 
 
 def frozen_csirs_sinr(h, subsets, assoc, sigma2):

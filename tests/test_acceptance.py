@@ -146,13 +146,16 @@ def _align_gap_db(b_phase, steps=500, lr=2e-2):
     for _ in range(steps):
         tape.zero_grad()
         ssb_dt, _ = gen.generate()
-        rsrp = ad.reshape(bm.rsrp_tensor(h, ssb_dt), (dims.l_max, 1))  # (L, U)
-        serving = int(np.argmax(rsrp.value.real))
+        # the serving beam from the plain sweep, its RSRP differentiated, as
+        # in forward_model
+        rsrp = bm.rsrp_tensor(h, [s.value for s in ssb_dt])  # (C, L, U)
+        serving = np.argmax(rsrp, axis=1)  # (C, U)
         loss = nbl.ssb_alignment_loss(
-            ad.select_cells(rsrp, np.array([serving])), sigma2)
+            ad.reshape(bm.beam_rsrp(h, bm.gather_per_user(ssb_dt, serving)), (1,)),
+            sigma2)
         ad.backward(loss)
         opt.step(tape)
-        best = max(best, float(rsrp.value.real.max()))
+        best = max(best, float(rsrp.max()))
     return -10.0 * np.log10(best / bound)
 
 
@@ -205,7 +208,7 @@ def desk():
         h = np.asarray(tensor.values, np.complex128)
 
         def best_rsrp(beams):
-            return bm.rsrp_tensor(h, beams).value.real.max(axis=(0, 1))
+            return bm.rsrp_tensor(h, beams).max(axis=(0, 1))
 
         gains.append(10.0 * np.log10(best_rsrp(books["nbl"][0])
                                      / best_rsrp(books["dft"][0])))

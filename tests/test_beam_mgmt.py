@@ -4,11 +4,14 @@ import pytest
 
 from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
+from beamweaver import channel as ch
 from beamweaver import codebook as cb
+from beamweaver import nbl
 from beamweaver.channel import ArrayGeometry, ChannelTensor, _stream
 from beamweaver.errors import ConfigError, DomainError, ShapeError
 
-from conftest import analytic_gradients, assert_grads_match, frozen_csirs_sinr
+from conftest import (analytic_gradients, assert_grads_match, frozen_beam_signals,
+                      frozen_csirs_sinr, frozen_rsrp_tensor)
 
 
 def _tensor(values):
@@ -29,14 +32,14 @@ _C, _U, _T, _K, _NR, _NT, _L, _NCSI, _BG = 4, 5, 2, 8, 6, 9, 10, 7, 3
 
 def test_ssb_receive_trivial_unity():
     h = _tensor(np.ones((1, 1, 1, 1, 1, 1)))
-    sig = bm._beam_signals(h, [np.ones((1, 1))]).value
+    sig = bm._beam_signals(h, [np.ones((1, 1))])
     np.testing.assert_allclose(sig.reshape(()), 1.0)
 
 
 def test_ssb_receive_zero_channel():
     # MRC against a zero channel combines nothing, noise included
     h = _tensor(np.zeros((1, 1, 1, 1, 1, 1)))
-    assert not bm._beam_signals(h, [np.ones((1, 1))]).value.any()
+    assert not bm._beam_signals(h, [np.ones((1, 1))]).any()
     assert not bm.measure_rsrp(h, [np.ones((1, 1))], sigma2=1.0, seed=0).any()
 
 
@@ -95,8 +98,9 @@ def test_noisy_measure_rsrp_matches_frozen_per_cell_sweep():
 
 def _frozen_measure_rsrp(h, books, sigma2, seed):
     """measure_rsrp's noise and MRC combining as they read with full-size
-    temporaries for each draw, the scaled sum and the noisy signal."""
-    sig = bm._beam_signals(h, books).value
+    temporaries for each draw, the scaled sum and the noisy signal, on the
+    frozen autodiff sweep."""
+    sig = frozen_beam_signals(h, books).value
     rng = _stream(seed, bm._NOISE_TAG, 0)
     noise = np.sqrt(sigma2 / 2.0) * (
         rng.standard_normal(sig.shape) + 1j * rng.standard_normal(sig.shape))
@@ -175,7 +179,7 @@ def test_rsrp_tensor_matches_noiseless_measure():
     h = _crandn(rng, 2, 3, 1, 2, 2, 4)
     books = [_crandn(rng, 2, 4) for _ in range(2)]
     want = bm.measure_rsrp(_tensor(h), books, sigma2=0.0, seed=0)  # (C, L, U)
-    got = bm.rsrp_tensor(_tensor(h), books).value.real
+    got = bm.rsrp_tensor(_tensor(h), books)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -191,7 +195,7 @@ def test_rsrp_tensor_matches_per_element_loop():
                     for k in range(_K):
                         want[c, l, u] += np.sum(np.abs(h[c, u, t, k] @ books[c][l]) ** 2)
     want /= _K * _NT
-    got = bm.rsrp_tensor(h, books).value
+    got = bm.rsrp_tensor(h, books)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
@@ -203,11 +207,68 @@ def test_beam_rsrp_matches_rsrp_tensor_at_gathered_beams():
     beams = bm.gather_per_user(books, index)
     assert beams.shape == (_C, _U, _NT)
     got = bm.beam_rsrp(h, beams).value
-    full = bm.rsrp_tensor(h, books).value
+    full = bm.rsrp_tensor(h, books)
     want = np.take_along_axis(full, index[:, None, :], axis=1)[:, 0]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     with pytest.raises(ShapeError):
         bm.beam_rsrp(h, ad.constant(np.ones((_C, _U + 1, _NT))))
+
+
+# the desk scene of the acceptance tests, and the default one
+_SCENES = {
+    "desk": (ch.ScenarioConfig(
+        c_cells=3, k_subcarriers=16, n_rx=2, user_count_range=(4, 8),
+        n_hotspots=3, hotspot_fraction=1.0, hotspot_sigma=5.0,
+        angle_spread_deg=3.0, cluster_count=3,
+        geometry=ArrayGeometry(n_x=8, n_y=8, dual_polarized=True)),
+        nbl.NblDims(l_max=24)),
+    "default": (ch.ScenarioConfig(), nbl.NblDims()),
+}
+
+
+@pytest.mark.parametrize("book", ["dft", "perturbed"])
+@pytest.mark.parametrize("scene", sorted(_SCENES))
+def test_ssb_sweep_matches_frozen_autodiff_sweep_bit_for_bit(scene, book):
+    config, dims = _SCENES[scene]
+    ssb = nbl.dft_codebooks(config.geometry, dims)[0].beams
+    rng = np.random.default_rng(29)
+    for seed in (3, 4):
+        if book == "dft":
+            books = [ssb] * config.c_cells
+        else:
+            books = [ssb * np.exp(0.2j * rng.standard_normal(ssb.shape))
+                     for _ in range(config.c_cells)]
+        h = np.asarray(ch.generate_channels(config, seed).values, np.complex128)
+        sig = bm._beam_signals(h, books)
+        want = frozen_beam_signals(h, books).value
+        assert sig.dtype == want.dtype and sig.shape == want.shape
+        assert sig.tobytes() == want.tobytes()
+        rsrp = bm.rsrp_tensor(h, books)
+        want = frozen_rsrp_tensor(h, books).value
+        assert rsrp.dtype == np.float64 and rsrp.shape == want.shape
+        assert rsrp.tobytes() == want.real.tobytes()
+
+
+def test_ssb_sweeps_build_no_autodiff_graph(monkeypatch):
+    config, dims = _SCENES["desk"]
+    prior = nbl.dft_codebooks(config.geometry, dims)[0]
+    books = [prior.beams] * config.c_cells
+    h = np.asarray(ch.generate_channels(config, 3).values, np.complex128)
+    built = []
+    init = ad.DiffTensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.DiffTensor, "__init__", counting_init)
+    bm.measure_rsrp(h, books, ch.noise_variance(config), 3)
+    bm.rsrp_tensor(h, books)
+    nbl.feedback_images(h, [prior] * config.c_cells, config.geometry,
+                        cb.make_transform_pair(config.geometry), None)
+    assert not built
+    ad.constant(np.ones(1))  # the count sees a DiffTensor when one is built
+    assert len(built) == 1
 
 
 # ----------------------------- feedback ----------------------------------

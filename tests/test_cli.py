@@ -606,6 +606,19 @@ def test_nbl_source_requires_checkpoint(cfg, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("source, checkpoint, code", [
+    ("bogus", None, 2), ("nbl-direct", "absent.bmck", 3)], ids=["unknown", "missing"])
+def test_refused_codebook_source_leaves_no_output_directory(tmp_path, source,
+                                                            checkpoint, code):
+    extra = {} if checkpoint is None else {"checkpoint": str(tmp_path / checkpoint)}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_config_doc(**extra)))
+    res = _run("evaluate", "--config", cfg, "--out", tmp_path / "new" / "deep",
+               "--codebook", source, "--drops", 1)
+    assert res.exit_code == code, res.output
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("cut", [10, 121, 239])
 def test_truncated_checkpoint_is_a_format_error(cfg, tmp_path, cut):
     res = _run("train", "--config", cfg, "--seed", 3,

@@ -11,7 +11,7 @@ from beamweaver import nbl
 from beamweaver.autodiff import Tape
 from beamweaver.errors import DivergenceError, FormatError, ShapeError
 
-from conftest import assert_grads_match, frozen_csirs_sinr
+from conftest import assert_grads_match, frozen_csirs_sinr, frozen_rsrp_tensor
 
 FULL = (-1.01, 1.01)
 
@@ -177,7 +177,7 @@ def _full_graph_forward_model(h, ssb_dt, csirs_dt, sigma2, n_csi, pin=None,
                   for c, s in enumerate(ssb_dt)]
         csirs_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                     for c, s in enumerate(csirs_dt)]
-    rsrp = bm.rsrp_tensor(h, ssb_dt)
+    rsrp = frozen_rsrp_tensor(h, ssb_dt)
     if pin is None:
         report = bm.aggregate_feedback(rsrp.value.real, new_user_mask)
         subset_idx = [bm.select_csirs_subset(*books[c], report, c,
@@ -214,7 +214,7 @@ def _full_graph_load_balance_loss(rsrp_dt):
 
 def _decide(h, ssb, csirs, sigma2, n_csi, new_user_mask):
     """The rollout's decisions: ``beam_mgmt.decide`` on noise-free RSRP."""
-    return bm.decide(bm.rsrp_tensor(h, ssb).value.real, h, ssb, csirs, sigma2,
+    return bm.decide(bm.rsrp_tensor(h, ssb), h, ssb, csirs, sigma2,
                      n_csi, new_user_mask)
 
 
@@ -339,8 +339,8 @@ def test_neural_with_zero_head_matches_direct_dft():
     net = nbl.NeuralGenerator(t_net, cfg.c_cells, dims, n_pol=2)
     for name in ("deconv2_w", "deconv2_b"):  # output head off => delta 0
         t_net.parameters[name].value = np.zeros_like(t_net.parameters[name].value)
-    l_dir, _ = _total_loss(data[0], direct.generate, sigma2, dims.n_csi, 0.0)
-    l_net, _ = _total_loss(
+    l_dir = _total_loss(data[0], direct.generate, sigma2, dims.n_csi, 0.0)
+    l_net = _total_loss(
         data[0], lambda o: net.generate_for(o, cfg.geometry), sigma2,
         dims.n_csi, 0.0)
     np.testing.assert_allclose(l_net.value, l_dir.value, rtol=1e-12)
@@ -741,8 +741,8 @@ def _per_sample_step_gradients(dataset, generate, tape, sigma2, n_csi,
         tape.zero_grad()
         for j in batch:
             cell = (step % disaggregated_cells) if disaggregated_cells else None
-            loss, _ = _total_loss(dataset[j], generate, sigma2, n_csi,
-                                  ssb_weight, cell, balance_weight)
+            loss = _total_loss(dataset[j], generate, sigma2, n_csi,
+                               ssb_weight, cell, balance_weight)
             ad.backward(ad.scale(loss, 1.0 / len(batch)))
         grads.append({k: g.copy() for k, g in tape.gradients().items()})
     return grads
@@ -825,7 +825,7 @@ def test_validation_callback_reports_epochs_and_changes_no_output():
     nbl.load_parameters(tape, loaded)
     val = data[:3]
     again = sum(float(_total_loss(s, gen.generate, sigma2, dims.n_csi,
-                                  0.0)[0].value.real) / len(val) for s in val)
+                                  0.0).value.real) / len(val) for s in val)
     assert again == pytest.approx(losses[best], rel=1e-12)
 
 
