@@ -610,26 +610,21 @@ def _sinr_block(xt: np.ndarray, own: np.ndarray, lam: float, keep: bool):
     return w, z, den, np.where(live, num, 0.0) / den
 
 
-def _check_own(own: np.ndarray, m: int) -> None:
-    if own.size and (own.min() < 0 or own.max() >= m):
-        raise ShapeError(f"own columns must lie in [0, {m})")
-
-
-def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
-    """Per-stream output SINR of the LMMSE receive filter (real-valued).
+def lmmse_sinr_array(x, own, sigma2: float, saved: list | None = None) -> np.ndarray:
+    """Per-stream output SINR of the LMMSE receive filter, float64 (..., S).
 
     x: (..., N_R, M), every transmitted column x_k at the receiver; own:
-    (..., S) constant integer index of each desired stream's column in x
-    (broadcast against the leading axes).  With W = R^-1 V, the filter of
+    (..., S) integer index of each desired stream's column in x (broadcast
+    against the leading axes).  With W = R^-1 V, the filter of
     ``lmmse_filter``, R = sigma2 I + X X^H and V = x[..., own],
 
         SINR_s = |v_s^H w_s|^2 / (sigma2 |w_s|^2 + sum_{k != own_s} |x_k^H w_s|^2).
 
     Every term is non-negative, so nothing cancels and the form stays
-    accurate at any SNR.  w_s maximizes this Rayleigh quotient, so the
-    backward holds W fixed (envelope theorem) and needs no solve:
-    dX = W (conj(Z) o coef)^T with Z = X^H W, coef = 2 g/den on the own
-    column and -2 g SINR/den elsewhere.  A zero desired column scores 0.
+    accurate at any SNR.  A zero desired column scores 0.  This entry builds
+    no graph node; the forward-only CSI-RS sweep and the data plane call it.
+    The ``lmmse_sinr`` op runs it with a ``saved`` list, to which each
+    block's (own, W, Z, den, SINR) is appended for the backward.
 
     Its callers pass stacks of up to thousands of tiny matrices (2 or 4 x
     12), where one LAPACK call per matrix costs far more than its
@@ -641,38 +636,51 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
     out so already, and is not copied.  ``lmmse_filter`` keeps LAPACK for
     the RZF precoder's small stacks.
     """
-    x = as_tensor(x)
-    xv = x.value
+    xv = _asarray(x)
     if xv.ndim < 2:
         raise ShapeError("lmmse_sinr requires x with ndim >= 2")
-    x_shape, (n, m) = xv.shape, xv.shape[-2:]
+    n, m = xv.shape[-2:]
     own = np.asarray(own, dtype=np.intp)
-    _check_own(own, m)
+    if own.size and (own.min() < 0 or own.max() >= m):
+        raise ShapeError(f"own columns must lie in [0, {m})")
     n_s = own.shape[-1]
-    batch = np.broadcast_shapes(x_shape[:-2], own.shape[:-1])
+    batch = np.broadcast_shapes(xv.shape[:-2], own.shape[:-1])
     total = math.prod(batch)
     xs = np.broadcast_to(xv, batch + (n, m)).reshape(total, n, m)
     owns = np.broadcast_to(own, batch + (n_s,)).reshape(total, n_s)
     xt = np.ascontiguousarray(np.moveaxis(xs, 0, -1))  # (N, M, total)
     sinr = np.empty((total, n_s))
-    saved = []  # per block (own, W, Z, den, SINR) for the backward
     for b0 in range(0, total, _SINR_BLOCK):
         block = slice(b0, b0 + _SINR_BLOCK)
         own_b = np.ascontiguousarray(owns[block].T)
-        w, z, den, sinr_b = _sinr_block(xt[:, :, block], own_b, sigma2, x.requires_grad)
+        w, z, den, sinr_b = _sinr_block(xt[:, :, block], own_b, sigma2, saved is not None)
         sinr[block] = sinr_b.T
-        if x.requires_grad:
+        if saved is not None:
             saved.append((own_b, w, z, den, sinr_b))
-    out = DiffTensor(sinr.reshape(batch + (n_s,)), parents=(x,))
+    return sinr.reshape(batch + (n_s,))
 
-    # the closure holds shapes and ``saved``, never ``out`` (out -> backward ->
-    # out would be a cycle that keeps the whole graph alive until the next GC
-    # pass) nor the whole stack ``xt``
+
+def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
+    """``lmmse_sinr_array`` as a differentiable op (real-valued output).
+
+    own is constant.  w_s maximizes the SINR's Rayleigh quotient, so the
+    backward holds W fixed (envelope theorem) and needs no solve:
+    dX = W (conj(Z) o coef)^T with Z = X^H W, coef = 2 g/den on the own
+    column and -2 g SINR/den elsewhere.
+    """
+    x = as_tensor(x)
+    saved = [] if x.requires_grad else None
+    out = DiffTensor(lmmse_sinr_array(x.value, own, sigma2, saved), parents=(x,))
+
+    # the closure holds ``saved``, never ``out`` (out -> backward -> out would
+    # be a cycle that keeps the whole graph alive until the next GC pass) nor
+    # the whole stack ``xt``
     def backward(g):
         if not x.requires_grad:
             return
-        g = np.real(g).reshape(total, n_s)
-        dx = np.empty((total, n, m), dtype=np.complex128)
+        (n, m), batch = x.shape[-2:], g.shape[:-1]
+        g = np.real(g).reshape(-1, g.shape[-1])
+        dx = np.empty((len(g), n, m), dtype=np.complex128)
         for i, (own_b, w, z, den, sinr_b) in enumerate(saved):
             block = slice(i * _SINR_BLOCK, (i + 1) * _SINR_BLOCK)
             a = 2.0 * g[block].T / den
@@ -681,7 +689,7 @@ def lmmse_sinr(x, own, sigma2: float) -> DiffTensor:
             coef.reshape(-1)[at_own] = np.conj(z.reshape(-1)[at_own]) * a
             dx_b = _lincomb(np.swapaxes(w, 0, 1)[:, :, None], coef[:, None])  # (N, M, B)
             dx[block] = np.moveaxis(dx_b, -1, 0)
-        x.accumulate(_unbroadcast(dx.reshape(batch + (n, m)), x_shape))
+        x.accumulate(_unbroadcast(dx.reshape(batch + (n, m)), x.shape))
 
     out._backward = backward
     return out

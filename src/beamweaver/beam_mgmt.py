@@ -12,10 +12,10 @@ runs feedback, subsets and ``csirs_sinr`` to decide association, subsets
 and each user's resource.  Training then differentiates only what its loss
 reads, on DiffTensor codebooks: ``beam_rsrp`` at one beam per (cell, user)
 and ``resource_sinr`` at each user's chosen resource, with
-``gather_per_user`` picking those entries.  Both CSI-RS stages build their
-SINR with ``autodiff.lmmse_sinr`` and their SE with ``stream_se``;
-``csirs_sinr`` copies its GEMM output once into a batch-last stack that the
-kernel reads in place.
+``gather_per_user`` picking those entries and ``stream_se`` forming the
+SE.  The sweep's SINR comes from ``autodiff.lmmse_sinr_array``, the kernel
+of the ``lmmse_sinr`` op, on a batch-last stack it reads in place, and
+``achievable_se`` takes ``stream_se``'s operations in NumPy.
 
 Conventions:
   * All cells sweep beam index i on the same time-frequency occasion.
@@ -292,14 +292,15 @@ def csirs_sinr(h: np.ndarray, subsets: list,
     precoders, as a list or one stacked array.  assoc: per-user serving
     cell.  G_c = H_c B_c,i; every cell's B_g columns reach each user, and
     the serving cell's columns are its desired streams.  The SINR is the
-    LMMSE filter's output SINR, that of ``autodiff.lmmse_sinr``, accurate at
-    any SNR.
+    LMMSE filter's output SINR, that of ``autodiff.lmmse_sinr_array``,
+    accurate at any SNR.
 
     Forward only: one GEMM forms every received signal and one transpose
     copy lays them out batch-last, (N_R, C*B_g, N_CSI*U*T*K).
-    ``autodiff.lmmse_sinr`` gets that stack as its moved view
-    (N_CSI*U*T*K, N_R, C*B_g), which it reads in place.  The SINR is a
-    constant DiffTensor; ``resource_sinr`` is the differentiable stage.
+    ``autodiff.lmmse_sinr_array`` gets that stack as its moved view
+    (N_CSI*U*T*K, N_R, C*B_g), which it reads in place.  The record holds
+    the SINR as a constant DiffTensor; ``resource_sinr`` is the
+    differentiable stage.
     """
     hv = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
@@ -320,9 +321,9 @@ def csirs_sinr(h: np.ndarray, subsets: list,
     del prod  # xt: (N_R, C*B_g, N_CSI*U*T*K)
     own = np.broadcast_to(_own_streams(assoc, b_g),
                           (n_csi, n_users, t_slots, k_sub, b_g)).reshape(-1, b_g)
-    sinr = ad.lmmse_sinr(np.moveaxis(xt, -1, 0), own, sigma2).value
-    sinr = ad.constant(sinr.reshape(n_csi, n_users, t_slots, k_sub, b_g))
-    return SinrRecord(sinr=ad.swapaxes(sinr, 0, 1))  # (U, N_CSI, T, K, B_g)
+    sinr = ad.lmmse_sinr_array(np.moveaxis(xt, -1, 0), own, sigma2)
+    sinr = sinr.reshape(n_csi, n_users, t_slots, k_sub, b_g)
+    return SinrRecord(sinr=ad.constant(np.swapaxes(sinr, 0, 1)))  # (U, N_CSI, T, K, B_g)
 
 
 def _own_streams(assoc: np.ndarray, b_g: int) -> np.ndarray:
@@ -360,13 +361,19 @@ def stream_se(sinr) -> DiffTensor:
     return ad.sum_axis(ad.log2_1p(mean_tk), axis=-1)
 
 
-def achievable_se(sinr) -> tuple[np.ndarray, np.ndarray]:
+def achievable_se(sinr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-user SE per resource (U, N_CSI) and each user's resource (U,).
 
-    sinr: (U, N_CSI, T, K, S).  SE_i = sum_streams log2(1 + mean over (t, k)
-    SINR); i-hat = argmax, ties to the lowest index.
+    sinr: (U, N_CSI, T, K, S) real array.  SE_i = sum_streams log2(1 + mean
+    over (t, k) SINR), ``stream_se``'s operations in its order, forward
+    only; i-hat = argmax, ties to the lowest index.
     """
-    se = stream_se(sinr).value.real
+    # complex128 sums, as on DiffTensors: float64 sums round the last bit
+    # differently (over K at one stream, over four streams), and the SE picks
+    # each user's resource
+    s = np.asarray(sinr, dtype=np.complex128)
+    mean_tk = (s.sum(axis=-2) * (1.0 / s.shape[-2])).sum(axis=-2) * (1.0 / s.shape[-3])
+    se = (np.log1p(mean_tk.real) / ad._LN2).astype(np.complex128).sum(axis=-1).real
     return se, np.argmax(se, axis=1)
 
 
@@ -386,7 +393,7 @@ def decide(rsrp: np.ndarray, h, ssb_beams: list, precoders: list,
     # one C-ordered stack in any codebook layout (np.stack would keep a
     # transposed one), so equal codebooks give equal bits
     subsets = np.array([p[idx] for p, idx in zip(precoders, subset_idx)])
-    se, chosen = achievable_se(csirs_sinr(h, subsets, report.b, sigma2).sinr)
+    se, chosen = achievable_se(csirs_sinr(h, subsets, report.b, sigma2).sinr.value.real)
     # per cell, the first maximum: at the serving cell that is report.m
     return SelectionPin(report=report, subset_indices=subset_idx, subsets=subsets,
                         se=se, chosen=chosen, beams=np.argmax(rsrp, axis=1))

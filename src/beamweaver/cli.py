@@ -365,6 +365,7 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     out = Path(out_dir)  # made once the source resolves: a refused run leaves none
     out.mkdir(parents=True, exist_ok=True)
     seeds = [seed * 1000003 + i for i in range(drops)]
+    workers = min(workers, drops)  # a worker without a drop would idle
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(
                 workers, initializer=_init_eval_ctx, initargs=(ctx,)) as pool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import lmmse_filter, lmmse_sinr
+from .autodiff import lmmse_filter, lmmse_sinr_array
 from .errors import ConfigError, ShapeError
 
 DIGITAL_PORTS = 32  # digital port budget per cell
@@ -419,7 +419,7 @@ def transmit_and_score(h: np.ndarray, sets: list[PrecoderSet],
     Per-user effective transmit column: analog @ digital block, scaled by
     1/sqrt(U_a * K * NT) (equal power split, broadcast-equivalent total
     power).  Every scheduled user is scored at every RE in one batch by
-    ``autodiff.lmmse_sinr``, with every cell's scheduled columns as
+    ``autodiff.lmmse_sinr_array``, with every cell's scheduled columns as
     interference; the per-RE rate is log2(1 + SINR), finite and accurate at
     any SNR.  The per-user rate is the mean over REs, scaled by the data
     fraction ``alpha`` (see ``data_fraction``).
@@ -442,7 +442,7 @@ def transmit_and_score(h: np.ndarray, sets: list[PrecoderSet],
         x[..., start:start + n_a] = hv[c, users] @ w  # (U_s, T, K, N_R, U_a)
         start += n_a
     own = np.arange(len(users))[:, None, None, None]
-    sinr = lmmse_sinr(x, own, sigma2).value.real[..., 0]
+    sinr = lmmse_sinr_array(x, own, sigma2)[..., 0]
     rate = np.log2(1.0 + sinr).reshape(len(users), t_slots * k_sub)
     rates = alpha * rate.mean(axis=1)
     counts = np.array([len(ps.users) for ps in sets], dtype=float)

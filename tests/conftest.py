@@ -1,5 +1,5 @@
-"""Shared test helpers: the finite-difference gradient oracle and the
-frozen differentiable SSB and CSI-RS sweeps."""
+"""Shared test helpers: the finite-difference gradient oracle, the frozen
+differentiable SSB and CSI-RS sweeps and the frozen CSI-RS SE."""
 import numpy as np
 
 from beamweaver import autodiff as ad
@@ -108,3 +108,17 @@ def frozen_csirs_sinr(h, subsets, assoc, sigma2):
                                           c_cells * b_g))
     own = (assoc[:, None] * b_g + np.arange(b_g))[:, None, None, :]
     return ad.swapaxes(ad.lmmse_sinr(x, own, sigma2), 0, 1)
+
+
+def frozen_achievable_se(sinr):
+    """Frozen reference: ``beam_mgmt.achievable_se`` as it was while it took
+    the SE through autodiff ops, (U, N_CSI) SE and (U,) resource.
+
+    sinr: (U, N_CSI, T, K, S), held as a constant DiffTensor.  Two
+    ``mean_axis`` (a complex ``sum_axis`` and ``scale`` each), ``log2_1p``
+    and a complex ``sum_axis`` over the streams, as ``stream_se`` takes them.
+    """
+    s = ad.constant(sinr)
+    mean_tk = ad.mean_axis(ad.mean_axis(s, axis=-2), axis=-2)
+    se = ad.sum_axis(ad.log2_1p(mean_tk), axis=-1).value.real
+    return se, np.argmax(se, axis=1)

@@ -276,6 +276,9 @@ def test_lmmse_sinr_matches_frozen_lapack_reference(case):
         results.append((out.value, x.grad))
     (got, got_dx), (want, want_dx) = results
     assert got.shape == want.shape and not got.imag.any()
+    # the plain entry: the op's value bit for bit, as float64
+    plain = ad.lmmse_sinr_array(x0, own, sigma2)
+    assert plain.dtype == np.float64 and plain.tobytes() == got.real.tobytes()
     np.testing.assert_allclose(got.real, want.real, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got_dx, want_dx, rtol=1e-12,
                                atol=1e-12 * np.abs(want_dx).max())
@@ -294,8 +297,9 @@ def test_lmmse_filter_gives_the_frozen_filters_bit_for_bit(case):
 @pytest.mark.parametrize("own", [[0, 6], [-1, 2]])
 def test_lmmse_sinr_rejects_own_columns_outside_x(own):
     # a flat index one past a stream's columns would read the next stream's
-    with pytest.raises(ShapeError):
-        ad.lmmse_sinr(np.ones((3, 2, 6)), np.array(own), 0.3)
+    for entry in (ad.lmmse_sinr, ad.lmmse_sinr_array):
+        with pytest.raises(ShapeError):
+            entry(np.ones((3, 2, 6)), np.array(own), 0.3)
 
 
 # 24 matrices: one block, three full blocks, or three blocks and a partial one

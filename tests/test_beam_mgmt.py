@@ -6,12 +6,13 @@ from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
 from beamweaver import channel as ch
 from beamweaver import codebook as cb
+from beamweaver import metrics as mx
 from beamweaver import nbl
 from beamweaver.channel import ArrayGeometry, ChannelTensor, _stream
 from beamweaver.errors import ConfigError, DomainError, ShapeError
 
-from conftest import (analytic_gradients, assert_grads_match, frozen_beam_signals,
-                      frozen_csirs_sinr, frozen_rsrp_tensor)
+from conftest import (analytic_gradients, assert_grads_match, frozen_achievable_se,
+                      frozen_beam_signals, frozen_csirs_sinr, frozen_rsrp_tensor)
 
 
 def _tensor(values):
@@ -250,10 +251,11 @@ def test_ssb_sweep_matches_frozen_autodiff_sweep_bit_for_bit(scene, book):
 
 
 def test_ssb_sweeps_build_no_autodiff_graph(monkeypatch):
-    config, dims = _SCENES["desk"]
-    prior = nbl.dft_codebooks(config.geometry, dims)[0]
-    books = [prior.beams] * config.c_cells
-    h = np.asarray(ch.generate_channels(config, 3).values, np.complex128)
+    # the forward-only stages build no DiffTensor: the SSB sweeps and the
+    # feedback images none, decide and a whole evaluate_drop only the
+    # constant that SinrRecord holds
+    books = {scene: nbl.dft_codebooks(config.geometry, dims)
+             for scene, (config, dims) in _SCENES.items()}
     built = []
     init = ad.DiffTensor.__init__
 
@@ -261,14 +263,26 @@ def test_ssb_sweeps_build_no_autodiff_graph(monkeypatch):
         built.append(1)
         init(self, *args, **kwargs)
 
+    def count(fn, *args):
+        built.clear()
+        fn(*args)
+        return len(built)
+
     monkeypatch.setattr(ad.DiffTensor, "__init__", counting_init)
-    bm.measure_rsrp(h, books, ch.noise_variance(config), 3)
-    bm.rsrp_tensor(h, books)
-    nbl.feedback_images(h, [prior] * config.c_cells, config.geometry,
-                        cb.make_transform_pair(config.geometry), None)
-    assert not built
-    ad.constant(np.ones(1))  # the count sees a DiffTensor when one is built
-    assert len(built) == 1
+    for scene, (config, dims) in sorted(_SCENES.items()):
+        ssb, csirs = books[scene]
+        beams, precoders = [ssb.beams] * config.c_cells, [csirs.precoders] * config.c_cells
+        h = np.asarray(ch.generate_channels(config, 3).values, np.complex128)
+        sigma2 = ch.noise_variance(config)
+        assert count(bm.measure_rsrp, h, beams, sigma2, 3) == 0
+        assert count(bm.rsrp_tensor, h, beams) == 0
+        assert count(nbl.feedback_images, h, [ssb] * config.c_cells, config.geometry,
+                     cb.make_transform_pair(config.geometry), None) == 0
+        assert count(bm.decide, bm.measure_rsrp(h, beams, sigma2, 3), h, beams,
+                     precoders, sigma2, dims.n_csi) == 1
+        assert count(mx.evaluate_drop, config, mx.EvalSettings(n_csi=dims.n_csi),
+                     beams, precoders, 3) == 1
+    assert count(ad.constant, np.ones(1)) == 1  # the count sees each DiffTensor
 
 
 # ----------------------------- feedback ----------------------------------
@@ -452,10 +466,10 @@ def test_resource_sinr_matches_csirs_sinr_at_each_users_resource():
     resource = rng.integers(0, _NCSI, size=_U)
     precoders = bm.gather_per_user(subsets, np.tile(resource, (_C, 1)))
     assert precoders.shape == (_C, _U, _NT, _BG)
-    got = bm.resource_sinr(h, precoders, assoc, 0.7).value
-    full = bm.csirs_sinr(h, subsets, assoc, 0.7).sinr.value  # (U, N_CSI, T, K, B_g)
-    np.testing.assert_allclose(got, full[np.arange(_U), resource], rtol=1e-12)
-    se = bm.stream_se(ad.constant(got)).value
+    got = bm.resource_sinr(h, precoders, assoc, 0.7)
+    full = bm.csirs_sinr(h, subsets, assoc, 0.7).sinr.value.real  # (U, N_CSI, T, K, B_g)
+    np.testing.assert_allclose(got.value, full[np.arange(_U), resource], rtol=1e-12)
+    se = bm.stream_se(got).value.real
     want, _ = bm.achievable_se(full)
     np.testing.assert_allclose(se, want[np.arange(_U), resource], rtol=1e-12)
 
@@ -618,11 +632,11 @@ def test_csirs_sinr_matches_frozen_differentiable_sweep(c_cells, b_g, n_rx, bloc
 
 @pytest.mark.parametrize("blocks", [24, 7])
 def test_csirs_sinr_runs_the_kernel_on_its_stack_without_a_copy(blocks, monkeypatch):
-    # the sweep's batch-last stack reaches lmmse_sinr as a moved view, and
-    # every block the kernel reads is a view of that stack
+    # the sweep's batch-last stack reaches lmmse_sinr_array as a moved view,
+    # and every block the kernel reads is a view of that stack
     monkeypatch.setattr(ad, "_SINR_BLOCK", blocks)
     stacks, seen = [], []
-    entry, kernel = ad.lmmse_sinr, ad._sinr_block
+    entry, kernel = ad.lmmse_sinr_array, ad._sinr_block
 
     def entry_spy(x, *args):
         stacks.append(x)
@@ -632,7 +646,7 @@ def test_csirs_sinr_runs_the_kernel_on_its_stack_without_a_copy(blocks, monkeypa
         seen.append(xt)
         return kernel(xt, *args)
 
-    monkeypatch.setattr(ad, "lmmse_sinr", entry_spy)
+    monkeypatch.setattr(ad, "lmmse_sinr_array", entry_spy)
     monkeypatch.setattr(ad, "_sinr_block", kernel_spy)
     rng = np.random.default_rng(75)
     h = _crandn(rng, 2, 3, 1, 2, 2, _NT)
@@ -703,7 +717,7 @@ def test_extra_interfering_cell_never_raises_sinr():
 
 
 def test_achievable_se_constant_sinr():
-    se, _ = bm.achievable_se(ad.constant(np.full((1, 1, 1, 1, 1), 3.0)))
+    se, _ = bm.achievable_se(np.full((1, 1, 1, 1, 1), 3.0))
     np.testing.assert_allclose(se, [[2.0]])
 
 
@@ -711,19 +725,35 @@ def test_achievable_se_resource_choice():
     sinr = np.zeros((1, 2, 1, 1, 1))
     sinr[0, 0] = 1.0   # SE 1.0
     sinr[0, 1] = 4.6569  # SE ~2.5
-    _, chosen = bm.achievable_se(ad.constant(sinr))
+    _, chosen = bm.achievable_se(sinr)
     assert chosen[0] == 1
 
 
 def test_achievable_se_mean_then_log():
     sinr = np.array([1.0, 3.0]).reshape(1, 1, 1, 2, 1)
-    se, _ = bm.achievable_se(ad.constant(sinr))
+    se, _ = bm.achievable_se(sinr)
     np.testing.assert_allclose(se, np.log2(3.0), rtol=1e-12)
 
 
 def test_achievable_se_tie_to_lowest():
-    _, chosen = bm.achievable_se(ad.constant(np.ones((1, 3, 1, 1, 1))))
+    _, chosen = bm.achievable_se(np.ones((1, 3, 1, 1, 1)))
     assert chosen[0] == 0
+
+
+@pytest.mark.parametrize("t_slots", [1, 2])
+@pytest.mark.parametrize("n_s", [1, 2, 4])
+def test_achievable_se_matches_frozen_autodiff_se_bit_for_bit(n_s, t_slots):
+    # K = 16 puts the one-stream sum over K on numpy's pairwise path and
+    # S = 4 the stream sum, both of which a float64 sum rounds differently;
+    # SINRs over six decades, the stack as csirs_sinr lays it out
+    rng = np.random.default_rng(10 * n_s + t_slots)
+    raw = rng.exponential(1.0, (7, 5, t_slots, 16, n_s)) * 10.0 ** rng.uniform(
+        -3.0, 3.0, (7, 5, 1, 1, 1))
+    for sinr in (np.swapaxes(raw, 0, 1), np.ascontiguousarray(np.swapaxes(raw, 0, 1))):
+        se, chosen = bm.achievable_se(sinr)
+        want_se, want_chosen = frozen_achievable_se(sinr)
+        assert se.dtype == np.float64 and se.tobytes() == want_se.tobytes()
+        assert np.array_equal(chosen, want_chosen)
 
 
 def test_effective_sinr_values():
@@ -736,6 +766,6 @@ def test_effective_sinr_values():
 
 def test_effective_sinr_inverts_single_stream_se():
     sinr = np.full((1, 1, 1, 1, 1), 5.0)
-    se, _ = bm.achievable_se(ad.constant(sinr))
+    se, _ = bm.achievable_se(sinr)
     back = bm.effective_sinr(se.reshape(-1))
     np.testing.assert_allclose(back, [10.0 * np.log10(5.0)], rtol=1e-12)

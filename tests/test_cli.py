@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -831,6 +832,22 @@ def test_evaluate_worker_count_invariance(source, trained, tmp_path):
         digests.append(hashlib.sha256(
             (tmp_path / name / "metrics.csv").read_bytes()).digest())
     assert digests[0] == digests[1]
+
+
+def test_evaluate_starts_no_more_workers_than_drops(cfg, tmp_path, monkeypatch):
+    # --workers 3 with 2 drops used to fork a third, idle worker
+    fork = multiprocessing.get_context("fork")
+    sizes, pool = [], type(fork).Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(type(fork), "Pool", spy)
+    res = _run("evaluate", "--config", cfg, "--seed", 2, "--out", tmp_path / "ev",
+               "--drops", 2, "--workers", 3)
+    assert res.exit_code == 0, res.output
+    assert sizes == [2]
 
 
 def test_evaluate_survives_a_drop_over_the_csirs_budget(tmp_path):

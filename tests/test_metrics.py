@@ -139,7 +139,8 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, drop_seed,
             for c in range(c_cells)]
     subsets = [csirs_books[c].precoders[sels[c].subset_indices]
                for c in range(c_cells)]
-    se_val, chosen = bm.achievable_se(bm.csirs_sinr(hv, subsets, report.b, sigma2).sinr)
+    se_val, chosen = bm.achievable_se(
+        bm.csirs_sinr(hv, subsets, report.b, sigma2).sinr.value.real)
     users = np.arange(n_users)
     se_best = se_val[users, chosen]
     eff = bm.effective_sinr(np.maximum(se_best, 0.0))
