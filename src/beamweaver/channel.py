@@ -68,9 +68,14 @@ class ArrayGeometry:
         return self.n_x * self.n_y
 
     @property
+    def n_pol(self) -> int:
+        """Polarization panels: 2 dual-polarized, else 1."""
+        return 2 if self.dual_polarized else 1
+
+    @property
     def n_elements(self) -> int:
         """Total analog element count."""
-        return (2 if self.dual_polarized else 1) * self.n_panel
+        return self.n_pol * self.n_panel
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,7 @@ def _synthesize_cell(config: ScenarioConfig, seed: int, cell: int,
     geo = config.geometry
     n_users, k_count = len(pos), config.k_subcarriers
     n_cl, n_ray = config.cluster_count, config.rays_per_cluster
-    n_pol = 2 if geo.dual_polarized else 1
+    n_pol = geo.n_pol
     spread = np.deg2rad(config.angle_spread_deg)
     shadow, clusters, rays = _link_draws(config, seed, cell, n_users)
     dist, los_az, los_el = _link_geometry(config, cell, pos)

@@ -143,6 +143,8 @@ def load_config(path) -> dict:
 def scenario_from(doc: dict) -> ch.ScenarioConfig:
     sc = dict(doc.get("scenario", {}))
     sc.pop("n_users", None)
+    if "user_count_range" in sc:
+        sc["user_count_range"] = tuple(sc["user_count_range"])
     geo = ch.ArrayGeometry(**sc.pop("geometry", {}))
     return ch.ScenarioConfig(geometry=geo, **sc)
 
@@ -182,15 +184,12 @@ def _check_checkpoint(meta: dict, source: str, config, dims) -> None:
     """Refuse a checkpoint trained for another config before binding it.
 
     Neural weights fit any array size, so only a direct checkpoint must
-    match n_x and n_y.  Checkpoints written before b_phase was recorded
-    are not checked for it.
+    match n_x and n_y.
     """
     want = _checkpoint_meta(source, config, dims)
-    keys = ["mode", "cells", "dual_polarized", "dims"]
+    keys = ["mode", "cells", "dual_polarized", "dims", "b_phase"]
     if source == "nbl-direct":
         keys += ["n_x", "n_y"]
-    if "b_phase" in meta:
-        keys.append("b_phase")
     for key in keys:
         if meta.get(key) != want[key]:
             raise ConfigError(f"checkpoint was trained for {key}={meta.get(key)!r}, "
@@ -283,8 +282,7 @@ def _generator(tape: Tape, source: str, config, dims, seed: int = 0):
     if source == "nbl-direct":
         return nbl.DirectGenerator(tape, config.c_cells, config.geometry, dims).generate
     gen = nbl.NeuralGenerator(tape, config.c_cells, dims,
-                              n_pol=2 if config.geometry.dual_polarized else 1,
-                              seed=seed)
+                              n_pol=config.geometry.n_pol, seed=seed)
     return lambda obsc: gen.generate_for(obsc, config.geometry)
 
 
@@ -362,8 +360,6 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
         else:
             raise ConfigError(f"unknown codebook source {source!r}")
         ctx["books"] = ([ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells)
-    out = Path(out_dir)  # made once the source resolves: a refused run leaves none
-    out.mkdir(parents=True, exist_ok=True)
     seeds = [seed * 1000003 + i for i in range(drops)]
     workers = min(workers, drops)  # a worker without a drop would idle
     if workers > 1:
@@ -374,6 +370,8 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
         _init_eval_ctx(ctx)
         results = [_eval_one(s) for s in seeds]
     rows = [r for drop_rows in results for r in drop_rows]
+    out = Path(out_dir)  # made just before the first write: a refused run leaves none
+    out.mkdir(parents=True, exist_ok=True)
     mx.write_metrics(out / "metrics.csv", rows)
     with open(out / "config.json", "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -411,8 +409,6 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
                                 sigma2, new_user_prob=tr.get("new_user_prob", 0.2))
     tape = Tape()
     generate = _generator(tape, source, config, dims, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     loss_rows, val_rows = [], []
     curve = nbl.train(
         dataset, generate, tape, sigma2, dims.n_csi, epochs=epochs, lr=lr,
@@ -423,6 +419,8 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
         val_fraction=tr.get("val_fraction", 0.1),
         callback=lambda step, loss: loss_rows.append((step, loss)),
         val_callback=lambda *row: val_rows.append(row))
+    out = Path(out_dir)  # made just before the first write: a refused run leaves none
+    out.mkdir(parents=True, exist_ok=True)
     nbl.save_checkpoint(out / "checkpoint.bmck", tape,
                         meta=_checkpoint_meta(source, config, dims))
     with open(out / "loss.csv", "w", newline="") as f:

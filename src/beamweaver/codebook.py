@@ -5,6 +5,11 @@ U[n, m] = exp(2j*pi*n*m/N2) / sqrt(N1), i.e. steering columns on a uniform
 spatial-frequency grid covering one period; at N2 == N1 it is the unitary
 DFT.  A beam vector f reshapes per polarization panel to an N_X x N_Y matrix
 in x-major order, and its beamspace image interior is U_x^H mat(f) U_y.
+
+Feedback images and learned codebooks live on one fixed beamspace, the
+critically sampled grid of ``make_transform_pair`` (N_XO = N_X, N_YO = N_Y);
+only the DFT CSI-RS codebook picks its beams off a finer grid, oversampled
+CSIRS_OVERSAMPLING times per axis.
 """
 from __future__ import annotations
 
@@ -16,6 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .channel import ArrayGeometry
 from .errors import ConfigError, FormatError, ShapeError
+
+CSIRS_OVERSAMPLING = 4  # of the DFT CSI-RS codebook's grid, per axis
 
 
 @dataclass
@@ -86,12 +93,10 @@ def transform_matrix(n_antenna: int, n_grid: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * m / n_grid) / np.sqrt(n_antenna)
 
 
-def make_transform_pair(geometry: ArrayGeometry, n_xo: int | None = None,
-                        n_yo: int | None = None) -> TransformPair:
-    n_xo = geometry.n_x if n_xo is None else n_xo
-    n_yo = geometry.n_y if n_yo is None else n_yo
-    return TransformPair(u_x=transform_matrix(geometry.n_x, n_xo),
-                         u_y=transform_matrix(geometry.n_y, n_yo))
+def make_transform_pair(geometry: ArrayGeometry) -> TransformPair:
+    """The geometry's critically sampled pair, the unitary DFTs."""
+    return TransformPair(u_x=transform_matrix(geometry.n_x, geometry.n_x),
+                         u_y=transform_matrix(geometry.n_y, geometry.n_y))
 
 
 def _wrap_index(m: np.ndarray, n: int) -> np.ndarray:
@@ -99,7 +104,7 @@ def _wrap_index(m: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < (n + 1) // 2, m, m - n)
 
 
-def grid_sin_elevation(ky: np.ndarray, n_y: int, spacing: float = 0.5) -> np.ndarray:
+def grid_sin_elevation(ky: np.ndarray, n_y: int, spacing: float) -> np.ndarray:
     """sin(elevation) a grid beam points at (y uses a conjugated column)."""
     mw = _wrap_index(np.asarray(ky), n_y)
     return -mw / (n_y * spacing)
@@ -133,7 +138,7 @@ def _grid_beams(u_x: np.ndarray, u_y: np.ndarray, kx: np.ndarray, ky: np.ndarray
 
 
 def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
-                  elevation_window=(-0.6, 0.05)) -> SsbCodebook:
+                  elevation_window) -> SsbCodebook:
     """Wide-beam SSB codebook on the critically-sampled grid, downtilt pruned."""
     u_x = transform_matrix(geometry.n_x, geometry.n_x)
     u_y = transform_matrix(geometry.n_y, geometry.n_y)
@@ -147,13 +152,12 @@ def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
 
 
 def build_dft_csirs(geometry: ArrayGeometry, n_cb: int, b_g: int,
-                    oversampling: int = 4,
-                    elevation_window=(-0.6, 0.05)) -> CsirsCodebook:
+                    elevation_window) -> CsirsCodebook:
     """Narrow-beam codebook on an oversampled grid, B_g adjacent beams per precoder."""
-    u_x = transform_matrix(geometry.n_x, oversampling * geometry.n_x)
-    u_y = transform_matrix(geometry.n_y, oversampling * geometry.n_y)
-    cands = _grid_candidates(oversampling * geometry.n_x, oversampling * geometry.n_y,
-                             elevation_window, geometry.element_spacing)
+    n_xo, n_yo = CSIRS_OVERSAMPLING * geometry.n_x, CSIRS_OVERSAMPLING * geometry.n_y
+    u_x = transform_matrix(geometry.n_x, n_xo)
+    u_y = transform_matrix(geometry.n_y, n_yo)
+    cands = _grid_candidates(n_xo, n_yo, elevation_window, geometry.element_spacing)
     if n_cb * b_g > len(cands):
         raise ConfigError(f"n_cb*b_g={n_cb * b_g} exceeds {len(cands)} grid beams")
     picks = np.linspace(0, len(cands), n_cb * b_g, endpoint=False).astype(int)
@@ -192,14 +196,13 @@ def beamspace_forward(beams: np.ndarray, pair: TransformPair, geometry: ArrayGeo
     their summed RSRP.  Both default to zero (no feedback embedded); the
     rest of the padding is zero.
     """
-    n_pol = 2 if geometry.dual_polarized else 1
     panels = np.asarray(beams, dtype=np.complex128).reshape(-1, geometry.n_x, geometry.n_y)
     images = np.zeros((panels.shape[0], pair.n_xo + 1, pair.n_yo + 1), dtype=np.complex128)
     images[:, :pair.n_xo, :pair.n_yo] = np.conj(pair.u_x.T) @ panels @ pair.u_y
     if beam_counts is not None:
-        images[:, pair.n_xo, 0] = np.repeat(np.asarray(beam_counts, float), n_pol)
+        images[:, pair.n_xo, 0] = np.repeat(np.asarray(beam_counts, float), geometry.n_pol)
     if beam_rsrp is not None:
-        images[:, 0, pair.n_yo] = np.repeat(np.asarray(beam_rsrp, float), n_pol)
+        images[:, 0, pair.n_yo] = np.repeat(np.asarray(beam_rsrp, float), geometry.n_pol)
     return images
 
 
@@ -214,7 +217,7 @@ def beamspace_inverse(interiors, pair: TransformPair,
     interiors = ad.as_tensor(interiors)
     if interiors.shape[-2:] != (pair.n_xo, pair.n_yo) or interiors.value.ndim < 3:
         raise ShapeError(f"interior shape {interiors.shape} does not match grid")
-    n_pol = 2 if geometry.dual_polarized else 1
+    n_pol = geometry.n_pol
     n_img = interiors.shape[-3]
     if n_img % n_pol:
         raise ShapeError("image count not divisible by polarization count")

@@ -115,7 +115,7 @@ def port_dft(b_g: int) -> np.ndarray:
 
 
 def quantize_pmi(estimate: BeamformedChannelEstimate,
-                 l_csi: int = 4) -> tuple[PmiFeedback, np.ndarray]:
+                 l_csi: int) -> tuple[PmiFeedback, np.ndarray]:
     """Quantize the dominant beamformed direction per subband.
 
     Beam selection is wideband (largest summed projections on ``port_dft``);

@@ -97,8 +97,7 @@ def dft_codebooks(geometry: ArrayGeometry,
                   dims: NblDims) -> tuple[cb.SsbCodebook, cb.CsirsCodebook]:
     """A geometry's DFT SSB and CSI-RS codebooks at the sizing of ``dims``."""
     return (cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window),
-            cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g,
-                               elevation_window=dims.elevation_window))
+            cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g, dims.elevation_window))
 
 
 def _dft_baseline(geometry: ArrayGeometry, dims: NblDims) -> tuple:
@@ -209,8 +208,7 @@ class NeuralGenerator:
         (B, L, NT) and (B, N_CB, NT, B_g) for B drops.
         """
         dims = self.dims
-        n_pol = 2 if geometry.dual_polarized else 1
-        if n_pol != self.n_pol:
+        if geometry.n_pol != self.n_pol:
             raise ConfigError("generator polarization does not match geometry")
         if geometry not in self._baselines:
             self._baselines[geometry] = _dft_baseline(geometry, dims)
@@ -236,8 +234,8 @@ class NeuralGenerator:
         def offset(lo, hi, base):  # images lo..hi-1 of the delta, on the baseline
             return ad.add(ad.take(delta, np.arange(lo, hi), axis=-3), ad.constant(base))
 
-        n_ssb = dims.l_max * n_pol
-        per_cell = n_ssb + dims.n_cb * dims.b_g * n_pol
+        n_ssb = dims.l_max * self.n_pol
+        per_cell = n_ssb + dims.n_cb * dims.b_g * self.n_pol
         return _codebooks([(offset(s, s + n_ssb, base_ssb),
                             offset(s + n_ssb, s + per_cell, base_csirs))
                            for s in range(0, self.cells * per_cell, per_cell)],
@@ -382,7 +380,7 @@ def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
 
 
 def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
-                  seed: int, sigma2: float, new_user_prob: float = 0.2) -> list:
+                  seed: int, sigma2: float, new_user_prob: float) -> list:
     """Monte-Carlo triplets (feedback beamspace, channels, SE targets).
 
     Association and the observed beamspace come from the PRIOR period's SSB
@@ -463,10 +461,9 @@ def _batch_backward(batch: list, generate, sigma2, n_csi, ssb_weight, cell,
 
 
 def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
-          epochs: int, lr: float = 1e-4, batch_size: int = 4, seed: int = 0,
-          ssb_weight: float = 0.0, balance_weight: float = 0.0,
-          disaggregated_cells: int | None = None,
-          val_fraction: float = 0.1, callback=None,
+          epochs: int, *, lr: float, batch_size: int, seed: int,
+          ssb_weight: float, val_fraction: float, balance_weight: float = 0.0,
+          disaggregated_cells: int | None = None, callback=None,
           val_callback=None) -> list:
     """Mini-batch Adam loop; retains the best-validation parameters.
 

@@ -111,7 +111,7 @@ def test_c2_sinr_identity_1000_instances():
 
 def test_c3_round_trip_and_one_hot():
     geo = ch.ArrayGeometry(n_x=4, n_y=4, dual_polarized=True)
-    pair = cb.make_transform_pair(geo, n_xo=4, n_yo=4)  # critical sampling
+    pair = cb.make_transform_pair(geo)  # critical sampling
     rng = np.random.default_rng(3)
     beams = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
     img = cb.beamspace_forward(beams, pair, geo)
@@ -190,11 +190,11 @@ def desk():
     dft_cs = [cb.build_dft_csirs(cfg.geometry, dims.n_cb, dims.b_g,
                                  elevation_window=dims.elevation_window)
               for _ in range(cfg.c_cells)]
-    data = nbl.build_dataset(cfg, prior, 128, 100, sigma2)
+    data = nbl.build_dataset(cfg, prior, 128, 100, sigma2, new_user_prob=0.2)
     tape = Tape()
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     nbl.train(data, gen.generate, tape, sigma2, dims.n_csi, epochs=60,
-              lr=5e-3, batch_size=4, seed=0, ssb_weight=1.0)
+              lr=5e-3, batch_size=4, seed=0, ssb_weight=1.0, val_fraction=0.1)
     ssb_dt, cs_dt = gen.generate()
     books = {"dft": ([p.beams for p in prior], [c.precoders for c in dft_cs]),
              "nbl": ([s.value for s in ssb_dt], [c.value for c in cs_dt])}
@@ -324,12 +324,12 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
     sigma2 = ch.noise_variance(train_cfg)
     prior4 = [cb.build_dft_ssb(train_cfg.geometry, dims.l_max, FULL)
               for _ in range(3)]
-    data = nbl.build_dataset(train_cfg, prior4, 96, 200, sigma2)
+    data = nbl.build_dataset(train_cfg, prior4, 96, 200, sigma2, new_user_prob=0.2)
     tape = Tape()
     gen = nbl.NeuralGenerator(tape, 3, dims, n_pol=2, seed=0)
     nbl.train(data, lambda o: gen.generate_for(o, train_cfg.geometry), tape,
               sigma2, dims.n_csi, epochs=20, lr=1e-3, batch_size=4, seed=0,
-              ssb_weight=2.0)
+              ssb_weight=2.0, val_fraction=0.1)
 
     prior8 = [cb.build_dft_ssb(eval_cfg.geometry, dims.l_max, FULL)
               for _ in range(3)]

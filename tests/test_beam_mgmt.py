@@ -359,8 +359,9 @@ def test_apportion_budget_too_small():
 def _books(geo, l_max, n_cb, b_g):
     window = (-1.01, 1.01)
     ssb = cb.build_dft_ssb(geo, l_max, elevation_window=window)
-    csirs = cb.build_dft_csirs(geo, n_cb, b_g, oversampling=2,
-                               elevation_window=window)
+    with pytest.MonkeyPatch.context() as mp:  # a grid twice as fine, not four times
+        mp.setattr(cb, "CSIRS_OVERSAMPLING", 2)
+        csirs = cb.build_dft_csirs(geo, n_cb, b_g, elevation_window=window)
     return ssb, csirs
 
 

@@ -70,7 +70,9 @@ def test_geometry_validation():
     with pytest.raises(ConfigError):
         ch.ArrayGeometry(n_x=0, n_y=1)
     geo = ch.ArrayGeometry(n_x=4, n_y=2, dual_polarized=True)
-    assert geo.n_elements == 16 and geo.n_panel == 8
+    assert geo.n_elements == 16 and geo.n_panel == 8 and geo.n_pol == 2
+    geo = ch.ArrayGeometry(n_x=4, n_y=2, dual_polarized=False)
+    assert geo.n_elements == 8 and geo.n_panel == 8 and geo.n_pol == 1
 
 
 # ---------------------------- noise variance -----------------------------

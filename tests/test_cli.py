@@ -18,6 +18,7 @@ from click.testing import CliRunner
 from beamweaver import channel as ch
 from beamweaver import cli
 from beamweaver import codebook as cbk
+from beamweaver import link
 from beamweaver import metrics as mx
 from beamweaver import nbl
 from beamweaver.autodiff import Tape
@@ -224,6 +225,13 @@ def test_evaluation_settings_take_the_document_keys_and_default_the_rest():
     assert cli.settings_from(doc) == mx.EvalSettings(l_csi=2, t_period=80)
 
 
+def test_scenario_from_a_document_equals_the_config_built_in_code():
+    # JSON gives user_count_range as a list; the frozen config holds a tuple
+    got = cli.scenario_from({"scenario": {"user_count_range": [8, 20]}})
+    assert got == ch.ScenarioConfig()
+    assert hash(got) == hash(ch.ScenarioConfig())
+
+
 def test_config_schema_is_a_valid_schema():
     # load_config builds its validator once and leaves this check to the tests
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
@@ -418,6 +426,24 @@ def test_every_config_field_is_a_config_key():
         assert not extra, (owner.__name__, extra)
 
 
+def test_settings_keep_their_default_in_one_place():
+    # the config objects and train's document lookups hold the defaults; the
+    # functions these settings reach ask for them, so a library caller cannot
+    # get a second, different default
+    asked = {nbl.train: ["lr", "batch_size", "seed", "ssb_weight", "val_fraction"],
+             nbl.build_dataset: ["new_user_prob"], link.quantize_pmi: ["l_csi"],
+             cbk.build_dft_ssb: ["elevation_window"],
+             cbk.build_dft_csirs: ["elevation_window"],
+             cbk.grid_sin_elevation: ["spacing"]}
+    for fn, names in asked.items():
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
+    params = inspect.signature(nbl.train).parameters
+    assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY
+               for name in asked[nbl.train])
+
+
 @pytest.mark.parametrize("text", [
     '{"training": {"lr": NaN, "epochs": 1}}',
     '{"scenario": {"tx_power_dBm": Infinity}}',
@@ -607,14 +633,27 @@ def test_nbl_source_requires_checkpoint(cfg, tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("source, checkpoint, code", [
-    ("bogus", None, 2), ("nbl-direct", "absent.bmck", 3)], ids=["unknown", "missing"])
-def test_refused_codebook_source_leaves_no_output_directory(tmp_path, source,
-                                                            checkpoint, code):
-    extra = {} if checkpoint is None else {"checkpoint": str(tmp_path / checkpoint)}
+@pytest.mark.parametrize("command, source, edit, code", [
+    ("evaluate", "bogus", {}, 2),
+    ("evaluate", "nbl-direct", {"checkpoint": "absent.bmck"}, 3),
+    ("evaluate", "dft", {"codebook": {"n_csi": 8}}, 2),  # n_cb is 4
+    ("evaluate", "dft", {"evaluation": {"s_b": 8}}, 2),  # k_subcarriers is 4
+    ("evaluate", "dft", {"codebook": {"l_csi": 9}}, 2),  # 4 * b_g is 8
+    ("train", "nbl-direct", {"codebook": {"n_csi": 8}}, 2),
+], ids=["unknown", "missing", "n_csi", "s_b", "l_csi", "train-n_csi"])
+def test_refused_run_leaves_no_output_directory(tmp_path, command, source, edit,
+                                                code):
+    # refused up front, or by the first drop or training step: either way
+    # before the first write, so no --out directory is left behind
+    doc = _config_doc()
+    for key, value in edit.items():
+        if key == "checkpoint":
+            doc[key] = str(tmp_path / value)
+        else:
+            doc[key].update(value)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(_config_doc(**extra)))
-    res = _run("evaluate", "--config", cfg, "--out", tmp_path / "new" / "deep",
+    cfg.write_text(json.dumps(doc))
+    res = _run(command, "--config", cfg, "--out", tmp_path / "new" / "deep",
                "--codebook", source, "--drops", 1)
     assert res.exit_code == code, res.output
     assert not (tmp_path / "new").exists()
@@ -664,21 +703,28 @@ def _evaluate_checkpoint(tmp_path, ckpt, source, scenario=None, codebook=None):
                 "--codebook", source, "--drops", 1)
 
 
-@pytest.mark.parametrize("trained_as, source, scenario, codebook", [
-    ("nbl-direct", "nbl-direct", {"c_cells": 2}, None),
+@pytest.mark.parametrize("trained_as, source, scenario, codebook, unrecorded", [
+    ("nbl-direct", "nbl-direct", {"c_cells": 2}, None, None),
     ("nbl-direct", "nbl-direct",
-     {"geometry": {"n_x": 2, "n_y": 4, "dual_polarized": True}}, None),
-    ("nbl-direct", "nbl-direct", None, {"n_cb": 8}),
-    ("nbl-direct", "nbl-direct", None, {"b_phase": 3}),
-    ("nbl-direct", "nbl-neural", None, None),
-    ("nbl-neural", "nbl-neural", {"c_cells": 2}, None),
-    ("nbl-neural", "nbl-neural", None, {"l_max": 4}),
+     {"geometry": {"n_x": 2, "n_y": 4, "dual_polarized": True}}, None, None),
+    ("nbl-direct", "nbl-direct", None, {"n_cb": 8}, None),
+    ("nbl-direct", "nbl-direct", None, {"b_phase": 3}, None),
+    ("nbl-direct", "nbl-neural", None, None, None),
+    ("nbl-neural", "nbl-neural", {"c_cells": 2}, None, None),
+    ("nbl-neural", "nbl-neural", None, {"l_max": 4}, None),
+    # a meta without b_phase reads as None, ideal phase shifters
+    ("nbl-direct", "nbl-direct", None, {"b_phase": 3}, "b_phase"),
 ], ids=["cells", "n_x", "n_cb", "b_phase", "direct-as-neural",
-        "neural-cells", "neural-l_max"])
+        "neural-cells", "neural-l_max", "b_phase-unrecorded"])
 def test_checkpoint_for_another_config_is_a_config_error(
-        trained, tmp_path, trained_as, source, scenario, codebook):
-    res = _evaluate_checkpoint(tmp_path, trained[trained_as], source,
-                               scenario, codebook)
+        trained, tmp_path, trained_as, source, scenario, codebook, unrecorded):
+    ckpt = trained[trained_as]
+    if unrecorded is not None:
+        tape, _, meta = nbl.load_checkpoint(ckpt)
+        del meta[unrecorded]
+        ckpt = tmp_path / "unrecorded.bmck"
+        nbl.save_checkpoint(ckpt, tape, meta=meta)
+    res = _evaluate_checkpoint(tmp_path, ckpt, source, scenario, codebook)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "checkpoint was trained for" in res.output

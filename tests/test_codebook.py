@@ -10,6 +10,7 @@ from beamweaver.channel import ArrayGeometry
 from beamweaver.errors import ConfigError, ShapeError
 
 FULL = (-1.01, 1.01)  # elevation window disabling pruning on test grids
+DOWNTILT = (-0.6, 0.05)  # NblDims' default elevation window
 
 
 def _geo(nx=4, ny=4, dual=True):
@@ -29,7 +30,7 @@ def test_transform_matrix_rejects_undersampling():
 
 
 def test_pseudo_inverse_property():
-    pair = cb.make_transform_pair(_geo(4, 2, dual=False), n_xo=8, n_yo=4)
+    pair = cb.TransformPair(cb.transform_matrix(4, 8), cb.transform_matrix(2, 4))
     for u, pinv in ((pair.u_x, pair.u_x_pinv), (pair.u_y, pair.u_y_pinv)):
         np.testing.assert_allclose(u @ pinv @ u, u, atol=1e-10)
 
@@ -47,7 +48,7 @@ def test_build_dft_ssb_4pt_line():
 
 
 def test_ssb_beams_unit_norm():
-    book = cb.build_dft_ssb(_geo(), l_max=8)
+    book = cb.build_dft_ssb(_geo(), l_max=8, elevation_window=DOWNTILT)
     np.testing.assert_allclose(np.linalg.norm(book.beams, axis=1), 1.0, atol=1e-12)
 
 
@@ -129,9 +130,10 @@ def test_ssb_infeasible_l_max():
         cb.build_dft_ssb(_geo(2, 2, dual=False), l_max=64, elevation_window=FULL)
 
 
-def test_build_dft_csirs_grouping_rule():
+def test_build_dft_csirs_grouping_rule(monkeypatch):
+    monkeypatch.setattr(cb, "CSIRS_OVERSAMPLING", 1)
     geo = _geo(4, 1, dual=False)
-    book = cb.build_dft_csirs(geo, n_cb=2, b_g=2, oversampling=1, elevation_window=FULL)
+    book = cb.build_dft_csirs(geo, n_cb=2, b_g=2, elevation_window=FULL)
     n = np.arange(4)
     grid = [np.exp(2j * np.pi * n * k / 4) / 2 for k in range(4)]
     np.testing.assert_allclose(book.precoders[0][:, 0], grid[0], atol=1e-12)
@@ -141,17 +143,17 @@ def test_build_dft_csirs_grouping_rule():
 
 
 def test_csirs_columns_unit_norm():
-    book = cb.build_dft_csirs(_geo(), n_cb=8, b_g=4)
+    book = cb.build_dft_csirs(_geo(), n_cb=8, b_g=4, elevation_window=DOWNTILT)
     norms = np.linalg.norm(book.precoders, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-def test_csirs_within_precoder_correlation_exceeds_cross():
+def test_csirs_within_precoder_correlation_exceeds_cross(monkeypatch):
+    monkeypatch.setattr(cb, "CSIRS_OVERSAMPLING", 2)
     geo = _geo(4, 1, dual=False)
     # keep a single elevation row so the 8 oversampled azimuth beams are
     # picked contiguously (adjacent within each precoder)
-    book = cb.build_dft_csirs(geo, n_cb=4, b_g=2, oversampling=2,
-                              elevation_window=(-0.5, 0.05))
+    book = cb.build_dft_csirs(geo, n_cb=4, b_g=2, elevation_window=(-0.5, 0.05))
     cols = np.swapaxes(book.precoders, 1, 2).reshape(-1, 4)  # (8, NT)
     gram = np.abs(cols @ np.conj(cols.T))
     within = [gram[2 * j, 2 * j + 1] for j in range(4)]
@@ -159,10 +161,10 @@ def test_csirs_within_precoder_correlation_exceeds_cross():
     assert min(within) > np.mean(cross)
 
 
-def test_csirs_infeasible_size():
+def test_csirs_infeasible_size(monkeypatch):
+    monkeypatch.setattr(cb, "CSIRS_OVERSAMPLING", 1)
     with pytest.raises(ConfigError):
-        cb.build_dft_csirs(_geo(2, 2, dual=False), n_cb=16, b_g=4, oversampling=1,
-                           elevation_window=FULL)
+        cb.build_dft_csirs(_geo(2, 2, dual=False), n_cb=16, b_g=4, elevation_window=FULL)
 
 
 # ---------------------------- analog projection --------------------------
@@ -283,7 +285,7 @@ def _frozen_beamspace_inverse(interiors, pair, geometry):
 def test_beamspace_maps_match_frozen_per_beam_loops():
     # dual-pol, non-square oversampled grid, feedback in the padding
     geo = _geo(4, 2, dual=True)
-    pair = cb.make_transform_pair(geo, n_xo=8, n_yo=3)
+    pair = cb.TransformPair(cb.transform_matrix(4, 8), cb.transform_matrix(2, 3))
     rng = np.random.default_rng(11)
     beams = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
     counts, rsrp = rng.integers(0, 4, 5), rng.random(5)
@@ -333,7 +335,7 @@ def test_round_trip_critical_sampling(lead):
 @pytest.mark.parametrize("lead", ["array", "drop-axis"])
 def test_round_trip_oversampled_grid_beams(lead):
     geo = _geo(4, 2, dual=True)
-    pair = cb.make_transform_pair(geo, n_xo=8, n_yo=4)
+    pair = cb.TransformPair(cb.transform_matrix(4, 8), cb.transform_matrix(2, 4))
     beams = cb._grid_beams(pair.u_x, pair.u_y, np.array([0, 3, 7]), np.array([0, 1, 3]),
                            geo)
     img = cb.beamspace_forward(beams, pair, geo)
@@ -363,8 +365,8 @@ def test_inverse_dimension_mismatch():
 
 def test_codebook_file_round_trip(tmp_path):
     geo = _geo()
-    ssb = cb.build_dft_ssb(geo, l_max=4)
-    csirs = cb.build_dft_csirs(geo, n_cb=4, b_g=2)
+    ssb = cb.build_dft_ssb(geo, l_max=4, elevation_window=DOWNTILT)
+    csirs = cb.build_dft_csirs(geo, n_cb=4, b_g=2, elevation_window=DOWNTILT)
     path = tmp_path / "books.json"
     cb.save_codebooks(path, ssb, csirs)
     ssb2, csirs2 = cb.load_codebooks(path)

@@ -79,7 +79,7 @@ def test_pmi_zero_estimate_degenerate_rule():
     est = link.BeamformedChannelEstimate(
         h_est=np.zeros((1, 2, 2, 4), dtype=np.complex128),
         subband_of_k=link.subband_map(4, 2))
-    fb, recon = link.quantize_pmi(est)
+    fb, recon = link.quantize_pmi(est, l_csi=4)
     np.testing.assert_allclose(recon[0, :, 0], 1.0)
     np.testing.assert_allclose(recon[0, :, 1:], 0.0)
     np.testing.assert_allclose(fb.amplitudes, 0.0)

@@ -9,7 +9,7 @@ from beamweaver import codebook as cb
 from beamweaver import metrics as mx
 from beamweaver import nbl
 from beamweaver.autodiff import Tape
-from beamweaver.errors import DivergenceError, FormatError, ShapeError
+from beamweaver.errors import ConfigError, DivergenceError, FormatError, ShapeError
 
 from conftest import assert_grads_match, frozen_csirs_sinr, frozen_rsrp_tensor
 
@@ -40,7 +40,8 @@ def _dataset(cfg, dims, n_samples=1, seed=11, sigma2=None):
     if sigma2 is None:
         h = ch.generate_channels(cfg, seed=seed).values
         sigma2 = float(np.mean(np.abs(h) ** 2))
-    return nbl.build_dataset(cfg, prior, n_samples, seed, sigma2), sigma2
+    return nbl.build_dataset(cfg, prior, n_samples, seed, sigma2,
+                             new_user_prob=0.2), sigma2
 
 
 # ------------------------------- targets ---------------------------------
@@ -415,7 +416,8 @@ def test_train_generates_once_per_step_and_per_validation_chunk():
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     calls = []
     nbl.train(data, _counting(gen.generate, calls), tape, sigma2, dims.n_csi,
-              epochs=2, lr=1e-3, batch_size=2, seed=3, val_fraction=3 / 8)
+              epochs=2, lr=1e-3, batch_size=2, seed=3, ssb_weight=0.0,
+              val_fraction=3 / 8)
     # per epoch: 5 training drops in steps of 2, 2, 1; 3 validation drops in
     # chunks of 2, 1; each call gets every cell's images with a drop axis
     leading = [[o.shape[0] for o in obsc] for (obsc,) in calls]
@@ -432,7 +434,7 @@ def test_neural_network_runs_once_per_step_and_per_validation_chunk():
     gen._network = _counting(gen._network, calls)
     nbl.train(data, lambda o: gen.generate_for(o, cfg.geometry), tape, sigma2,
               dims.n_csi, epochs=1, lr=1e-3, batch_size=2, seed=3,
-              val_fraction=0.4)
+              ssb_weight=0.0, val_fraction=0.4)
     # steps of 2 and 1 training drops, then one validation chunk of 2
     assert [x.shape[0] for (x,) in calls] == [2, 1, 2]
 
@@ -591,8 +593,8 @@ def test_dataset_shapes_and_determinism():
     cfg = _config()
     dims = _dims()
     prior = [cb.build_dft_ssb(cfg.geometry, dims.l_max, FULL)]
-    a = nbl.build_dataset(cfg, prior, 2, seed=9, sigma2=1.0)
-    b = nbl.build_dataset(cfg, prior, 2, seed=9, sigma2=1.0)
+    a = nbl.build_dataset(cfg, prior, 2, seed=9, sigma2=1.0, new_user_prob=0.2)
+    b = nbl.build_dataset(cfg, prior, 2, seed=9, sigma2=1.0, new_user_prob=0.2)
     pair = cb.make_transform_pair(cfg.geometry)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.h, sb.h)
@@ -693,7 +695,8 @@ def test_train_same_seed_bitwise():
         tape = Tape()
         gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
         curve = nbl.train(data, gen.generate, tape, sigma2, dims.n_csi,
-                          epochs=2, lr=1e-3, seed=3)
+                          epochs=2, lr=1e-3, batch_size=4, seed=3,
+                          ssb_weight=0.0, val_fraction=0.1)
         results.append((curve, {k: p.value.copy()
                                 for k, p in tape.parameters.items()}))
     assert results[0][0] == results[1][0]
@@ -709,7 +712,8 @@ def test_train_zero_lr_leaves_parameters_untouched():
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     before = {k: p.value.copy() for k, p in tape.parameters.items()}
     curve = nbl.train(data, gen.generate, tape, sigma2, dims.n_csi,
-                      epochs=2, lr=0.0, seed=3)
+                      epochs=2, lr=0.0, batch_size=4, seed=3, ssb_weight=0.0,
+                      val_fraction=0.1)
     for k, p in tape.parameters.items():
         assert np.array_equal(p.value, before[k])
     assert curve[0] == pytest.approx(curve[-1])
@@ -722,7 +726,8 @@ def test_train_reduces_loss_on_toy_drop():
     tape = Tape()
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     curve = nbl.train(data, gen.generate, tape, sigma2, dims.n_csi,
-                      epochs=60, lr=5e-3, seed=4, ssb_weight=0.0)
+                      epochs=60, lr=5e-3, batch_size=4, seed=4, ssb_weight=0.0,
+                      val_fraction=0.1)
     assert np.mean(curve[-5:]) < 0.9 * np.mean(curve[:5])
 
 
@@ -752,7 +757,7 @@ def _per_sample_step_gradients(dataset, generate, tape, sigma2, n_csi,
     ("direct", 1, 4, 4, dict(ssb_weight=0.3)),
     ("neural", 2, 4, 4, dict(ssb_weight=0.3)),
     ("direct", 3, 4, 2, dict(ssb_weight=0.3, disaggregated_cells=3)),
-    ("direct", 2, 4, 4, dict(balance_weight=0.5)),
+    ("direct", 2, 4, 4, dict(ssb_weight=0.0, balance_weight=0.5)),
     ("direct", 2, 5, 2, dict(ssb_weight=0.3)),
     ("neural", 2, 5, 2, dict(ssb_weight=0.3)),
     ("neural", 2, 4, 2, dict(ssb_weight=0.3, disaggregated_cells=2)),
@@ -802,7 +807,7 @@ def test_validation_callback_reports_epochs_and_changes_no_output():
         rows = []
         curve = nbl.train(data, gen.generate, tape, sigma2, dims.n_csi,
                           epochs=5, lr=1.0, batch_size=2, seed=2,
-                          val_fraction=0.5,
+                          ssb_weight=0.0, val_fraction=0.5,
                           val_callback=(lambda *r: rows.append(r)) if hook else None)
         runs.append((curve, {k: p.value.copy() for k, p in tape.parameters.items()},
                      rows))
@@ -860,13 +865,15 @@ def test_train_raises_on_nonfinite_loss():
     tape = Tape()
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     with pytest.raises(DivergenceError):
-        nbl.train(data, gen.generate, tape, sigma2, dims.n_csi, epochs=1, lr=1e-3)
+        nbl.train(data, gen.generate, tape, sigma2, dims.n_csi, epochs=1, lr=1e-3,
+                  batch_size=4, seed=0, ssb_weight=0.0, val_fraction=0.1)
 
 
 def test_train_empty_dataset():
     tape = Tape()
-    with pytest.raises(Exception):
-        nbl.train([], lambda o: ([], []), tape, 1.0, 2, epochs=1)
+    with pytest.raises(ConfigError, match="empty"):
+        nbl.train([], lambda o: ([], []), tape, 1.0, 2, epochs=1, lr=1e-4,
+                  batch_size=4, seed=0, ssb_weight=0.0, val_fraction=0.1)
 
 
 # ------------------------------ checkpoints ------------------------------
