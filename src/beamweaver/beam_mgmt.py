@@ -225,27 +225,9 @@ def _apportion(counts: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-def _beam_precoder_correlation(ssb_beams: np.ndarray, precoders: np.ndarray,
-                               memo: dict | None) -> np.ndarray:
-    """C[i, j] = max over precoder columns of |<f_i, b>|, memoised in ``memo``.
-
-    ``memo`` maps the ids of the two arrays to (ssb_beams, precoders, C).
-    Holding the arrays keeps their ids from being reused while the memo
-    lives.  The einsum stays: a GEMM rounds the near-exact ties of DFT
-    correlations the other way and so changes which precoders are picked.
-    """
-    key = (id(ssb_beams), id(precoders))
-    if memo is not None and key in memo:
-        return memo[key][2]
-    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb_beams), precoders)).max(axis=2)
-    if memo is not None:
-        memo[key] = (ssb_beams, precoders, corr)
-    return corr
-
-
 def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
                         report: FeedbackReport, cell: int,
-                        n_csi: int, memo: dict | None = None) -> CsirsSelection:
+                        n_csi: int) -> CsirsSelection:
     """Pick the N_CSI refinement precoders covering the cell's active beams.
 
     ssb_beams: the cell's (L, NT) SSB beams; precoders: its (N_CB, NT, B_g)
@@ -257,9 +239,10 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     beams take one each (ties to the lower beam index).  A cell with no
     users falls back to the first N_CSI precoders by index.
 
-    ``memo`` shares the beam-precoder correlation between calls on the same
-    two array objects; its owner keeps it as long as those codebooks.  The
-    arrays must not be edited in place while it lives.
+    The correlation, max over precoder columns of |<f_i, b>|, is formed only
+    for the beams with a budget: the einsum over those rows gives their bits
+    exactly, while a GEMM rounds the near-exact ties of DFT correlations the
+    other way and so changes which precoders are picked.
     """
     n_cb = precoders.shape[0]
     if n_csi > n_cb:
@@ -268,11 +251,13 @@ def select_csirs_subset(ssb_beams: np.ndarray, precoders: np.ndarray,
     if counts.sum() == 0:
         return CsirsSelection(subset_indices=list(range(n_csi)), fallback=True)
     budgets = _apportion(counts, n_csi)
-    corr = _beam_precoder_correlation(ssb_beams, precoders, memo)
+    rows = np.nonzero(budgets)[0]
+    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb_beams[rows]),
+                            precoders)).max(axis=2)
     taken: list[int] = []
     free = np.ones(n_cb, bool)
-    for i in np.nonzero(budgets)[0]:
-        order = np.argsort(-corr[i], kind="stable")  # ties -> lowest index
+    for i, row in zip(rows, corr):
+        order = np.argsort(-row, kind="stable")  # ties -> lowest index
         picked = 0
         for j in order:
             if picked == budgets[i]:
@@ -378,17 +363,14 @@ def achievable_se(sinr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decide(rsrp: np.ndarray, h, ssb_beams: list, precoders: list,
-           sigma2: float, n_csi: int, new_user_mask=None,
-           memo: dict | None = None) -> SelectionPin:
+           sigma2: float, n_csi: int, new_user_mask=None) -> SelectionPin:
     """One drop's discrete decisions from its (C, L, U) RSRP, forward only.
 
     ssb_beams: per cell its (L, NT) beams; precoders: its (N_CB, NT, B_g)
-    CSI-RS precoders.  Without a ``memo``, the drop's cells that share
-    codebook arrays share a new one.
+    CSI-RS precoders.
     """
     report = aggregate_feedback(rsrp, new_user_mask)
-    memo = {} if memo is None else memo
-    subset_idx = [select_csirs_subset(b, p, report, c, n_csi, memo).subset_indices
+    subset_idx = [select_csirs_subset(b, p, report, c, n_csi).subset_indices
                   for c, (b, p) in enumerate(zip(ssb_beams, precoders))]
     # one C-ordered stack in any codebook layout (np.stack would keep a
     # transposed one), so equal codebooks give equal bits

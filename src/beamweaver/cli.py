@@ -1,8 +1,9 @@
 """Command-line interface: channel generation, training, evaluation, compare.
 
 Exit codes: 0 success, 2 configuration or format error (an input whose
-array shapes do not fit among them), 3 I/O error, 4 numerical divergence or
-failure (a singular matrix or a value outside an op's domain).
+array shapes do not fit among them), 3 I/O error (an unusable ``--out`` is
+found before the run) or out of memory, 4 numerical divergence or failure
+(a singular matrix or a value outside an op's domain).
 Every command is deterministic for a fixed (config, seed), independent of the
 worker count.
 """
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -159,8 +161,8 @@ def dims_from(doc: dict) -> nbl.NblDims:
 
 def settings_from(doc: dict) -> mx.EvalSettings:
     cb = doc.get("codebook", {})
-    return mx.EvalSettings(**{k: cb[k] for k in ("n_csi", "l_csi") if k in cb},
-                           **doc.get("evaluation", {}))
+    pmi = {"l_csi": cb["l_csi"]} if "l_csi" in cb else {}
+    return mx.EvalSettings(**pmi, **doc.get("evaluation", {}))
 
 
 def _reject_n_users(doc: dict, command: str) -> None:
@@ -226,6 +228,18 @@ def _check_seed(seed: int) -> None:
     _check_option("--seed", seed, 0, ch.SEED_LIMIT)
 
 
+def _check_out_dir(out_dir) -> None:
+    """Refuse, before the run, an ``--out`` that could not be made: its
+    nearest existing ancestor must be a directory that can be written to."""
+    path = Path(out_dir).absolute()
+    while not os.path.lexists(path):
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {path} is not a directory")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(f"--out {out_dir}: {path} is not writable")
+
+
 def _exit_codes(fn):
     """Map each error to its exit code and a one-line message on stderr.
 
@@ -243,6 +257,9 @@ def _exit_codes(fn):
             sys.exit(2)
         except OSError as e:
             click.echo(f"i/o error: {e}", err=True)
+            sys.exit(3)
+        except MemoryError as e:
+            click.echo("out of memory" + (f": {e}" if str(e) else ""), err=True)
             sys.exit(3)
         except DivergenceError as e:
             click.echo(f"numerical divergence: {e}", err=True)
@@ -286,25 +303,53 @@ def _generator(tape: Tape, source: str, config, dims, seed: int = 0):
     return lambda obsc: gen.generate_for(obsc, config.geometry)
 
 
+def _drop_books(source: str, doc: dict, config, dims):
+    """The function from a drop's channel tensor to its per-cell (SSB beams,
+    CSI-RS precoders).  Only ``nbl-neural`` reads the channel: it feeds back
+    under the prior (DFT) SSB codebook and generates from those images."""
+    if source not in ("nbl-direct", "nbl-neural"):
+        if source == "dft":
+            ssb, cs = nbl.dft_codebooks(config.geometry, dims)
+        elif source.startswith("file:"):
+            ssb, cs = cbk.load_codebooks(source[5:])
+            _check_codebook_file(ssb, cs, config, dims)
+        else:
+            raise ConfigError(f"unknown codebook source {source!r}")
+        fixed = ([ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells)
+        return lambda tensor: fixed
+    ckpt = doc.get("checkpoint")
+    if not ckpt:
+        raise ConfigError(f"codebook source {source} requires a 'checkpoint' "
+                          "path in the config")
+    loaded, _, meta = nbl.load_checkpoint(ckpt)
+    _check_checkpoint(meta, source, config, dims)
+    tape = Tape()
+    generate = _generator(tape, source, config, dims)
+    nbl.load_parameters(tape, loaded)
+    if source == "nbl-direct":
+        ssb_dt, cs_dt = generate(None)
+        fixed = ([s.value for s in ssb_dt], [c.value for c in cs_dt])
+        return lambda tensor: fixed
+    prior_ssb = [nbl.dft_codebooks(config.geometry, dims)[0]] * config.c_cells
+    pair = cbk.make_transform_pair(config.geometry)
+
+    def books(tensor):
+        h = np.asarray(tensor.values, np.complex128)
+        ssb_dt, cs_dt = generate(nbl.feedback_images(h, prior_ssb, config.geometry,
+                                                     pair, None)[0])
+        return [s.value for s in ssb_dt], [c.value for c in cs_dt]
+    return books
+
+
 _EVAL_CTX: dict = {}
 
 
 def _eval_one(drop_seed: int) -> list[dict]:
+    """One drop: its channel, its codebooks from that channel, its rows."""
     ctx = _EVAL_CTX
-    config, settings = ctx["config"], ctx["settings"]
-    if "books" in ctx:
-        return mx.evaluate_drop(config, settings, *ctx["books"], drop_seed,
-                                memo=ctx["memo"])
-    # the neural codebook depends on the drop: synthesize its channel once,
-    # feed back under the prior (DFT) SSB codebook, and keep the books'
-    # correlations only for this drop
-    tensor = ch.generate_channels(config, drop_seed)
-    h = np.asarray(tensor.values, np.complex128)
-    obsc = nbl.feedback_images(h, ctx["prior_ssb"], config.geometry, ctx["pair"],
-                               None)[0]
-    ssb_dt, cs_dt = ctx["generate"](obsc)
-    return mx.evaluate_drop(config, settings, [s.value for s in ssb_dt],
-                            [c.value for c in cs_dt], drop_seed, tensor=tensor)
+    tensor = ch.generate_channels(ctx["config"], drop_seed)
+    return mx.evaluate_drop(ctx["config"], ctx["settings"], *ctx["books"](tensor),
+                            ctx["n_csi"], drop_seed, tensor=tensor)
 
 
 def _init_eval_ctx(ctx):
@@ -330,36 +375,9 @@ def evaluate(config_path, seed, out_dir, source, drops, workers):
     config = scenario_from(doc)
     settings = settings_from(doc)
     dims = dims_from(doc)
-    # memo: the correlations of the call's fixed books, one copy per worker;
-    # fixed books are "books", per-drop ones come from "generate"
-    ctx = {"config": config, "settings": settings, "memo": {}}
-    if source in ("nbl-direct", "nbl-neural"):
-        ckpt = doc.get("checkpoint")
-        if not ckpt:
-            raise ConfigError(f"codebook source {source} requires a 'checkpoint' "
-                              "path in the config")
-        loaded, _, meta = nbl.load_checkpoint(ckpt)
-        _check_checkpoint(meta, source, config, dims)
-        tape = Tape()
-        generate = _generator(tape, source, config, dims)
-        nbl.load_parameters(tape, loaded)
-        if source == "nbl-direct":
-            ssb_dt, cs_dt = generate(None)
-            ctx["books"] = ([s.value for s in ssb_dt], [c.value for c in cs_dt])
-        else:
-            ctx["generate"] = generate
-            prior_ssb, _ = nbl.dft_codebooks(config.geometry, dims)
-            ctx["prior_ssb"] = [prior_ssb] * config.c_cells
-            ctx["pair"] = cbk.make_transform_pair(config.geometry)
-    else:
-        if source == "dft":
-            ssb, cs = nbl.dft_codebooks(config.geometry, dims)
-        elif source.startswith("file:"):
-            ssb, cs = cbk.load_codebooks(source[5:])
-            _check_codebook_file(ssb, cs, config, dims)
-        else:
-            raise ConfigError(f"unknown codebook source {source!r}")
-        ctx["books"] = ([ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells)
+    _check_out_dir(out_dir)
+    ctx = {"config": config, "settings": settings, "n_csi": dims.n_csi,
+           "books": _drop_books(source, doc, config, dims)}
     seeds = [seed * 1000003 + i for i in range(drops)]
     workers = min(workers, drops)  # a worker without a drop would idle
     if workers > 1:
@@ -399,6 +417,7 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
     _reject_n_users(doc, "train")
     config = scenario_from(doc)
     dims = dims_from(doc)
+    _check_out_dir(out_dir)
     tr = doc.get("training", {})
     epochs = epochs if epochs is not None else tr.get("epochs", 4)
     lr = lr if lr is not None else tr.get("lr", 1e-4)

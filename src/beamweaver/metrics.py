@@ -30,9 +30,8 @@ _PILOT_TAG = 13
 
 @dataclass
 class EvalSettings:
-    """CSI-RS, PMI and overhead knobs; codebook sizes come from the codebooks."""
+    """PMI and overhead knobs; sizes come from the codebooks and ``NblDims``."""
 
-    n_csi: int = 16
     l_csi: int = 4
     s_b: int = 8
     k_ssb: int = 4
@@ -45,14 +44,13 @@ def _to_dbm(p: np.ndarray) -> np.ndarray:
 
 
 def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
-                  ssb_beams: list, precoders: list, drop_seed: int,
-                  tensor: ch.ChannelTensor | None = None,
-                  memo: dict | None = None) -> list[dict]:
+                  ssb_beams: list, precoders: list, n_csi: int, drop_seed: int,
+                  tensor: ch.ChannelTensor | None = None) -> list[dict]:
     """Run the full protocol for one drop; returns per-user metric rows.
 
-    ssb_beams and precoders: per cell, as ``beam_mgmt.decide`` takes them,
-    and ``memo`` its correlation memo.  ``tensor`` is the drop's channel,
-    ``generate_channels(config, drop_seed)``, if already synthesized.
+    ssb_beams, precoders and n_csi: as ``beam_mgmt.decide`` takes them.
+    ``tensor`` is the drop's channel, ``generate_channels(config,
+    drop_seed)``, if already synthesized.
     """
     sigma2 = ch.noise_variance(config)
     if tensor is None:
@@ -60,7 +58,7 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
     pin = bm.decide(bm.measure_rsrp(hv, ssb_beams, sigma2, drop_seed), hv,
-                    ssb_beams, precoders, sigma2, settings.n_csi, memo=memo)
+                    ssb_beams, precoders, sigma2, n_csi)
     report, subsets, chosen = pin.report, pin.subsets, pin.chosen
     users = np.arange(n_users)
     se_best = pin.se[users, chosen]
@@ -92,7 +90,7 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
         sets.append(link.build_precoders(recon, fb.gains, chosen,
                                          subsets[c], sched, sigma2,
                                          est.subband_of_k))
-    alpha = link.data_fraction(len(ssb_beams[0]), settings.n_csi, settings.k_ssb,
+    alpha = link.data_fraction(len(ssb_beams[0]), n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)
     rows = []

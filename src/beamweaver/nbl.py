@@ -245,8 +245,7 @@ class NeuralGenerator:
 def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
                   n_csi: int, pin: bm.SelectionPin | None = None,
                   new_user_mask=None,
-                  disaggregated_cell: int | None = None,
-                  memo: dict | None = None) -> ForwardResult:
+                  disaggregated_cell: int | None = None) -> ForwardResult:
     """SSB -> feedback -> CSI-RS -> achievable-SE rollout, differentiated
     only where the training losses read it.
 
@@ -266,7 +265,7 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
         ssb = [s.value for s in ssb_dt]
         pin = bm.decide(bm.rsrp_tensor(h, ssb), h, ssb,
                         [cs.value for cs in csirs_dt], sigma2, n_csi,
-                        new_user_mask, memo)
+                        new_user_mask)
     if disaggregated_cell is not None:
         ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                   for c, s in enumerate(ssb_dt)]
@@ -403,12 +402,11 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
 
 
 def _drop_loss(sample: TrainingSample, ssb_dt, csirs_dt, sigma2, n_csi,
-               ssb_weight, disaggregated_cell=None, balance_weight=0.0,
-               memo=None):
+               ssb_weight, disaggregated_cell=None, balance_weight=0.0):
     """One drop's training loss under the given per-cell codebooks."""
     fw = forward_model(sample.h, ssb_dt, csirs_dt, sigma2, n_csi,
                        new_user_mask=sample.new_user_mask,
-                       disaggregated_cell=disaggregated_cell, memo=memo)
+                       disaggregated_cell=disaggregated_cell)
     loss = e2e_loss(sample.targets, fw.pred)
     if ssb_weight:
         loss = ad.add(loss, ad.scale(ssb_alignment_loss(fw.best_rsrp, sigma2),
@@ -424,19 +422,17 @@ def _batch_losses(batch: list, generate, sigma2, n_csi, ssb_weight,
     """Yield each drop's loss, from one ``generate`` call on the batch's images.
 
     Batched codebooks (a leading drop axis) give each drop its slice; shared
-    ones pass to every drop as they are.  The drops share one subset memo.
-    Losses are built one at a time, so a caller that keeps only their values
-    holds one drop's graph at a time.
+    ones pass to every drop as they are.  Losses are built one at a time, so
+    a caller that keeps only their values holds one drop's graph at a time.
     """
     ssb, csirs = generate([np.stack(images)
                            for images in zip(*(s.obsc for s in batch))])
     batched = ssb[0].value.ndim == 3  # (B, L, NT), not a shared (L, NT)
-    memo = {}
     for i, sample in enumerate(batch):
         ssb_i = [ad.take(t, i) for t in ssb] if batched else ssb
         csirs_i = [ad.take(t, i) for t in csirs] if batched else csirs
         yield _drop_loss(sample, ssb_i, csirs_i, sigma2, n_csi, ssb_weight,
-                         cell, balance_weight, memo)
+                         cell, balance_weight)
 
 
 def _batch_backward(batch: list, generate, sigma2, n_csi, ssb_weight, cell,

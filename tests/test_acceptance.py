@@ -200,8 +200,7 @@ def desk():
              "nbl": ([s.value for s in ssb_dt], [c.value for c in cs_dt])}
     seeds = [9001 * 1000003 + i for i in range(_DESK_DROPS)]
 
-    settings = mx.EvalSettings(n_csi=dims.n_csi)
-    memo = {}  # both pairs of books stay fixed for all 1,000 evaluations
+    settings = mx.EvalSettings()
     gains, ratios, in_pairs = [], [], []
     for s in seeds:
         tensor = ch.generate_channels(cfg, s)
@@ -212,10 +211,10 @@ def desk():
 
         gains.append(10.0 * np.log10(best_rsrp(books["nbl"][0])
                                      / best_rsrp(books["dft"][0])))
-        rows_dft = mx.evaluate_drop(cfg, settings, *books["dft"], s,
-                                    tensor=tensor, memo=memo)
-        rows_nbl = mx.evaluate_drop(cfg, settings, *books["nbl"], s,
-                                    tensor=tensor, memo=memo)
+        rows_dft = mx.evaluate_drop(cfg, settings, *books["dft"], dims.n_csi, s,
+                                    tensor=tensor)
+        rows_nbl = mx.evaluate_drop(cfg, settings, *books["nbl"], dims.n_csi, s,
+                                    tensor=tensor)
         if rows_dft[0]["esse"] > 0:
             ratios.append(rows_nbl[0]["esse"] / rows_dft[0]["esse"])
         for a, b in zip(rows_dft, rows_nbl):
@@ -337,8 +336,7 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
                                   elevation_window=FULL) for _ in range(3)]
     dft8 = ([p.beams for p in prior8], [c.precoders for c in dft_cs8])
     pair8 = cb.make_transform_pair(eval_cfg.geometry)
-    settings = mx.EvalSettings(n_csi=dims.n_csi)
-    memo = {}  # the DFT books' correlations, for all 60 drops
+    settings = mx.EvalSettings()
     ratios = []
     for i in range(60):
         seed = 321 * 1000003 + i
@@ -346,10 +344,11 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
         obsc = nbl.feedback_images(np.asarray(tensor.values, np.complex128),
                                    prior8, eval_cfg.geometry, pair8, None)[0]
         ssb_dt, cs_dt = gen.generate_for(obsc, eval_cfg.geometry)
-        rows_dft = mx.evaluate_drop(eval_cfg, settings, *dft8, seed,
-                                    tensor=tensor, memo=memo)
+        rows_dft = mx.evaluate_drop(eval_cfg, settings, *dft8, dims.n_csi, seed,
+                                    tensor=tensor)
         rows_nbl = mx.evaluate_drop(eval_cfg, settings, [s.value for s in ssb_dt],
-                                    [c.value for c in cs_dt], seed, tensor=tensor)
+                                    [c.value for c in cs_dt], dims.n_csi, seed,
+                                    tensor=tensor)
         if rows_dft[0]["esse"] > 0:
             ratios.append(rows_nbl[0]["esse"] / rows_dft[0]["esse"])
     assert np.median(ratios) > 1.0

@@ -280,8 +280,8 @@ def test_ssb_sweeps_build_no_autodiff_graph(monkeypatch):
                      cb.make_transform_pair(config.geometry), None) == 0
         assert count(bm.decide, bm.measure_rsrp(h, beams, sigma2, 3), h, beams,
                      precoders, sigma2, dims.n_csi) == 1
-        assert count(mx.evaluate_drop, config, mx.EvalSettings(n_csi=dims.n_csi),
-                     beams, precoders, 3) == 1
+        assert count(mx.evaluate_drop, config, mx.EvalSettings(),
+                     beams, precoders, dims.n_csi, 3) == 1
     assert count(ad.constant, np.ones(1)) == 1  # the count sees each DiffTensor
 
 
@@ -417,6 +417,56 @@ def test_subset_no_duplicates_and_exact_size():
     sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=8)
     assert len(sel.subset_indices) == 8
     assert len(set(sel.subset_indices)) == 8
+
+
+def _frozen_full_matrix_selection(corr, report, cell, n_csi):
+    """select_csirs_subset as it was before it correlated only the budgeted
+    beams: it read its rows from corr, the whole (L, N_CB) beam-precoder
+    correlation, which it computed once per pair of codebooks."""
+    counts = report.beam_counts(cell)
+    if counts.sum() == 0:
+        return list(range(n_csi))
+    budgets = bm._apportion(counts, n_csi)
+    taken, free = [], np.ones(corr.shape[1], bool)
+    for i in np.nonzero(budgets)[0]:
+        picked = 0
+        for j in np.argsort(-corr[i], kind="stable"):
+            if picked == budgets[i]:
+                break
+            if free[j]:
+                taken.append(int(j))
+                free[j] = False
+                picked += 1
+    return taken
+
+
+@pytest.mark.parametrize("book", ["dft", "perturbed"])
+@pytest.mark.parametrize("n_x, reports", [(8, 300), (32, 60)], ids=["8x8", "32x32"])
+def test_subset_matches_frozen_full_matrix_selection(n_x, reports, book):
+    # the rows of the budgeted beams alone give the full matrix's bits, so
+    # every subset is the same; DFT books carry near-exact correlation ties
+    dims = nbl.NblDims(l_max=24)
+    ssb, csirs = nbl.dft_codebooks(ArrayGeometry(n_x=n_x, n_y=n_x), dims)
+    beams, precoders = ssb.beams, csirs.precoders
+    rng = np.random.default_rng(31)
+    if book == "perturbed":
+        beams = beams * np.exp(0.2j * rng.standard_normal(beams.shape))
+        precoders = precoders * np.exp(0.2j * rng.standard_normal(precoders.shape))
+    corr = np.abs(np.einsum("it,jts->ijs", np.conj(beams), precoders)).max(axis=2)
+    spread = 0
+    for _ in range(reports):
+        # a few hot beams, many users, or more reported beams than N_CSI
+        weights = rng.random(dims.l_max) ** rng.choice([1, 4, 12])
+        n_users = int(rng.integers(1, 60))
+        reported = rng.choice(dims.l_max, size=n_users, p=weights / weights.sum())
+        rsrp = np.zeros((1, dims.l_max, n_users))
+        rsrp[0, reported, np.arange(n_users)] = 1.0
+        report = bm.aggregate_feedback(rsrp)
+        sel = bm.select_csirs_subset(beams, precoders, report, 0, dims.n_csi)
+        assert sel.subset_indices == _frozen_full_matrix_selection(
+            corr, report, 0, dims.n_csi)
+        spread = max(spread, len(set(reported)))
+    assert spread > dims.n_csi  # the over-budget rule ran too
 
 
 def test_subset_rejects_oversized_request():

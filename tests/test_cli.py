@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from beamweaver import beam_mgmt as bm
 from beamweaver import channel as ch
 from beamweaver import cli
 from beamweaver import codebook as cbk
@@ -69,7 +70,8 @@ def _run_process(*args):
 
 def test_exit_code_mapping():
     for exc, code in ((ConfigError("x"), 2), (FormatError("x"), 2),
-                      (ShapeError("x"), 2), (OSError("x"), 3), (DivergenceError("x"), 4),
+                      (ShapeError("x"), 2), (OSError("x"), 3), (MemoryError("x"), 3),
+                      (DivergenceError("x"), 4),
                       (SingularMatrixError("x"), 4), (DomainError("x"), 4)):
         @cli._exit_codes
         def boom(e=exc):
@@ -169,10 +171,10 @@ def test_scene_spread_keys_are_honoured(tmp_path, key, value):
         user_count_range=(2, 3), **{key: value})
     ssb = cbk.build_dft_ssb(config.geometry, 8, (-1.01, 1.01))
     cs = cbk.build_dft_csirs(config.geometry, 4, 2, elevation_window=(-1.01, 1.01))
-    settings = mx.EvalSettings(n_csi=4, l_csi=2, s_b=2, k_ssb=2, t_period=160)
+    settings = mx.EvalSettings(l_csi=2, s_b=2, k_ssb=2, t_period=160)
     rows = [r for i in range(2)
             for r in mx.evaluate_drop(config, settings, [ssb.beams], [cs.precoders],
-                                      4 * 1000003 + i)]
+                                      4, 4 * 1000003 + i)]
     mx.write_metrics(tmp_path / "direct.csv", rows)
     assert texts[0] == (tmp_path / "direct.csv").read_bytes()
     assert texts[0] != texts[1]
@@ -358,6 +360,8 @@ def _values_read(seen, path):
         owners = settings if section == "evaluation" else [
             o for o in dims + settings if hasattr(o, key)]
     values = [getattr(o, key) for o in owners]
+    if path == ("codebook", "n_csi"):  # its one home is dims, passed on as is
+        values += [args["n_csi"] for args in seen["evaluate_drop"] + seen["train"]]
     return [list(v) if isinstance(v, tuple) else v for v in values]
 
 
@@ -417,9 +421,9 @@ def test_every_config_field_is_a_config_key():
     keys = {ch.ScenarioConfig: scenario,
             ch.ArrayGeometry: scenario["geometry"]["properties"],
             nbl.NblDims: codebook,
-            # the one exception: EvalSettings also reads the CSI-RS resource
-            # count and the PMI beam count, n_csi and l_csi, from codebook
-            mx.EvalSettings: [*sections["evaluation"]["properties"], "n_csi", "l_csi"]}
+            # the one exception: EvalSettings also reads the PMI beam count,
+            # l_csi, from codebook
+            mx.EvalSettings: [*sections["evaluation"]["properties"], "l_csi"]}
     assert {"n_csi", "l_csi"} <= set(codebook)
     for owner, section in keys.items():
         extra = {f.name for f in dataclasses.fields(owner)} - set(section)
@@ -442,6 +446,14 @@ def test_settings_keep_their_default_in_one_place():
     params = inspect.signature(nbl.train).parameters
     assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY
                for name in asked[nbl.train])
+    # codebook.n_csi lives in NblDims alone; every function it reaches asks
+    # for it
+    assert "n_csi" not in {f.name for f in dataclasses.fields(mx.EvalSettings)}
+    assert {f.name: f.default for f in dataclasses.fields(nbl.NblDims)}["n_csi"] == 16
+    for fn in (mx.evaluate_drop, bm.decide, bm.select_csirs_subset,
+               nbl.forward_model, nbl.train):
+        params = inspect.signature(fn).parameters
+        assert params["n_csi"].default is inspect.Parameter.empty, fn.__name__
 
 
 @pytest.mark.parametrize("text", [
@@ -659,6 +671,63 @@ def test_refused_run_leaves_no_output_directory(tmp_path, command, source, edit,
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("under", [True, False], ids=["file-sub", "file"])
+def test_out_that_cannot_be_made_is_refused_before_the_run(cfg, tmp_path,
+                                                           monkeypatch, command,
+                                                           under):
+    # a regular file, or a path under one, as --out used to exit 3 only once
+    # training or every drop had run; the check reads the nearest existing
+    # ancestor, so it holds for root too, unlike a read-only directory
+    ran = []
+    monkeypatch.setattr(nbl, "train", lambda *args, **kw: ran.append("train"))
+    monkeypatch.setattr(mx, "evaluate_drop", lambda *args, **kw: ran.append("drop"))
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    before = sorted(tmp_path.iterdir())
+    res = _run(command, "--config", cfg, "--out", out, "--drops", 2)
+    assert res.exit_code == 3, res.output
+    assert res.output == f"i/o error: --out {out}: {blocker} is not a directory\n"
+    assert ran == []
+    assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept"
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError("Unable to allocate 4.00 GiB for an array with shape "
+                      "(262144, 2048) and data type complex64")
+
+
+@pytest.mark.parametrize("command, module, name, extra", [
+    ("gen-channels", ch, "generate_channels", []),
+    ("evaluate", nbl, "dft_codebooks", ["--drops", 1]),
+    ("evaluate", ch, "generate_channels", ["--drops", 2, "--workers", 2]),
+    ("train", nbl, "dft_codebooks", []),
+], ids=["gen-channels", "evaluate", "evaluate-workers", "train"])
+def test_out_of_memory_is_an_exit_3_with_one_line(cfg, tmp_path, monkeypatch,
+                                                  command, module, name, extra):
+    # a MemoryError used to end the run with exit 1 and a full traceback; a
+    # worker's is raised again in the parent.  No test allocates that much:
+    # the call that would is made to raise
+    monkeypatch.setattr(module, name, _exhausted)
+    out = tmp_path / "out"
+    res = _run(command, "--config", cfg, "--out", out, *extra)
+    assert res.exit_code == 3, res.output
+    assert res.output == ("out of memory: Unable to allocate 4.00 GiB for an array "
+                          "with shape (262144, 2048) and data type complex64\n")
+    assert not out.exists()
+
+
+def test_out_of_memory_without_a_message_is_one_line(capsys):
+    @cli._exit_codes
+    def boom():
+        raise MemoryError()
+    with pytest.raises(SystemExit) as ex:
+        boom()
+    assert ex.value.code == 3
+    assert capsys.readouterr().err == "out of memory\n"
+
+
 @pytest.mark.parametrize("cut", [10, 121, 239])
 def test_truncated_checkpoint_is_a_format_error(cfg, tmp_path, cut):
     res = _run("train", "--config", cfg, "--seed", 3,
@@ -863,8 +932,9 @@ def test_evaluate_writes_metrics(cfg, tmp_path):
 
 @pytest.mark.parametrize("source", ["dft", "nbl-direct", "nbl-neural"])
 def test_evaluate_worker_count_invariance(source, trained, tmp_path):
-    # a call's correlation memo lives in each worker, and nbl-neural builds
-    # new codebooks for every drop; neither may show in the output
+    # each worker runs its drops on one path (channel, the drop's books,
+    # evaluate_drop), and nbl-neural builds new codebooks for every drop;
+    # neither may show in the output
     doc = _config_doc(**({} if source == "dft" else
                          {"checkpoint": str(trained[source])}))
     path = tmp_path / "config.json"
@@ -878,6 +948,37 @@ def test_evaluate_worker_count_invariance(source, trained, tmp_path):
         digests.append(hashlib.sha256(
             (tmp_path / name / "metrics.csv").read_bytes()).digest())
     assert digests[0] == digests[1]
+
+
+def test_evaluate_at_a_32x32_array(tmp_path, monkeypatch):
+    # the paper's end of the scale, in the quick set: the default scene with
+    # a 32x32 dual-polarized array and its DFT books, 2 drops at 1 and 2
+    # workers
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": {"geometry": {"n_x": 32, "n_y": 32}}}))
+    books, evaluate_drop = [], mx.evaluate_drop
+
+    def spy(config, settings, ssb_beams, precoders, *args, **kwargs):
+        books.append((ssb_beams, precoders))
+        return evaluate_drop(config, settings, ssb_beams, precoders, *args, **kwargs)
+
+    texts = []
+    for workers in (1, 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(mx, "evaluate_drop", spy)
+            res = _run("evaluate", "--config", path, "--seed", 5, "--drops", 2,
+                       "--out", tmp_path / f"w{workers}", "--workers", workers)
+        assert res.exit_code == 0, res.output
+        texts.append((tmp_path / f"w{workers}" / "metrics.csv").read_bytes())
+    assert texts[0] == texts[1]
+    rows = mx.read_metrics(tmp_path / "w1" / "metrics.csv")
+    assert {r["drop"] for r in rows} == {5 * 1000003, 5 * 1000003 + 1}
+    assert all(np.isfinite(v) for r in rows for v in r.values())
+    assert len(books) == 2  # the workers' calls run in their own processes
+    n_t = 32 * 32 * 2
+    for ssb_beams, precoders in books:
+        for book in (*ssb_beams, *precoders):
+            np.testing.assert_allclose(np.abs(book), 1.0 / np.sqrt(n_t), rtol=1e-12)
 
 
 def test_evaluate_starts_no_more_workers_than_drops(cfg, tmp_path, monkeypatch):

@@ -527,7 +527,7 @@ def default_drop_inputs():
         mp.setattr(link, "schedule_users", capture_schedule)
         for i in range(20):
             mx.evaluate_drop(config, cli.settings_from({}), ssb, csirs,
-                             7 * 1000003 + i)
+                             cli.dims_from({}).n_csi, 7 * 1000003 + i)
     return pmi_calls, schedule_calls
 
 
@@ -873,7 +873,7 @@ def test_esse_matches_frozen_loop_on_default_drops():
         mp.setattr(link, "transmit_and_score", capture)
         for i in range(3):
             mx.evaluate_drop(config, cli.settings_from({}), ssb, csirs,
-                             11 * 1000003 + i)
+                             cli.dims_from({}).n_csi, 11 * 1000003 + i)
     assert len(calls) == 3
     for h, sets, sigma2, alpha in calls:
         assert sum(len(ps.users) for ps in sets) > 1  # scored under interference

@@ -24,8 +24,11 @@ def _config():
         geometry=ch.ArrayGeometry(n_x=4, n_y=4, dual_polarized=True))
 
 
+N_CSI = 4
+
+
 def _settings():
-    return mx.EvalSettings(n_csi=4, l_csi=2, s_b=2, k_ssb=2, t_period=160)
+    return mx.EvalSettings(l_csi=2, s_b=2, k_ssb=2, t_period=160)
 
 
 def _books(config):
@@ -35,15 +38,16 @@ def _books(config):
     return ssb, cs
 
 
-def _evaluate(config, settings, ssb_books, csirs_books, drop_seed, **kw):
+def _evaluate(config, settings, ssb_books, csirs_books, n_csi, drop_seed, **kw):
     """evaluate_drop on the books' arrays."""
     return mx.evaluate_drop(config, settings, [b.beams for b in ssb_books],
-                            [c.precoders for c in csirs_books], drop_seed, **kw)
+                            [c.precoders for c in csirs_books], n_csi, drop_seed,
+                            **kw)
 
 
 def _rows(drop_seed=7):
     config = _config()
-    return _evaluate(config, _settings(), *_books(config), drop_seed)
+    return _evaluate(config, _settings(), *_books(config), N_CSI, drop_seed)
 
 
 def test_evaluate_drop_row_invariants():
@@ -126,16 +130,15 @@ def test_compare_allocations_sum_to_one():
 # its own users' feedback.  The LS step multiplied by the pseudo-inverse of
 # the identity pilot matrix, as estimate_channel did then.
 
-def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, drop_seed,
-                          tensor):
+def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, n_csi,
+                          drop_seed, tensor):
     sigma2 = ch.noise_variance(config)
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
     rsrp = bm.measure_rsrp(hv, [b.beams for b in ssb_books], sigma2, drop_seed)
     report = bm.aggregate_feedback(rsrp)
-    memo = {}
     sels = [bm.select_csirs_subset(ssb_books[c].beams, csirs_books[c].precoders,
-                                   report, c, settings.n_csi, memo)
+                                   report, c, n_csi)
             for c in range(c_cells)]
     subsets = [csirs_books[c].precoders[sels[c].subset_indices]
                for c in range(c_cells)]
@@ -163,7 +166,7 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, drop_seed,
         sets.append(link.build_precoders(recon, fb.gains, chosen,
                                          subsets[c], sched, sigma2,
                                          est.subband_of_k))
-    alpha = link.data_fraction(ssb_books[0].l_max, settings.n_csi, settings.k_ssb,
+    alpha = link.data_fraction(ssb_books[0].l_max, n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)
     return [{
@@ -180,12 +183,12 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, drop_seed,
 
 
 def _doc_setup(doc):
-    """(config, settings, SSB books, CSI-RS books) as the CLI's DFT
+    """(config, settings, SSB books, CSI-RS books, n_csi) as the CLI's DFT
     evaluation builds them."""
     config, dims = cli.scenario_from(doc), cli.dims_from(doc)
     ssb, cs = nbl.dft_codebooks(config.geometry, dims)
     return (config, cli.settings_from(doc), [ssb] * config.c_cells,
-            [cs] * config.c_cells)
+            [cs] * config.c_cells, dims.n_csi)
 
 
 # the 2-cell, 2-slot, 8-subcarrier 4x4 scene with S_B = K: one RE per subband
@@ -203,7 +206,7 @@ def test_serving_cell_data_plane_matches_frozen_per_cell_loop(case):
         setup, seeds = _doc_setup(_SMALL_DOC), range(3100, 3106)
     else:  # one user across two cells: the other cell serves no one
         config = dataclasses.replace(_config(), user_count_range=(1, 1))
-        setup, seeds = (config, _settings(), *_books(config)), range(3200, 3203)
+        setup, seeds = (config, _settings(), *_books(config), N_CSI), range(3200, 3203)
     config = setup[0]
     for seed in seeds:
         tensor = ch.generate_channels(config, seed)

@@ -6,7 +6,6 @@ from beamweaver import autodiff as ad
 from beamweaver import beam_mgmt as bm
 from beamweaver import channel as ch
 from beamweaver import codebook as cb
-from beamweaver import metrics as mx
 from beamweaver import nbl
 from beamweaver.autodiff import Tape
 from beamweaver.errors import ConfigError, DivergenceError, FormatError, ShapeError
@@ -539,42 +538,6 @@ def test_load_parameters_gives_a_fresh_generator_the_loaded_values(mode):
     got, want = generate(obsc), want_generate(obsc)
     for a, b in zip(got[0] + got[1], want[0] + want[1]):
         np.testing.assert_array_equal(a.value, b.value)
-
-
-@pytest.mark.parametrize("path", ["forward_model", "evaluate_drop"])
-def test_shared_correlation_memo_keeps_subsets_and_computes_once_per_cell(path):
-    # one memo through every drop: the training rollout's, and evaluation's,
-    # where it lasts as long as the codebooks (a whole `evaluate` call)
-    cfg = _config(c_cells=3, user_count_range=(4, 6))
-    dims = _dims(n_cb=8, n_csi=4)
-    data, sigma2 = _dataset(cfg, dims, n_samples=4)
-    gen = nbl.DirectGenerator(Tape(), cfg.c_cells, cfg.geometry, dims)
-    settings = mx.EvalSettings(n_csi=dims.n_csi, l_csi=2, s_b=2, k_ssb=2)
-    rng = np.random.default_rng(4)
-    for perturb in (0.0, 0.3):  # DFT ties, then a generic codebook
-        for p in gen.ssb_params + gen.csirs_params:
-            p.value = p.value + perturb * (rng.standard_normal(p.value.shape)
-                                           + 1j * rng.standard_normal(p.value.shape))
-        ssb, csirs = gen.generate()
-        memo = {}
-        if path == "forward_model":
-            for s in data:
-                kw = dict(new_user_mask=s.new_user_mask)
-                shared = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi,
-                                           memo=memo, **kw)
-                alone = nbl.forward_model(s.h, ssb, csirs, sigma2, dims.n_csi, **kw)
-                assert shared.pin.subset_indices == alone.pin.subset_indices
-            assert len(memo) == cfg.c_cells
-        else:
-            # cells 0 and 1 share one (SSB, precoder) array pair
-            beams = [ssb[0].value, ssb[0].value, ssb[2].value]
-            precoders = [csirs[0].value, csirs[0].value, csirs[2].value]
-            for seed in range(5):
-                shared = mx.evaluate_drop(cfg, settings, beams, precoders, seed,
-                                          memo=memo)
-                assert shared == mx.evaluate_drop(cfg, settings, beams, precoders,
-                                                  seed, memo={})
-            assert len(memo) == 2
 
 
 # -------------------------------- dataset --------------------------------
