@@ -28,7 +28,7 @@ from . import metrics as mx
 from . import nbl
 from .autodiff import Tape
 from .errors import (ConfigError, DivergenceError, DomainError, FormatError,
-                     ShapeError, SingularMatrixError)
+                     ShapeError, SingularMatrixError, json_int64)
 
 _GEOMETRY_SCHEMA = {
     "type": "object",
@@ -133,7 +133,8 @@ def load_config(path) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f, parse_float=_finite_number,
-                            parse_constant=_finite_number)
+                            parse_constant=_finite_number,
+                            parse_int=json_int64(ConfigError))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
@@ -198,14 +199,17 @@ def _check_checkpoint(meta: dict, source: str, config, dims) -> None:
                               f"config gives {want[key]!r}")
 
 
-def _check_codebook_file(ssb, csirs, config, dims) -> None:
-    """Refuse a codebook file built for another array or codebook sizing."""
-    have, want = ssb.geometry, config.geometry
+def _check_codebook_file(have, ssb, precoders, config, dims) -> None:
+    """Refuse a codebook file built for another array or codebook sizing:
+    ``have`` is its geometry, ``ssb`` its (L, NT) beams and ``precoders``
+    its (N_CB, NT, B_g) precoders."""
+    want = config.geometry
     for key, got, value in [
             ("n_x", have.n_x, want.n_x), ("n_y", have.n_y, want.n_y),
             ("dual_polarized", have.dual_polarized, want.dual_polarized),
-            ("l_max", ssb.l_max, dims.l_max), ("n_cb", csirs.n_cb, dims.n_cb),
-            ("b_g", csirs.b_g, dims.b_g)]:
+            ("l_max", ssb.shape[0], dims.l_max),
+            ("n_cb", precoders.shape[0], dims.n_cb),
+            ("b_g", precoders.shape[2], dims.b_g)]:
         if got != value:
             raise ConfigError(f"codebook file is built for {key}={got!r}, "
                               f"config gives {value!r}")
@@ -311,11 +315,11 @@ def _drop_books(source: str, doc: dict, config, dims):
         if source == "dft":
             ssb, cs = nbl.dft_codebooks(config.geometry, dims)
         elif source.startswith("file:"):
-            ssb, cs = cbk.load_codebooks(source[5:])
-            _check_codebook_file(ssb, cs, config, dims)
+            geometry, ssb, cs = cbk.load_codebooks(source[5:])
+            _check_codebook_file(geometry, ssb, cs, config, dims)
         else:
             raise ConfigError(f"unknown codebook source {source!r}")
-        fixed = ([ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells)
+        fixed = ([ssb] * config.c_cells, [cs] * config.c_cells)
         return lambda tensor: fixed
     ckpt = doc.get("checkpoint")
     if not ckpt:

@@ -20,47 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import ArrayGeometry
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, json_int64
 
 CSIRS_OVERSAMPLING = 4  # of the DFT CSI-RS codebook's grid, per axis
-
-
-@dataclass
-class SsbCodebook:
-    """Broadcast beam-sweep codebook: l_max unit-norm analog vectors."""
-
-    beams: np.ndarray  # (L, NT) complex
-    geometry: ArrayGeometry
-
-    def __post_init__(self):
-        self.beams = np.asarray(self.beams, dtype=np.complex128)
-        if self.beams.ndim != 2 or self.beams.shape[1] != self.geometry.n_elements:
-            raise ShapeError(f"SSB beams shape {self.beams.shape} does not match geometry")
-
-    @property
-    def l_max(self) -> int:
-        return self.beams.shape[0]
-
-
-@dataclass
-class CsirsCodebook:
-    """Refinement codebook: n_cb precoder matrices of B_g columns each."""
-
-    precoders: np.ndarray  # (N_CB, NT, B_g) complex
-    geometry: ArrayGeometry
-
-    def __post_init__(self):
-        self.precoders = np.asarray(self.precoders, dtype=np.complex128)
-        if self.precoders.ndim != 3 or self.precoders.shape[1] != self.geometry.n_elements:
-            raise ShapeError(f"CSI-RS precoders shape {self.precoders.shape} bad")
-
-    @property
-    def n_cb(self) -> int:
-        return self.precoders.shape[0]
-
-    @property
-    def b_g(self) -> int:
-        return self.precoders.shape[2]
 
 
 @dataclass
@@ -138,8 +100,9 @@ def _grid_beams(u_x: np.ndarray, u_y: np.ndarray, kx: np.ndarray, ky: np.ndarray
 
 
 def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
-                  elevation_window) -> SsbCodebook:
-    """Wide-beam SSB codebook on the critically-sampled grid, downtilt pruned."""
+                  elevation_window) -> np.ndarray:
+    """Wide-beam SSB codebook on the critically-sampled grid, downtilt pruned:
+    (L, NT) unit-norm beams."""
     u_x = transform_matrix(geometry.n_x, geometry.n_x)
     u_y = transform_matrix(geometry.n_y, geometry.n_y)
     cands = _grid_candidates(geometry.n_x, geometry.n_y, elevation_window,
@@ -147,13 +110,13 @@ def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
     if l_max > len(cands):
         raise ConfigError(f"l_max={l_max} exceeds {len(cands)} unpruned directions")
     picks = np.linspace(0, len(cands), l_max, endpoint=False).astype(int)
-    return SsbCodebook(beams=_grid_beams(u_x, u_y, *cands[picks].T, geometry),
-                       geometry=geometry)
+    return _grid_beams(u_x, u_y, *cands[picks].T, geometry)
 
 
 def build_dft_csirs(geometry: ArrayGeometry, n_cb: int, b_g: int,
-                    elevation_window) -> CsirsCodebook:
-    """Narrow-beam codebook on an oversampled grid, B_g adjacent beams per precoder."""
+                    elevation_window) -> np.ndarray:
+    """Narrow-beam codebook on an oversampled grid, B_g adjacent beams per
+    precoder: (N_CB, NT, B_g) precoders."""
     n_xo, n_yo = CSIRS_OVERSAMPLING * geometry.n_x, CSIRS_OVERSAMPLING * geometry.n_y
     u_x = transform_matrix(geometry.n_x, n_xo)
     u_y = transform_matrix(geometry.n_y, n_yo)
@@ -162,9 +125,7 @@ def build_dft_csirs(geometry: ArrayGeometry, n_cb: int, b_g: int,
         raise ConfigError(f"n_cb*b_g={n_cb * b_g} exceeds {len(cands)} grid beams")
     picks = np.linspace(0, len(cands), n_cb * b_g, endpoint=False).astype(int)
     cols = _grid_beams(u_x, u_y, *cands[picks].T, geometry)  # (N_CB*B_g, NT)
-    precoders = np.ascontiguousarray(
-        cols.reshape(n_cb, b_g, -1).transpose(0, 2, 1))  # (N_CB, NT, B_g)
-    return CsirsCodebook(precoders=precoders, geometry=geometry)
+    return np.ascontiguousarray(cols.reshape(n_cb, b_g, -1).transpose(0, 2, 1))
 
 
 def project_analog(beams: np.ndarray, b_phase: int | None) -> np.ndarray:
@@ -238,35 +199,38 @@ def _pairs_to_beams(rows) -> np.ndarray:
                     dtype=np.complex128)
 
 
-def save_codebooks(path, ssb: SsbCodebook, csirs: CsirsCodebook) -> None:
-    """Structured-text export; float64 round-trip safe via repr-style floats."""
-    geo = ssb.geometry
+def save_codebooks(path, geometry: ArrayGeometry, ssb_beams: np.ndarray,
+                   precoders: np.ndarray) -> None:
+    """Structured-text export of (L, NT) SSB beams and (N_CB, NT, B_g) CSI-RS
+    precoders built for ``geometry``; float64 round-trip safe via repr-style
+    floats."""
     doc = {
         "format": "beamweaver-codebook-v1",
         "geometry": {
-            "n_x": geo.n_x, "n_y": geo.n_y,
-            "dual_polarized": geo.dual_polarized,
-            "element_spacing": geo.element_spacing,
-            "carrier_frequency": geo.carrier_frequency,
+            "n_x": geometry.n_x, "n_y": geometry.n_y,
+            "dual_polarized": geometry.dual_polarized,
+            "element_spacing": geometry.element_spacing,
+            "carrier_frequency": geometry.carrier_frequency,
         },
-        "ssb": _beams_to_pairs(ssb.beams),
-        "csirs": [_beams_to_pairs(p) for p in csirs.precoders],
+        "ssb": _beams_to_pairs(ssb_beams),
+        "csirs": [_beams_to_pairs(p) for p in precoders],
     }
     with open(path, "w") as f:
         json.dump(doc, f)
 
 
-def load_codebooks(path) -> tuple[SsbCodebook, CsirsCodebook]:
-    """Read a ``save_codebooks`` file.
+def load_codebooks(path) -> tuple[ArrayGeometry, np.ndarray, np.ndarray]:
+    """Read a ``save_codebooks`` file: (geometry, SSB beams, precoders).
 
     Raises FormatError for a file that is not a well-formed document (not
-    JSON, a missing or unknown key, beams that are not finite [re, im] pairs
-    or do not fit the geometry) and ConfigError for another format tag.
+    JSON, an integer literal outside 64 bits, a missing or unknown key,
+    beams that are not finite [re, im] pairs or do not fit the geometry) and
+    ConfigError for another format tag.
     """
     with open(path) as f:
         try:
-            doc = json.load(f)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            doc = json.load(f, parse_int=json_int64(FormatError))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise FormatError(f"codebook file is not JSON: {e}") from None
     if not isinstance(doc, dict):
         raise FormatError("codebook file does not hold a JSON object")
@@ -274,11 +238,15 @@ def load_codebooks(path) -> tuple[SsbCodebook, CsirsCodebook]:
         raise ConfigError("unrecognized codebook file format")
     try:
         geo = ArrayGeometry(**doc["geometry"])
-        ssb = SsbCodebook(beams=_pairs_to_beams(doc["ssb"]), geometry=geo)
+        ssb = _pairs_to_beams(doc["ssb"])
         precoders = np.stack([_pairs_to_beams(p) for p in doc["csirs"]])
-        csirs = CsirsCodebook(precoders=precoders, geometry=geo)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed codebook file: {e!r}") from None
-    if not (np.isfinite(ssb.beams).all() and np.isfinite(csirs.precoders).all()):
+    if ssb.ndim != 2 or ssb.shape[1] != geo.n_elements:
+        raise FormatError(f"SSB beams shape {ssb.shape} does not match geometry")
+    if precoders.ndim != 3 or precoders.shape[1] != geo.n_elements:
+        raise FormatError(f"CSI-RS precoders shape {precoders.shape} "
+                          "does not match geometry")
+    if not (np.isfinite(ssb).all() and np.isfinite(precoders).all()):
         raise FormatError("codebook file holds a non-finite beam entry")
-    return ssb, csirs
+    return geo, ssb, precoders

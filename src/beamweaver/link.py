@@ -413,7 +413,7 @@ def data_fraction(l_max: int, n_csi: int, k_ssb: int, k_subcarriers: int,
 
 
 def transmit_and_score(h: np.ndarray, sets: list[PrecoderSet],
-                       sigma2: float, alpha: float = 1.0) -> EsseReport:
+                       sigma2: float, alpha: float) -> EsseReport:
     """Score the data transmission: per-user LMMSE SINR and ESSE.
 
     Per-user effective transmit column: analog @ digital block, scaled by

@@ -45,16 +45,14 @@ def _to_dbm(p: np.ndarray) -> np.ndarray:
 
 def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
                   ssb_beams: list, precoders: list, n_csi: int, drop_seed: int,
-                  tensor: ch.ChannelTensor | None = None) -> list[dict]:
+                  tensor: ch.ChannelTensor) -> list[dict]:
     """Run the full protocol for one drop; returns per-user metric rows.
 
     ssb_beams, precoders and n_csi: as ``beam_mgmt.decide`` takes them.
     ``tensor`` is the drop's channel, ``generate_channels(config,
-    drop_seed)``, if already synthesized.
+    drop_seed)``.
     """
     sigma2 = ch.noise_variance(config)
-    if tensor is None:
-        tensor = ch.generate_channels(config, drop_seed)
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
     pin = bm.decide(bm.measure_rsrp(hv, ssb_beams, sigma2, drop_seed), hv,

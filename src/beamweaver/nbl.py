@@ -29,7 +29,7 @@ from . import beam_mgmt as bm
 from . import codebook as cb
 from .autodiff import DiffTensor, Tape
 from .channel import ArrayGeometry, ScenarioConfig, generate_channels, _stream
-from .errors import ConfigError, DivergenceError, FormatError, ShapeError
+from .errors import ConfigError, DivergenceError, FormatError, ShapeError, json_int64
 
 _MASK_TAG = 11
 
@@ -58,13 +58,12 @@ class TrainingSample:
 class ForwardResult:
     """The differentiable quantities the training losses read.
 
-    Each is a small graph over the decisions in ``pin``; no other part of
-    the SSB or CSI-RS stage is differentiated.
+    Each is a small graph over one drop's decisions (a ``SelectionPin``); no
+    other part of the SSB or CSI-RS stage is differentiated.
     """
 
     pred: DiffTensor  # (U,) achievable SE on the chosen resource
     best_rsrp: DiffTensor  # (U,) serving beam's RSRP, cell_rsrp at the serving cell
-    pin: bm.SelectionPin
     cell_rsrp: DiffTensor  # (C, U) RSRP of each cell's strongest beam
 
 
@@ -94,8 +93,9 @@ def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
 
 
 def dft_codebooks(geometry: ArrayGeometry,
-                  dims: NblDims) -> tuple[cb.SsbCodebook, cb.CsirsCodebook]:
-    """A geometry's DFT SSB and CSI-RS codebooks at the sizing of ``dims``."""
+                  dims: NblDims) -> tuple[np.ndarray, np.ndarray]:
+    """A geometry's DFT codebooks at the sizing of ``dims``: (L, NT) SSB beams
+    and (N_CB, NT, B_g) CSI-RS precoders."""
     return (cb.build_dft_ssb(geometry, dims.l_max, dims.elevation_window),
             cb.build_dft_csirs(geometry, dims.n_cb, dims.b_g, dims.elevation_window))
 
@@ -106,9 +106,9 @@ def _dft_baseline(geometry: ArrayGeometry, dims: NblDims) -> tuple:
     interiors, precoder by precoder and column by column)."""
     pair = cb.make_transform_pair(geometry)
     ssb, csirs = dft_codebooks(geometry, dims)
-    cols = np.swapaxes(csirs.precoders, 1, 2).reshape(-1, geometry.n_elements)
+    cols = np.swapaxes(csirs, 1, 2).reshape(-1, geometry.n_elements)
     return (pair,) + tuple(cb.beamspace_forward(b, pair, geometry)[:, :pair.n_xo, :pair.n_yo]
-                           for b in (ssb.beams, cols))
+                           for b in (ssb, cols))
 
 
 def _codebooks(interiors, pair: cb.TransformPair, geometry: ArrayGeometry,
@@ -243,29 +243,22 @@ class NeuralGenerator:
 
 
 def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
-                  n_csi: int, pin: bm.SelectionPin | None = None,
-                  new_user_mask=None,
+                  pin: bm.SelectionPin,
                   disaggregated_cell: int | None = None) -> ForwardResult:
     """SSB -> feedback -> CSI-RS -> achievable-SE rollout, differentiated
     only where the training losses read it.
 
-    The decisions come from ``beam_mgmt.decide`` on the noise-free RSRP
-    of the codebooks' values, or all of them, each cell's strongest beam
-    included, are replayed from ``pin``, which skips both full stages.
-    They carry no gradient.  The graph then holds each cell's strongest
-    beam at each user (``cell_rsrp``, with ``best_rsrp`` at the serving
-    cell) and one LMMSE SINR per user on its chosen resource, where every
-    cell transmits its precoder for that resource (``pred``).  Every cell's
-    codebooks stay in the graph, so each parameter gets a gradient even
-    where no user reads it.  In disaggregated mode all other cells'
-    codewords are treated as fixed interference sources.
+    ``pin`` holds the drop's decisions, each cell's strongest beam at each
+    user included, as ``beam_mgmt.decide`` makes them; they carry no
+    gradient.  The graph holds each cell's strongest beam at each user
+    (``cell_rsrp``, with ``best_rsrp`` at the serving cell) and one LMMSE
+    SINR per user on its chosen resource, where every cell transmits its
+    precoder for that resource (``pred``).  Every cell's codebooks stay in
+    the graph, so each parameter gets a gradient even where no user reads
+    it.  In disaggregated mode all other cells' codewords are treated as
+    fixed interference sources.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if pin is None:
-        ssb = [s.value for s in ssb_dt]
-        pin = bm.decide(bm.rsrp_tensor(h, ssb), h, ssb,
-                        [cs.value for cs in csirs_dt], sigma2, n_csi,
-                        new_user_mask)
     if disaggregated_cell is not None:
         ssb_dt = [s if c == disaggregated_cell else ad.stop_gradient(s)
                   for c, s in enumerate(ssb_dt)]
@@ -279,7 +272,7 @@ def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
                             sigma2)
     return ForwardResult(pred=bm.stream_se(sinr),
                          best_rsrp=ad.select_cells(cell_rsrp, serving),
-                         pin=pin, cell_rsrp=cell_rsrp)
+                         cell_rsrp=cell_rsrp)
 
 
 def e2e_loss(targets: np.ndarray, pred: DiffTensor) -> DiffTensor:
@@ -366,15 +359,16 @@ def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
                     pair: cb.TransformPair, new_user_mask) -> tuple:
     """Observed feedback beamspace of one drop under the prior SSB codebooks.
 
-    h: (C, U, T, K, N_R, NT).  Noise-free RSRP of every cell's prior beams
-    feeds the association; each cell's image weights its prior beams by the
-    reported user counts and RSRP sums.  Returns (per-cell images, report).
+    h: (C, U, T, K, N_R, NT); prior_ssb: each cell's (L, NT) prior beams.
+    Noise-free RSRP of every cell's prior beams feeds the association; each
+    cell's image weights its prior beams by the reported user counts and
+    RSRP sums.  Returns (per-cell images, report).
     """
-    rsrp = bm.rsrp_tensor(h, [s.beams for s in prior_ssb])
+    rsrp = bm.rsrp_tensor(h, prior_ssb)
     report = bm.aggregate_feedback(rsrp, new_user_mask)
-    obsc = [cb.beamspace_forward(s.beams, pair, geometry, report.beam_counts(c),
+    obsc = [cb.beamspace_forward(beams, pair, geometry, report.beam_counts(c),
                                  report.beam_rsrp_sums(c))
-            for c, s in enumerate(prior_ssb)]
+            for c, beams in enumerate(prior_ssb)]
     return obsc, report
 
 
@@ -383,8 +377,9 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
     """Monte-Carlo triplets (feedback beamspace, channels, SE targets).
 
     Association and the observed beamspace come from the PRIOR period's SSB
-    codebook; users flagged new (prob. ``new_user_prob``) are associated but
-    contribute nothing to the beamspace statistics.
+    codebook, each cell's (L, NT) beams in ``prior_ssb``; users flagged new
+    (prob. ``new_user_prob``) are associated but contribute nothing to the
+    beamspace statistics.
     """
     pair = cb.make_transform_pair(config.geometry)
     samples = []
@@ -403,9 +398,14 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
 
 def _drop_loss(sample: TrainingSample, ssb_dt, csirs_dt, sigma2, n_csi,
                ssb_weight, disaggregated_cell=None, balance_weight=0.0):
-    """One drop's training loss under the given per-cell codebooks."""
-    fw = forward_model(sample.h, ssb_dt, csirs_dt, sigma2, n_csi,
-                       new_user_mask=sample.new_user_mask,
+    """One drop's training loss under the given per-cell codebooks: the
+    decisions of ``beam_mgmt.decide`` on the noise-free RSRP of the
+    codebooks' values, then the graph of ``forward_model`` over them."""
+    ssb = [s.value for s in ssb_dt]
+    pin = bm.decide(bm.rsrp_tensor(sample.h, ssb), sample.h, ssb,
+                    [cs.value for cs in csirs_dt], sigma2, n_csi,
+                    sample.new_user_mask)
+    fw = forward_model(sample.h, ssb_dt, csirs_dt, sigma2, pin,
                        disaggregated_cell=disaggregated_cell)
     loss = e2e_loss(sample.targets, fw.pred)
     if ssb_weight:
@@ -471,8 +471,7 @@ def train(dataset: list, generate, tape: Tape, sigma2: float, n_csi: int,
     validation chunk of ``batch_size`` drops.  Each step builds one autodiff
     graph: the batch's losses, each scaled by 1/batch, are summed and
     backpropagated once, so the generator runs and is differentiated once
-    per step, and shared codebooks' beam-precoder correlations are computed
-    once per step.  A disaggregated step trains cell
+    per step.  A disaggregated step trains cell
     ``step % disaggregated_cells`` only.  Deterministic for a fixed seed.
 
     ``callback(step, loss)`` runs after each step.  ``val_callback(epoch,
@@ -590,7 +589,8 @@ def load_checkpoint(path) -> tuple[Tape, Adam, dict]:
         if version != 1:
             raise FormatError(f"unsupported checkpoint version {version}")
         try:
-            meta = json.loads(_read_exact(f, meta_len).decode())
+            meta = json.loads(_read_exact(f, meta_len).decode(),
+                              parse_int=json_int64(FormatError))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"bad checkpoint metadata: {e}") from None
         (n_params,) = _unpack(f, "<I")

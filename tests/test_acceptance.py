@@ -63,18 +63,21 @@ def test_c1_end_to_end_loss_matches_finite_differences():
     params = ([p.value.copy() for p in gen.ssb_params]
               + [p.value.copy() for p in gen.csirs_params])
 
-    pin = {}
-
-    def loss_fn(s0, s1, c0, c1):
+    def books(s0, s1, c0, c1):
         ssb_dt = [nbl._inverse_project(s, pair, geo, None) for s in (s0, s1)]
         csirs_dt = []
         for c in (c0, c1):
             cols = nbl._inverse_project(c, pair, geo, None)
             stack = ad.reshape(cols, (dims.n_cb, dims.b_g, geo.n_elements))
             csirs_dt.append(ad.swapaxes(stack, 1, 2))
-        fw = nbl.forward_model(h, ssb_dt, csirs_dt, sigma2, dims.n_csi,
-                               pin=pin.get("pin"))
-        pin.setdefault("pin", fw.pin)  # selections frozen after first pass
+        return ssb_dt, csirs_dt
+
+    # selections decided once, at the unperturbed codebooks, and held fixed
+    ssb, csirs = ([t.value for t in dts] for dts in books(*params))
+    pin = bm.decide(bm.rsrp_tensor(h, ssb), h, ssb, csirs, sigma2, dims.n_csi)
+
+    def loss_fn(*values):
+        fw = nbl.forward_model(h, *books(*values), sigma2, pin)
         loss = nbl.e2e_loss(targets, fw.pred)
         return ad.add(loss, ad.scale(nbl.ssb_alignment_loss(fw.best_rsrp,
                                                             sigma2), 0.3))
@@ -119,7 +122,7 @@ def test_c3_round_trip_and_one_hot():
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-8
 
     book = cb.build_dft_ssb(geo, l_max=8, elevation_window=FULL)
-    interiors = cb.beamspace_forward(book.beams, pair, geo)[:, :4, :4]
+    interiors = cb.beamspace_forward(book, pair, geo)[:, :4, :4]
     for interior in interiors:
         mags = np.sort(np.abs(interior).reshape(-1))
         assert mags[-1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
@@ -147,7 +150,7 @@ def _align_gap_db(b_phase, steps=500, lr=2e-2):
         tape.zero_grad()
         ssb_dt, _ = gen.generate()
         # the serving beam from the plain sweep, its RSRP differentiated, as
-        # in forward_model
+        # in training
         rsrp = bm.rsrp_tensor(h, [s.value for s in ssb_dt])  # (C, L, U)
         serving = np.argmax(rsrp, axis=1)  # (C, U)
         loss = nbl.ssb_alignment_loss(
@@ -196,7 +199,7 @@ def desk():
     nbl.train(data, gen.generate, tape, sigma2, dims.n_csi, epochs=60,
               lr=5e-3, batch_size=4, seed=0, ssb_weight=1.0, val_fraction=0.1)
     ssb_dt, cs_dt = gen.generate()
-    books = {"dft": ([p.beams for p in prior], [c.precoders for c in dft_cs]),
+    books = {"dft": (prior, dft_cs),
              "nbl": ([s.value for s in ssb_dt], [c.value for c in cs_dt])}
     seeds = [9001 * 1000003 + i for i in range(_DESK_DROPS)]
 
@@ -212,9 +215,9 @@ def desk():
         gains.append(10.0 * np.log10(best_rsrp(books["nbl"][0])
                                      / best_rsrp(books["dft"][0])))
         rows_dft = mx.evaluate_drop(cfg, settings, *books["dft"], dims.n_csi, s,
-                                    tensor=tensor)
+                                    tensor)
         rows_nbl = mx.evaluate_drop(cfg, settings, *books["nbl"], dims.n_csi, s,
-                                    tensor=tensor)
+                                    tensor)
         if rows_dft[0]["esse"] > 0:
             ratios.append(rows_nbl[0]["esse"] / rows_dft[0]["esse"])
         for a, b in zip(rows_dft, rows_nbl):
@@ -334,7 +337,7 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
               for _ in range(3)]
     dft_cs8 = [cb.build_dft_csirs(eval_cfg.geometry, dims.n_cb, dims.b_g,
                                   elevation_window=FULL) for _ in range(3)]
-    dft8 = ([p.beams for p in prior8], [c.precoders for c in dft_cs8])
+    dft8 = (prior8, dft_cs8)
     pair8 = cb.make_transform_pair(eval_cfg.geometry)
     settings = mx.EvalSettings()
     ratios = []
@@ -345,10 +348,10 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
                                    prior8, eval_cfg.geometry, pair8, None)[0]
         ssb_dt, cs_dt = gen.generate_for(obsc, eval_cfg.geometry)
         rows_dft = mx.evaluate_drop(eval_cfg, settings, *dft8, dims.n_csi, seed,
-                                    tensor=tensor)
+                                    tensor)
         rows_nbl = mx.evaluate_drop(eval_cfg, settings, [s.value for s in ssb_dt],
                                     [c.value for c in cs_dt], dims.n_csi, seed,
-                                    tensor=tensor)
+                                    tensor)
         if rows_dft[0]["esse"] > 0:
             ratios.append(rows_nbl[0]["esse"] / rows_dft[0]["esse"])
     assert np.median(ratios) > 1.0

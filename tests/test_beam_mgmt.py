@@ -231,7 +231,7 @@ _SCENES = {
 @pytest.mark.parametrize("scene", sorted(_SCENES))
 def test_ssb_sweep_matches_frozen_autodiff_sweep_bit_for_bit(scene, book):
     config, dims = _SCENES[scene]
-    ssb = nbl.dft_codebooks(config.geometry, dims)[0].beams
+    ssb = nbl.dft_codebooks(config.geometry, dims)[0]
     rng = np.random.default_rng(29)
     for seed in (3, 4):
         if book == "dft":
@@ -271,17 +271,17 @@ def test_ssb_sweeps_build_no_autodiff_graph(monkeypatch):
     monkeypatch.setattr(ad.DiffTensor, "__init__", counting_init)
     for scene, (config, dims) in sorted(_SCENES.items()):
         ssb, csirs = books[scene]
-        beams, precoders = [ssb.beams] * config.c_cells, [csirs.precoders] * config.c_cells
+        beams, precoders = [ssb] * config.c_cells, [csirs] * config.c_cells
         h = np.asarray(ch.generate_channels(config, 3).values, np.complex128)
         sigma2 = ch.noise_variance(config)
         assert count(bm.measure_rsrp, h, beams, sigma2, 3) == 0
         assert count(bm.rsrp_tensor, h, beams) == 0
-        assert count(nbl.feedback_images, h, [ssb] * config.c_cells, config.geometry,
+        assert count(nbl.feedback_images, h, beams, config.geometry,
                      cb.make_transform_pair(config.geometry), None) == 0
         assert count(bm.decide, bm.measure_rsrp(h, beams, sigma2, 3), h, beams,
                      precoders, sigma2, dims.n_csi) == 1
-        assert count(mx.evaluate_drop, config, mx.EvalSettings(),
-                     beams, precoders, dims.n_csi, 3) == 1
+        assert count(mx.evaluate_drop, config, mx.EvalSettings(), beams,
+                     precoders, dims.n_csi, 3, ch.generate_channels(config, 3)) == 1
     assert count(ad.constant, np.ones(1)) == 1  # the count sees each DiffTensor
 
 
@@ -371,9 +371,8 @@ def test_subset_single_beam_takes_most_correlated():
     rsrp = np.zeros((1, 4, 2))
     rsrp[0, 1, :] = 1.0  # both users on beam 1
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=3)
-    corr = np.abs(np.einsum("t,jts->js", np.conj(ssb.beams[1]),
-                            csirs.precoders)).max(axis=1)
+    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=3)
+    corr = np.abs(np.einsum("t,jts->js", np.conj(ssb[1]), csirs)).max(axis=1)
     want = list(np.argsort(-corr, kind="stable")[:3])
     assert sel.subset_indices == [int(w) for w in want]
 
@@ -388,9 +387,8 @@ def test_subset_over_budget_serves_the_most_reported_beams():
     rsrp = np.zeros((1, 4, len(beams)))
     rsrp[0, beams, np.arange(len(beams))] = 1.0
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=3)
-    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb.beams),
-                            csirs.precoders)).max(axis=2)
+    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=3)
+    corr = np.abs(np.einsum("it,jts->ijs", np.conj(ssb), csirs)).max(axis=2)
     want = []
     for beam in (0, 1, 3):
         want.append(next(int(j) for j in np.argsort(-corr[beam], kind="stable")
@@ -404,7 +402,7 @@ def test_subset_fallback_when_cell_empty():
     rsrp = np.ones((2, 4, 1))
     rsrp[1, 0, 0] = 2.0  # the only user belongs to cell 1
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=4)
+    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=4)
     assert sel.fallback and sel.subset_indices == [0, 1, 2, 3]
 
 
@@ -414,7 +412,7 @@ def test_subset_no_duplicates_and_exact_size():
     rng = np.random.default_rng(0)
     rsrp = rng.random((1, 8, 12))
     rep = bm.aggregate_feedback(rsrp)
-    sel = bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=8)
+    sel = bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=8)
     assert len(sel.subset_indices) == 8
     assert len(set(sel.subset_indices)) == 8
 
@@ -446,8 +444,7 @@ def test_subset_matches_frozen_full_matrix_selection(n_x, reports, book):
     # the rows of the budgeted beams alone give the full matrix's bits, so
     # every subset is the same; DFT books carry near-exact correlation ties
     dims = nbl.NblDims(l_max=24)
-    ssb, csirs = nbl.dft_codebooks(ArrayGeometry(n_x=n_x, n_y=n_x), dims)
-    beams, precoders = ssb.beams, csirs.precoders
+    beams, precoders = nbl.dft_codebooks(ArrayGeometry(n_x=n_x, n_y=n_x), dims)
     rng = np.random.default_rng(31)
     if book == "perturbed":
         beams = beams * np.exp(0.2j * rng.standard_normal(beams.shape))
@@ -474,7 +471,7 @@ def test_subset_rejects_oversized_request():
     ssb, csirs = _books(geo, l_max=4, n_cb=8, b_g=1)
     rep = bm.aggregate_feedback(np.ones((1, 4, 1)))
     with pytest.raises(ConfigError):
-        bm.select_csirs_subset(ssb.beams, csirs.precoders, rep, 0, n_csi=9)
+        bm.select_csirs_subset(ssb, csirs, rep, 0, n_csi=9)
 
 
 # ------------------------------ SINR / SE --------------------------------

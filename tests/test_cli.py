@@ -6,6 +6,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from beamweaver import metrics as mx
 from beamweaver import nbl
 from beamweaver.autodiff import Tape
 from beamweaver.errors import (ConfigError, DivergenceError, DomainError, FormatError,
-                               ShapeError, SingularMatrixError)
+                               ShapeError, SingularMatrixError, json_int64)
 
 
 def _config_doc(**extra):
@@ -133,6 +134,15 @@ def test_seed_outside_the_seed_range_is_a_config_error(cfg, tmp_path, command, s
     assert not out.exists()
 
 
+def _refusal(value):
+    """The start of the message that refuses ``value`` in a config: an
+    integer literal outside 64 bits is refused as it is parsed, before the
+    schema's range is checked."""
+    if -2 ** 63 <= value < 2 ** 63:
+        return "config error: config schema violation"
+    return "config error: integer literal "
+
+
 @pytest.mark.parametrize("scene_seed", [-5, ch.SEED_LIMIT, 2 ** 70])
 @pytest.mark.parametrize("command", ["gen-channels", "evaluate"])
 def test_scene_seed_outside_the_seed_range_is_a_config_error(tmp_path, command,
@@ -144,7 +154,7 @@ def test_scene_seed_outside_the_seed_range_is_a_config_error(tmp_path, command,
     out = tmp_path / "out"
     res = _run(command, "--config", path, "--out", out)
     assert res.exit_code == 2, res.output
-    assert res.output.startswith("config error: config schema violation")
+    assert res.output.startswith(_refusal(scene_seed))
     assert not out.exists()
 
 
@@ -172,9 +182,10 @@ def test_scene_spread_keys_are_honoured(tmp_path, key, value):
     ssb = cbk.build_dft_ssb(config.geometry, 8, (-1.01, 1.01))
     cs = cbk.build_dft_csirs(config.geometry, 4, 2, elevation_window=(-1.01, 1.01))
     settings = mx.EvalSettings(l_csi=2, s_b=2, k_ssb=2, t_period=160)
-    rows = [r for i in range(2)
-            for r in mx.evaluate_drop(config, settings, [ssb.beams], [cs.precoders],
-                                      4, 4 * 1000003 + i)]
+    seeds = [4 * 1000003 + i for i in range(2)]
+    rows = [r for seed in seeds
+            for r in mx.evaluate_drop(config, settings, [ssb], [cs], 4, seed,
+                                      ch.generate_channels(config, seed))]
     mx.write_metrics(tmp_path / "direct.csv", rows)
     assert texts[0] == (tmp_path / "direct.csv").read_bytes()
     assert texts[0] != texts[1]
@@ -279,7 +290,7 @@ def test_user_count_outside_its_range_is_a_config_error(tmp_path, command, value
     res = _run(command, "--config", path, "--out", out)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert res.output.startswith("config error: config schema violation")
+    assert res.output.startswith(_refusal(value))
     assert not out.exists()
 
 
@@ -451,7 +462,7 @@ def test_settings_keep_their_default_in_one_place():
     assert "n_csi" not in {f.name for f in dataclasses.fields(mx.EvalSettings)}
     assert {f.name: f.default for f in dataclasses.fields(nbl.NblDims)}["n_csi"] == 16
     for fn in (mx.evaluate_drop, bm.decide, bm.select_csirs_subset,
-               nbl.forward_model, nbl.train):
+               nbl._drop_loss, nbl.train):
         params = inspect.signature(fn).parameters
         assert params["n_csi"].default is inspect.Parameter.empty, fn.__name__
 
@@ -475,10 +486,102 @@ def test_non_finite_number_in_config_is_a_config_error(tmp_path, text):
     assert not (tmp_path / "ev").exists()
 
 
+def _schema_at(path):
+    return functools.reduce(lambda node, key: node["properties"][key], path,
+                            cli.CONFIG_SCHEMA)
+
+
+def _numeric_leaves():
+    """Key paths of CONFIG_SCHEMA's integer and number leaves, arrays of them
+    too."""
+    paths = []
+    for path in _leaf_paths(cli.CONFIG_SCHEMA):
+        node = _schema_at(path)
+        types = node.get("items", node)["type"]
+        if {"integer", "number"} & set([types] if isinstance(types, str) else types):
+            paths.append(path)
+    return paths
+
+
+# integer literals outside [-2**63, 2**63): one a double holds, its negative,
+# and one past Python's 4300-digit int conversion limit
+_WIDE_INTEGERS = {"1e31": str(10 ** 31), "minus-1e31": str(-10 ** 31),
+                  "5000-digits": "7" * 5000}
+
+
+def _config_text(path, literal):
+    """The test config's text with ``literal`` at the leaf ``path``, or as
+    both items of an array leaf."""
+    doc = _config_doc()
+    node = functools.reduce(lambda n, key: n.setdefault(key, {}), path[:-1], doc)
+    node[path[-1]] = ["@", "@"] if _schema_at(path)["type"] == "array" else "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("literal", list(_WIDE_INTEGERS), ids=list(_WIDE_INTEGERS))
+@pytest.mark.parametrize("path", _numeric_leaves(), ids=".".join)
+def test_integer_literal_outside_64_bits_is_a_config_error(tmp_path, path, literal):
+    # integer literals bypassed the non-finite check: 10**31 reached np.log10
+    # as a Python int (TypeError), a 401-digit one overflowed a float and a
+    # 5000-digit one tripped the int conversion limit, each an exit 1
+    config = tmp_path / "config.json"
+    config.write_text(_config_text(path, _WIDE_INTEGERS[literal]))
+    with pytest.raises(ConfigError, match="outside 64 bits"):
+        cli.load_config(config)
+
+
+def test_integer_rule_is_the_int64_range():
+    parse = json_int64(ConfigError)
+    for value in (2 ** 63 - 1, -2 ** 63, 0, -1):
+        assert parse(str(value)) == value
+    for text in (str(2 ** 63), str(-2 ** 63 - 1), "1" + "0" * 19, "9" * 4301):
+        with pytest.raises(ConfigError, match="outside 64 bits"):
+            parse(text)
+
+
+@pytest.mark.parametrize("command, path, literal", [
+    ("evaluate", ("scenario", "angle_spread_deg"), str(10 ** 31)),
+    ("train", ("training", "lr"), "1" * 401),
+], ids=["evaluate", "train"])
+def test_wide_integer_in_config_exits_2_before_the_run(tmp_path, command, path,
+                                                       literal):
+    config = tmp_path / "config.json"
+    config.write_text(_config_text(path, literal))
+    out = tmp_path / "out"
+    res = _run(command, "--config", config, "--out", out, "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: integer literal ")
+    assert res.output.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", [str(10 ** 31), "3" * 5000],
+                         ids=["1e31", "5000-digits"])
+def test_wide_integer_in_checkpoint_metadata_is_a_format_error(tmp_path, literal):
+    # only JSONDecodeError was caught there: the 5000-digit literal's
+    # ValueError left load_checkpoint as an exit 1
+    meta = json.dumps({"mode": "nbl-direct", "cells": "@"}).replace('"@"', literal)
+    ckpt = tmp_path / "wide.bmck"
+    ckpt.write_bytes(b"BMCK" + struct.pack("<II", 1, len(meta)) + meta.encode()
+                     + struct.pack("<IQ", 0, 0))
+    with pytest.raises(FormatError, match="outside 64 bits"):
+        nbl.load_checkpoint(ckpt)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    out = tmp_path / "ev"
+    res = _run("evaluate", "--config", config, "--out", out, "--drops", 1,
+               "--codebook", "nbl-direct")
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: integer literal ")
+    assert res.output.count("\n") == 1
+    assert not out.exists()
+
+
 def _codebook_file(path, n_x=4, l_max=8, n_cb=4, b_g=2):
     geo = ch.ArrayGeometry(n_x=n_x, n_y=4, dual_polarized=True)
     window = (-1.01, 1.01)
-    cbk.save_codebooks(path, cbk.build_dft_ssb(geo, l_max, window),
+    cbk.save_codebooks(path, geo, cbk.build_dft_ssb(geo, l_max, window),
                        cbk.build_dft_csirs(geo, n_cb, b_g, elevation_window=window))
     return path
 
@@ -511,10 +614,8 @@ def _malformed(doc):
     """A valid codebook document for the test config, edited by ``doc``."""
     def build(path):
         _codebook_file(path)
-        if callable(doc):
-            path.write_text(json.dumps(doc(json.loads(path.read_text()))))
-        else:
-            path.write_text(doc)
+        text = doc(json.loads(path.read_text())) if callable(doc) else doc
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
     return build
 
 
@@ -533,6 +634,29 @@ def _nan_in_csirs(doc):
     return doc
 
 
+def _short_precoders(doc):
+    doc["csirs"] = [rows[:-1] for rows in doc["csirs"]]
+    return doc
+
+
+def _csirs_as_beams(doc):
+    doc["csirs"] = doc["ssb"]  # an (L, NT) list of pairs, not (N_CB, NT, B_g)
+    return doc
+
+
+def _empty_precoders(doc):
+    doc["csirs"] = [[] for _ in doc["csirs"]]  # a 2-D (N_CB, 0) array
+    return doc
+
+
+def _integer_literal_at(literal, *path):
+    """The document's text with ``literal`` written at ``path``."""
+    def edit(doc):
+        functools.reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = "@"
+        return json.dumps(doc).replace('"@"', literal)
+    return edit
+
+
 @pytest.mark.parametrize("build", [
     _malformed('{"format": "beamweaver-codebook-v1", "ssb": []}'),
     _malformed(_unknown_geometry_key),
@@ -541,8 +665,16 @@ def _nan_in_csirs(doc):
     _malformed("not json at all"),
     _malformed(_short_beams),
     _malformed(_nan_in_csirs),
+    _malformed(_short_precoders),
+    _malformed(_csirs_as_beams),
+    _malformed(_empty_precoders),
+    _malformed(_integer_literal_at(str(10 ** 400), "ssb", 0, 0, 0)),
+    _malformed(_integer_literal_at("-" + "9" * 5000, "csirs", 0, 0, 0, 1)),
+    _malformed(_integer_literal_at(str(10 ** 31), "geometry", "n_x")),
 ], ids=["no-geometry", "unknown-geometry-key", "top-level-list", "ssb-string",
-        "not-json", "beams-off-geometry", "nan-entry"])
+        "not-json", "beams-off-geometry", "nan-entry", "precoders-off-geometry",
+        "csirs-2d-list", "empty-precoders", "401-digit-entry", "5000-digit-entry",
+        "1e31-integer-n_x"])
 def test_malformed_codebook_file_is_a_format_error(cfg, tmp_path, build):
     book = tmp_path / "book.json"
     build(book)
@@ -875,8 +1007,7 @@ def test_loaded_codebooks_evaluate_as_their_exported_file(tmp_path):
     (ssb, csirs) = [t[0].value for t in gen.generate()]
     assert not csirs.flags.c_contiguous
     book = tmp_path / "book.json"
-    cbk.save_codebooks(book, cbk.SsbCodebook(ssb, config.geometry),
-                       cbk.CsirsCodebook(csirs, config.geometry))
+    cbk.save_codebooks(book, config.geometry, ssb, csirs)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
     drops = 8

@@ -1,4 +1,6 @@
 """DFT codebooks, analog projection, beamspace transforms, file round-trip."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,22 +41,22 @@ def test_pseudo_inverse_property():
 
 def test_build_dft_ssb_4pt_line():
     geo = _geo(4, 1, dual=False)
-    book = cb.build_dft_ssb(geo, l_max=4, elevation_window=FULL)
-    np.testing.assert_allclose(book.beams[0], np.full(4, 0.5), atol=1e-12)
+    beams = cb.build_dft_ssb(geo, l_max=4, elevation_window=FULL)
+    np.testing.assert_allclose(beams[0], np.full(4, 0.5), atol=1e-12)
     n = np.arange(4)
     for k in range(4):
-        np.testing.assert_allclose(book.beams[k], np.exp(2j * np.pi * n * k / 4) / 2,
+        np.testing.assert_allclose(beams[k], np.exp(2j * np.pi * n * k / 4) / 2,
                                    atol=1e-12)
 
 
 def test_ssb_beams_unit_norm():
-    book = cb.build_dft_ssb(_geo(), l_max=8, elevation_window=DOWNTILT)
-    np.testing.assert_allclose(np.linalg.norm(book.beams, axis=1), 1.0, atol=1e-12)
+    beams = cb.build_dft_ssb(_geo(), l_max=8, elevation_window=DOWNTILT)
+    np.testing.assert_allclose(np.linalg.norm(beams, axis=1), 1.0, atol=1e-12)
 
 
 def test_ssb_orthogonal_at_critical_sampling():
-    book = cb.build_dft_ssb(_geo(4, 4), l_max=16, elevation_window=FULL)
-    gram = np.abs(book.beams @ np.conj(book.beams.T))
+    beams = cb.build_dft_ssb(_geo(4, 4), l_max=16, elevation_window=FULL)
+    gram = np.abs(beams @ np.conj(beams.T))
     np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-10)
     assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-10
 
@@ -118,9 +120,9 @@ def test_dft_builders_match_frozen_per_beam_loop(shape, dual, window):
     want_ssb, want_csirs = _frozen_build_dft(geo, l_max, n_cb, b_g, window)
     ssb = cb.build_dft_ssb(geo, l_max, window)
     csirs = cb.build_dft_csirs(geo, n_cb, b_g, elevation_window=window)
-    np.testing.assert_array_equal(ssb.beams, want_ssb)
-    np.testing.assert_array_equal(csirs.precoders, want_csirs)
-    assert ssb.beams.flags.c_contiguous and csirs.precoders.flags.c_contiguous
+    np.testing.assert_array_equal(ssb, want_ssb)
+    np.testing.assert_array_equal(csirs, want_csirs)
+    assert ssb.flags.c_contiguous and csirs.flags.c_contiguous
     assert [tuple(c) for c in cb._grid_candidates(*shape, window, 0.5)] == \
         _frozen_grid_candidates(*shape, window, 0.5)
 
@@ -133,18 +135,18 @@ def test_ssb_infeasible_l_max():
 def test_build_dft_csirs_grouping_rule(monkeypatch):
     monkeypatch.setattr(cb, "CSIRS_OVERSAMPLING", 1)
     geo = _geo(4, 1, dual=False)
-    book = cb.build_dft_csirs(geo, n_cb=2, b_g=2, elevation_window=FULL)
+    precoders = cb.build_dft_csirs(geo, n_cb=2, b_g=2, elevation_window=FULL)
     n = np.arange(4)
     grid = [np.exp(2j * np.pi * n * k / 4) / 2 for k in range(4)]
-    np.testing.assert_allclose(book.precoders[0][:, 0], grid[0], atol=1e-12)
-    np.testing.assert_allclose(book.precoders[0][:, 1], grid[1], atol=1e-12)
-    np.testing.assert_allclose(book.precoders[1][:, 0], grid[2], atol=1e-12)
-    np.testing.assert_allclose(book.precoders[1][:, 1], grid[3], atol=1e-12)
+    np.testing.assert_allclose(precoders[0][:, 0], grid[0], atol=1e-12)
+    np.testing.assert_allclose(precoders[0][:, 1], grid[1], atol=1e-12)
+    np.testing.assert_allclose(precoders[1][:, 0], grid[2], atol=1e-12)
+    np.testing.assert_allclose(precoders[1][:, 1], grid[3], atol=1e-12)
 
 
 def test_csirs_columns_unit_norm():
-    book = cb.build_dft_csirs(_geo(), n_cb=8, b_g=4, elevation_window=DOWNTILT)
-    norms = np.linalg.norm(book.precoders, axis=1)
+    precoders = cb.build_dft_csirs(_geo(), n_cb=8, b_g=4, elevation_window=DOWNTILT)
+    norms = np.linalg.norm(precoders, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
@@ -153,8 +155,8 @@ def test_csirs_within_precoder_correlation_exceeds_cross(monkeypatch):
     geo = _geo(4, 1, dual=False)
     # keep a single elevation row so the 8 oversampled azimuth beams are
     # picked contiguously (adjacent within each precoder)
-    book = cb.build_dft_csirs(geo, n_cb=4, b_g=2, elevation_window=(-0.5, 0.05))
-    cols = np.swapaxes(book.precoders, 1, 2).reshape(-1, 4)  # (8, NT)
+    precoders = cb.build_dft_csirs(geo, n_cb=4, b_g=2, elevation_window=(-0.5, 0.05))
+    cols = np.swapaxes(precoders, 1, 2).reshape(-1, 4)  # (8, NT)
     gram = np.abs(cols @ np.conj(cols.T))
     within = [gram[2 * j, 2 * j + 1] for j in range(4)]
     cross = [gram[i, j] for i in range(8) for j in range(i + 1, 8) if i // 2 != j // 2]
@@ -207,8 +209,8 @@ def test_project_analog_rejects_bad_bits():
 def test_dft_beams_map_to_one_hot():
     geo = _geo(4, 4)
     pair = cb.make_transform_pair(geo)
-    book = cb.build_dft_ssb(geo, l_max=8, elevation_window=FULL)
-    interiors = cb.beamspace_forward(book.beams, pair, geo)[:, :4, :4]
+    beams = cb.build_dft_ssb(geo, l_max=8, elevation_window=FULL)
+    interiors = cb.beamspace_forward(beams, pair, geo)[:, :4, :4]
     for interior in interiors:
         mags = np.sort(np.abs(interior).reshape(-1))
         assert mags[-1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
@@ -218,7 +220,7 @@ def test_dft_beams_map_to_one_hot():
 def test_beamspace_padding_layout():
     geo = _geo(2, 2, dual=False)
     pair = cb.make_transform_pair(geo)
-    beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL).beams
+    beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL)
     img = cb.beamspace_forward(beams, pair, geo, beam_counts=[3, 0],
                                beam_rsrp=[1.5, 0.0])
     assert img[0][2, 0] == 3.0 and img[0][0, 2] == 1.5
@@ -229,7 +231,7 @@ def test_beamspace_padding_layout():
 def test_beamspace_zero_users_padding_zero():
     geo = _geo(2, 2, dual=False)
     pair = cb.make_transform_pair(geo)
-    beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL).beams
+    beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL)
     img = cb.beamspace_forward(beams, pair, geo)
     assert not img[:, 2, :].any() and not img[:, :, 2].any()
 
@@ -237,7 +239,7 @@ def test_beamspace_zero_users_padding_zero():
 def test_beamspace_rsrp_scaling_linearity():
     geo = _geo(2, 2, dual=False)
     pair = cb.make_transform_pair(geo)
-    beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL).beams
+    beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL)
     a = cb.beamspace_forward(beams, pair, geo, beam_counts=[1, 1], beam_rsrp=[2.0, 3.0])
     b = cb.beamspace_forward(beams, pair, geo, beam_counts=[1, 1], beam_rsrp=[4.0, 6.0])
     np.testing.assert_allclose(b[:, 0, 2], 2.0 * a[:, 0, 2])
@@ -368,11 +370,38 @@ def test_codebook_file_round_trip(tmp_path):
     ssb = cb.build_dft_ssb(geo, l_max=4, elevation_window=DOWNTILT)
     csirs = cb.build_dft_csirs(geo, n_cb=4, b_g=2, elevation_window=DOWNTILT)
     path = tmp_path / "books.json"
-    cb.save_codebooks(path, ssb, csirs)
-    ssb2, csirs2 = cb.load_codebooks(path)
-    assert np.array_equal(ssb.beams, ssb2.beams)
-    assert np.array_equal(csirs.precoders, csirs2.precoders)
-    assert ssb2.geometry == geo
+    cb.save_codebooks(path, geo, ssb, csirs)
+    geo2, ssb2, csirs2 = cb.load_codebooks(path)
+    assert geo2 == geo
+    assert ssb2.dtype == csirs2.dtype == np.complex128
+    assert np.array_equal(ssb, ssb2)
+    assert np.array_equal(csirs, csirs2)
+
+
+# save_codebooks' bytes for two small DFT books, recorded while the books were
+# still wrapped in codebook classes; the file format must not move
+_FROZEN_TINY_FILE = (
+    b'{"format": "beamweaver-codebook-v1", "geometry": {"n_x": 2, "n_y": 1, '
+    b'"dual_polarized": false, "element_spacing": 0.5, "carrier_frequency": '
+    b'10000000000.0}, "ssb": [[[0.7071067811865475, 0.0], [0.7071067811865475, '
+    b'0.0]], [[0.7071067811865475, 0.0], [-0.7071067811865475, '
+    b'8.659560562354932e-17]]], "csirs": [[[[0.7071067811865475, 0.0]], '
+    b'[[0.7071067811865475, 0.0]]], [[[0.7071067811865475, 0.0]], '
+    b'[[0.7071067811865475, 0.0]]]]}')
+_FROZEN_DUAL_SHA256 = "ac692c5b43a3f8f38e047d7a32941215ccb22ce93dfd2c91b91e815572b36c39"
+
+
+def test_codebook_file_bytes_are_frozen(tmp_path):
+    path = tmp_path / "books.json"
+    geo = _geo(2, 1, dual=False)
+    cb.save_codebooks(path, geo, cb.build_dft_ssb(geo, 2, FULL),
+                      cb.build_dft_csirs(geo, 2, 1, FULL))
+    assert path.read_bytes() == _FROZEN_TINY_FILE
+    geo = _geo(4, 4, dual=True)
+    cb.save_codebooks(path, geo, cb.build_dft_ssb(geo, 4, DOWNTILT),
+                      cb.build_dft_csirs(geo, 4, 2, DOWNTILT))
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (16112, _FROZEN_DUAL_SHA256)
 
 
 def test_codebook_file_bad_format(tmp_path):

@@ -255,12 +255,12 @@ def test_esse_zero_when_everything_is_overhead():
 def test_esse_unchanged_by_zero_channel_cell():
     rng = np.random.default_rng(15)
     h, sets = _transmission(rng, c_cells=1)
-    base = link.transmit_and_score(h, sets, 0.05)
+    base = link.transmit_and_score(h, sets, 0.05, alpha=1.0)
     h2 = np.concatenate([h, np.zeros_like(h)], axis=0)
     empty = link.build_precoders(np.zeros((2, 2, 2), complex), np.zeros((2, 2)),
                                  np.zeros(2, int), np.zeros((4, 8, 2), complex),
                                  [], 0.05, subband_of_k=link.subband_map(4, 2))
-    both = link.transmit_and_score(h2, sets + [empty], 0.05)
+    both = link.transmit_and_score(h2, sets + [empty], 0.05, alpha=1.0)
     assert both.esse == pytest.approx(base.esse, rel=1e-12)
 
 
@@ -272,7 +272,7 @@ def test_esse_single_user_rate_reduction():
     subset, recon, gains, chosen = _one_cell_setup(rng, 1)
     ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2,
                               subband_of_k=link.subband_map(4, 2))
-    rep = link.transmit_and_score(h, [ps], sigma2)
+    rep = link.transmit_and_score(h, [ps], sigma2, alpha=1.0)
     k_sub, n_t = 4, 8
     rates = []
     for k in range(k_sub):
@@ -285,7 +285,8 @@ def test_esse_single_user_rate_reduction():
 def test_esse_monotone_in_noise():
     rng = np.random.default_rng(17)
     h, sets = _transmission(rng)
-    esses = [link.transmit_and_score(h, sets, s2).esse for s2 in (1.0, 0.1, 0.01)]
+    esses = [link.transmit_and_score(h, sets, s2, alpha=1.0).esse
+             for s2 in (1.0, 0.1, 0.01)]
     assert esses[0] < esses[1] < esses[2]
 
 
@@ -299,7 +300,7 @@ def test_single_user_per_cell_noise_floor():
     subset, recon, gains, chosen = _one_cell_setup(rng, 1)
     ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2,
                               subband_of_k=link.subband_map(4, 2))
-    rep = link.transmit_and_score(h, [ps], sigma2)
+    rep = link.transmit_and_score(h, [ps], sigma2, alpha=1.0)
     k_sub, n_t = 4, 8
     sig = np.mean([np.sum(np.abs(h[0, 0, 0, k] @ ps.analog
                                  @ ps.digital[ps.subband_of_k[k]]) ** 2)
@@ -311,7 +312,7 @@ def test_single_user_per_cell_noise_floor():
 def test_allocation_fractions_sum_to_one():
     rng = np.random.default_rng(19)
     h, sets = _transmission(rng, c_cells=2)
-    rep = link.transmit_and_score(h, sets, 0.05)
+    rep = link.transmit_and_score(h, sets, 0.05, alpha=1.0)
     assert rep.allocation.sum() == pytest.approx(1.0)
 
 
@@ -510,7 +511,7 @@ def default_drop_inputs():
     config = ch.ScenarioConfig()
     dims = cli.dims_from({})
     ssb, cs = nbl.dft_codebooks(config.geometry, dims)
-    ssb, csirs = [ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells
+    ssb, csirs = [ssb] * config.c_cells, [cs] * config.c_cells
     pmi_calls, schedule_calls = [], []
     quantize, schedule = link.quantize_pmi, link.schedule_users
 
@@ -526,8 +527,10 @@ def default_drop_inputs():
         mp.setattr(link, "quantize_pmi", capture_pmi)
         mp.setattr(link, "schedule_users", capture_schedule)
         for i in range(20):
+            seed = 7 * 1000003 + i
             mx.evaluate_drop(config, cli.settings_from({}), ssb, csirs,
-                             cli.dims_from({}).n_csi, 7 * 1000003 + i)
+                             cli.dims_from({}).n_csi, seed,
+                             ch.generate_channels(config, seed))
     return pmi_calls, schedule_calls
 
 
@@ -731,7 +734,7 @@ def test_rzf_columns_match_frozen_loop_on_default_drops(default_drop_inputs):
 # transmit_and_score as it was before it was batched: one LMMSE solve per
 # (user, t, k), with R summed cell by cell.
 
-def _reference_transmit_and_score(h, sets, sigma2, alpha=1.0):
+def _reference_transmit_and_score(h, sets, sigma2, alpha):
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = h.shape
     eff = []
     for ps in sets:
@@ -788,7 +791,7 @@ def test_esse_matches_frozen_per_re_loop(n_rx, t_slots):
                                          sigma2, link.subband_map(k_sub, s_b)))
     _assert_esse_matches_reference(h, sets, sigma2, alpha=0.875)
     # nobody scheduled anywhere
-    rep = link.transmit_and_score(h[2:3], sets[2:3], sigma2)
+    rep = link.transmit_and_score(h[2:3], sets[2:3], sigma2, alpha=1.0)
     assert rep.esse == 0.0 and rep.per_user_rate == {}
 
 
@@ -805,7 +808,7 @@ def test_esse_exact_at_high_snr():
     rates = [np.log2(1.0 + np.abs(h[0, 0, 0, k] @ ps.analog
                                   @ ps.digital[ps.subband_of_k[k]])[0, 0] ** 2
                      / (k_sub * n_t) / sigma2) for k in range(k_sub)]
-    rep = link.transmit_and_score(h, [ps], sigma2)
+    rep = link.transmit_and_score(h, [ps], sigma2, alpha=1.0)
     np.testing.assert_allclose(rep.per_user_rate[0], np.mean(rates), rtol=1e-13)
 
 
@@ -824,7 +827,7 @@ def test_esse_accurate_from_low_to_high_snr():
             for u_ in (0, 1)]
     for sigma2 in 10.0 ** np.arange(2, -13, -1):
         want = (sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu))
-        rep = link.transmit_and_score(h, sets, sigma2)
+        rep = link.transmit_and_score(h, sets, sigma2, alpha=1.0)
         np.testing.assert_allclose(rep.per_user_rate[0], np.log2(1.0 + want),
                                    rtol=1e-13, err_msg=f"sigma2={sigma2}")
 
@@ -851,7 +854,7 @@ def test_esse_exact_with_fewer_streams_than_receive_antennas(streams):
     for sigma2 in 10.0 ** np.arange(2, -31, -1):
         want = ([(sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu)), nu / sigma2]
                 if streams == 2 else [nv / sigma2])
-        rep = link.transmit_and_score(h, sets, sigma2)
+        rep = link.transmit_and_score(h, sets, sigma2, alpha=1.0)
         np.testing.assert_allclose(list(rep.per_user_rate.values()),
                                    np.log2(1.0 + np.array(want)), rtol=1e-13,
                                    err_msg=f"sigma2={sigma2}")
@@ -861,19 +864,21 @@ def test_esse_matches_frozen_loop_on_default_drops():
     config = ch.ScenarioConfig()
     dims = cli.dims_from({})
     ssb, cs = nbl.dft_codebooks(config.geometry, dims)
-    ssb, csirs = [ssb.beams] * config.c_cells, [cs.precoders] * config.c_cells
+    ssb, csirs = [ssb] * config.c_cells, [cs] * config.c_cells
     calls = []
     score = link.transmit_and_score
 
-    def capture(h, sets, sigma2, alpha=1.0):
+    def capture(h, sets, sigma2, alpha):
         calls.append((h, sets, sigma2, alpha))
         return score(h, sets, sigma2, alpha=alpha)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(link, "transmit_and_score", capture)
         for i in range(3):
+            seed = 11 * 1000003 + i
             mx.evaluate_drop(config, cli.settings_from({}), ssb, csirs,
-                             cli.dims_from({}).n_csi, 11 * 1000003 + i)
+                             cli.dims_from({}).n_csi, seed,
+                             ch.generate_channels(config, seed))
     assert len(calls) == 3
     for h, sets, sigma2, alpha in calls:
         assert sum(len(ps.users) for ps in sets) > 1  # scored under interference

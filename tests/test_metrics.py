@@ -38,11 +38,10 @@ def _books(config):
     return ssb, cs
 
 
-def _evaluate(config, settings, ssb_books, csirs_books, n_csi, drop_seed, **kw):
-    """evaluate_drop on the books' arrays."""
-    return mx.evaluate_drop(config, settings, [b.beams for b in ssb_books],
-                            [c.precoders for c in csirs_books], n_csi, drop_seed,
-                            **kw)
+def _evaluate(config, settings, ssb_beams, precoders, n_csi, drop_seed):
+    """evaluate_drop on the drop's channel, synthesized first."""
+    return mx.evaluate_drop(config, settings, ssb_beams, precoders, n_csi, drop_seed,
+                            ch.generate_channels(config, drop_seed))
 
 
 def _rows(drop_seed=7):
@@ -130,18 +129,16 @@ def test_compare_allocations_sum_to_one():
 # its own users' feedback.  The LS step multiplied by the pseudo-inverse of
 # the identity pilot matrix, as estimate_channel did then.
 
-def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, n_csi,
+def _frozen_evaluate_drop(config, settings, ssb_beams, precoders, n_csi,
                           drop_seed, tensor):
     sigma2 = ch.noise_variance(config)
     hv = np.asarray(tensor.values, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub = hv.shape[:4]
-    rsrp = bm.measure_rsrp(hv, [b.beams for b in ssb_books], sigma2, drop_seed)
+    rsrp = bm.measure_rsrp(hv, ssb_beams, sigma2, drop_seed)
     report = bm.aggregate_feedback(rsrp)
-    sels = [bm.select_csirs_subset(ssb_books[c].beams, csirs_books[c].precoders,
-                                   report, c, n_csi)
+    sels = [bm.select_csirs_subset(ssb_beams[c], precoders[c], report, c, n_csi)
             for c in range(c_cells)]
-    subsets = [csirs_books[c].precoders[sels[c].subset_indices]
-               for c in range(c_cells)]
+    subsets = [precoders[c][sels[c].subset_indices] for c in range(c_cells)]
     se_val, chosen = bm.achievable_se(
         bm.csirs_sinr(hv, subsets, report.b, sigma2).sinr.value.real)
     users = np.arange(n_users)
@@ -157,7 +154,7 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, n_csi,
         y = hv[c, :, 0] @ subsets[c][chosen][:, None]  # (U, K, N_R, B_g)
         noise = np.sqrt(sigma2 / 2.0) * (pilot_rng.standard_normal(y.shape)
                                          + 1j * pilot_rng.standard_normal(y.shape))
-        h_ls = (y + noise) @ np.linalg.pinv(np.eye(csirs_books[c].b_g))
+        h_ls = (y + noise) @ np.linalg.pinv(np.eye(precoders[c].shape[2]))
         est = link.estimate_channel(h_ls, sigma2, settings.s_b)
         fb, recon = link.quantize_pmi(est, l_csi=settings.l_csi)
         cand = list(report.users_of_cell(c))
@@ -166,7 +163,7 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, n_csi,
         sets.append(link.build_precoders(recon, fb.gains, chosen,
                                          subsets[c], sched, sigma2,
                                          est.subband_of_k))
-    alpha = link.data_fraction(ssb_books[0].l_max, n_csi, settings.k_ssb,
+    alpha = link.data_fraction(len(ssb_beams[0]), n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)
     return [{
@@ -183,7 +180,7 @@ def _frozen_evaluate_drop(config, settings, ssb_books, csirs_books, n_csi,
 
 
 def _doc_setup(doc):
-    """(config, settings, SSB books, CSI-RS books, n_csi) as the CLI's DFT
+    """(config, settings, SSB beams, CSI-RS precoders, n_csi) as the CLI's DFT
     evaluation builds them."""
     config, dims = cli.scenario_from(doc), cli.dims_from(doc)
     ssb, cs = nbl.dft_codebooks(config.geometry, dims)
@@ -210,7 +207,7 @@ def test_serving_cell_data_plane_matches_frozen_per_cell_loop(case):
     config = setup[0]
     for seed in seeds:
         tensor = ch.generate_channels(config, seed)
-        rows = _evaluate(*setup, seed, tensor=tensor)
+        rows = mx.evaluate_drop(*setup, seed, tensor)
         assert rows == _frozen_evaluate_drop(*setup, seed, tensor)
         if case == "idle-cell":
             assert len({r["cell"] for r in rows}) < config.c_cells

@@ -139,26 +139,37 @@ def test_load_balance_loss_gradient_matches_fd():
 
 # ----------------------------- forward model -----------------------------
 
-def test_forward_pin_replays_selections():
+def test_forward_pin_replays_selections(monkeypatch):
+    # forward_model builds its graph on the decisions it is given and makes
+    # none of its own, however far the codebooks have moved since
     cfg = _config()
     dims = _dims()
     data, sigma2 = _dataset(cfg, dims)
+    h = data[0].h
     tape = Tape()
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
-    ssb_dt, csirs_dt = gen.generate(data[0].obsc)
-    fw = nbl.forward_model(data[0].h, ssb_dt, csirs_dt, sigma2, dims.n_csi,
-                           new_user_mask=data[0].new_user_mask)
-    # perturb the parameters hard; the pinned run must keep the selections
+    ssb, csirs = ([t.value for t in dts] for dts in gen.generate(data[0].obsc))
+    pin = _decide(h, ssb, csirs, sigma2, dims.n_csi, data[0].new_user_mask)
     rng = np.random.default_rng(2)
     for p in tape.parameters.values():
         p.value = p.value + 0.5 * (rng.standard_normal(p.value.shape)
                                    + 1j * rng.standard_normal(p.value.shape))
-    ssb2, csirs2 = gen.generate(data[0].obsc)
-    fw2 = nbl.forward_model(data[0].h, ssb2, csirs2, sigma2, dims.n_csi,
-                            pin=fw.pin)
-    np.testing.assert_array_equal(fw2.pin.chosen, fw.pin.chosen)
-    assert fw2.pin.subset_indices == fw.pin.subset_indices
-    np.testing.assert_array_equal(fw2.pin.report.b, fw.pin.report.b)
+    ssb_dt, csirs_dt = gen.generate(data[0].obsc)
+
+    def refuse(*args, **kw):
+        raise AssertionError("forward_model made a decision")
+
+    for name in ("decide", "rsrp_tensor", "measure_rsrp", "aggregate_feedback",
+                 "select_csirs_subset", "csirs_sinr", "achievable_se"):
+        monkeypatch.setattr(bm, name, refuse)
+    fw = nbl.forward_model(h, ssb_dt, csirs_dt, sigma2, pin)
+    rsrp = frozen_rsrp_tensor(h, ssb_dt).value.real  # (C, L, U)
+    users = np.arange(h.shape[1])
+    want = np.stack([rsrp[c, pin.beams[c], users] for c in range(cfg.c_cells)])
+    np.testing.assert_allclose(fw.cell_rsrp.value.real, want, rtol=1e-12)
+    np.testing.assert_array_equal(fw.best_rsrp.value,
+                                  fw.cell_rsrp.value[pin.report.b, users])
+    assert fw.pred.shape == (len(users),)
 
 
 def _full_graph_forward_model(h, ssb_dt, csirs_dt, sigma2, n_csi, pin=None,
@@ -221,15 +232,18 @@ def _decide(h, ssb, csirs, sigma2, n_csi, new_user_mask):
 def _rollout_loss(full_graph, sample, ssb, csirs, sigma2, n_csi, ssb_weight,
                   balance_weight, cell=None, pin=None):
     """One drop's training loss from either forward model, and its pin."""
-    kw = dict(pin=pin, new_user_mask=sample.new_user_mask,
-              disaggregated_cell=cell)
     if full_graph:
         pred, best, rsrp, pin = _full_graph_forward_model(
-            sample.h, ssb, csirs, sigma2, n_csi, **kw)
+            sample.h, ssb, csirs, sigma2, n_csi, pin=pin,
+            new_user_mask=sample.new_user_mask, disaggregated_cell=cell)
         balance = lambda: _full_graph_load_balance_loss(rsrp)
     else:
-        fw = nbl.forward_model(sample.h, ssb, csirs, sigma2, n_csi, **kw)
-        pred, best, pin = fw.pred, fw.best_rsrp, fw.pin
+        if pin is None:
+            pin = _decide(sample.h, [t.value for t in ssb], [t.value for t in csirs],
+                          sigma2, n_csi, sample.new_user_mask)
+        fw = nbl.forward_model(sample.h, ssb, csirs, sigma2, pin,
+                               disaggregated_cell=cell)
+        pred, best = fw.pred, fw.best_rsrp
         balance = lambda: nbl.load_balance_loss(fw.cell_rsrp)
     loss = ad.add(nbl.e2e_loss(sample.targets, pred),
                   ad.scale(nbl.ssb_alignment_loss(best, sigma2), ssb_weight))
@@ -316,7 +330,7 @@ def test_direct_generator_starts_at_dft():
     tape = Tape()
     gen = nbl.DirectGenerator(tape, cfg.c_cells, cfg.geometry, dims)
     ssb_dt, csirs_dt = gen.generate()
-    want = cb.build_dft_ssb(cfg.geometry, dims.l_max, dims.elevation_window).beams
+    want = cb.build_dft_ssb(cfg.geometry, dims.l_max, dims.elevation_window)
     np.testing.assert_allclose(ssb_dt[0].value, want, atol=1e-10)
     assert csirs_dt[0].shape == (dims.n_cb, cfg.geometry.n_elements, dims.b_g)
 
