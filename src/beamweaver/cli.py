@@ -131,11 +131,11 @@ def _finite_number(text: str) -> float:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f, parse_float=_finite_number,
                             parse_constant=_finite_number,
                             parse_int=json_int64(ConfigError))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(doc))
     if error is not None:
@@ -334,13 +334,13 @@ def _drop_books(source: str, doc: dict, config, dims):
         ssb_dt, cs_dt = generate(None)
         fixed = ([s.value for s in ssb_dt], [c.value for c in cs_dt])
         return lambda tensor: fixed
-    prior_ssb = [nbl.dft_codebooks(config.geometry, dims)[0]] * config.c_cells
-    pair = cbk.make_transform_pair(config.geometry)
+    prior_ssb = [cbk.build_dft_ssb(config.geometry, dims.l_max,
+                                   dims.elevation_window)] * config.c_cells
 
     def books(tensor):
         h = np.asarray(tensor.values, np.complex128)
         ssb_dt, cs_dt = generate(nbl.feedback_images(h, prior_ssb, config.geometry,
-                                                     pair, None)[0])
+                                                     None)[0])
         return [s.value for s in ssb_dt], [c.value for c in cs_dt]
     return books
 
@@ -427,7 +427,7 @@ def train(config_path, seed, out_dir, source, epochs, lr, drops, disaggregated):
     lr = lr if lr is not None else tr.get("lr", 1e-4)
     samples = drops if drops is not None else tr.get("samples", 64)
     sigma2 = ch.noise_variance(config)
-    prior_ssb, _ = nbl.dft_codebooks(config.geometry, dims)
+    prior_ssb = cbk.build_dft_ssb(config.geometry, dims.l_max, dims.elevation_window)
     dataset = nbl.build_dataset(config, [prior_ssb] * config.c_cells, samples, seed,
                                 sigma2, new_user_prob=tr.get("new_user_prob", 0.2))
     tape = Tape()

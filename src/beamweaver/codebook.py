@@ -7,14 +7,16 @@ DFT.  A beam vector f reshapes per polarization panel to an N_X x N_Y matrix
 in x-major order, and its beamspace image interior is U_x^H mat(f) U_y.
 
 Feedback images and learned codebooks live on one fixed beamspace, the
-critically sampled grid of ``make_transform_pair`` (N_XO = N_X, N_YO = N_Y);
-only the DFT CSI-RS codebook picks its beams off a finer grid, oversampled
+critically sampled grid (N_XO = N_X, N_YO = N_Y): its maps are the unitary
+DFTs of the geometry's axes and their pseudo-inverses, built once per axis
+length.  The SSB codebook picks its beams off the same grid; only the DFT
+CSI-RS codebook picks its beams off a finer grid, oversampled
 CSIRS_OVERSAMPLING times per axis.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,28 +27,6 @@ from .errors import ConfigError, FormatError, ShapeError, json_int64
 CSIRS_OVERSAMPLING = 4  # of the DFT CSI-RS codebook's grid, per axis
 
 
-@dataclass
-class TransformPair:
-    """Beamspace transform matrices for one array geometry."""
-
-    u_x: np.ndarray  # (N_X, N_XO)
-    u_y: np.ndarray  # (N_Y, N_YO)
-    u_x_pinv: np.ndarray = field(init=False)
-    u_y_pinv: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.u_x_pinv = np.linalg.pinv(self.u_x)
-        self.u_y_pinv = np.linalg.pinv(self.u_y)
-
-    @property
-    def n_xo(self) -> int:
-        return self.u_x.shape[1]
-
-    @property
-    def n_yo(self) -> int:
-        return self.u_y.shape[1]
-
-
 def transform_matrix(n_antenna: int, n_grid: int) -> np.ndarray:
     if n_grid < n_antenna:
         raise ConfigError(f"beamspace grid {n_grid} must be >= antenna count {n_antenna}")
@@ -55,10 +35,14 @@ def transform_matrix(n_antenna: int, n_grid: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * m / n_grid) / np.sqrt(n_antenna)
 
 
-def make_transform_pair(geometry: ArrayGeometry) -> TransformPair:
-    """The geometry's critically sampled pair, the unitary DFTs."""
-    return TransformPair(u_x=transform_matrix(geometry.n_x, geometry.n_x),
-                         u_y=transform_matrix(geometry.n_y, geometry.n_y))
+@functools.cache
+def _axis_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The beamspace maps of an axis of n antennas, read-only: the unitary
+    DFT U = transform_matrix(n, n) and its pseudo-inverse U^+."""
+    u = transform_matrix(n, n)
+    u_pinv = np.linalg.pinv(u)
+    u.flags.writeable = u_pinv.flags.writeable = False
+    return u, u_pinv
 
 
 def _wrap_index(m: np.ndarray, n: int) -> np.ndarray:
@@ -103,8 +87,7 @@ def build_dft_ssb(geometry: ArrayGeometry, l_max: int,
                   elevation_window) -> np.ndarray:
     """Wide-beam SSB codebook on the critically-sampled grid, downtilt pruned:
     (L, NT) unit-norm beams."""
-    u_x = transform_matrix(geometry.n_x, geometry.n_x)
-    u_y = transform_matrix(geometry.n_y, geometry.n_y)
+    (u_x, _), (u_y, _) = _axis_maps(geometry.n_x), _axis_maps(geometry.n_y)
     cands = _grid_candidates(geometry.n_x, geometry.n_y, elevation_window,
                              geometry.element_spacing)
     if l_max > len(cands):
@@ -145,45 +128,48 @@ def project_analog(beams: np.ndarray, b_phase: int | None) -> np.ndarray:
     return mag * np.exp(1j * phase)
 
 
-def beamspace_forward(beams: np.ndarray, pair: TransformPair, geometry: ArrayGeometry,
+def beamspace_forward(beams: np.ndarray, geometry: ArrayGeometry,
                       beam_counts: np.ndarray | None = None,
                       beam_rsrp: np.ndarray | None = None) -> np.ndarray:
     """Beamspace images plus the padded feedback row/column.
 
-    Returns (n_beams * n_pol, N_XO + 1, N_YO + 1), image i * n_pol + p
-    holding polarization p of beam i.  The interior [:N_XO, :N_YO] is the
-    beamspace U_x^H mat(f) U_y; cell [N_XO, 0] holds beam_counts[i], the
-    number of users that selected the beam, and cell [0, N_YO] beam_rsrp[i],
+    Returns (n_beams * n_pol, N_X + 1, N_Y + 1), image i * n_pol + p
+    holding polarization p of beam i.  The interior [:N_X, :N_Y] is the
+    beamspace U_x^H mat(f) U_y; cell [N_X, 0] holds beam_counts[i], the
+    number of users that selected the beam, and cell [0, N_Y] beam_rsrp[i],
     their summed RSRP.  Both default to zero (no feedback embedded); the
     rest of the padding is zero.
     """
-    panels = np.asarray(beams, dtype=np.complex128).reshape(-1, geometry.n_x, geometry.n_y)
-    images = np.zeros((panels.shape[0], pair.n_xo + 1, pair.n_yo + 1), dtype=np.complex128)
-    images[:, :pair.n_xo, :pair.n_yo] = np.conj(pair.u_x.T) @ panels @ pair.u_y
+    n_x, n_y = geometry.n_x, geometry.n_y
+    (u_x, _), (u_y, _) = _axis_maps(n_x), _axis_maps(n_y)
+    panels = np.asarray(beams, dtype=np.complex128).reshape(-1, n_x, n_y)
+    images = np.zeros((panels.shape[0], n_x + 1, n_y + 1), dtype=np.complex128)
+    images[:, :n_x, :n_y] = np.conj(u_x.T) @ panels @ u_y
     if beam_counts is not None:
-        images[:, pair.n_xo, 0] = np.repeat(np.asarray(beam_counts, float), geometry.n_pol)
+        images[:, n_x, 0] = np.repeat(np.asarray(beam_counts, float), geometry.n_pol)
     if beam_rsrp is not None:
-        images[:, 0, pair.n_yo] = np.repeat(np.asarray(beam_rsrp, float), geometry.n_pol)
+        images[:, 0, n_y] = np.repeat(np.asarray(beam_rsrp, float), geometry.n_pol)
     return images
 
 
-def beamspace_inverse(interiors, pair: TransformPair,
-                      geometry: ArrayGeometry) -> ad.DiffTensor:
+def beamspace_inverse(interiors, geometry: ArrayGeometry) -> ad.DiffTensor:
     """Beam vectors (pre-projection) of beamspace interiors.
 
-    interiors: an array or DiffTensor, (..., n_beams * n_pol, N_XO, N_YO)
+    interiors: an array or DiffTensor, (..., n_beams * n_pol, N_X, N_Y)
     over any leading axes.  Each panel maps back as
     mat(f) = (U_x^H)^+ I (U_y)^+; returns (..., n_beams, NT).
     """
     interiors = ad.as_tensor(interiors)
-    if interiors.shape[-2:] != (pair.n_xo, pair.n_yo) or interiors.value.ndim < 3:
+    if (interiors.shape[-2:] != (geometry.n_x, geometry.n_y)
+            or interiors.value.ndim < 3):
         raise ShapeError(f"interior shape {interiors.shape} does not match grid")
     n_pol = geometry.n_pol
     n_img = interiors.shape[-3]
     if n_img % n_pol:
         raise ShapeError("image count not divisible by polarization count")
-    panels = ad.matmul(ad.matmul(np.conj(pair.u_x_pinv.T), interiors),
-                       pair.u_y_pinv)  # (..., n_img, N_X, N_Y)
+    (_, u_x_pinv), (_, u_y_pinv) = _axis_maps(geometry.n_x), _axis_maps(geometry.n_y)
+    panels = ad.matmul(ad.matmul(np.conj(u_x_pinv.T), interiors),
+                       u_y_pinv)  # (..., n_img, N_X, N_Y)
     return ad.reshape(panels, interiors.shape[:-3] + (
         n_img // n_pol, geometry.n_elements))
 
@@ -230,7 +216,7 @@ def load_codebooks(path) -> tuple[ArrayGeometry, np.ndarray, np.ndarray]:
     with open(path) as f:
         try:
             doc = json.load(f, parse_int=json_int64(FormatError))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise FormatError(f"codebook file is not JSON: {e}") from None
     if not isinstance(doc, dict):
         raise FormatError("codebook file does not hold a JSON object")

@@ -25,14 +25,6 @@ _PMI_LEAKAGE = 0.1  # scheduler model: per-stream mis-null leakage fraction
 
 
 @dataclass
-class BeamformedChannelEstimate:
-    """Per (user, subband) estimated N_R x B_g beamformed channel."""
-
-    h_est: np.ndarray  # (U, S_B, N_R, B_g)
-    subband_of_k: np.ndarray  # (K,) subband index per subcarrier
-
-
-@dataclass
 class PmiFeedback:
     """Type-II style feedback: beams + wideband amplitudes + co-phases."""
 
@@ -49,7 +41,6 @@ class PrecoderSet:
     analog: np.ndarray  # (NT, U_a * B_g)
     digital: np.ndarray  # (S_B, U_a * B_g, U_a) block-diagonal, unit columns
     users: list[int]  # scheduled user indices, ascending
-    subband_of_k: np.ndarray
 
 
 @dataclass
@@ -66,8 +57,7 @@ def subband_map(k_subcarriers: int, s_b: int) -> np.ndarray:
     return np.minimum((np.arange(k_subcarriers) * s_b) // k_subcarriers, s_b - 1)
 
 
-def estimate_channel(y: np.ndarray, sigma2: float,
-                     s_b: int) -> BeamformedChannelEstimate:
+def estimate_channel(y: np.ndarray, sigma2: float, s_b: int) -> np.ndarray:
     """LS per-RE estimate, subband averaging, then MMSE shrinkage.
 
     y: (U, K, N_R, B_g) received pilot blocks, one per user from its serving
@@ -77,7 +67,8 @@ def estimate_channel(y: np.ndarray, sigma2: float,
     rotates the channel from subcarrier to subcarrier; a plain mean would
     self-cancel).  Shrinkage factor rho/(rho+1) uses a per-subband sample SNR
     rho taken from the aligned residual power when more than one RE is
-    averaged, else from the supplied sigma2.
+    averaged, else from the supplied sigma2.  Returns the per (user,
+    subband) estimated N_R x B_g beamformed channel, (U, S_B, N_R, B_g).
     """
     h_ls = np.asarray(y, dtype=np.complex128)  # per-RE least squares
     if h_ls.ndim != 4:
@@ -104,7 +95,7 @@ def estimate_channel(y: np.ndarray, sigma2: float,
         finite = np.where(np.isinf(rho), 0.0, rho)
         shrink = np.where(np.isinf(rho), 1.0, finite / (finite + 1.0))
         h_est[:, s] = shrink[:, None, None] * h_avg
-    return BeamformedChannelEstimate(h_est=h_est, subband_of_k=sb_of_k)
+    return h_est
 
 
 def port_dft(b_g: int) -> np.ndarray:
@@ -114,9 +105,9 @@ def port_dft(b_g: int) -> np.ndarray:
     return np.exp(2j * np.pi * n * m / (PORT_OVERSAMPLING * b_g)) / np.sqrt(b_g)
 
 
-def quantize_pmi(estimate: BeamformedChannelEstimate,
-                 l_csi: int) -> tuple[PmiFeedback, np.ndarray]:
-    """Quantize the dominant beamformed direction per subband.
+def quantize_pmi(h: np.ndarray, l_csi: int) -> tuple[PmiFeedback, np.ndarray]:
+    """Quantize the dominant beamformed direction per subband of the
+    (U, S_B, N_R, B_g) channel estimate ``h``.
 
     Beam selection is wideband (largest summed projections on ``port_dft``);
     amplitudes are wideband, max-normalized, of PMI_AMP_BITS; co-phases are
@@ -124,7 +115,6 @@ def quantize_pmi(estimate: BeamformedChannelEstimate,
     of shape (U, S_B, B_g), unit-norm rows; an all-zero estimate maps to
     the first basis column.
     """
-    h = estimate.h_est
     n_users, s_b, n_rx, b_g = h.shape
     if l_csi > b_g * PORT_OVERSAMPLING:
         raise ConfigError("l_csi exceeds the oversampled basis size")
@@ -190,7 +180,7 @@ def _rzf_columns(cross: np.ndarray, sigma2: float) -> np.ndarray:
 
 def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
                     subset_precoders: np.ndarray, users: list[int],
-                    sigma2: float, subband_of_k: np.ndarray) -> PrecoderSet:
+                    sigma2: float) -> PrecoderSet:
     """Assemble one cell's hybrid precoder for the scheduled users.
 
     recon/gains: PMI reconstruction (U, S_B, B_g) and (U, S_B);
@@ -205,8 +195,7 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     s_b = recon.shape[1]
     if n_a == 0:
         return PrecoderSet(analog=np.zeros((n_t, 0), complex),
-                           digital=np.zeros((s_b, 0, 0), complex), users=[],
-                           subband_of_k=subband_of_k)
+                           digital=np.zeros((s_b, 0, 0), complex), users=[])
     blocks = subset_precoders[np.asarray(chosen)[users]]  # (U_a, NT, B_g)
     analog = np.swapaxes(blocks, 0, 1).reshape(n_t, n_a * b_g)
     rows = np.swapaxes(gains[users, :, None] * np.conj(recon[users]), 0, 1)
@@ -214,8 +203,7 @@ def build_precoders(recon: np.ndarray, gains: np.ndarray, chosen: np.ndarray,
     digital = np.zeros((s_b, n_a * b_g, n_a), dtype=np.complex128)
     digital[:, np.arange(n_a * b_g), np.repeat(np.arange(n_a), b_g)] = \
         cols.reshape(s_b, n_a * b_g)
-    return PrecoderSet(analog=analog, digital=digital, users=users,
-                       subband_of_k=subband_of_k)
+    return PrecoderSet(analog=analog, digital=digital, users=users)
 
 
 def _phase_aligned_sum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,13 +404,14 @@ def transmit_and_score(h: np.ndarray, sets: list[PrecoderSet],
                        sigma2: float, alpha: float) -> EsseReport:
     """Score the data transmission: per-user LMMSE SINR and ESSE.
 
-    Per-user effective transmit column: analog @ digital block, scaled by
+    Per-user effective transmit column: analog @ digital block of the RE's
+    subband (``subband_map`` over the digital blocks' S_B), scaled by
     1/sqrt(U_a * K * NT) (equal power split, broadcast-equivalent total
     power).  Every scheduled user is scored at every RE in one batch by
     ``autodiff.lmmse_sinr_array``, with every cell's scheduled columns as
-    interference; the per-RE rate is log2(1 + SINR), finite and accurate at
-    any SNR.  The per-user rate is the mean over REs, scaled by the data
-    fraction ``alpha`` (see ``data_fraction``).
+    interference; the per-RE rate is log2(1 + SINR).  The per-user rate is
+    the mean over REs, scaled by the data fraction ``alpha`` (see
+    ``data_fraction``).
     """
     hv = np.asarray(h, dtype=np.complex128)
     c_cells, n_users, t_slots, k_sub, n_rx, n_t = hv.shape
@@ -438,7 +427,7 @@ def transmit_and_score(h: np.ndarray, sets: list[PrecoderSet],
             continue
         # (K, NT, U_a) transmit matrices, then G = H W for every scored user
         scale = 1.0 / np.sqrt(n_a * k_sub * n_t)
-        w = ps.analog @ ps.digital[ps.subband_of_k] * scale
+        w = ps.analog @ ps.digital[subband_map(k_sub, ps.digital.shape[0])] * scale
         x[..., start:start + n_a] = hv[c, users] @ w  # (U_s, T, K, N_R, U_a)
         start += n_a
     own = np.arange(len(users))[:, None, None, None]

@@ -78,16 +78,15 @@ def evaluate_drop(config: ch.ScenarioConfig, settings: EvalSettings,
     draws = ch._stream(drop_seed, _PILOT_TAG, 0).standard_normal(
         (c_cells, 2) + y.shape)[report.b, :, users]  # (U, 2, K, N_R, B_g)
     noise = np.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
-    est = link.estimate_channel(y + noise, sigma2, settings.s_b)
-    fb, recon = link.quantize_pmi(est, l_csi=settings.l_csi)
+    h_est = link.estimate_channel(y + noise, sigma2, settings.s_b)
+    fb, recon = link.quantize_pmi(h_est, l_csi=settings.l_csi)
     sets = []
     for c in range(c_cells):
         cand = list(report.users_of_cell(c))
         sched = link.schedule_users(recon, fb.gains, chosen, subsets[c],
                                     cand, sigma2) if cand else []
         sets.append(link.build_precoders(recon, fb.gains, chosen,
-                                         subsets[c], sched, sigma2,
-                                         est.subband_of_k))
+                                         subsets[c], sched, sigma2))
     alpha = link.data_fraction(len(ssb_beams[0]), n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)

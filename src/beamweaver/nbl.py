@@ -48,7 +48,7 @@ class NblDims:
 
 @dataclass
 class TrainingSample:
-    obsc: list  # per cell: (L*n_pol, N_XO+1, N_YO+1) complex feedback images
+    obsc: list  # per cell: (L*n_pol, N_X+1, N_Y+1) complex feedback images
     h: np.ndarray  # (C, U, T, K, N_R, NT) channel slice for the drop
     targets: np.ndarray  # (U,) SVD spectral-efficiency targets
     new_user_mask: np.ndarray
@@ -75,14 +75,14 @@ def compute_targets(h: np.ndarray, assoc: np.ndarray, sigma2: float) -> np.ndarr
     return np.log2(1.0 + sv ** 2 / sigma2).sum(axis=-1).mean(axis=(1, 2))
 
 
-def _inverse_project(params: DiffTensor, pair: cb.TransformPair,
-                     geometry: ArrayGeometry, b_phase) -> DiffTensor:
+def _inverse_project(params: DiffTensor, geometry: ArrayGeometry,
+                     b_phase) -> DiffTensor:
     """Beamspace interiors -> constant-modulus beams, straight-through.
 
-    params: (..., n_img, N_XO, N_YO); returns (..., n_img / n_pol, NT) over
+    params: (..., n_img, N_X, N_Y); returns (..., n_img / n_pol, NT) over
     the same leading axes.
     """
-    raw = cb.beamspace_inverse(params, pair, geometry)
+    raw = cb.beamspace_inverse(params, geometry)
     # magnitude equalization is smooth, so it gets the exact gradient; only
     # the phase-grid snap needs the straight-through surrogate
     equalized = ad.unit_modulus(raw, 1.0 / np.sqrt(geometry.n_elements))
@@ -101,17 +101,16 @@ def dft_codebooks(geometry: ArrayGeometry,
 
 
 def _dft_baseline(geometry: ArrayGeometry, dims: NblDims) -> tuple:
-    """A geometry's transform pair and its DFT codebooks' beamspace interiors:
-    (pair, (L*n_pol, N_XO, N_YO) SSB, (N_CB*B_g*n_pol, N_XO, N_YO) CSI-RS
-    interiors, precoder by precoder and column by column)."""
-    pair = cb.make_transform_pair(geometry)
+    """A geometry's DFT codebooks' beamspace interiors: (L*n_pol, N_X, N_Y)
+    SSB and (N_CB*B_g*n_pol, N_X, N_Y) CSI-RS interiors, precoder by
+    precoder and column by column."""
     ssb, csirs = dft_codebooks(geometry, dims)
     cols = np.swapaxes(csirs, 1, 2).reshape(-1, geometry.n_elements)
-    return (pair,) + tuple(cb.beamspace_forward(b, pair, geometry)[:, :pair.n_xo, :pair.n_yo]
-                           for b in (ssb, cols))
+    return tuple(cb.beamspace_forward(b, geometry)[:, :geometry.n_x, :geometry.n_y]
+                 for b in (ssb, cols))
 
 
-def _codebooks(interiors, pair: cb.TransformPair, geometry: ArrayGeometry,
+def _codebooks(interiors, geometry: ArrayGeometry,
                dims: NblDims) -> tuple[list, list]:
     """Per-cell codebooks of per-cell (SSB, CSI-RS) beamspace interiors.
 
@@ -120,8 +119,8 @@ def _codebooks(interiors, pair: cb.TransformPair, geometry: ArrayGeometry,
     """
     ssb, csirs = [], []
     for ssb_img, csirs_img in interiors:
-        ssb.append(_inverse_project(ssb_img, pair, geometry, dims.b_phase))
-        cols = _inverse_project(csirs_img, pair, geometry, dims.b_phase)
+        ssb.append(_inverse_project(ssb_img, geometry, dims.b_phase))
+        cols = _inverse_project(csirs_img, geometry, dims.b_phase)
         stack = ad.reshape(cols, cols.shape[:-2] + (
             dims.n_cb, dims.b_g, geometry.n_elements))
         csirs.append(ad.swapaxes(stack, -1, -2))
@@ -139,7 +138,7 @@ class DirectGenerator:
                  dims: NblDims):
         self.geometry = geometry
         self.dims = dims
-        self.pair, ssb, csirs = _dft_baseline(geometry, dims)
+        ssb, csirs = _dft_baseline(geometry, dims)
         self.ssb_params, self.csirs_params = [], []
         for c in range(cells):  # each cell's parameters in arrays of their own
             self.ssb_params.append(tape.parameter(f"ssb{c}", ssb.copy()))
@@ -148,8 +147,8 @@ class DirectGenerator:
     def generate(self, obsc=None):
         """Per-cell (L, NT) SSB and (N_CB, NT, B_g) CSI-RS codebooks; ``obsc``
         is ignored."""
-        return _codebooks(zip(self.ssb_params, self.csirs_params), self.pair,
-                          self.geometry, self.dims)
+        return _codebooks(zip(self.ssb_params, self.csirs_params), self.geometry,
+                          self.dims)
 
 
 class NeuralGenerator:
@@ -159,8 +158,8 @@ class NeuralGenerator:
     convolutions; complex images ride as interleaved (re, im) real channel
     pairs.  The output is a delta added to the DFT baseline beamspace of
     whatever geometry is being evaluated, so weights trained on one array
-    size transfer to another.  That baseline and the geometry's transform
-    pair are computed once per geometry.
+    size transfer to another.  That baseline is computed once per
+    geometry.
 
     Any array size is served: the network maps an image side s to
     4*ceil(s/4) - 3, so where that falls short of the beamspace grid, the
@@ -212,7 +211,7 @@ class NeuralGenerator:
             raise ConfigError("generator polarization does not match geometry")
         if geometry not in self._baselines:
             self._baselines[geometry] = _dft_baseline(geometry, dims)
-        pair, base_ssb, base_csirs = self._baselines[geometry]
+        base_ssb, base_csirs = self._baselines[geometry]
         stacked = np.concatenate([np.asarray(o) for o in obsc], axis=-3)
         lead, (n_in, hh, ww) = stacked.shape[:-3], stacked.shape[-3:]
         if n_in * 2 != self.cin:
@@ -221,15 +220,15 @@ class NeuralGenerator:
         # the network maps a side s to 4*ceil(s/4) - 3; where that falls short
         # of the grid, zero-pad the far edges to the least side that reaches it
         sides = [max(s, 4 * -(-(n + 3) // 4) - 3)
-                 for s, n in ((hh, pair.n_xo), (ww, pair.n_yo))]
+                 for s, n in ((hh, geometry.n_x), (ww, geometry.n_y))]
         x = np.zeros((stacked.shape[0], self.cin, *sides))
         x[:, 0::2, :hh, :ww], x[:, 1::2, :hh, :ww] = stacked.real, stacked.imag
         # crop first, so the re/im split and the delta copy only the interior
-        out = ad.crop2d(self._network(ad.constant(x)), pair.n_xo, pair.n_yo)
+        out = ad.crop2d(self._network(ad.constant(x)), geometry.n_x, geometry.n_y)
         re = ad.take(out, np.arange(0, self.cout, 2), axis=1)
         im = ad.take(out, np.arange(1, self.cout, 2), axis=1)
-        delta = ad.add(re, ad.scale(im, 1j))  # (B, cout/2, n_xo, n_yo)
-        delta = ad.reshape(delta, lead + (self.cout // 2, pair.n_xo, pair.n_yo))
+        delta = ad.add(re, ad.scale(im, 1j))  # (B, cout/2, N_X, N_Y)
+        delta = ad.reshape(delta, lead + (self.cout // 2, geometry.n_x, geometry.n_y))
 
         def offset(lo, hi, base):  # images lo..hi-1 of the delta, on the baseline
             return ad.add(ad.take(delta, np.arange(lo, hi), axis=-3), ad.constant(base))
@@ -239,7 +238,7 @@ class NeuralGenerator:
         return _codebooks([(offset(s, s + n_ssb, base_ssb),
                             offset(s + n_ssb, s + per_cell, base_csirs))
                            for s in range(0, self.cells * per_cell, per_cell)],
-                          pair, geometry, dims)
+                          geometry, dims)
 
 
 def forward_model(h: np.ndarray, ssb_dt: list, csirs_dt: list, sigma2: float,
@@ -356,7 +355,7 @@ class Adam:
 
 
 def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
-                    pair: cb.TransformPair, new_user_mask) -> tuple:
+                    new_user_mask) -> tuple:
     """Observed feedback beamspace of one drop under the prior SSB codebooks.
 
     h: (C, U, T, K, N_R, NT); prior_ssb: each cell's (L, NT) prior beams.
@@ -366,7 +365,7 @@ def feedback_images(h: np.ndarray, prior_ssb: list, geometry: ArrayGeometry,
     """
     rsrp = bm.rsrp_tensor(h, prior_ssb)
     report = bm.aggregate_feedback(rsrp, new_user_mask)
-    obsc = [cb.beamspace_forward(beams, pair, geometry, report.beam_counts(c),
+    obsc = [cb.beamspace_forward(beams, geometry, report.beam_counts(c),
                                  report.beam_rsrp_sums(c))
             for c, beams in enumerate(prior_ssb)]
     return obsc, report
@@ -381,7 +380,6 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
     (prob. ``new_user_prob``) are associated but contribute nothing to the
     beamspace statistics.
     """
-    pair = cb.make_transform_pair(config.geometry)
     samples = []
     for i in range(n_samples):
         drop_seed = seed * 1000003 + i
@@ -389,7 +387,7 @@ def build_dataset(config: ScenarioConfig, prior_ssb: list, n_samples: int,
         h = np.asarray(tensor.values, dtype=np.complex128)
         n_users = h.shape[1]
         mask = _stream(drop_seed, _MASK_TAG, 0).random(n_users) < new_user_prob
-        obsc, report = feedback_images(h, prior_ssb, config.geometry, pair, mask)
+        obsc, report = feedback_images(h, prior_ssb, config.geometry, mask)
         targets = compute_targets(h, report.b, sigma2)
         samples.append(TrainingSample(obsc=obsc, h=h, targets=targets,
                                       new_user_mask=mask))
@@ -591,8 +589,10 @@ def load_checkpoint(path) -> tuple[Tape, Adam, dict]:
         try:
             meta = json.loads(_read_exact(f, meta_len).decode(),
                               parse_int=json_int64(FormatError))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise FormatError(f"bad checkpoint metadata: {e}") from None
+        if not isinstance(meta, dict):
+            raise FormatError("checkpoint metadata is not a JSON object")
         (n_params,) = _unpack(f, "<I")
         tape, opt = Tape(), Adam()
         for _ in range(n_params):

@@ -55,7 +55,6 @@ def test_c1_end_to_end_loss_matches_finite_differences():
                             user_count_range=(3, 3), geometry=geo)
     h = np.asarray(ch.generate_channels(cfg, seed=8).values, np.complex128)
     sigma2 = float(np.mean(np.abs(h) ** 2))
-    pair = cb.make_transform_pair(geo)
     targets = nbl.compute_targets(h, np.zeros(3, int), sigma2)
 
     tape = Tape()
@@ -64,10 +63,10 @@ def test_c1_end_to_end_loss_matches_finite_differences():
               + [p.value.copy() for p in gen.csirs_params])
 
     def books(s0, s1, c0, c1):
-        ssb_dt = [nbl._inverse_project(s, pair, geo, None) for s in (s0, s1)]
+        ssb_dt = [nbl._inverse_project(s, geo, None) for s in (s0, s1)]
         csirs_dt = []
         for c in (c0, c1):
-            cols = nbl._inverse_project(c, pair, geo, None)
+            cols = nbl._inverse_project(c, geo, None)
             stack = ad.reshape(cols, (dims.n_cb, dims.b_g, geo.n_elements))
             csirs_dt.append(ad.swapaxes(stack, 1, 2))
         return ssb_dt, csirs_dt
@@ -114,15 +113,14 @@ def test_c2_sinr_identity_1000_instances():
 
 def test_c3_round_trip_and_one_hot():
     geo = ch.ArrayGeometry(n_x=4, n_y=4, dual_polarized=True)
-    pair = cb.make_transform_pair(geo)  # critical sampling
     rng = np.random.default_rng(3)
     beams = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
-    img = cb.beamspace_forward(beams, pair, geo)
-    back = cb.beamspace_inverse(img[:, :4, :4], pair, geo).value
+    img = cb.beamspace_forward(beams, geo)
+    back = cb.beamspace_inverse(img[:, :4, :4], geo).value
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-8
 
     book = cb.build_dft_ssb(geo, l_max=8, elevation_window=FULL)
-    interiors = cb.beamspace_forward(book, pair, geo)[:, :4, :4]
+    interiors = cb.beamspace_forward(book, geo)[:, :4, :4]
     for interior in interiors:
         mags = np.sort(np.abs(interior).reshape(-1))
         assert mags[-1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
@@ -338,14 +336,13 @@ def test_c10_neural_trained_4x4_beats_dft_at_8x8():
     dft_cs8 = [cb.build_dft_csirs(eval_cfg.geometry, dims.n_cb, dims.b_g,
                                   elevation_window=FULL) for _ in range(3)]
     dft8 = (prior8, dft_cs8)
-    pair8 = cb.make_transform_pair(eval_cfg.geometry)
     settings = mx.EvalSettings()
     ratios = []
     for i in range(60):
         seed = 321 * 1000003 + i
         tensor = ch.generate_channels(eval_cfg, seed)
         obsc = nbl.feedback_images(np.asarray(tensor.values, np.complex128),
-                                   prior8, eval_cfg.geometry, pair8, None)[0]
+                                   prior8, eval_cfg.geometry, None)[0]
         ssb_dt, cs_dt = gen.generate_for(obsc, eval_cfg.geometry)
         rows_dft = mx.evaluate_drop(eval_cfg, settings, *dft8, dims.n_csi, seed,
                                     tensor)

@@ -276,8 +276,7 @@ def test_ssb_sweeps_build_no_autodiff_graph(monkeypatch):
         sigma2 = ch.noise_variance(config)
         assert count(bm.measure_rsrp, h, beams, sigma2, 3) == 0
         assert count(bm.rsrp_tensor, h, beams) == 0
-        assert count(nbl.feedback_images, h, beams, config.geometry,
-                     cb.make_transform_pair(config.geometry), None) == 0
+        assert count(nbl.feedback_images, h, beams, config.geometry, None) == 0
         assert count(bm.decide, bm.measure_rsrp(h, beams, sigma2, 3), h, beams,
                      precoders, sigma2, dims.n_csi) == 1
         assert count(mx.evaluate_drop, config, mx.EvalSettings(), beams,

@@ -578,6 +578,52 @@ def test_wide_integer_in_checkpoint_metadata_is_a_format_error(tmp_path, literal
     assert not out.exists()
 
 
+# a document the JSON decoder cannot finish: nested deeper than the recursion
+# limit (it raised RecursionError), and one that is not UTF-8 at all
+_DEEP_JSON = b"[" * 100_000
+_NOT_UTF8 = b'{"checkpoint": "\xff"}'
+
+
+@pytest.mark.parametrize("text", [_DEEP_JSON, _NOT_UTF8], ids=["deep", "not-utf8"])
+def test_undecodable_config_exits_2_before_the_run(tmp_path, text):
+    # each was an exit 1 with a traceback of some 40 lines
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        cli.load_config(config)
+    out = tmp_path / "ev"
+    res = _run("evaluate", "--config", config, "--out", out, "--drops", 1)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: config is not valid JSON")
+    assert res.output.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("meta, message", [
+    (_DEEP_JSON, "bad checkpoint metadata"),
+    (b"[1]", "not a JSON object"),
+    (b'"nbl-direct"', "not a JSON object"),
+], ids=["deep", "list", "string"])
+def test_undecodable_checkpoint_metadata_is_a_format_error(tmp_path, meta, message):
+    # deep nesting raised RecursionError, and metadata that is not an object
+    # reached the checkpoint check's meta.get as an AttributeError: exit 1
+    ckpt = tmp_path / "meta.bmck"
+    ckpt.write_bytes(b"BMCK" + struct.pack("<II", 1, len(meta)) + meta
+                     + struct.pack("<IQ", 0, 0))
+    with pytest.raises(FormatError, match=message):
+        nbl.load_checkpoint(ckpt)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_config_doc(checkpoint=str(ckpt))))
+    out = tmp_path / "ev"
+    res = _run("evaluate", "--config", config, "--out", out, "--drops", 1,
+               "--codebook", "nbl-direct")
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("config error: ")
+    assert res.output.count("\n") == 1
+    assert not out.exists()
+
+
 def _codebook_file(path, n_x=4, l_max=8, n_cb=4, b_g=2):
     geo = ch.ArrayGeometry(n_x=n_x, n_y=4, dual_polarized=True)
     window = (-1.01, 1.01)
@@ -671,10 +717,11 @@ def _integer_literal_at(literal, *path):
     _malformed(_integer_literal_at(str(10 ** 400), "ssb", 0, 0, 0)),
     _malformed(_integer_literal_at("-" + "9" * 5000, "csirs", 0, 0, 0, 1)),
     _malformed(_integer_literal_at(str(10 ** 31), "geometry", "n_x")),
+    _malformed(_DEEP_JSON.decode()),
 ], ids=["no-geometry", "unknown-geometry-key", "top-level-list", "ssb-string",
         "not-json", "beams-off-geometry", "nan-entry", "precoders-off-geometry",
         "csirs-2d-list", "empty-precoders", "401-digit-entry", "5000-digit-entry",
-        "1e31-integer-n_x"])
+        "1e31-integer-n_x", "deep-nesting"])
 def test_malformed_codebook_file_is_a_format_error(cfg, tmp_path, build):
     book = tmp_path / "book.json"
     build(book)
@@ -834,7 +881,7 @@ def _exhausted(*args, **kwargs):
     ("gen-channels", ch, "generate_channels", []),
     ("evaluate", nbl, "dft_codebooks", ["--drops", 1]),
     ("evaluate", ch, "generate_channels", ["--drops", 2, "--workers", 2]),
-    ("train", nbl, "dft_codebooks", []),
+    ("train", cbk, "build_dft_ssb", []),
 ], ids=["gen-channels", "evaluate", "evaluate-workers", "train"])
 def test_out_of_memory_is_an_exit_3_with_one_line(cfg, tmp_path, monkeypatch,
                                                   command, module, name, extra):

@@ -32,9 +32,24 @@ def test_transform_matrix_rejects_undersampling():
 
 
 def test_pseudo_inverse_property():
-    pair = cb.TransformPair(cb.transform_matrix(4, 8), cb.transform_matrix(2, 4))
-    for u, pinv in ((pair.u_x, pair.u_x_pinv), (pair.u_y, pair.u_y_pinv)):
+    # the DFT CSI-RS codebook's oversampled grid, and the critical maps
+    for n in (1, 2, 4):
+        u = cb.transform_matrix(n, cb.CSIRS_OVERSAMPLING * n)
+        pinv = np.linalg.pinv(u)
         np.testing.assert_allclose(u @ pinv @ u, u, atol=1e-10)
+        np.testing.assert_allclose(pinv @ u @ pinv, pinv, atol=1e-10)
+        u, pinv = cb._axis_maps(n)
+        np.testing.assert_allclose(u @ pinv @ u, u, atol=1e-10)
+        np.testing.assert_allclose(pinv @ u, np.eye(n), atol=1e-12)
+
+
+def test_axis_maps_are_cached_and_read_only():
+    u, pinv = cb._axis_maps(4)
+    assert cb._axis_maps(4)[0] is u and cb._axis_maps(4)[1] is pinv
+    for a in (u, pinv):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
 
 
 # ------------------------------ DFT builders -----------------------------
@@ -208,9 +223,8 @@ def test_project_analog_rejects_bad_bits():
 
 def test_dft_beams_map_to_one_hot():
     geo = _geo(4, 4)
-    pair = cb.make_transform_pair(geo)
     beams = cb.build_dft_ssb(geo, l_max=8, elevation_window=FULL)
-    interiors = cb.beamspace_forward(beams, pair, geo)[:, :4, :4]
+    interiors = cb.beamspace_forward(beams, geo)[:, :4, :4]
     for interior in interiors:
         mags = np.sort(np.abs(interior).reshape(-1))
         assert mags[-1] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-10)
@@ -219,9 +233,8 @@ def test_dft_beams_map_to_one_hot():
 
 def test_beamspace_padding_layout():
     geo = _geo(2, 2, dual=False)
-    pair = cb.make_transform_pair(geo)
     beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL)
-    img = cb.beamspace_forward(beams, pair, geo, beam_counts=[3, 0],
+    img = cb.beamspace_forward(beams, geo, beam_counts=[3, 0],
                                beam_rsrp=[1.5, 0.0])
     assert img[0][2, 0] == 3.0 and img[0][0, 2] == 1.5
     assert img[0][2, 1] == 0.0 and img[0][2, 2] == 0.0
@@ -230,95 +243,129 @@ def test_beamspace_padding_layout():
 
 def test_beamspace_zero_users_padding_zero():
     geo = _geo(2, 2, dual=False)
-    pair = cb.make_transform_pair(geo)
     beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL)
-    img = cb.beamspace_forward(beams, pair, geo)
+    img = cb.beamspace_forward(beams, geo)
     assert not img[:, 2, :].any() and not img[:, :, 2].any()
 
 
 def test_beamspace_rsrp_scaling_linearity():
     geo = _geo(2, 2, dual=False)
-    pair = cb.make_transform_pair(geo)
     beams = cb.build_dft_ssb(geo, l_max=2, elevation_window=FULL)
-    a = cb.beamspace_forward(beams, pair, geo, beam_counts=[1, 1], beam_rsrp=[2.0, 3.0])
-    b = cb.beamspace_forward(beams, pair, geo, beam_counts=[1, 1], beam_rsrp=[4.0, 6.0])
+    a = cb.beamspace_forward(beams, geo, beam_counts=[1, 1], beam_rsrp=[2.0, 3.0])
+    b = cb.beamspace_forward(beams, geo, beam_counts=[1, 1], beam_rsrp=[4.0, 6.0])
     np.testing.assert_allclose(b[:, 0, 2], 2.0 * a[:, 0, 2])
     np.testing.assert_allclose(b[:, :2, :2], a[:, :2, :2])
 
 
 def test_beamspace_forward_linearity():
     geo = _geo(3, 2, dual=False)
-    pair = cb.make_transform_pair(geo)
     rng = np.random.default_rng(7)
     f = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     g = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-    lhs = cb.beamspace_forward(2.0 * f + 3.0j * g, pair, geo)[:, :3, :2]
-    rhs = (2.0 * cb.beamspace_forward(f, pair, geo)[:, :3, :2]
-           + 3.0j * cb.beamspace_forward(g, pair, geo)[:, :3, :2])
+    lhs = cb.beamspace_forward(2.0 * f + 3.0j * g, geo)[:, :3, :2]
+    rhs = (2.0 * cb.beamspace_forward(f, geo)[:, :3, :2]
+           + 3.0j * cb.beamspace_forward(g, geo)[:, :3, :2])
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def _frozen_beamspace_forward(beams, pair, geometry, counts, rsrp):
+def _frozen_maps(geometry):
+    """The maps as the transform pair held them, for an N_X x N_Y array:
+    U_x, U_y and their pseudo-inverses."""
+    u_x = cb.transform_matrix(geometry.n_x, geometry.n_x)
+    u_y = cb.transform_matrix(geometry.n_y, geometry.n_y)
+    return u_x, u_y, np.linalg.pinv(u_x), np.linalg.pinv(u_y)
+
+
+def _frozen_beamspace_forward(beams, geometry, counts, rsrp):
     """The per-beam, per-polarization image loop as first written."""
     n_pol = 2 if geometry.dual_polarized else 1
-    images = np.zeros((len(beams) * n_pol, pair.n_xo + 1, pair.n_yo + 1),
-                      dtype=np.complex128)
-    uxh = np.conj(pair.u_x.T)
+    n_x, n_y = geometry.n_x, geometry.n_y
+    u_x, u_y, _, _ = _frozen_maps(geometry)
+    images = np.zeros((len(beams) * n_pol, n_x + 1, n_y + 1), dtype=np.complex128)
+    uxh = np.conj(u_x.T)
     for i in range(len(beams)):
-        mats = beams[i].reshape(n_pol, geometry.n_x, geometry.n_y)
+        mats = beams[i].reshape(n_pol, n_x, n_y)
         for p in range(n_pol):
             img = images[i * n_pol + p]
-            img[:pair.n_xo, :pair.n_yo] = uxh @ mats[p] @ pair.u_y
-            img[pair.n_xo, 0] = counts[i]
-            img[0, pair.n_yo] = rsrp[i]
+            img[:n_x, :n_y] = uxh @ mats[p] @ u_y
+            img[n_x, 0] = counts[i]
+            img[0, n_y] = rsrp[i]
     return images
 
 
-def _frozen_beamspace_inverse(interiors, pair, geometry):
+def _frozen_beamspace_inverse(interiors, geometry):
     n_pol = 2 if geometry.dual_polarized else 1
-    left = np.conj(pair.u_x_pinv.T)
+    _, _, u_x_pinv, u_y_pinv = _frozen_maps(geometry)
+    left = np.conj(u_x_pinv.T)
     beams = []
     for i in range(len(interiors) // n_pol):
-        panels = [left @ interiors[i * n_pol + p] @ pair.u_y_pinv for p in range(n_pol)]
+        panels = [left @ interiors[i * n_pol + p] @ u_y_pinv for p in range(n_pol)]
         beams.append(np.concatenate([m.reshape(-1) for m in panels]))
     return np.array(beams)
 
 
 def test_beamspace_maps_match_frozen_per_beam_loops():
-    # dual-pol, non-square oversampled grid, feedback in the padding
-    geo = _geo(4, 2, dual=True)
-    pair = cb.TransformPair(cb.transform_matrix(4, 8), cb.transform_matrix(2, 3))
+    # a dual-pol and a non-square single-pol array, feedback in the padding
     rng = np.random.default_rng(11)
-    beams = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-    counts, rsrp = rng.integers(0, 4, 5), rng.random(5)
-    got = cb.beamspace_forward(beams, pair, geo, counts, rsrp)
-    want = _frozen_beamspace_forward(beams, pair, geo, counts, rsrp)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-    interiors = got[:, :8, :3]
-    np.testing.assert_allclose(cb.beamspace_inverse(interiors, pair, geo).value,
-                               _frozen_beamspace_inverse(interiors, pair, geo),
-                               rtol=1e-13, atol=0)
+    for geo in (_geo(4, 2, dual=True), _geo(3, 5, dual=False)):
+        beams = (rng.standard_normal((5, geo.n_elements))
+                 + 1j * rng.standard_normal((5, geo.n_elements)))
+        counts, rsrp = rng.integers(0, 4, 5), rng.random(5)
+        got = cb.beamspace_forward(beams, geo, counts, rsrp)
+        want = _frozen_beamspace_forward(beams, geo, counts, rsrp)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        interiors = got[:, :geo.n_x, :geo.n_y]
+        np.testing.assert_allclose(cb.beamspace_inverse(interiors, geo).value,
+                                   _frozen_beamspace_inverse(interiors, geo),
+                                   rtol=1e-13, atol=0)
 
 
-def _inverse(interiors, pair, geo, lead):
+@pytest.mark.parametrize("nx, ny, dual", [(1, 1, False), (4, 4, True), (3, 5, False),
+                                          (8, 2, True)])
+def test_beamspace_maps_match_the_transform_pair_bit_for_bit(nx, ny, dual):
+    # the batched expressions of the transform pair that held U_x, U_y and
+    # their pseudo-inverses per geometry, frozen: the cached maps give the
+    # same bits, and so do the SSB beams built on them
+    geo = _geo(nx, ny, dual)
+    u_x, u_y, u_x_pinv, u_y_pinv = _frozen_maps(geo)
+    rng = np.random.default_rng(nx * 10 + ny)
+    n_img = 3 * geo.n_pol
+    beams = (rng.standard_normal((3, geo.n_elements))
+             + 1j * rng.standard_normal((3, geo.n_elements)))
+    counts, rsrp = rng.integers(0, 4, 3), rng.random(3)
+    want = np.zeros((n_img, nx + 1, ny + 1), dtype=np.complex128)
+    want[:, :nx, :ny] = np.conj(u_x.T) @ beams.reshape(-1, nx, ny) @ u_y
+    want[:, nx, 0] = np.repeat(counts.astype(float), geo.n_pol)
+    want[:, 0, ny] = np.repeat(rsrp, geo.n_pol)
+    np.testing.assert_array_equal(cb.beamspace_forward(beams, geo, counts, rsrp), want)
+    interiors = (rng.standard_normal((2, n_img, nx, ny))
+                 + 1j * rng.standard_normal((2, n_img, nx, ny)))
+    want = ((np.conj(u_x_pinv.T) @ interiors) @ u_y_pinv).reshape(2, 3, geo.n_elements)
+    np.testing.assert_array_equal(cb.beamspace_inverse(interiors, geo).value, want)
+    cands = cb._grid_candidates(nx, ny, FULL, geo.element_spacing)
+    np.testing.assert_array_equal(cb.build_dft_ssb(geo, len(cands), FULL),
+                                  cb._grid_beams(u_x, u_y, *cands.T, geo))
+
+
+def _inverse(interiors, geo, lead):
     """``beamspace_inverse`` of an interior array, or of a DiffTensor holding
     it as drop 1 of 2 on a leading drop axis.
 
     The drop-axis path must give the array path's beams bit for bit, and
     its gradient must match finite differences.
     """
-    want = cb.beamspace_inverse(interiors, pair, geo).value
+    want = cb.beamspace_inverse(interiors, geo).value
     if lead == "array":
         return want
     rng = np.random.default_rng(5)
     stack = np.stack([rng.standard_normal(interiors.shape)
                       + 1j * rng.standard_normal(interiors.shape), interiors])
-    got = cb.beamspace_inverse(ad.constant(stack), pair, geo).value
+    got = cb.beamspace_inverse(ad.constant(stack), geo).value
     assert got.shape == (2,) + want.shape
     np.testing.assert_array_equal(got[1], want)
     weights = rng.standard_normal(got.shape) + 1j * rng.standard_normal(got.shape)
     assert_grads_match(lambda t: ad.sum_axis(ad.reshape(ad.real(ad.mul(
-        cb.beamspace_inverse(t, pair, geo), ad.constant(weights))), (-1,)), 0),
+        cb.beamspace_inverse(t, geo), ad.constant(weights))), (-1,)), 0),
         [stack], rtol=1e-7)
     return got[1]
 
@@ -326,29 +373,27 @@ def _inverse(interiors, pair, geo, lead):
 @pytest.mark.parametrize("lead", ["array", "drop-axis"])
 def test_round_trip_critical_sampling(lead):
     geo = _geo(4, 4)
-    pair = cb.make_transform_pair(geo)
     rng = np.random.default_rng(3)
     beams = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
-    img = cb.beamspace_forward(beams, pair, geo)
-    back = _inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo, lead)
+    img = cb.beamspace_forward(beams, geo)
+    back = _inverse(img[:, :geo.n_x, :geo.n_y], geo, lead)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-9
 
 
 @pytest.mark.parametrize("lead", ["array", "drop-axis"])
 def test_round_trip_oversampled_grid_beams(lead):
+    # the DFT CSI-RS beams, off the oversampled grid, through the critical maps
     geo = _geo(4, 2, dual=True)
-    pair = cb.TransformPair(cb.transform_matrix(4, 8), cb.transform_matrix(2, 4))
-    beams = cb._grid_beams(pair.u_x, pair.u_y, np.array([0, 3, 7]), np.array([0, 1, 3]),
-                           geo)
-    img = cb.beamspace_forward(beams, pair, geo)
-    back = _inverse(img[:, :pair.n_xo, :pair.n_yo], pair, geo, lead)
+    precoders = cb.build_dft_csirs(geo, n_cb=4, b_g=2, elevation_window=FULL)
+    beams = np.swapaxes(precoders, 1, 2).reshape(-1, geo.n_elements)
+    img = cb.beamspace_forward(beams, geo)
+    back = _inverse(img[:, :geo.n_x, :geo.n_y], geo, lead)
     assert np.linalg.norm(back - beams) / np.linalg.norm(beams) < 1e-8
 
 
 def test_inverse_of_zero_image_projects_to_uniform_phase():
     geo = _geo(2, 2, dual=False)
-    pair = cb.make_transform_pair(geo)
-    beams = cb.beamspace_inverse(np.zeros((1, 2, 2)), pair, geo).value
+    beams = cb.beamspace_inverse(np.zeros((1, 2, 2)), geo).value
     assert not beams.any()
     projected = cb.project_analog(beams, b_phase=4)
     np.testing.assert_allclose(projected, 0.5)  # uniform zero phase
@@ -356,11 +401,10 @@ def test_inverse_of_zero_image_projects_to_uniform_phase():
 
 def test_inverse_dimension_mismatch():
     geo = _geo(2, 2, dual=False)
-    pair = cb.make_transform_pair(geo)
     with pytest.raises(ShapeError):
-        cb.beamspace_inverse(np.zeros((1, 3, 3)), pair, geo)
+        cb.beamspace_inverse(np.zeros((1, 3, 3)), geo)
     with pytest.raises(ShapeError):  # no image axis
-        cb.beamspace_inverse(np.zeros((2, 2)), pair, geo)
+        cb.beamspace_inverse(np.zeros((2, 2)), geo)
 
 
 # ------------------------------ file format ------------------------------

@@ -32,14 +32,14 @@ def test_estimate_noise_free_is_exact():
     h = _rand_channels(rng, 2, 8, 4, 4)
     h[:, 1::2] = h[:, 0::2]  # frequency-flat within each 2-RE subband
     est = link.estimate_channel(h, sigma2=1.0, s_b=4)
-    np.testing.assert_allclose(est.h_est, h[:, ::2], atol=1e-10)
+    np.testing.assert_allclose(est, h[:, ::2], atol=1e-10)
 
 
 def test_estimate_shrinks_to_zero_in_heavy_noise():
     rng = np.random.default_rng(1)
     h = _rand_channels(rng, 2, 4, 2, 2, scale=1e-6)
     est = link.estimate_channel(h, sigma2=1e9, s_b=4)  # one RE per subband
-    np.testing.assert_allclose(est.h_est, 0.0, atol=1e-12)
+    np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
 
 def test_estimate_mse_decreases_with_averaging():
@@ -54,7 +54,7 @@ def test_estimate_mse_decreases_with_averaging():
             y += np.sqrt(sigma2 / 2) * (rng.standard_normal(y.shape)
                                         + 1j * rng.standard_normal(y.shape))
             est = link.estimate_channel(y, sigma2, s_b=1)
-            se += np.abs(est.h_est[:, 0] - true).sum() ** 2
+            se += np.abs(est[:, 0] - true).sum() ** 2
         errs.append(se)
     assert errs[0] > errs[1] > errs[2]
 
@@ -67,19 +67,15 @@ def test_pmi_recovers_basis_column():
     v = basis[:, 5]
     h = np.zeros((1, s_b, 2, b_g), dtype=np.complex128)
     h[0, :, 0] = np.conj(v)  # rank-1 channel whose right vector is v
-    est = link.BeamformedChannelEstimate(h_est=h,
-                                         subband_of_k=link.subband_map(4, s_b))
-    fb, recon = link.quantize_pmi(est, l_csi=4)
+    fb, recon = link.quantize_pmi(h, l_csi=4)
     for s in range(s_b):
         corr = abs(np.vdot(v, recon[0, s])) / np.linalg.norm(v)
         assert corr >= 0.98
 
 
 def test_pmi_zero_estimate_degenerate_rule():
-    est = link.BeamformedChannelEstimate(
-        h_est=np.zeros((1, 2, 2, 4), dtype=np.complex128),
-        subband_of_k=link.subband_map(4, 2))
-    fb, recon = link.quantize_pmi(est, l_csi=4)
+    fb, recon = link.quantize_pmi(np.zeros((1, 2, 2, 4), dtype=np.complex128),
+                                  l_csi=4)
     np.testing.assert_allclose(recon[0, :, 0], 1.0)
     np.testing.assert_allclose(recon[0, :, 1:], 0.0)
     np.testing.assert_allclose(fb.amplitudes, 0.0)
@@ -101,8 +97,7 @@ def test_single_user_scalar_matched_filter():
     recon = np.ones((1, 1, 1), dtype=np.complex128) * np.exp(0.7j)
     gains = np.ones((1, 1))
     subset = np.ones((1, 1, 1), dtype=np.complex128)
-    ps = link.build_precoders(recon, gains, np.array([0]), subset, [0], 1e-3,
-                              subband_of_k=np.zeros(1, int))
+    ps = link.build_precoders(recon, gains, np.array([0]), subset, [0], 1e-3)
     # digital column is the matched filter: conj of the channel row, which
     # recovers the reconstructed direction e^{+0.7j}
     assert abs(abs(ps.digital[0, 0, 0]) - 1.0) < 1e-12
@@ -112,8 +107,7 @@ def test_single_user_scalar_matched_filter():
 def test_digital_blocks_unit_norm_and_block_diagonal():
     rng = np.random.default_rng(5)
     subset, recon, gains, chosen = _one_cell_setup(rng, n_users=3)
-    ps = link.build_precoders(recon, gains, chosen, subset, [0, 1, 2], 0.1,
-                              subband_of_k=link.subband_map(4, 2))
+    ps = link.build_precoders(recon, gains, chosen, subset, [0, 1, 2], 0.1)
     b_g = subset.shape[2]
     for s in range(ps.digital.shape[0]):
         for j in range(3):
@@ -127,8 +121,7 @@ def test_digital_blocks_unit_norm_and_block_diagonal():
 def test_empty_schedule_is_valid():
     rng = np.random.default_rng(6)
     subset, recon, gains, chosen = _one_cell_setup(rng, n_users=2)
-    ps = link.build_precoders(recon, gains, chosen, subset, [], 0.1,
-                              subband_of_k=link.subband_map(4, 2))
+    ps = link.build_precoders(recon, gains, chosen, subset, [], 0.1)
     assert ps.users == [] and ps.digital.shape[2] == 0
 
 
@@ -225,6 +218,11 @@ def test_greedy_close_to_exhaustive_small():
 
 # -------------------------------- ESSE -----------------------------------
 
+def _digital_at(ps, k, k_sub):
+    """The digital block that RE k of k_sub transmits: its subband's."""
+    return ps.digital[link.subband_map(k_sub, len(ps.digital))[k]]
+
+
 def _transmission(rng, c_cells=1, n_users=2, n_t=8, b_g=2, k_sub=4, n_rx=2,
                   sigma2=0.05):
     h = (rng.standard_normal((c_cells, n_users, 1, k_sub, n_rx, n_t))
@@ -234,8 +232,7 @@ def _transmission(rng, c_cells=1, n_users=2, n_t=8, b_g=2, k_sub=4, n_rx=2,
         subset, recon, gains, chosen = _one_cell_setup(rng, n_users, n_t=n_t,
                                                        b_g=b_g)
         sets.append(link.build_precoders(recon, gains, chosen, subset,
-                                         list(range(n_users)), sigma2,
-                                         subband_of_k=link.subband_map(k_sub, 2)))
+                                         list(range(n_users)), sigma2))
     return h, sets
 
 
@@ -259,7 +256,7 @@ def test_esse_unchanged_by_zero_channel_cell():
     h2 = np.concatenate([h, np.zeros_like(h)], axis=0)
     empty = link.build_precoders(np.zeros((2, 2, 2), complex), np.zeros((2, 2)),
                                  np.zeros(2, int), np.zeros((4, 8, 2), complex),
-                                 [], 0.05, subband_of_k=link.subband_map(4, 2))
+                                 [], 0.05)
     both = link.transmit_and_score(h2, sets + [empty], 0.05, alpha=1.0)
     assert both.esse == pytest.approx(base.esse, rel=1e-12)
 
@@ -270,13 +267,12 @@ def test_esse_single_user_rate_reduction():
     sigma2 = 0.1
     h, _ = _transmission(rng, n_users=1, n_rx=1, sigma2=sigma2)
     subset, recon, gains, chosen = _one_cell_setup(rng, 1)
-    ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2,
-                              subband_of_k=link.subband_map(4, 2))
+    ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2)
     rep = link.transmit_and_score(h, [ps], sigma2, alpha=1.0)
     k_sub, n_t = 4, 8
     rates = []
     for k in range(k_sub):
-        w = ps.analog @ ps.digital[ps.subband_of_k[k]] / np.sqrt(1 * k_sub * n_t)
+        w = ps.analog @ _digital_at(ps, k, k_sub) / np.sqrt(1 * k_sub * n_t)
         v = h[0, 0, 0, k] @ w[:, 0]
         rates.append(np.log2(1.0 + np.abs(v) ** 2 / sigma2))
     np.testing.assert_allclose(rep.per_user_rate[0], np.mean(rates), rtol=1e-10)
@@ -298,12 +294,11 @@ def test_single_user_per_cell_noise_floor():
     sigma2 = 0.2
     h, _ = _transmission(rng, n_users=1, sigma2=sigma2)
     subset, recon, gains, chosen = _one_cell_setup(rng, 1)
-    ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2,
-                              subband_of_k=link.subband_map(4, 2))
+    ps = link.build_precoders(recon, gains, chosen, subset, [0], sigma2)
     rep = link.transmit_and_score(h, [ps], sigma2, alpha=1.0)
     k_sub, n_t = 4, 8
     sig = np.mean([np.sum(np.abs(h[0, 0, 0, k] @ ps.analog
-                                 @ ps.digital[ps.subband_of_k[k]]) ** 2)
+                                 @ _digital_at(ps, k, k_sub)) ** 2)
                    for k in range(k_sub)]) / (k_sub * n_t)
     implied_in = sig / (np.exp2(rep.per_user_rate[0]) - 1.0)
     assert implied_in >= sigma2 * (1.0 - 1e-9)
@@ -321,8 +316,7 @@ def test_allocation_fractions_sum_to_one():
 # quantization one (user, subband) SVD at a time, RZF one least-squares solve
 # per user, and a scheduler that rebuilds the Gram tensor for every trial set.
 
-def _reference_quantize_pmi(estimate, l_csi=4):
-    h = estimate.h_est
+def _reference_quantize_pmi(h, l_csi=4):
     n_users, s_b, n_rx, b_g = h.shape
     basis = link.port_dft(b_g)
     beams = np.zeros((n_users, l_csi), dtype=int)
@@ -550,9 +544,7 @@ def test_quantize_pmi_matches_frozen_per_user_loop():
                                            (4, 1, 1, 1, 2), (6, 3, 3, 4, 8)]:
         h = _rand_channels(rng, n_users, s_b, n_rx, b_g)
         h[1] = 0.0  # an all-zero estimate takes the degenerate rule
-        est = link.BeamformedChannelEstimate(
-            h_est=h, subband_of_k=link.subband_map(s_b, s_b))
-        _assert_pmi_matches_reference(est, l_csi=l_csi)
+        _assert_pmi_matches_reference(h, l_csi=l_csi)
 
 
 def test_quantize_pmi_matches_frozen_loop_on_default_drops(default_drop_inputs):
@@ -699,8 +691,7 @@ def test_sets_se_gives_each_set_the_same_bits_in_any_batch(size):
 
 
 def _assert_rzf_matches_reference(recon, gains, chosen, subset, users, sigma2):
-    ps = link.build_precoders(recon, gains, chosen, subset, users, sigma2,
-                              link.subband_map(recon.shape[1], recon.shape[1]))
+    ps = link.build_precoders(recon, gains, chosen, subset, users, sigma2)
     users, b_g = ps.users, subset.shape[2]
     blocks = np.stack([subset[chosen[u]] for u in users])
     np.testing.assert_array_equal(ps.analog, np.concatenate(list(blocks), axis=1))
@@ -742,7 +733,7 @@ def _reference_transmit_and_score(h, sets, sigma2, alpha):
             eff.append(np.zeros((k_sub, n_t, 0), dtype=np.complex128))
             continue
         scale = 1.0 / np.sqrt(len(ps.users) * k_sub * n_t)
-        eff.append(np.stack([ps.analog @ ps.digital[ps.subband_of_k[k]] * scale
+        eff.append(np.stack([ps.analog @ _digital_at(ps, k, k_sub) * scale
                              for k in range(k_sub)]))
     per_user_rate, total = {}, 0.0
     for c, ps in enumerate(sets):
@@ -788,7 +779,7 @@ def test_esse_matches_frozen_per_re_loop(n_rx, t_slots):
         subset, recon, gains, chosen = _one_cell_setup(rng, n_users, n_t=n_t,
                                                        b_g=b_g, s_b=s_b)
         sets.append(link.build_precoders(recon, gains, chosen, subset, users,
-                                         sigma2, link.subband_map(k_sub, s_b)))
+                                         sigma2))
     _assert_esse_matches_reference(h, sets, sigma2, alpha=0.875)
     # nobody scheduled anywhere
     rep = link.transmit_and_score(h[2:3], sets[2:3], sigma2, alpha=1.0)
@@ -802,11 +793,10 @@ def test_esse_exact_at_high_snr():
     rng = np.random.default_rng(33)
     h, _ = _transmission(rng, n_users=1, n_rx=1)
     subset, recon, gains, chosen = _one_cell_setup(rng, 1)
-    ps = link.build_precoders(recon, gains, chosen, subset, [0], 0.05,
-                              subband_of_k=link.subband_map(4, 2))
+    ps = link.build_precoders(recon, gains, chosen, subset, [0], 0.05)
     sigma2, k_sub, n_t = 1e-30, 4, 8
     rates = [np.log2(1.0 + np.abs(h[0, 0, 0, k] @ ps.analog
-                                  @ ps.digital[ps.subband_of_k[k]])[0, 0] ** 2
+                                  @ _digital_at(ps, k, k_sub))[0, 0] ** 2
                      / (k_sub * n_t) / sigma2) for k in range(k_sub)]
     rep = link.transmit_and_score(h, [ps], sigma2, alpha=1.0)
     np.testing.assert_allclose(rep.per_user_rate[0], np.mean(rates), rtol=1e-13)
@@ -823,7 +813,7 @@ def test_esse_accurate_from_low_to_high_snr():
     h[0, 0, 0, 0, :, 0], h[1, 0, 0, 0, :, 0] = np.sqrt(2.0) * v, np.sqrt(2.0) * u
     h[1, 1, 0, 0, :, 0] = np.sqrt(2.0) * u
     sets = [link.PrecoderSet(analog=np.eye(2)[:, :1], digital=np.ones((1, 1, 1)),
-                             users=[u_], subband_of_k=np.zeros(1, int))
+                             users=[u_])
             for u_ in (0, 1)]
     for sigma2 in 10.0 ** np.arange(2, -13, -1):
         want = (sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu))
@@ -849,7 +839,7 @@ def test_esse_exact_with_fewer_streams_than_receive_antennas(streams):
     if streams == 2:
         h[1, :, 0, 0, :, 0] = np.sqrt(2.0) * u
     sets = [link.PrecoderSet(analog=np.eye(2)[:, :1], digital=np.ones((1, 1, 1)),
-                             users=[c], subband_of_k=np.zeros(1, int))
+                             users=[c])
             for c in range(streams)]
     for sigma2 in 10.0 ** np.arange(2, -31, -1):
         want = ([(sigma2 * nv + nu * nvp) / (sigma2 * (sigma2 + nu)), nu / sigma2]

@@ -161,8 +161,7 @@ def _frozen_evaluate_drop(config, settings, ssb_beams, precoders, n_csi,
         sched = link.schedule_users(recon, fb.gains, chosen, subsets[c],
                                     cand, sigma2) if cand else []
         sets.append(link.build_precoders(recon, fb.gains, chosen,
-                                         subsets[c], sched, sigma2,
-                                         est.subband_of_k))
+                                         subsets[c], sched, sigma2))
     alpha = link.data_fraction(len(ssb_beams[0]), n_csi, settings.k_ssb,
                                k_sub, settings.t_period)
     esse = link.transmit_and_score(hv, sets, sigma2, alpha=alpha)
@@ -222,7 +221,7 @@ def test_data_plane_estimates_each_user_once_per_drop(monkeypatch):
         return estimate(y, *args, **kw)
 
     def count_pmi(est, **kw):
-        calls.append(("pmi", est.h_est.shape[0]))
+        calls.append(("pmi", est.shape[0]))
         return quantize(est, **kw)
 
     monkeypatch.setattr(link, "estimate_channel", count_estimate)

@@ -361,9 +361,8 @@ def test_neural_with_zero_head_matches_direct_dft():
 
 
 def _random_obsc(geo, dims, cells, seed):
-    pair = cb.make_transform_pair(geo)
     rng = np.random.default_rng(seed)
-    shape = (dims.l_max * 2, pair.n_xo + 1, pair.n_yo + 1)
+    shape = (dims.l_max * 2, geo.n_x + 1, geo.n_y + 1)
     return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for _ in range(cells)]
 
@@ -471,8 +470,7 @@ def test_neural_generator_rejects_polarization_mismatch():
     dims = _dims()
     net = nbl.NeuralGenerator(Tape(), 1, dims, n_pol=2)
     geo = ch.ArrayGeometry(n_x=4, n_y=4, dual_polarized=False)
-    pair = cb.make_transform_pair(geo)
-    obsc = [np.zeros((dims.l_max, pair.n_xo + 1, pair.n_yo + 1), complex)]
+    obsc = [np.zeros((dims.l_max, geo.n_x + 1, geo.n_y + 1), complex)]
     with pytest.raises(Exception):
         net.generate_for(obsc, geo)
 
@@ -572,11 +570,11 @@ def test_dataset_shapes_and_determinism():
     prior = [cb.build_dft_ssb(cfg.geometry, dims.l_max, FULL)]
     a = nbl.build_dataset(cfg, prior, 2, seed=9, sigma2=1.0, new_user_prob=0.2)
     b = nbl.build_dataset(cfg, prior, 2, seed=9, sigma2=1.0, new_user_prob=0.2)
-    pair = cb.make_transform_pair(cfg.geometry)
+    geo = cfg.geometry
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.h, sb.h)
         assert np.array_equal(sa.targets, sb.targets)
-        assert sa.obsc[0].shape == (dims.l_max * 2, pair.n_xo + 1, pair.n_yo + 1)
+        assert sa.obsc[0].shape == (dims.l_max * 2, geo.n_x + 1, geo.n_y + 1)
         assert np.all(np.isfinite(sa.targets)) and sa.targets.min() >= 0.0
 
 
